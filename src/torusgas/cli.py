@@ -55,8 +55,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             summary = driver.run_simulate(cfg, args.out, threads=args.threads)
-            print(f"simulate: {summary['n_steps']} steps, {summary['members']} members, "
-                  f"backend {summary['backend']}; artifacts in {args.out}")
+            print(f"simulate: {summary['n_steps']} steps, {summary['members']} members; "
+                  f"artifacts in {args.out}")
             return 0
         if args.command == "verify":
             results, ok = verify.run_all()

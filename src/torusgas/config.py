@@ -164,9 +164,20 @@ def _cross_validate(cfg: dict):
         raise ConfigError("ensemble.members: need at least one member")
     if cfg["run.samples"] < 1:
         raise ConfigError("run.samples: need at least one sample")
+    for key in ("ws.members", "ws.n_steps", "ws.samples"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key}: must be at least 1")
+    refine = cfg["ws.refine"]
+    if refine < 1 or (refine & (refine - 1)) != 0:
+        raise ConfigError("ws.refine: must be a power of two (1 = self comparison)")
     n_sweep = cfg["sweep.samples"]
     if n_sweep < 1 or (n_sweep & (n_sweep - 1)) != 0:
         raise ConfigError("sweep.samples: must be a power of two")
+    if cfg["sweep.members"] < 4:
+        raise ConfigError("sweep.members: need at least 4 (one per standard-error group)")
+    eps = cfg["sweep.eps"]
+    if not eps or not all(e > 0 for e in eps):
+        raise ConfigError("sweep.eps: need at least one value, all positive")
 
 
 def load(path, overrides: Optional[dict] = None) -> dict:

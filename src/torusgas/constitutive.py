@@ -3,17 +3,15 @@
 The gas is barotropic with ``p(rho) = a rho^gamma``; the optional stabilizer
 ``delta (rho + rho^Gam)`` augments both the pressure and its potential so the
 pair always satisfies ``rho P' - P = p``.  The potential is closed form, no
-quadrature.
+quadrature.  Each formula is written once and takes a scalar or an array
+density alike; ``delta = 0`` gives the bare power law.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import kernels
 
 
 class ConstitutiveError(ValueError):
@@ -47,10 +45,6 @@ class PressureLaw:
                 f"Gam must be >= max(6, gamma) when delta > 0, got {self.Gam}"
             )
 
-    @property
-    def params(self) -> tuple[float, float, float, float]:
-        return (self.a, self.gamma, self.delta, self.Gam)
-
     def rescaled(self, eps: float) -> "PressureLaw":
         """Law with the stiff 1/eps^2 pressure scaling absorbed into a (and delta)."""
         if not eps > 0:
@@ -65,24 +59,20 @@ def _check_rho(rho):
     return arr
 
 
-def pressure(law: PressureLaw, rho):
-    """Bare power-law pressure ``a rho^gamma`` (no stabilizer term)."""
-    rho = _check_rho(rho)
-    if rho.ndim == 0:
-        return law.a * float(rho) ** law.gamma
-    return law.a * rho**law.gamma
+def _xlogx(x):
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = x[pos] * np.log(x[pos])
+    return out
 
 
 def pressure_delta(law: PressureLaw, rho):
-    """Full pressure ``p + delta (rho + rho^Gam)``."""
+    """Full pressure ``p_delta(rho) = a rho^gamma + delta (rho + rho^Gam)``."""
     rho = _check_rho(rho)
-    if rho.ndim == 0:
-        x = float(rho)
-        p = law.a * x**law.gamma
-        if law.delta:
-            p += law.delta * (x + x**law.Gam)
-        return p
-    return kernels.pressure(rho, *law.params)
+    p = law.a * rho**law.gamma
+    if law.delta:
+        p = p + law.delta * (rho + rho**law.Gam)
+    return p
 
 
 def pressure_delta_prime(law: PressureLaw, rho):
@@ -91,7 +81,7 @@ def pressure_delta_prime(law: PressureLaw, rho):
     dp = law.a * law.gamma * rho ** (law.gamma - 1.0)
     if law.delta:
         dp = dp + law.delta * (1.0 + law.Gam * rho ** (law.Gam - 1.0))
-    return float(dp) if dp.ndim == 0 else dp
+    return dp
 
 
 def pressure_delta_second(law: PressureLaw, rho):
@@ -100,51 +90,33 @@ def pressure_delta_second(law: PressureLaw, rho):
     d2 = law.a * law.gamma * (law.gamma - 1.0) * rho ** (law.gamma - 2.0)
     if law.delta:
         d2 = d2 + law.delta * law.Gam * (law.Gam - 1.0) * rho ** (law.Gam - 2.0)
-    return float(d2) if d2.ndim == 0 else d2
-
-
-def potential(law: PressureLaw, rho):
-    """Bare pressure potential ``a (rho^gamma - rho) / (gamma - 1)``."""
-    rho = _check_rho(rho)
-    if rho.ndim == 0:
-        x = float(rho)
-        return law.a * (x**law.gamma - x) / (law.gamma - 1.0)
-    return law.a * (rho**law.gamma - rho) / (law.gamma - 1.0)
+    return d2
 
 
 def potential_delta(law: PressureLaw, rho):
     """Full potential; the ``rho log rho`` term extends by 0 at vacuum."""
     rho = _check_rho(rho)
-    if rho.ndim == 0:
-        x = float(rho)
-        P = law.a * (x**law.gamma - x) / (law.gamma - 1.0)
-        if law.delta:
-            xlx = x * math.log(x) if x > 0 else 0.0
-            P += law.delta * (xlx + x**law.Gam / (law.Gam - 1.0))
-        return P
-    return kernels.potential(rho, *law.params)
+    P = law.a * (rho**law.gamma - rho) / (law.gamma - 1.0)
+    if law.delta:
+        P = P + law.delta * (_xlogx(rho) + rho**law.Gam / (law.Gam - 1.0))
+    return P
 
 
 def potential_delta_prime(law: PressureLaw, rho):
     rho = np.asarray(rho, dtype=np.float64)
-    if rho.ndim == 0:
-        x = float(rho)
-        dP = law.a * (law.gamma * x ** (law.gamma - 1.0) - 1.0) / (law.gamma - 1.0)
-        if law.delta:
-            dP += law.delta * (math.log(x) + 1.0 + law.Gam * x ** (law.Gam - 1.0) / (law.Gam - 1.0))
-        return dP
-    return kernels.potential_prime(rho, *law.params)
+    dP = law.a * (law.gamma * rho ** (law.gamma - 1.0) - 1.0) / (law.gamma - 1.0)
+    if law.delta:
+        dP = dP + law.delta * (np.log(rho) + 1.0
+                               + law.Gam * rho ** (law.Gam - 1.0) / (law.Gam - 1.0))
+    return dP
 
 
 def potential_delta_second(law: PressureLaw, rho):
     rho = np.asarray(rho, dtype=np.float64)
-    if rho.ndim == 0:
-        x = float(rho)
-        d2 = law.a * law.gamma * x ** (law.gamma - 2.0)
-        if law.delta:
-            d2 += law.delta * (1.0 / x + law.Gam * x ** (law.Gam - 2.0))
-        return d2
-    return kernels.potential_second(rho, *law.params)
+    d2P = law.a * law.gamma * rho ** (law.gamma - 2.0)
+    if law.delta:
+        d2P = d2P + law.delta * (1.0 / rho + law.Gam * rho ** (law.Gam - 2.0))
+    return d2P
 
 
 def potential_delta_third(law: PressureLaw, rho):
@@ -152,7 +124,7 @@ def potential_delta_third(law: PressureLaw, rho):
     d3 = law.a * law.gamma * (law.gamma - 2.0) * rho ** (law.gamma - 3.0)
     if law.delta:
         d3 = d3 + law.delta * (-1.0 / rho**2 + law.Gam * (law.Gam - 2.0) * rho ** (law.Gam - 3.0))
-    return float(d3) if d3.ndim == 0 else d3
+    return d3
 
 
 def relative_h(law: PressureLaw, rho, r):
@@ -162,20 +134,17 @@ def relative_h(law: PressureLaw, rho, r):
     when ``|rho - r| < 1e-6 r``.
     """
     rho = _check_rho(rho)
-    r_arr = np.asarray(r, dtype=np.float64)
-    if np.any(r_arr <= 0):
+    r = np.asarray(r, dtype=np.float64)
+    if np.any(r <= 0):
         raise ConstitutiveError("reference density r must be positive")
-    if rho.ndim == 0 and r_arr.ndim == 0:
-        x, y = float(rho), float(r_arr)
-        if abs(x - y) < 1e-6 * y:
-            return 0.5 * potential_delta_second(law, y) * (x - y) ** 2
-        return (
-            potential_delta(law, x)
-            - potential_delta_prime(law, y) * (x - y)
-            - potential_delta(law, y)
-        )
-    rho_b, r_b = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(r_arr))
-    return kernels.relative_h(np.ascontiguousarray(rho_b), np.ascontiguousarray(r_b), *law.params)
+    rho, r = np.broadcast_arrays(rho, r)
+    direct = (potential_delta(law, rho) - potential_delta_prime(law, r) * (rho - r)
+              - potential_delta(law, r))
+    near = np.abs(rho - r) < 1e-6 * r
+    if np.any(near):
+        taylor = 0.5 * potential_delta_second(law, r) * (rho - r) ** 2
+        direct = np.where(near, taylor, direct)
+    return direct
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import config as config_mod
-from . import kernels, snapshots
+from . import snapshots
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        cfl_dt, energy_total, step_em)
@@ -179,7 +179,6 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     mass_end = [grid.integrate(s[-1].rho) for s in member_samples]
     summary = {
         "command": "simulate",
-        "backend": kernels.backend(),
         "n_steps": n_steps,
         "dt": dt,
         "members": members,
@@ -229,7 +228,7 @@ def run_weak_strong(cfg: dict, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
     n_steps = cfg["ws.n_steps"]
-    samples = max(1, cfg["ws.samples"])
+    samples = cfg["ws.samples"]
     ws = WeakStrongConfig(
         grid_sizes=tuple(cfg["grid.sizes"]),
         model=model,

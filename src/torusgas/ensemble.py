@@ -16,8 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
-from .constitutive import PressureLaw
+from .constitutive import PressureLaw, potential_delta, pressure_delta
 from .dynamics import State
 from .grid import Grid
 
@@ -55,20 +54,9 @@ class EmpiricalYoungMeasure:
     def n_atoms(self) -> int:
         return self.rho_atoms.shape[0]
 
-    def flat(self):
-        """Atoms with cell axes flattened, C-contiguous for the kernels."""
-        m = self.n_atoms
-        rho = np.ascontiguousarray(self.rho_atoms.reshape(m, -1))
-        mom = np.ascontiguousarray(self.mom_atoms.reshape(m, self.grid.dim, -1))
-        return rho, mom
-
     def barycenter(self):
         """Mean density and momentum fields ``(<rho>, <m>)``."""
         return np.mean(self.rho_atoms, axis=0), np.mean(self.mom_atoms, axis=0)
-
-    def vacuum_cells(self, rho_floor: float) -> np.ndarray:
-        """Per-cell count of atoms below the density floor (quality flag)."""
-        return np.sum(self.rho_atoms < rho_floor, axis=0)
 
 
 def build_ym(grid: Grid, states: list[State]) -> EmpiricalYoungMeasure:
@@ -111,6 +99,25 @@ def expect(ym: EmpiricalYoungMeasure, obs: Observable) -> np.ndarray:
     return out
 
 
+def energy_jensen_gap(rho_atoms: np.ndarray, mom_atoms: np.ndarray,
+                      law: PressureLaw):
+    """Mean energy density and its Jensen gap at the atom barycenter.
+
+    Atoms are ``(M, *sizes)`` densities and ``(M, N, *sizes)`` momenta.
+    Returns ``(mean_energy, gap)`` per cell where ``mean_energy =
+    <0.5|m|^2/rho + P(rho)>`` and ``gap = mean_energy - (0.5|<m>|^2/<rho> +
+    P(<rho>))``.
+    """
+    mean_e = np.mean(
+        0.5 * np.sum(mom_atoms**2, axis=1) / rho_atoms + potential_delta(law, rho_atoms),
+        axis=0,
+    )
+    b_rho = np.mean(rho_atoms, axis=0)
+    b_mom = np.mean(mom_atoms, axis=0)
+    bary_e = 0.5 * np.sum(b_mom**2, axis=0) / b_rho + potential_delta(law, b_rho)
+    return mean_e, mean_e - bary_e
+
+
 def dissipation_defect(ym: EmpiricalYoungMeasure, law: PressureLaw,
                        tol: float = 1e-12):
     """Oscillation part of the dissipation defect.
@@ -120,20 +127,16 @@ def dissipation_defect(ym: EmpiricalYoungMeasure, law: PressureLaw,
     nonnegative; values below ``-tol`` (scaled) indicate a broken estimator
     and raise.
     """
-    rho, mom = ym.flat()
-    mean_e, defect = kernels.ym_energy_defect(rho, mom, *law.params)
+    mean_e, field = energy_jensen_gap(ym.rho_atoms, ym.mom_atoms, law)
     scale = max(1.0, float(np.max(np.abs(mean_e))))
-    if float(np.min(defect)) < -tol * scale:
-        raise ConvexityError(f"negative energy defect {np.min(defect):.3e}")
-    field = defect.reshape(ym.grid.sizes)
+    if float(np.min(field)) < -tol * scale:
+        raise ConvexityError(f"negative energy defect {np.min(field):.3e}")
     return field, ym.grid.integrate(field)
 
 
 def mean_energy_density(ym: EmpiricalYoungMeasure, law: PressureLaw) -> np.ndarray:
     """``<nu; 0.5 |m|^2 / rho + P_delta(rho)>`` as a field."""
-    rho, mom = ym.flat()
-    mean_e, _ = kernels.ym_energy_defect(rho, mom, *law.params)
-    return mean_e.reshape(ym.grid.sizes)
+    return energy_jensen_gap(ym.rho_atoms, ym.mom_atoms, law)[0]
 
 
 def momentum_defect(ym: EmpiricalYoungMeasure, law: PressureLaw):
@@ -143,10 +146,13 @@ def momentum_defect(ym: EmpiricalYoungMeasure, law: PressureLaw):
     ``<m x m / rho> - <m> x <m> / <rho>`` with shape ``(N, N, *sizes)`` and
     the scalar isotropic part ``<p(rho)> - p(<rho>)``.
     """
-    rho, mom = ym.flat()
-    kin, press = kernels.ym_momentum_defect(rho, mom, *law.params)
-    dim = ym.grid.dim
-    return (kin.reshape(dim, dim, *ym.grid.sizes), press.reshape(ym.grid.sizes))
+    rho, mom = ym.rho_atoms, ym.mom_atoms
+    kin = np.mean(mom[:, :, None] * mom[:, None, :] / rho[:, None, None], axis=0)
+    b_rho = np.mean(rho, axis=0)
+    b_mom = np.mean(mom, axis=0)
+    kin -= b_mom[:, None] * b_mom[None, :] / b_rho
+    press = np.mean(pressure_delta(law, rho), axis=0) - pressure_delta(law, b_rho)
+    return kin, press
 
 
 def momentum_defect_total(ym: EmpiricalYoungMeasure, law: PressureLaw) -> np.ndarray:
@@ -183,6 +189,7 @@ def defect_domination_audit(ym: EmpiricalYoungMeasure, law: PressureLaw,
 
 
 def velocity_oscillation_field(ym: EmpiricalYoungMeasure) -> np.ndarray:
-    """``<nu; |u - <nu; u>|^2>`` per cell."""
-    rho, mom = ym.flat()
-    return kernels.velocity_oscillation(rho, mom).reshape(ym.grid.sizes)
+    """``<nu; |u - <nu; u>|^2>`` per cell, ``u = m / rho`` atomwise."""
+    u = ym.mom_atoms / ym.rho_atoms[:, None]
+    du = u - np.mean(u, axis=0)
+    return np.mean(np.sum(du**2, axis=1), axis=0)

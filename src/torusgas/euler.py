@@ -106,17 +106,6 @@ def grad_inf(grid: Grid, v: np.ndarray) -> float:
     return float(np.max(np.abs(grid.gradient_vector(v))))
 
 
-def stopping_time_tau_m(times, grad_norms, threshold: float) -> float:
-    """First sample time whose velocity-gradient sup exceeds the threshold.
-
-    Returns the final time when the threshold is never crossed.
-    """
-    for t, g in zip(times, grad_norms):
-        if g > threshold:
-            return float(t)
-    return float(times[-1])
-
-
 def kinetic_energy(grid: Grid, v: np.ndarray) -> float:
     return 0.5 * grid.integrate(np.sum(v * v, axis=0))
 

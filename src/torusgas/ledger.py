@@ -99,13 +99,6 @@ def poincare_ratio(ym: EmpiricalYoungMeasure, law: PressureLaw) -> float:
     return osc / D
 
 
-def poincare_audit(ym: EmpiricalYoungMeasure, law: PressureLaw,
-                   c_p: float) -> dict:
-    """Report the Poincare ratio against a configured constant."""
-    ratio = poincare_ratio(ym, law)
-    return {"ratio": ratio, "c_p": c_p, "pass": ratio <= c_p}
-
-
 @dataclass
 class LedgerAccumulator:
     """Per-member ledger integration driven step by step by a runner."""
@@ -158,7 +151,7 @@ def pooled_ledger(member_ledgers: list[EnergyLedger], grid: Grid,
     for i in range(n):
         ym = snapshots[i]
         defect_field, D = dissipation_defect(ym, law)
-        E = grid.integrate(mean_energy_density(ym, law)) + D
+        E = total_energy(grid, ym, D, law)
         rate = 0.0
         if visc is not None:
             b_rho, b_mom = ym.barycenter()

@@ -120,11 +120,6 @@ class NoiseModel:
             out += np.sum(gk * gk, axis=0)
         return out / np.maximum(rho, rho_floor)
 
-    def energy_injection_rate(self, grid, rho: np.ndarray, mom: np.ndarray,
-                              rho_floor: float = 1e-8) -> float:
-        """Integral of half the Ito correction density over the torus."""
-        return 0.5 * grid.integrate(self.ito_correction_density(grid, rho, mom, rho_floor))
-
 
 # --------------------------------------------------------------------------
 # Wiener increments
@@ -206,49 +201,9 @@ class WienerView:
         return out
 
 
-@dataclass(frozen=True)
-class TableWiener:
-    """Precomputed increment table, mostly for tests."""
-
-    table: np.ndarray  # (n_steps, modes)
-    dt: float
-
-    def increments(self, step: int) -> np.ndarray:
-        return np.asarray(self.table[step])
-
-
 # --------------------------------------------------------------------------
 # statistical audits
 # --------------------------------------------------------------------------
-
-
-def ito_isometry_audit(g: np.ndarray, horizon: float, n_steps: int, n_paths: int,
-                       seed: int = 0) -> dict:
-    """Check Var(sum_k int g_k dW_k) against ``sum_k int g_k^2 dt``.
-
-    ``g`` holds constant per-mode integrands.  Passes when the sample
-    variance sits within five standard errors of the Ito prediction.
-    """
-    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
-    modes = g.size
-    dt = horizon / n_steps
-    totals = np.empty(n_paths)
-    for member in range(n_paths):
-        path = WienerPath(seed, member, modes, dt)
-        acc = 0.0
-        for step in range(n_steps):
-            acc += float(np.dot(g, path.increments(step)))
-        totals[member] = acc
-    var_est = float(np.var(totals, ddof=1))
-    var_pred = float(np.sum(g * g) * horizon)
-    # Var of the sample variance of a Gaussian: 2 sigma^4 / (n - 1)
-    se = var_pred * np.sqrt(2.0 / max(n_paths - 1, 1)) if var_pred > 0 else np.sqrt(2.0 / max(n_paths - 1, 1))
-    return {
-        "var_est": var_est,
-        "var_pred": var_pred,
-        "se": se,
-        "pass": abs(var_est - var_pred) <= 5.0 * se,
-    }
 
 
 def lipschitz_audit(model: NoiseModel, grid, n_pairs: int = 10_000, seed: int = 0) -> dict:

@@ -27,12 +27,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            potential_delta_second, potential_delta_third,
-                           pressure_delta, pressure_delta_second, stress)
+                           pressure_delta, pressure_delta_second, relative_h,
+                           stress)
 from .dynamics import ModelConfig, State, StepperConfig, step_em
-from .ensemble import EmpiricalYoungMeasure, build_ym
+from .ensemble import EmpiricalYoungMeasure, build_ym, mean_energy_density
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
 from .noise import NestedWiener
 
@@ -46,6 +46,14 @@ class RelativeEnergyError(ValueError):
 # --------------------------------------------------------------------------
 
 
+def relative_energy_density(law: PressureLaw, rho: np.ndarray, mom: np.ndarray,
+                            r: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``0.5 rho |m/rho - U|^2 + H(rho, r)`` per cell."""
+    u = mom / rho
+    kin = 0.5 * rho * np.sum((u - U) ** 2, axis=0)
+    return kin + relative_h(law, rho, r)
+
+
 def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
                     D: float, r: np.ndarray, U: np.ndarray,
                     form: str = "regrouped") -> float:
@@ -54,24 +62,14 @@ def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
     if np.any(r <= 0):
         raise RelativeEnergyError("reference density must be positive")
     if form == "regrouped":
-        rho_a, mom_a = ym.flat()
-        r_flat = np.ascontiguousarray(np.broadcast_to(r, grid.sizes).reshape(-1))
-        U_flat = np.ascontiguousarray(np.broadcast_to(U, (grid.dim, *grid.sizes)).reshape(grid.dim, -1))
-        acc = np.zeros(r_flat.shape[0])
+        acc = np.zeros(grid.sizes)
         for i in range(ym.n_atoms):
-            acc += kernels.relative_energy_density(rho_a[i], mom_a[i], r_flat, U_flat,
-                                                   *law.params)
+            acc += relative_energy_density(law, ym.rho_atoms[i], ym.mom_atoms[i], r, U)
         total = float(np.sum(acc)) / ym.n_atoms * grid.cell_volume
         return total + D
     if form == "five_term":
-        rho_a = ym.rho_atoms
-        mom_a = ym.mom_atoms
-        energy = np.mean(
-            0.5 * np.sum(mom_a**2, axis=1) / rho_a + potential_delta(law, rho_a), axis=0
-        )
-        b_rho = np.mean(rho_a, axis=0)
-        b_mom = np.mean(mom_a, axis=0)
-        t1 = grid.integrate(energy) + D
+        b_rho, b_mom = ym.barycenter()
+        t1 = grid.integrate(mean_energy_density(ym, law)) + D
         t2 = -grid.integrate(np.sum(b_mom * U, axis=0))
         t3 = 0.5 * grid.integrate(b_rho * np.sum(U * U, axis=0))
         t4 = -grid.integrate(b_rho * potential_delta_prime(law, r))
@@ -83,11 +81,7 @@ def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
 def relative_energy_state(grid: Grid, law: PressureLaw, state: State,
                           r: np.ndarray, U: np.ndarray) -> float:
     """Dirac fast path: relative energy of one realization (D = 0)."""
-    rho = np.ascontiguousarray(state.rho.reshape(-1))
-    mom = np.ascontiguousarray(state.mom.reshape(grid.dim, -1))
-    r_flat = np.ascontiguousarray(np.asarray(r).reshape(-1))
-    U_flat = np.ascontiguousarray(np.asarray(U).reshape(grid.dim, -1))
-    dens = kernels.relative_energy_density(rho, mom, r_flat, U_flat, *law.params)
+    dens = relative_energy_density(law, state.rho, state.mom, r, U)
     return float(np.sum(dens)) * grid.cell_volume
 
 

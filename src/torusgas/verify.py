@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .constitutive import (PressureLaw, Viscosity, potential_delta,
                            potential_delta_prime, pressure_delta, relative_h,
                            stress, stress_contract)
 from .dynamics import ModelConfig, State, StepperConfig, energy_total, step_em
 from .ensemble import (ConvexityError, EmpiricalYoungMeasure, Observable,
-                       defect_domination_audit, dissipation_defect, expect,
-                       momentum_defect)
+                       defect_domination_audit, dissipation_defect,
+                       energy_jensen_gap, expect, momentum_defect)
 from .euler import advection, make_state, pressure_from_projection, step_em_euler
 from .grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
 from .ledger import poincare_ratio
@@ -214,10 +213,9 @@ def check_trace_identity():
     for members in (2, 9):
         ym = _random_ym(grid, members, rng)
         kin, press = momentum_defect(ym, law)
-        rho, mom = ym.flat()
-        mean_e, defect = kernels.ym_energy_defect(rho, mom, *law.params)
+        _, defect = energy_jensen_gap(ym.rho_atoms, ym.mom_atoms, law)
         kin_energy_defect = _kinetic_defect(ym)
-        pot_defect = defect.reshape(grid.sizes) - kin_energy_defect
+        pot_defect = defect - kin_energy_defect
         lhs = np.trace(kin, axis1=0, axis2=1) + grid.dim * press
         rhs = 2.0 * kin_energy_defect + grid.dim * (law.gamma - 1.0) * pot_defect
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -319,27 +317,6 @@ def check_gronwall():
     return ok, f"zero {zero:.1e}, exact {exact:.1e}, breach {breach:.3f}"
 
 
-def check_kernel_parity():
-    impls = kernels.implementations()
-    if impls["numba"] is None:
-        return True, "numba unavailable or disabled; numpy path active"
-    rng = _rng(14)
-    rho = rng.uniform(0.1, 3.0, (5, 64))
-    mom = rng.normal(0.0, 1.0, (5, 2, 64))
-    params = (1.2, 1.7, 0.05, 6.0)
-    worst = 0.0
-    for name in ("pressure", "potential", "relative_h"):
-        a = impls["numpy"][name](rho, rho * 0 + 1.1, *params) if name == "relative_h" \
-            else impls["numpy"][name](rho, *params)
-        b = impls["numba"][name](rho, rho * 0 + 1.1, *params) if name == "relative_h" \
-            else impls["numba"][name](rho, *params)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    a = impls["numpy"]["ym_energy_defect"](rho, mom, *params)
-    b = impls["numba"]["ym_energy_defect"](rho, mom, *params)
-    worst = max(worst, float(np.max(np.abs(a[1] - b[1]))))
-    return worst < 1e-12, f"max backend disagreement {worst:.2e}"
-
-
 CHECKS = [
     ("grid.parseval", check_parseval),
     ("grid.helmholtz", check_helmholtz),
@@ -361,7 +338,6 @@ CHECKS = [
     ("relative.scaling", check_relative_energy_scaling),
     ("euler.structure", check_euler_structure),
     ("relative.gronwall", check_gronwall),
-    ("kernels.parity", check_kernel_parity),
 ]
 
 

@@ -97,6 +97,23 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(p)
 
 
+@pytest.mark.parametrize("command,line", [
+    ("weak-strong", "ws.members = 0"),
+    ("weak-strong", "ws.n_steps = 0"),
+    ("weak-strong", "ws.samples = 0"),
+    ("weak-strong", "ws.refine = 0"),
+    ("weak-strong", "ws.refine = 3"),
+    ("limit-sweep", "sweep.members = 2"),
+    ("limit-sweep", "sweep.eps = "),
+    ("limit-sweep", "sweep.eps = 0.5,-0.25"),
+])
+def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
+    # rejected up front with the key named, not as a crash mid-run (exit 1)
+    cfg = write_cfg(tmp_path, line + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert line.split("=")[0].strip() in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_artifacts_and_csv_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL_1D)
@@ -189,11 +206,11 @@ class TestVerifyCommand:
         # convexity-violating estimator must trip the Jensen check
         from torusgas import ensemble as ens
 
-        def fake(rho, mom, *params):
-            n = rho.shape[1]
-            return np.zeros(n), np.full(n, -1.0)
+        def fake(rho, mom, law):
+            cells = rho.shape[1:]
+            return np.zeros(cells), np.full(cells, -1.0)
 
-        monkeypatch.setattr(ens.kernels, "ym_energy_defect", fake)
+        monkeypatch.setattr(ens, "energy_jensen_gap", fake)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "ensemble.jensen" in out

@@ -143,11 +143,11 @@ class TestDissipationDefect:
         ym = random_ym(grid1d, 4, rng)
         from torusgas import ensemble as ens
 
-        def fake(rho, mom, *params):
-            n = rho.shape[1]
-            return np.zeros(n), np.full(n, -1.0)
+        def fake(rho, mom, law):
+            cells = rho.shape[1:]
+            return np.zeros(cells), np.full(cells, -1.0)
 
-        monkeypatch.setattr(ens.kernels, "ym_energy_defect", fake)
+        monkeypatch.setattr(ens, "energy_jensen_gap", fake)
         with pytest.raises(ConvexityError):
             dissipation_defect(ym, LAW)
 
@@ -244,10 +244,3 @@ def test_jensen_property_two_atoms(m1, m2, r1, r2):
 def test_velocity_oscillation_two_atoms(grid1d):
     osc = velocity_oscillation_field(two_atom_ym(grid1d))
     assert np.allclose(osc, 1.0, atol=1e-14)
-
-
-def test_vacuum_quality_flag(grid1d):
-    rho = np.stack([np.full(64, 1e-12), np.ones(64)])
-    mom = np.zeros((2, 1, 64))
-    ym = EmpiricalYoungMeasure(grid1d, rho, mom)
-    assert np.array_equal(ym.vacuum_cells(1e-8), np.ones(64))

@@ -74,7 +74,6 @@ def run_case(name: str, out_dir: str) -> dict:
     case["run"](cfg, out_dir)
     with open(os.path.join(out_dir, "summary.json"), encoding="ascii") as fh:
         summary = json.load(fh)
-    summary.pop("backend", None)  # a constant label, not a result
     return {"summary": summary,
             "csv": {f: _read_csv(os.path.join(out_dir, f)) for f in case["csv"]}}
 

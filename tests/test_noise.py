@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from torusgas.grid import Grid
-from torusgas.noise import (NestedWiener, NoiseError, NoiseModel, TableWiener,
-                            WienerPath, domination_audit, ito_isometry_audit,
-                            lipschitz_audit)
+from torusgas.noise import (NestedWiener, NoiseError, NoiseModel, WienerPath,
+                            domination_audit, lipschitz_audit)
 
 
 @pytest.fixture
@@ -145,22 +144,6 @@ class TestItoCorrection:
         assert any("vacuum" in rec.message for rec in caplog.records)
 
 
-class TestIsometry:
-    def test_single_mode_unit_integrand(self):
-        report = ito_isometry_audit(np.array([1.0]), 1.0, 32, 4000, seed=11)
-        assert report["pass"]
-        assert abs(report["var_est"] - 1.0) < 5 * np.sqrt(2 / 4000)
-
-    def test_zero_integrand(self):
-        report = ito_isometry_audit(np.array([0.0]), 1.0, 8, 100, seed=1)
-        assert report["var_est"] == 0.0
-
-    def test_two_modes(self):
-        report = ito_isometry_audit(np.array([1.0, 1.0]), 1.0, 32, 4000, seed=12)
-        assert report["pass"]
-        assert report["var_pred"] == pytest.approx(2.0)
-
-
 class TestGeneralKind:
     def make_model(self):
         def g0(coords, rho, mom):
@@ -198,9 +181,3 @@ class TestGeneralKind:
 
 def test_alpha_sum(model):
     assert model.alpha_sum == pytest.approx(0.1 + 0.5 + 0.5)
-
-
-def test_table_wiener():
-    table = np.arange(6.0).reshape(3, 2)
-    w = TableWiener(table, 0.1)
-    assert np.array_equal(w.increments(1), [2.0, 3.0])
