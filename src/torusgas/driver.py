@@ -99,7 +99,7 @@ def _run_member(grid, model, stepper, state0, dt, n_steps, sample_stride,
     from .dynamics import StepStats
 
     law = model.law_eff
-    wiener = WienerPath(seed, member, model.modes, dt)
+    table = WienerPath(seed, member, model.modes, dt).table(n_steps)
     acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor)
     ledger = EnergyLedger()
     stats = StepStats()
@@ -111,9 +111,8 @@ def _run_member(grid, model, stepper, state0, dt, n_steps, sample_stride,
             ledger.append(state.t, energy_total(grid, law, state), 0.0,
                           acc.diss_cum, acc.ito_cum, acc.mart)
         if step < n_steps:
-            dW = wiener.increments(step) if model.modes else None
-            acc.step_increments(state, dW, dt)
-            state = step_em(grid, model, stepper, state, wiener, step, dt=dt,
+            acc.step_increments(state, table[step], dt)
+            state = step_em(grid, model, stepper, state, dt, table[step],
                             stats=stats)
     return samples, ledger, stats
 

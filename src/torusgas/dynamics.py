@@ -144,19 +144,15 @@ def cfl_dt(grid: Grid, model: ModelConfig, state: State,
 
 
 def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State,
-            wiener=None, step_index: int = 0, dt: Optional[float] = None,
+            dt: float, dW: Optional[np.ndarray] = None,
             rhs_fn: Callable = rhs_deterministic,
             stats: Optional[StepStats] = None) -> State:
-    """One explicit Euler-Maruyama step.
+    """One explicit Euler-Maruyama step of size ``dt``.
 
-    The drift uses the current state; the noise kick ``sum_k G_k dW_k`` is
-    evaluated at the pre-step state and enters the momentum only.  ``dt``
-    defaults to the Wiener source step (they must agree when both given).
+    The drift uses the current state; the noise kick ``sum_k G_k dW_k`` with
+    this step's Wiener increments ``dW`` is evaluated at the pre-step state
+    and enters the momentum only.  Without ``dW`` the step is deterministic.
     """
-    if dt is None:
-        if wiener is None:
-            raise SimulationError("step_em needs dt or a wiener source")
-        dt = wiener.dt
     bound = cfl_dt(grid, model, state, stepper)
     if dt > bound * (1.0 + 1e-9):
         raise SimulationError(
@@ -168,8 +164,7 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     rho_new = state.rho + dt * drho
     mom_new = state.mom + dt * dmom
 
-    if model.noise is not None and model.noise.modes and wiener is not None:
-        dW = wiener.increments(step_index)
+    if model.noise is not None and model.noise.modes and dW is not None:
         mom_new += model.noise.momentum_kick(grid, state.rho, state.mom, dW)
 
     low = rho_new < stepper.rho_floor

@@ -1,11 +1,15 @@
 """Spectral solver for the stochastic incompressible Euler system.
 
 This is the strong reference of the low-Mach comparison: velocity stays
-exactly solenoidal through the Leray projection, the pressure comes in
-closed form from ``pi = -invlap div[(v . grad) v]`` (the affine noise adds
-no stochastic pressure: constants and scalar multiples of solenoidal
-fields are already divergence-free, which is asserted at startup), and
-time stepping is explicit Euler-Maruyama on the projected drift.
+exactly solenoidal through the Leray projection, and time stepping is
+explicit Euler-Maruyama on the projected drift, so the stepper never needs
+the pressure.  The pressure is recoverable in closed form from
+``pi = -invlap div[(v . grad) v]`` (:func:`pressure_from_projection`); the
+affine noise adds no stochastic pressure, since constants and scalar
+multiples of solenoidal fields are already divergence-free, which is
+asserted at startup.  The noise kick is the compressible momentum kick at
+unit density, driven by the increment row the caller passes in, so the
+reference and the compressible run share one Brownian path.
 """
 
 from __future__ import annotations
@@ -28,17 +32,10 @@ DIV_TOL = 1e-8
 @dataclass
 class EulerState:
     v: np.ndarray                  # (N, *sizes), div v = 0
-    pi: np.ndarray | None = None   # zero-mean pressure, computed on demand
     t: float = 0.0
 
     def copy(self) -> "EulerState":
-        return EulerState(self.v.copy(), None if self.pi is None else self.pi.copy(),
-                          self.t)
-
-    def pressure(self, grid: Grid) -> np.ndarray:
-        if self.pi is None:
-            self.pi = pressure_from_projection(grid, self.v)
-        return self.pi
+        return EulerState(self.v.copy(), self.t)
 
 
 def check_affine_noise(noise: NoiseModel | None):
@@ -62,8 +59,7 @@ def pressure_from_projection(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 
 def make_state(grid: Grid, v: np.ndarray, t: float = 0.0) -> EulerState:
-    v = grid.helmholtz_project(grid.check_vector(v))
-    return EulerState(v, pressure_from_projection(grid, v), t)
+    return EulerState(grid.helmholtz_project(grid.check_vector(v)), t)
 
 
 def euler_cfl_dt(grid: Grid, state: EulerState, cfl: float = 0.4) -> float:
@@ -74,32 +70,21 @@ def euler_cfl_dt(grid: Grid, state: EulerState, cfl: float = 0.4) -> float:
 
 
 def step_em_euler(grid: Grid, noise: NoiseModel | None, state: EulerState,
-                  wiener=None, step_index: int = 0, dt: float | None = None,
-                  with_pressure: bool = False) -> EulerState:
+                  dt: float, dW: np.ndarray | None = None) -> EulerState:
     """One Euler-Maruyama step; the velocity is re-projected and audited.
 
-    The pressure field is only assembled when ``with_pressure`` is set (or
-    later through :meth:`EulerState.pressure`); the velocity update never
-    needs it because the drift is projected directly.
+    The noise kick is the compressible one at unit density, driven by this
+    step's Wiener increments ``dW``; without ``dW`` the step is deterministic.
     """
-    if dt is None:
-        dt = wiener.dt
     drift = -grid.helmholtz_project(advection(grid, state.v))
     v_new = state.v + dt * drift
-    if noise is not None and noise.modes and wiener is not None:
-        dW = wiener.increments(step_index)
-        ones = np.ones_like(state.v[0])
-        kick = float(np.dot(noise.L, dW)) * state.v
-        for mode in range(noise.modes):
-            if noise.K[mode] != 0.0:
-                kick[mode % grid.dim] += noise.K[mode] * dW[mode] * ones
-        v_new = v_new + kick
+    if noise is not None and noise.modes and dW is not None:
+        v_new = v_new + noise.momentum_kick(grid, np.ones_like(state.v[0]), state.v, dW)
     v_new = grid.helmholtz_project(v_new)
     div_norm = float(np.max(np.abs(grid.divergence(v_new))))
     if div_norm > DIV_TOL:
         raise EulerError(f"divergence grew to {div_norm:.3e} at t={state.t + dt:.4f}")
-    pi = pressure_from_projection(grid, v_new) if with_pressure else None
-    return EulerState(v_new, pi, state.t + dt)
+    return EulerState(v_new, state.t + dt)
 
 
 def grad_inf(grid: Grid, v: np.ndarray) -> float:

@@ -181,14 +181,16 @@ class SmoothItoProcess:
     ds: tuple[float, ...]
     independent_seed: int | None = None
 
-    def increments(self, run_path: WienerPath, step: int) -> float:
+    def increments(self, run_path: WienerPath, run_table: np.ndarray) -> np.ndarray:
+        """Per-step increments ``df_n = ds . dW_n`` along one run.
+
+        ``run_table`` holds the run's own Wiener increments; an independent
+        process draws its own table on the run's time lattice instead.
+        """
         if self.independent_seed is not None:
-            own = WienerPath(self.independent_seed, run_path.member,
-                             run_path.modes, run_path.dt)
-            dw = own.increments(step)
-        else:
-            dw = run_path.increments(step)
-        return float(np.dot(self.ds, dw))
+            run_table = WienerPath(self.independent_seed, run_path.member,
+                                   run_path.modes, run_path.dt).table(len(run_table))
+        return np.array([float(np.dot(self.ds, dw)) for dw in run_table])
 
     def ds_against_run(self, modes: int) -> np.ndarray:
         """Diffusion coefficients against the run's own modes."""
@@ -217,19 +219,21 @@ def cross_variation_audit(grid: Grid, model, stepper, init_state, horizon: float
     ds_run = process.ds_against_run(noise.modes)
     for member in range(n_paths):
         path = WienerPath(seed, member, noise.modes, dt)
+        table = path.table(n_steps)
+        df_table = process.increments(path, table)
         state = init_state.copy()
         realized = np.zeros(dim)
         predicted = np.zeros(dim)
         for step in range(n_steps):
-            dW = path.increments(step)
-            df = process.increments(path, step)
+            dW = table[step]
+            df = df_table[step]
             g_int = np.empty((noise.modes, dim))
             for mode in range(noise.modes):
                 gk = noise.apply_mode(mode, grid, state.rho, state.mom)
                 g_int[mode] = [grid.integrate(gk[c]) for c in range(dim)]
             realized += df * (dW @ g_int)
             predicted += dt * (ds_run @ g_int)
-            state = step_em(grid, model, stepper, state, path, step, dt=dt)
+            state = step_em(grid, model, stepper, state, dt, dW)
         diffs[member] = realized - predicted
     mean = diffs.mean(axis=0)
     se = diffs.std(axis=0, ddof=1) / np.sqrt(n_paths)

@@ -13,7 +13,12 @@ The driving noise is a finite family of independent scalar Brownian motions
 
 Brownian increments come from counter-based Philox streams keyed by
 ``(master seed, member)`` with the step index in the counter, so every path
-is a pure function of its key and is independent of scheduling order.
+is a pure function of its key and is independent of scheduling order.  A
+run draws one member's path once, as an ``(n_steps, modes)`` increment
+table from :meth:`WienerPath.table`, and hands each row to every stepper
+of that step.  Runs at a coarser step on the same path use
+:func:`coarsen`, which sums consecutive fine rows, so solutions compared
+pathwise are driven by one Wiener process.
 """
 
 from __future__ import annotations
@@ -140,7 +145,8 @@ class WienerPath:
     """Counter-based Brownian increment stream for one ensemble member.
 
     ``increments(step)`` returns the K independent ``N(0, dt)`` draws for
-    that step, deterministically from ``(seed, member, step)``.
+    that step, deterministically from ``(seed, member, step)``; ``table``
+    stacks them for a whole run so each step is drawn once.
     """
 
     seed: int
@@ -153,52 +159,28 @@ class WienerPath:
             return np.zeros(self.modes)
         return _philox_normals(self.seed, self.member, step, self.modes) * np.sqrt(self.dt)
 
-
-@dataclass(frozen=True)
-class NestedWiener:
-    """Brownian increments on a base partition of [0, T] with coarse views.
-
-    Increments are canonical at ``n_base`` steps; a view with ``n_steps``
-    dividing ``n_base`` aggregates consecutive fine increments, so runs at
-    different step counts share one underlying path exactly.
-    """
-
-    seed: int
-    member: int
-    modes: int
-    horizon: float
-    n_base: int
-
-    @property
-    def base_dt(self) -> float:
-        return self.horizon / self.n_base
-
-    def base_increments(self, step: int) -> np.ndarray:
-        if self.modes == 0:
-            return np.zeros(0)
-        return _philox_normals(self.seed, self.member, step, self.modes) * np.sqrt(self.base_dt)
-
-    def view(self, n_steps: int) -> "WienerView":
-        if n_steps < 1 or self.n_base % n_steps != 0:
-            raise NoiseError(f"n_steps {n_steps} must divide n_base {self.n_base}")
-        return WienerView(self, n_steps)
-
-
-@dataclass(frozen=True)
-class WienerView:
-    lattice: NestedWiener
-    n_steps: int
-
-    @property
-    def dt(self) -> float:
-        return self.lattice.horizon / self.n_steps
-
-    def increments(self, step: int) -> np.ndarray:
-        agg = self.lattice.n_base // self.n_steps
-        out = np.zeros(self.lattice.modes)
-        for j in range(step * agg, (step + 1) * agg):
-            out += self.lattice.base_increments(j)
+    def table(self, n_steps: int) -> np.ndarray:
+        """Increments of steps ``0 .. n_steps - 1``, one ``(modes,)`` row each."""
+        out = np.empty((n_steps, self.modes))
+        for step in range(n_steps):
+            out[step] = self.increments(step)
         return out
+
+
+def coarsen(table: np.ndarray, n_steps: int) -> np.ndarray:
+    """Sum consecutive rows of an increment table down to ``n_steps`` rows.
+
+    Row ``i`` is ``table[i * agg] + ... + table[(i + 1) * agg - 1]`` with
+    ``agg = len(table) // n_steps``, summed in step order from zero, so a
+    coarse step is driven by exactly the fine Brownian path it spans.
+    """
+    if n_steps < 1 or len(table) % n_steps != 0:
+        raise NoiseError(f"n_steps {n_steps} must divide the {len(table)} table rows")
+    agg = len(table) // n_steps
+    out = np.zeros((n_steps, *table.shape[1:]))
+    for j in range(agg):
+        out += table[j::agg]
+    return out
 
 
 # --------------------------------------------------------------------------

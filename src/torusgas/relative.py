@@ -34,7 +34,7 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
 from .dynamics import ModelConfig, State, StepperConfig, step_em
 from .ensemble import EmpiricalYoungMeasure, build_ym, mean_energy_density
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
-from .noise import NestedWiener
+from .noise import WienerPath, coarsen
 
 
 class RelativeEnergyError(ValueError):
@@ -329,7 +329,8 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     """Pathwise coarse-vs-fine comparison under shared Brownian increments.
 
     Each member runs the coarse discretization and its own fine reference
-    (refined grid and time step) on one nested Wiener path; the relative
+    (refined grid and time step) on one Wiener path, drawn once at the fine
+    step and coarsened for the coarse run; the relative
     energy of the coarse state against the restricted reference is sampled
     on the coarse cadence and frozen once the reference velocity gradient
     exceeds the configured threshold.
@@ -340,6 +341,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     law = model.law_eff
     n_f = cfg.refine * cfg.n_steps
     dt_c = cfg.horizon / cfg.n_steps
+    dt_f = cfg.horizon / n_f
     init = cfg.init or default_smooth_init
     rho_f0, mom_f0 = init(grid_f)
     rho_c0 = grid_f.restrict(rho_f0, grid_c)
@@ -356,9 +358,8 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     rem_acc = np.zeros((n_samples, len(REMAINDER_TERMS))) if cfg.with_remainder else None
 
     for member in range(cfg.members):
-        lattice = NestedWiener(cfg.seed, member, model.modes, cfg.horizon, n_f)
-        w_fine = lattice.view(n_f)
-        w_coarse = lattice.view(cfg.n_steps)
+        fine_table = WienerPath(cfg.seed, member, model.modes, dt_f).table(n_f)
+        coarse_table = coarsen(fine_table, cfg.n_steps)
 
         rng = np.random.default_rng((cfg.seed, member, 0x7A))
         if cfg.eta > 0:
@@ -398,10 +399,11 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
                 if sample_pos == n_samples:
                     break
             if i_step < cfg.n_steps and not frozen:
-                coarse = step_em(grid_c, model, cfg.stepper, coarse, w_coarse, i_step)
+                coarse = step_em(grid_c, model, cfg.stepper, coarse, dt_c,
+                                 coarse_table[i_step])
                 for j in range(cfg.refine):
-                    fine = step_em(grid_f, model, cfg.stepper, fine, w_fine,
-                                   cfg.refine * i_step + j)
+                    fine = step_em(grid_f, model, cfg.stepper, fine, dt_f,
+                                   fine_table[cfg.refine * i_step + j])
 
     c_fit, amp = fit_exponential(times, emv.mean(axis=0))
     bias = max(amp - emv.mean(axis=0)[0], 0.0)

@@ -30,7 +30,7 @@ from .ensemble import EmpiricalYoungMeasure, dissipation_defect
 from .euler import (check_affine_noise, euler_cfl_dt, grad_inf, make_state,
                     step_em_euler, taylor_green)
 from .grid import Grid
-from .noise import NestedWiener, NoiseModel
+from .noise import NoiseModel, WienerPath, coarsen
 from .relative import relative_energy_state
 
 
@@ -127,8 +127,10 @@ def _initial_v0(grid: Grid, kind: str) -> np.ndarray:
 def run_sweep(cfg: SweepConfig) -> RateReport:
     """Execute the eps schedule and collect the rate data.
 
-    Brownian paths are shared across eps values through one nested lattice
-    per member (step counts are powers of two dividing a common base), which
+    Each member's Brownian path is drawn once, as an increment table at the
+    finest step, before the eps loop; every eps coarsens it to its own step
+    count (powers of two dividing the common base), and the compressible and
+    Euler steps of one eps share each row.  Sharing the path across eps
     variance-reduces the cross-eps comparison.
     """
     grid = Grid(cfg.grid_sizes)
@@ -156,6 +158,8 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         n_steps.append(n)
         models.append((model, rho0, mom0))
     n_base = max(n_steps)
+    base_tables = [WienerPath(cfg.seed, member, noise.modes, cfg.horizon / n_base)
+                   .table(n_base) for member in range(cfg.members)]
 
     sample_stride = [n // cfg.n_samples for n in n_steps]
     times = np.linspace(0.0, cfg.horizon, cfg.n_samples + 1)
@@ -170,12 +174,12 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         model, rho0, mom0 = models[i_eps]
         law_eff = model.law_eff
         n = n_steps[i_eps]
+        dt = cfg.horizon / n
         stride = sample_stride[i_eps]
         rho_snap = np.zeros((cfg.members, cfg.n_samples + 1, *grid.sizes))
         mom_snap = np.zeros((cfg.members, cfg.n_samples + 1, grid.dim, *grid.sizes))
         for member in range(cfg.members):
-            lattice = NestedWiener(cfg.seed, member, noise.modes, cfg.horizon, n_base)
-            w = lattice.view(n)
+            table = coarsen(base_tables[member], n)
             comp = State(rho0.copy(), mom0.copy())
             eul = make_state(grid, v0)
             frozen = False
@@ -186,7 +190,7 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
                     i_s = step // stride
                     if not frozen and grad_inf(grid, eul.v) > cfg.grad_threshold:
                         frozen = True
-                        tau_member = step * w.dt
+                        tau_member = step * dt
                     if frozen and i_s > 0:
                         emv[i_eps, member, i_s] = emv[i_eps, member, i_s - 1]
                         rho_snap[member, i_s] = rho_snap[member, i_s - 1]
@@ -198,14 +202,14 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
                         mom_snap[member, i_s] = comp.mom
                 if step < n and not frozen:
                     try:
-                        comp = step_em(grid, model, stepper, comp, w, step)
+                        comp = step_em(grid, model, stepper, comp, dt, table[step])
                     except SimulationError as exc:
                         needed = cfl_dt(grid, model, comp, stepper)
                         raise SweepError(
                             f"CFL blow-up at eps={eps}: {exc}; "
-                            f"required dt <= {needed:.3e} (have {w.dt:.3e})"
+                            f"required dt <= {needed:.3e} (have {dt:.3e})"
                         ) from exc
-                    eul = step_em_euler(grid, noise, eul, w, step)
+                    eul = step_em_euler(grid, noise, eul, dt, table[step])
             tau_min[i_eps] = min(tau_min[i_eps], tau_member)
         # pooled dissipation defect across members per sample time
         for i_s in range(cfg.n_samples + 1):

@@ -19,7 +19,8 @@ from .ensemble import (ConvexityError, EmpiricalYoungMeasure, Observable,
 from .euler import advection, make_state, pressure_from_projection, step_em_euler
 from .grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
 from .ledger import poincare_ratio
-from .noise import NoiseModel, WienerPath, domination_audit, lipschitz_audit
+from .noise import (NoiseModel, WienerPath, coarsen, domination_audit,
+                    lipschitz_audit)
 from .relative import gronwall_check, relative_energy
 
 
@@ -138,12 +139,12 @@ def check_noise_conditions():
 
 
 def check_noise_determinism():
-    a = WienerPath(11, 3, 4, 0.01)
-    b = WienerPath(11, 3, 4, 0.01)
-    same = all(np.array_equal(a.increments(s), b.increments(s)) for s in range(5))
-    c = WienerPath(11, 4, 4, 0.01)
-    differ = not np.array_equal(a.increments(0), c.increments(0))
-    return same and differ, "keyed draws reproducible and member-distinct"
+    a = WienerPath(11, 3, 4, 0.01).table(8)
+    same = np.array_equal(a, WienerPath(11, 3, 4, 0.01).table(8))
+    differ = not np.array_equal(a[0], WienerPath(11, 4, 4, 0.01).table(1)[0])
+    pairs = np.array_equal(coarsen(a, 4), a[0::2] + a[1::2])
+    return same and differ and pairs, ("keyed tables reproducible and member-distinct, "
+                                       "coarsening sums consecutive steps")
 
 
 def check_equilibrium_and_mass():
@@ -153,14 +154,14 @@ def check_equilibrium_and_mass():
     x = grid.coordinates()[0]
     eq = State(np.ones(grid.sizes), np.zeros((1, *grid.sizes)))
     st = eq.copy()
-    for step in range(10):
-        st = step_em(grid, model, stepper, st, None, step, dt=1e-3)
+    for _ in range(10):
+        st = step_em(grid, model, stepper, st, 1e-3)
     eq_drift = max(np.max(np.abs(st.rho - 1.0)), np.max(np.abs(st.mom)))
     st = State(1.0 + 0.1 * np.sin(x), 0.05 * np.cos(x)[None].copy())
     mass0 = grid.integrate(st.rho)
     e0 = energy_total(grid, model.law_eff, st)
-    for step in range(200):
-        st = step_em(grid, model, stepper, st, None, step, dt=1e-3)
+    for _ in range(200):
+        st = step_em(grid, model, stepper, st, 1e-3)
     mass_drift = abs(grid.integrate(st.rho) - mass0) / mass0
     e1 = energy_total(grid, model.law_eff, st)
     energy_ok = e1 <= e0 * (1.0 + 5.0 * 1e-3 * st.t)
@@ -302,7 +303,7 @@ def check_euler_structure():
     adv = advection(grid, v)
     residual = np.max(np.abs(grid.gradient(pi) - (grid.helmholtz_project(adv) - adv)))
     state = make_state(grid, v)
-    nxt = step_em_euler(grid, None, state, None, 0, dt=1e-3)
+    nxt = step_em_euler(grid, None, state, 1e-3)
     div_norm = np.max(np.abs(grid.divergence(nxt.v)))
     ok = residual < 1e-10 and div_norm < 1e-10 and abs(np.mean(pi)) < 1e-14
     return ok, f"pressure identity {residual:.1e}, div after step {div_norm:.1e}"

@@ -95,7 +95,7 @@ def run_deterministic_ledger(grid, model, state0, dt, n):
                       acc.diss_cum, acc.ito_cum, acc.mart)
         if step < n:
             acc.step_increments(st, None, dt)
-            st = step_em(grid, model, stepper, st, None, step, dt=dt)
+            st = step_em(grid, model, stepper, st, dt)
     return ledger
 
 
@@ -119,7 +119,7 @@ def test_criterion_3_conservation_and_energy():
         # re-run mass by stepping once more (ledger does not track mass)
     st = state0.copy()
     for step in range(250):
-        st = step_em(grid, model, StepperConfig(), st, None, step, dt=4e-3)
+        st = step_em(grid, model, StepperConfig(), st, 4e-3)
     mass_ok = abs(grid.integrate(st.rho) - mass0) / mass0 < 1e-12
     ratio = drifts[4e-3] / drifts[2e-3]
     elapsed = time.perf_counter() - t0
@@ -145,7 +145,7 @@ def test_criterion_4_stochastic_energy_inequality():
         residuals = np.empty(members)
         mart_rows = []
         for member in range(members):
-            wiener = WienerPath(11, member, noise.modes, dt)
+            table = WienerPath(11, member, noise.modes, dt).table(n)
             acc = LedgerAccumulator(grid, law, model.visc, noise)
             ledger = EnergyLedger()
             st = state0.copy()
@@ -154,9 +154,8 @@ def test_criterion_4_stochastic_energy_inequality():
                     ledger.append(st.t, energy_total(grid, law, st), 0.0,
                                   acc.diss_cum, acc.ito_cum, acc.mart)
                 if step < n:
-                    dW = wiener.increments(step)
-                    acc.step_increments(st, dW, dt)
-                    st = step_em(grid, model, stepper, st, wiener, step, dt=dt)
+                    acc.step_increments(st, table[step], dt)
+                    st = step_em(grid, model, stepper, st, dt, table[step])
             residuals[member] = ledger.residual(0, -1)
             if dt == 4e-3:
                 mart_rows.append(ledger.martingale)

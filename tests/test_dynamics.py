@@ -69,7 +69,7 @@ class TestSoundSpeed:
         phases = [np.angle(np.fft.rfft(st.rho)[1])]
         times = [0.0]
         for step in range(160):
-            st = step_em(grid, model, stepper, st, None, step, dt=dt)
+            st = step_em(grid, model, stepper, st, dt)
             phases.append(np.angle(np.fft.rfft(st.rho)[1]))
             times.append(st.t)
         slope = np.polyfit(times, np.unwrap(phases), 1)[0]
@@ -100,14 +100,14 @@ class TestCFL:
         model = ModelConfig(law=LAW)
         st = make_state(grid1d, np.ones(64), np.zeros((1, 64)))
         with pytest.raises(SimulationError, match="CFL"):
-            step_em(grid1d, model, StepperConfig(), st, None, 0, dt=1.0)
+            step_em(grid1d, model, StepperConfig(), st, 1.0)
 
 
 class TestStepEM:
     def test_equilibrium_unchanged_zero_noise(self, grid1d):
         model = ModelConfig(law=LAW, visc=Viscosity(1e-2))
         st = make_state(grid1d, np.ones(64), np.zeros((1, 64)))
-        out = step_em(grid1d, model, StepperConfig(), st, None, 0, dt=1e-3)
+        out = step_em(grid1d, model, StepperConfig(), st, 1e-3)
         assert np.array_equal(out.rho, st.rho)
         assert np.max(np.abs(out.mom)) < 1e-17
 
@@ -116,10 +116,10 @@ class TestStepEM:
         model = ModelConfig(law=LAW, visc=Viscosity(1e-2), noise=noise)
         x = grid1d.coordinates()[0]
         st = make_state(grid1d, 1 + 0.1 * np.sin(x), (0.05 * np.cos(x))[None])
-        wiener = WienerPath(3, 0, 1, 2e-3)
+        table = WienerPath(3, 0, 1, 2e-3).table(1000)
         mass0 = grid1d.integrate(st.rho)
         for step in range(1000):
-            st = step_em(grid1d, model, StepperConfig(), st, wiener, step, dt=2e-3)
+            st = step_em(grid1d, model, StepperConfig(), st, 2e-3, table[step])
         assert abs(grid1d.integrate(st.rho) - mass0) / mass0 < 1e-12
 
     def test_noise_only_enters_momentum(self, grid1d):
@@ -127,8 +127,8 @@ class TestStepEM:
         model = ModelConfig(law=LAW, noise=noise)
         st = make_state(grid1d, np.ones(64), np.zeros((1, 64)))
         frozen = lambda g, m, s: (np.zeros(g.sizes), np.zeros((g.dim, *g.sizes)))
-        out = step_em(grid1d, model, StepperConfig(), st,
-                      WienerPath(1, 0, 1, 1e-2), 0, dt=1e-2, rhs_fn=frozen)
+        out = step_em(grid1d, model, StepperConfig(), st, 1e-2,
+                      WienerPath(1, 0, 1, 1e-2).increments(0), rhs_fn=frozen)
         assert np.array_equal(out.rho, st.rho)
         assert np.max(np.abs(out.mom)) > 0
 
@@ -142,10 +142,10 @@ class TestStepEM:
         finals = np.empty(members)
         for member in range(members):
             st = make_state(grid1d, np.ones(64), np.zeros((1, 64)))
-            w = WienerPath(77, member, 1, dt)
+            table = WienerPath(77, member, 1, dt).table(n_steps)
             for step in range(n_steps):
-                st = step_em(grid1d, model, StepperConfig(), st, w, step,
-                             dt=dt, rhs_fn=frozen)
+                st = step_em(grid1d, model, StepperConfig(), st, dt, table[step],
+                             rhs_fn=frozen)
             finals[member] = st.mom[0, 0]
         var_pred = n_steps * dt * 1.0
         se = var_pred * np.sqrt(2 / (members - 1))
@@ -157,7 +157,7 @@ class TestStepEM:
         crash = lambda g, m, s: (np.full(g.sizes, -1e5), np.zeros((g.dim, *g.sizes)))
         from torusgas.dynamics import StepStats
         stats = StepStats()
-        out = step_em(grid1d, model, StepperConfig(), st, None, 0, dt=1e-4,
+        out = step_em(grid1d, model, StepperConfig(), st, 1e-4,
                       rhs_fn=crash, stats=stats)
         assert stats.floored_cells == 64
         assert stats.mass_correction > 0
@@ -172,7 +172,7 @@ class TestEnergyBehavior:
         st = make_state(grid, 1 + 0.1 * np.sin(x), np.zeros((1, 128)))
         e0 = energy_total(grid, LAW, st)
         for step in range(n):
-            st = step_em(grid, model, StepperConfig(), st, None, step, dt=dt)
+            st = step_em(grid, model, StepperConfig(), st, dt)
         return abs(energy_total(grid, LAW, st) - e0)
 
     def test_energy_drift_halves_with_dt(self):
@@ -191,7 +191,7 @@ class TestEnergyBehavior:
         e0 = energy_total(grid, LAW, st)
         energies = [e0]
         for step in range(400):
-            st = step_em(grid, model, StepperConfig(), st, None, step, dt=dt)
+            st = step_em(grid, model, StepperConfig(), st, dt)
             energies.append(energy_total(grid, LAW, st))
         tol_rate = 5.0 * dt * e0
         for i in range(1, len(energies)):

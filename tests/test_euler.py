@@ -43,20 +43,20 @@ class TestStepping:
         state = make_state(grid, v0)
         dt = 0.01
         for step in range(100):
-            state = step_em_euler(grid, None, state, None, step, dt=dt)
+            state = step_em_euler(grid, None, state, dt)
         assert np.max(np.abs(state.v - v0)) < 1e-6
 
     def test_zero_stays_zero(self, grid2d):
         state = make_state(grid2d, np.zeros((2, *grid2d.sizes)))
         for step in range(5):
-            state = step_em_euler(grid2d, None, state, None, step, dt=0.05)
+            state = step_em_euler(grid2d, None, state, 0.05)
         assert np.max(np.abs(state.v)) == 0.0
 
     def test_divergence_preserved(self, grid2d, rng):
         state = make_state(grid2d, random_solenoidal(grid2d, rng, kmax=4))
         dt = 0.5 * euler_cfl_dt(grid2d, state)
         for step in range(20):
-            state = step_em_euler(grid2d, None, state, None, step, dt=dt)
+            state = step_em_euler(grid2d, None, state, dt)
             assert np.max(np.abs(grid2d.divergence(state.v))) < 1e-10
 
     def test_constant_forcing_random_drift(self):
@@ -68,10 +68,10 @@ class TestStepping:
         n_paths, n_steps, dt = 2000, 10, 0.02
         finals = np.empty(n_paths)
         for member in range(n_paths):
-            w = WienerPath(5, member, 1, dt)
+            table = WienerPath(5, member, 1, dt).table(n_steps)
             state = make_state(grid, np.zeros((2, 8, 8)))
             for step in range(n_steps):
-                state = step_em_euler(grid, noise, state, w, step)
+                state = step_em_euler(grid, noise, state, dt, table[step])
             # field is spatially constant; take one sample point
             assert np.max(np.abs(state.v[0] - state.v[0, 0, 0])) < 1e-12
             finals[member] = state.v[0, 0, 0]
@@ -87,7 +87,7 @@ class TestStepping:
             state = make_state(grid, v0)
             e0 = kinetic_energy(grid, state.v)
             for step in range(n):
-                state = step_em_euler(grid, None, state, None, step, dt=dt)
+                state = step_em_euler(grid, None, state, dt)
             return abs(kinetic_energy(grid, state.v) - e0)
 
         ratio = drift(4e-3, 125) / drift(2e-3, 250)

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 
-from torusgas import config, driver
+from torusgas import config, driver, noise
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -66,12 +66,16 @@ def _read_csv(path) -> dict:
     return {name: data[:, j].tolist() for j, name in enumerate(header)}
 
 
+def case_config(name: str) -> dict:
+    case = CASES[name]
+    overrides = dict(case["overrides"], **{"run.seed": SEED})
+    return config.load(os.path.join(ROOT, case["config"]), overrides)
+
+
 def run_case(name: str, out_dir: str) -> dict:
     """Run one case and collect its summary and CSV columns."""
     case = CASES[name]
-    overrides = dict(case["overrides"], **{"run.seed": SEED})
-    cfg = config.load(os.path.join(ROOT, case["config"]), overrides)
-    case["run"](cfg, out_dir)
+    case["run"](case_config(name), out_dir)
     with open(os.path.join(out_dir, "summary.json"), encoding="ascii") as fh:
         summary = json.load(fh)
     return {"summary": summary,
@@ -100,6 +104,31 @@ def test_matches_golden(name, tmp_path):
     with open(_golden_path(name), encoding="ascii") as fh:
         golden = json.load(fh)
     _compare(run_case(name, str(tmp_path)), golden, name)
+
+
+def _expected_draws(name: str, cfg: dict, summary: dict) -> int:
+    """One draw per member and step of the finest lattice the run uses."""
+    if name == "simulate":
+        return cfg["ensemble.members"] * summary["n_steps"]
+    if name == "weak-strong":
+        return cfg["ws.members"] * cfg["ws.refine"] * cfg["ws.n_steps"]
+    return cfg["sweep.members"] * max(summary["n_steps"])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_increment_drawn_once(name, tmp_path, monkeypatch):
+    keys = []
+    draw = noise._philox_normals
+
+    def counted(seed, member, step, count):
+        keys.append((seed, member, step))
+        return draw(seed, member, step, count)
+
+    monkeypatch.setattr(noise, "_philox_normals", counted)
+    cfg = case_config(name)
+    summary = run_case(name, str(tmp_path))["summary"]
+    assert len(keys) == _expected_draws(name, cfg, summary)
+    assert len(set(keys)) == len(keys)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ def run_member_ledger(grid, model, state0, dt, n_steps, seed=0, member=0,
                       stepper=StepperConfig()):
     """March one member and return its (sampled every step) ledger."""
     law = model.law_eff
-    wiener = WienerPath(seed, member, model.modes, dt)
+    table = WienerPath(seed, member, model.modes, dt).table(n_steps)
     acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor)
     ledger = EnergyLedger()
     state = state0.copy()
@@ -26,9 +26,8 @@ def run_member_ledger(grid, model, state0, dt, n_steps, seed=0, member=0,
         ledger.append(state.t, energy_total(grid, law, state), 0.0,
                       acc.diss_cum, acc.ito_cum, acc.mart)
         if step < n_steps:
-            dW = wiener.increments(step) if model.modes else None
-            acc.step_increments(state, dW, dt)
-            state = step_em(grid, model, stepper, state, wiener, step, dt=dt)
+            acc.step_increments(state, table[step], dt)
+            state = step_em(grid, model, stepper, state, dt, table[step])
     return ledger
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torusgas.grid import Grid
-from torusgas.noise import (NestedWiener, NoiseError, NoiseModel, WienerPath,
+from torusgas.noise import (NoiseError, NoiseModel, WienerPath, coarsen,
                             domination_audit, lipschitz_audit)
 
 
@@ -47,21 +47,36 @@ class TestWienerPath:
         assert sample.var() == pytest.approx(0.25, rel=0.05)
 
 
-class TestNestedWiener:
+class TestTable:
+    def test_rows_are_step_increments(self):
+        path = WienerPath(9, 2, 3, 0.125)
+        table = path.table(16)
+        assert table.shape == (16, 3)
+        for step in (0, 5, 15):
+            assert np.array_equal(table[step], path.increments(step))
+
+    def test_zero_modes(self):
+        assert WienerPath(9, 2, 0, 0.125).table(4).shape == (4, 0)
+
+
+class TestCoarsen:
     def test_pairwise_aggregation(self):
-        lattice = NestedWiener(9, 2, 3, 2.0, 16)
-        fine = lattice.view(16)
-        coarse = lattice.view(8)
+        fine = WienerPath(9, 2, 3, 2.0 / 16).table(16)
+        coarse = coarsen(fine, 8)
         for step in range(8):
-            agg = fine.increments(2 * step) + fine.increments(2 * step + 1)
-            assert np.allclose(agg, coarse.increments(step), atol=0, rtol=0)
+            agg = fine[2 * step] + fine[2 * step + 1]
+            assert np.allclose(agg, coarse[step], atol=0, rtol=0)
+
+    def test_identity_and_total(self):
+        fine = WienerPath(9, 2, 3, 2.0 / 16).table(16)
+        assert np.array_equal(coarsen(fine, 16), fine)
+        assert np.allclose(coarsen(fine, 1)[0], fine.sum(axis=0), rtol=1e-12, atol=1e-15)
 
     def test_rejects_nondivisor(self):
-        with pytest.raises(NoiseError):
-            NestedWiener(0, 0, 1, 1.0, 16).view(5)
-
-    def test_dt(self):
-        assert NestedWiener(0, 0, 1, 2.0, 16).view(8).dt == pytest.approx(0.25)
+        table = WienerPath(0, 0, 1, 1.0 / 16).table(16)
+        for n_steps in (5, 0, 32):
+            with pytest.raises(NoiseError):
+                coarsen(table, n_steps)
 
 
 class TestApplyG:
