@@ -281,6 +281,13 @@ def _write_ws_report(out_dir, report: RelativeEnergyReport):
 
 
 def run_limit_sweep(cfg: dict, out_dir: str) -> dict:
+    v0, sizes = cfg["sweep.v0"], cfg["grid.sizes"]
+    if v0 not in ("taylor_green", "zero"):
+        raise config_mod.ConfigError(f"sweep.v0: unknown kind {v0!r} "
+                                     "(taylor_green or zero)")
+    if v0 == "taylor_green" and len(sizes) != 2:
+        raise config_mod.ConfigError(f"sweep.v0 = taylor_green needs a 2-D grid, "
+                                     f"grid.sizes has {len(sizes)} dimension(s)")
     os.makedirs(out_dir, exist_ok=True)
     sweep_cfg = SweepConfig(
         grid_sizes=tuple(cfg["grid.sizes"]),
@@ -299,7 +306,7 @@ def run_limit_sweep(cfg: dict, out_dir: str) -> dict:
         noise_L=tuple(cfg["noise.L"]),
         cfl=cfg["stepper.cfl"],
         n_samples=cfg["sweep.samples"],
-        v0_kind=cfg["sweep.v0"],
+        v0_kind=v0,
     )
     report = run_sweep(sweep_cfg)
     _write_sweep_csv(out_dir, report)

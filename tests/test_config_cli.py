@@ -106,6 +106,9 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("limit-sweep", "sweep.members = 2"),
     ("limit-sweep", "sweep.eps = "),
     ("limit-sweep", "sweep.eps = 0.5,-0.25"),
+    ("limit-sweep", "sweep.v0 = vortex"),
+    ("limit-sweep", "grid.sizes = 64"),
+    ("limit-sweep", "grid.sizes = 16,16,16"),
 ])
 def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
     # rejected up front with the key named, not as a crash mid-run (exit 1)
