@@ -247,11 +247,22 @@ def gronwall_check(times, values, c: float, bias: float, tol: float = 1e-12) -> 
     return float(np.max(values - envelope))
 
 
-def fit_exponential(times, values, floor: float = 1e-300):
-    """Least-squares fit of ``log E = log A + c t``; returns ``(c, A)``."""
+FIT_REL_FLOOR = 1e-12
+
+
+def fit_exponential(times, values):
+    """Least-squares fit of ``log E = log A + c t``; returns ``(c, A)``.
+
+    Only samples above ``FIT_REL_FLOOR * max(values)`` enter the fit.  A
+    relative energy that is exactly zero, such as E_mv(0) with exact
+    initial data, evaluates to roundoff (about 1e-23), twelve or more
+    orders below the series it starts; on a log scale that one point
+    would set the slope alone.  The floor sits well above double roundoff
+    relative to the peak and well below any value the run itself produces.
+    """
     times = np.asarray(times, dtype=np.float64)
-    values = np.maximum(np.asarray(values, dtype=np.float64), floor)
-    keep = values > floor
+    values = np.asarray(values, dtype=np.float64)
+    keep = values > FIT_REL_FLOOR * np.max(values, initial=0.0)
     if np.count_nonzero(keep) < 2:
         return 0.0, 0.0
     c, logA = np.polyfit(times[keep], np.log(values[keep]), 1)

@@ -241,6 +241,20 @@ class TestGronwall:
         assert c == pytest.approx(1.9, rel=1e-10)
         assert A == pytest.approx(0.7, rel=1e-10)
 
+    def test_fit_exponential_skips_roundoff_start(self):
+        # an exact-data start evaluates to roundoff; it must not set the slope
+        t = np.linspace(0, 1, 9)
+        values = 2e-6 * np.exp(3.0 * t)
+        values[0] = 1e-23
+        c, A = fit_exponential(t, values)
+        assert c == pytest.approx(3.0, abs=1e-9)
+        assert A == pytest.approx(2e-6, rel=1e-9)
+
+    def test_fit_exponential_needs_two_positive_samples(self):
+        t = np.linspace(0, 1, 4)
+        assert fit_exponential(t, np.zeros(4)) == (0.0, 0.0)
+        assert fit_exponential(t, [0.0, 0.0, 0.0, 1.0]) == (0.0, 0.0)
+
 
 def smooth_1d_init(grid):
     x = grid.coordinates()[0]
