@@ -26,7 +26,7 @@ from .ledger import EnergyLedger, LedgerAccumulator, pooled_ledger
 from .noise import NoiseModel, WienerPath
 from .relative import (REMAINDER_TERMS, RelativeEnergyReport, WeakStrongConfig,
                        weak_strong_experiment)
-from .sweep import RateReport, SweepConfig, fit_rate, run_sweep
+from .sweep import V0_KINDS, RateReport, SweepConfig, fit_rate, run_sweep
 
 
 def build_grid(cfg: dict) -> Grid:
@@ -282,9 +282,9 @@ def _write_ws_report(out_dir, report: RelativeEnergyReport):
 
 def run_limit_sweep(cfg: dict, out_dir: str) -> dict:
     v0, sizes = cfg["sweep.v0"], cfg["grid.sizes"]
-    if v0 not in ("taylor_green", "zero"):
-        raise config_mod.ConfigError(f"sweep.v0: unknown kind {v0!r} "
-                                     "(taylor_green or zero)")
+    if v0 not in V0_KINDS:
+        raise config_mod.ConfigError(f"sweep.v0: unknown kind {v0!r}, "
+                                     f"expected one of {', '.join(V0_KINDS)}")
     if v0 == "taylor_green" and len(sizes) != 2:
         raise config_mod.ConfigError(f"sweep.v0 = taylor_green needs a 2-D grid, "
                                      f"grid.sizes has {len(sizes)} dimension(s)")

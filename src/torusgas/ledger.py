@@ -190,7 +190,7 @@ class SmoothItoProcess:
         if self.independent_seed is not None:
             run_table = WienerPath(self.independent_seed, run_path.member,
                                    run_path.modes, run_path.dt).table(len(run_table))
-        return np.array([float(np.dot(self.ds, dw)) for dw in run_table])
+        return run_table @ np.asarray(self.ds, dtype=np.float64)
 
     def ds_against_run(self, modes: int) -> np.ndarray:
         """Diffusion coefficients against the run's own modes."""

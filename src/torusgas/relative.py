@@ -257,8 +257,8 @@ def fit_exponential(times, values):
     relative energy that is exactly zero, such as E_mv(0) with exact
     initial data, evaluates to roundoff (about 1e-23), twelve or more
     orders below the series it starts; on a log scale that one point
-    would set the slope alone.  The floor sits well above double roundoff
-    relative to the peak and well below any value the run itself produces.
+    would set the slope alone.  The floor sits four orders above double
+    roundoff relative to the peak, so it drops only samples with no signal.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)

@@ -116,6 +116,9 @@ def _round_up_pow2(n: int) -> int:
     return p
 
 
+V0_KINDS = ("taylor_green", "zero")  # taylor_green needs a 2-D grid
+
+
 def _initial_v0(grid: Grid, kind: str) -> np.ndarray:
     if kind == "taylor_green":
         return taylor_green(grid)
