@@ -1,9 +1,14 @@
 """Run orchestration: build objects from a resolved config and emit artifacts.
 
 Every command writes into its output directory the resolved configuration,
-a format-version marker and deterministically formatted CSV files: member
-work is farmed to a thread pool but results are reduced in member order, so
-outputs are byte-identical for any worker count.
+a format-version marker and deterministically formatted CSV files.
+
+``simulate`` marches its whole ensemble as one member-batched state, the
+members along a leading axis (see :mod:`torusgas.dynamics`).  With
+``--threads T`` the member axis is split into ``T`` contiguous chunks, each
+marched as one batch on a thread pool, and the chunks are joined in member
+order.  Every member's arithmetic is the same in any chunk, so outputs are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from . import config as config_mod
 from . import snapshots
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
-                       cfl_dt, energy_total, step_em)
-from .ensemble import build_ym, dissipation_defect
+                       StepStats, cfl_dt, energy_total, step_em)
+from .ensemble import EmpiricalYoungMeasure, dissipation_defect
 from .euler import taylor_green
 from .grid import Grid
 from .ledger import EnergyLedger, LedgerAccumulator, pooled_ledger
@@ -93,28 +98,38 @@ def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
 # --------------------------------------------------------------------------
 
 
-def _run_member(grid, model, stepper, state0, dt, n_steps, sample_stride,
-                seed, member):
-    """March one member; returns sampled states, its ledger and step stats."""
-    from .dynamics import StepStats
+def _march_members(grid, model, stepper, state0, dt, n_steps, sample_stride,
+                   table):
+    """March a member batch driven by its ``(M, n_steps, K)`` increments.
 
+    Returns the sampled batched states, the ledger columns
+    ``(samples, 4, M)`` (energy, dissipation, Ito correction, martingale)
+    and the step stats with one entry per member.
+    """
+    members = len(table)
     law = model.law_eff
-    table = WienerPath(seed, member, model.modes, dt).table(n_steps)
-    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor)
-    ledger = EnergyLedger()
-    stats = StepStats()
-    state = state0.copy()
-    samples = []
+    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor,
+                            members=members)
+    stats = StepStats(np.zeros(members, dtype=np.int64), np.zeros(members))
+    state = state0.batch(members)
+    samples, columns = [], []
     for step in range(n_steps + 1):
         if step % sample_stride == 0:
-            samples.append(state.copy())
-            ledger.append(state.t, energy_total(grid, law, state), 0.0,
-                          acc.diss_cum, acc.ito_cum, acc.mart)
+            samples.append(state)  # steps build new arrays; no copy needed
+            columns.append(np.stack([energy_total(grid, law, state),
+                                     acc.diss_cum, acc.ito_cum, acc.mart]))
         if step < n_steps:
-            acc.step_increments(state, table[step], dt)
-            state = step_em(grid, model, stepper, state, dt, table[step],
+            acc.step_increments(state, table[:, step], dt)
+            state = step_em(grid, model, stepper, state, dt, table[:, step],
                             stats=stats)
-    return samples, ledger, stats
+    return samples, np.stack(columns), stats
+
+
+def _member_ledger(times, columns, m) -> EnergyLedger:
+    ledger = EnergyLedger()
+    for t, (energy, diss, ito, mart) in zip(times, columns[:, :, m].tolist()):
+        ledger.append(t, energy, 0.0, diss, ito, mart)
+    return ledger
 
 
 def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
@@ -128,31 +143,44 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     stride = n_steps // cfg["run.samples"]
     members = cfg["ensemble.members"]
     seed = cfg["run.seed"]
-    shared = cfg["ensemble.shared_paths"]
+    if cfg["ensemble.shared_paths"]:  # every member rides member 0's path
+        shared = WienerPath(seed, 0, model.modes, dt).table(n_steps)
+        table = np.broadcast_to(shared, (members, *shared.shape))
+    else:
+        table = np.stack([WienerPath(seed, m, model.modes, dt).table(n_steps)
+                          for m in range(members)])
 
-    def job(member):
-        return _run_member(grid, model, stepper, state0, dt, n_steps, stride,
-                           seed, 0 if shared else member)
+    def job(chunk):
+        try:
+            return _march_members(grid, model, stepper, state0, dt, n_steps, stride,
+                                  table[chunk[0]:chunk[-1] + 1])
+        except SimulationError as exc:
+            if exc.member is None or chunk[0] == 0:
+                raise
+            raise SimulationError(exc.detail, exc.state, chunk[0] + exc.member) from exc
 
+    chunks = [c for c in np.array_split(np.arange(members), max(threads, 1)) if c.size]
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(job, range(members)))
+        if len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+                results = list(pool.map(job, chunks))
         else:
-            results = [job(m) for m in range(members)]
+            results = [job(chunks[0])]
     except SimulationError as exc:
         if exc.state is not None:  # leave a diagnostic snapshot behind
             snapshots.write_state(os.path.join(out_dir, "diagnostic_failure.snap"),
                                   grid, exc.state)
         raise
 
-    member_samples = [r[0] for r in results]
-    member_ledgers = [r[1] for r in results]
-    floored_total = sum(r[2].floored_cells for r in results)
-    mass_corrections = sum(r[2].mass_correction for r in results)
-    times = member_ledgers[0].times
-    yms = [build_ym(grid, [member_samples[m][i] for m in range(members)])
+    columns = np.concatenate([r[1] for r in results], axis=2)
+    times = [s.t for s in results[0][0]]
+    yms = [EmpiricalYoungMeasure(grid,
+                                 np.concatenate([r[0][i].rho for r in results]),
+                                 np.concatenate([r[0][i].mom for r in results]))
            for i in range(len(times))]
+    member_ledgers = [_member_ledger(times, columns, m) for m in range(members)]
+    floored_total = sum(int(r[2].floored_cells.sum()) for r in results)
+    mass_corrections = sum(x for r in results for x in r[2].mass_correction.tolist())
     law = model.law_eff
     pooled = pooled_ledger(member_ledgers, grid, law, model.visc, yms, times)
 
@@ -175,7 +203,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
 
     residuals = np.array([l.residual(0, -1) for l in member_ledgers])
     mass0 = grid.integrate(state0.rho)
-    mass_end = [grid.integrate(s[-1].rho) for s in member_samples]
+    mass_end = grid.integrate(yms[-1].rho_atoms).tolist()
     summary = {
         "command": "simulate",
         "n_steps": n_steps,

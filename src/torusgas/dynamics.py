@@ -12,6 +12,14 @@ pressure-law coefficients and ``eta = lambda + (N-2) nu / N``.  Noise enters
 the momentum only; the density equation is noise-free.  Density positivity
 is enforced by flooring, with floor activations surfaced in the step stats
 rather than hidden.
+
+A :class:`State` holds one realization (``rho`` of shape ``sizes``, ``mom``
+of shape ``(N, *sizes)``) or a member batch with one leading member axis
+(``(M, *sizes)`` / ``(M, N, *sizes)``, the atom layout of the empirical
+Young measure).  The drift, the step, the CFL bound and the energy accept
+either: a batch is marched as one array, each member's row bit-identical to
+stepping that member alone, under one CFL bound for the whole batch.  A
+failing batched step names the offending member and carries its state.
 """
 
 from __future__ import annotations
@@ -28,16 +36,24 @@ from .noise import NoiseModel
 
 
 class SimulationError(RuntimeError):
-    """Raised on non-finite states or CFL violations; carries the offender."""
+    """Raised on non-finite states or CFL violations; carries the offender.
 
-    def __init__(self, message: str, state: "State | None" = None):
-        super().__init__(message)
+    After a batched step ``member`` is the offending member's index in the
+    batch and ``state`` that member's single state; ``detail`` is the
+    message without the member.
+    """
+
+    def __init__(self, message: str, state: "State | None" = None,
+                 member: int | None = None):
+        super().__init__(message if member is None else f"member {member}: {message}")
+        self.detail = message
         self.state = state
+        self.member = member
 
 
 @dataclass
 class State:
-    """One realization: density, momentum and simulation time."""
+    """One realization or a member batch: density, momentum and time."""
 
     rho: np.ndarray
     mom: np.ndarray
@@ -46,6 +62,9 @@ class State:
     def validate(self, grid: Grid, rho_floor: float = 0.0) -> "State":
         self.rho = grid.check_scalar(self.rho)
         self.mom = grid.check_vector(self.mom)
+        if self.mom.shape[:-grid.dim - 1] != self.rho.shape[:-grid.dim]:
+            raise SimulationError(f"density {self.rho.shape} and momentum "
+                                  f"{self.mom.shape} differ in their members", self)
         if np.min(self.rho) < rho_floor:
             raise SimulationError(
                 f"density below floor {rho_floor}: min={np.min(self.rho)}", self
@@ -55,8 +74,17 @@ class State:
     def copy(self) -> "State":
         return State(self.rho.copy(), self.mom.copy(), self.t)
 
-    def velocity(self, rho_floor: float = 1e-8) -> np.ndarray:
-        return self.mom / np.maximum(self.rho, rho_floor)
+    def batch(self, members: int) -> "State":
+        """``members`` copies of this single state along a leading member axis."""
+        return State(np.repeat(self.rho[None], members, axis=0),
+                     np.repeat(self.mom[None], members, axis=0), self.t)
+
+    def member(self, m: int) -> "State":
+        """Member ``m`` of a batch, as a single state."""
+        return State(self.rho[m], self.mom[m], self.t)
+
+    def velocity(self, grid: Grid, rho_floor: float = 1e-8) -> np.ndarray:
+        return self.mom / np.expand_dims(np.maximum(self.rho, rho_floor), -grid.dim - 1)
 
 
 @dataclass(frozen=True)
@@ -100,8 +128,23 @@ class StepperConfig:
 
 @dataclass
 class StepStats:
+    """Floor activations; start the counters as ``(M,)`` arrays for a batch."""
+
     floored_cells: int = 0
     mass_correction: float = 0.0
+
+
+def _check_finite(grid: Grid, message: str, state: "State", rho, mom):
+    """Raise naming the first member (of a batch) with a non-finite entry."""
+    if np.all(np.isfinite(rho)) and np.all(np.isfinite(mom)):
+        return
+    if np.ndim(rho) == grid.dim:
+        raise SimulationError(message, state)
+    lead = len(rho)
+    finite = (np.all(np.isfinite(np.reshape(rho, (lead, -1))), axis=1)
+              & np.all(np.isfinite(np.reshape(mom, (lead, -1))), axis=1))
+    m = int(np.argmin(finite))
+    raise SimulationError(message, state.member(m), m)
 
 
 def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
@@ -112,31 +155,40 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
     attached for diagnostics.
     """
     rho, mom = state.rho, state.mom
+    c = -grid.dim - 1  # the component axis
     drho = -grid.divergence(mom)
 
-    u = mom / rho
-    flux = mom[:, None] * u[None, :]  # flux[i, j] = m_i u_j
+    u = mom / np.expand_dims(rho, c)
+    flux = np.expand_dims(mom, c) * np.expand_dims(u, c - 1)  # flux[i, j] = m_i u_j
     dmom = -grid.div_tensor(flux, dealias=True)
 
     p = pressure_delta(model.law_eff, rho)
     dmom -= grid.gradient(grid.dealias(p))
 
     if model.visc is not None:
-        u_da = grid.dealias_vector(u)
+        u_da = grid.dealias(u)
         dmom += grid.viscous_operator(u_da, model.visc.nu, model.visc.eta(grid.dim))
 
-    if not (np.all(np.isfinite(drho)) and np.all(np.isfinite(dmom))):
-        raise SimulationError("non-finite drift encountered", state)
+    _check_finite(grid, "non-finite drift encountered", state, drho, dmom)
     return drho, dmom
+
+
+def _signal_speed(grid: Grid, model: ModelConfig, state: State,
+                  rho_floor: float) -> np.ndarray:
+    """Pointwise ``|u| + c``, the acoustic signal speed."""
+    u_mag = np.sqrt(np.sum(state.velocity(grid, rho_floor) ** 2, axis=-grid.dim - 1))
+    return u_mag + np.sqrt(pressure_delta_prime(model.law_eff,
+                                                np.maximum(state.rho, rho_floor)))
 
 
 def cfl_dt(grid: Grid, model: ModelConfig, state: State,
            stepper: StepperConfig = StepperConfig()) -> float:
-    """Largest stable step: acoustic bound, plus a diffusion bound if viscous."""
+    """Largest stable step: acoustic bound, plus a diffusion bound if viscous.
+
+    A batch gets one bound, set by its fastest member.
+    """
     h = min(grid.spacings)
-    u_mag = np.sqrt(np.sum(state.velocity(stepper.rho_floor) ** 2, axis=0))
-    sound = np.sqrt(pressure_delta_prime(model.law_eff, np.maximum(state.rho, stepper.rho_floor)))
-    speed = float(np.max(u_mag + sound))
+    speed = float(np.max(_signal_speed(grid, model, state, stepper.rho_floor)))
     dt = stepper.cfl * h / speed if speed > 0 else np.inf
     if model.visc is not None:
         dt = min(dt, stepper.cfl * h * h / (4.0 * model.visc.nu))
@@ -152,13 +204,17 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     The drift uses the current state; the noise kick ``sum_k G_k dW_k`` with
     this step's Wiener increments ``dW`` is evaluated at the pre-step state
     and enters the momentum only.  Without ``dW`` the step is deterministic.
+    A batch takes ``(M, K)`` increments, one row per member.
     """
     bound = cfl_dt(grid, model, state, stepper)
     if dt > bound * (1.0 + 1e-9):
-        raise SimulationError(
-            f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} at t={state.t:.4f}",
-            state,
-        )
+        message = f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} at t={state.t:.4f}"
+        if state.rho.ndim == grid.dim:
+            raise SimulationError(message, state)
+        # the member with the fastest signal sets the batch's bound
+        speed = _signal_speed(grid, model, state, stepper.rho_floor)
+        m = int(np.unravel_index(np.argmax(speed), speed.shape)[0])
+        raise SimulationError(message, state.member(m), m)
 
     drho, dmom = rhs_fn(grid, model, state)
     rho_new = state.rho + dt * drho
@@ -169,7 +225,7 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
 
     low = rho_new < stepper.rho_floor
     if np.any(low):
-        n_low = int(np.count_nonzero(low))
+        n_low = np.count_nonzero(low, axis=grid.axes)
         before = grid.integrate(rho_new)
         rho_new = np.maximum(rho_new, stepper.rho_floor)
         if stats is not None:
@@ -177,13 +233,14 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
             stats.mass_correction += grid.integrate(rho_new) - before
 
     out = State(rho_new, mom_new, state.t + dt)
-    if not (np.all(np.isfinite(out.rho)) and np.all(np.isfinite(out.mom))):
-        raise SimulationError("non-finite state after step", out)
+    _check_finite(grid, "non-finite state after step", out, out.rho, out.mom)
     return out
 
 
-def energy_total(grid: Grid, law: PressureLaw, state: State) -> float:
-    """Pathwise total energy ``int(0.5 |m|^2 / rho + P_delta(rho)) dx``."""
-    kinetic = 0.5 * np.sum(state.mom * state.mom, axis=0) / state.rho
-    dens = kinetic + potential_delta(law, state.rho)
-    return float(np.sum(dens)) * grid.cell_volume
+def energy_total(grid: Grid, law: PressureLaw, state: State):
+    """Pathwise total energy ``int(0.5 |m|^2 / rho + P_delta(rho)) dx``.
+
+    A float for a single state, one value per member for a batch.
+    """
+    kinetic = 0.5 * np.sum(state.mom * state.mom, axis=-grid.dim - 1) / state.rho
+    return grid.integrate(kinetic + potential_delta(law, state.rho))

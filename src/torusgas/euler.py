@@ -48,7 +48,7 @@ def advection(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Dealiased convective term ``(v . grad) v``."""
     grad_v = grid.gradient_vector(v)
     out = np.einsum("j...,ij...->i...", v, grad_v)
-    return grid.dealias_vector(out)
+    return grid.dealias(out)
 
 
 def pressure_from_projection(grid: Grid, v: np.ndarray) -> np.ndarray:

@@ -5,6 +5,13 @@ scalars have shape ``grid.sizes``, vectors ``(N, *sizes)`` and tensors
 ``(N, N, *sizes)`` with the convention ``tensor[i, j] = d(v_i)/d(x_j)``.
 Differentiation is exact for resolved Fourier modes; quadratic and cubic
 nonlinearities are handled with the 2/3-rule mask exposed by ``dealias``.
+
+Transforms, checks and the calculus operators act on the trailing ``dim``
+axes; a vector's component axis sits just before them.  Any leading axes,
+such as the member axis of an ensemble batch ``(M, *sizes)`` /
+``(M, N, *sizes)``, are broadcast: every member's row goes through the same
+one-dimensional transforms and the same pairwise sums as a single field, so
+batched results equal per-member results bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ class Grid:
             if n < 8 or not _is_power_of_two(n):
                 raise FieldError(f"grid sizes must be powers of two >= 8, got {sizes}")
         self.sizes = sizes
+        self.axes = tuple(range(-len(sizes), 0))  # the spatial (trailing) axes
         self._spec = self._build_spectral()
 
     def __repr__(self) -> str:
@@ -115,11 +123,24 @@ class Grid:
         xs = [np.arange(n) * (TWO_PI / n) for n in self.sizes]
         return list(np.meshgrid(*xs, indexing="ij", sparse=False))
 
+    def comp(self, *idx) -> tuple:
+        """Index of component ``idx`` of a field with any leading axes.
+
+        ``v[grid.comp(i)]`` is component ``i`` of a vector and
+        ``F[grid.comp(i, j)]`` entry ``(i, j)`` of a tensor, batched or not.
+        """
+        return (Ellipsis, *idx) + (slice(None),) * self.dim
+
+    def per_cell(self, a) -> np.ndarray:
+        """Per-member values ``a`` (shape of the leading axes) as a scalar field."""
+        a = np.asarray(a)
+        return a.reshape(a.shape + (1,) * self.dim)
+
     # -- validation --------------------------------------------------------
 
     def check_scalar(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=np.float64)
-        if f.shape != self.sizes:
+        if f.shape[-self.dim:] != self.sizes:
             raise FieldError(f"scalar shape {f.shape} != grid {self.sizes}")
         if not np.all(np.isfinite(f)):
             raise FieldError("scalar field has non-finite entries")
@@ -127,7 +148,7 @@ class Grid:
 
     def check_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim, *self.sizes):
+        if v.shape[-self.dim - 1:] != (self.dim, *self.sizes):
             raise FieldError(f"vector shape {v.shape} != {(self.dim, *self.sizes)}")
         if not np.all(np.isfinite(v)):
             raise FieldError("vector field has non-finite entries")
@@ -136,10 +157,11 @@ class Grid:
     # -- transforms --------------------------------------------------------
 
     def fwd(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(f)
+        """Real FFT over the trailing ``dim`` axes."""
+        return np.fft.rfftn(f, axes=self.axes)
 
     def bwd(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(fh, s=self.sizes, axes=tuple(range(self.dim)))
+        return np.fft.irfftn(fh, s=self.sizes, axes=self.axes)
 
     # -- calculus ----------------------------------------------------------
 
@@ -147,26 +169,23 @@ class Grid:
         """Spectral gradient of a scalar field, shape (N, *sizes)."""
         f = self.check_scalar(f)
         fh = self.fwd(f)
-        out = np.empty((self.dim, *self.sizes))
+        out = np.empty((*f.shape[:-self.dim], self.dim, *self.sizes))
         for ax in range(self.dim):
-            out[ax] = self.bwd(self._spec["ik"][ax] * fh)
+            out[self.comp(ax)] = self.bwd(self._spec["ik"][ax] * fh)
         return out
 
     def divergence(self, v: np.ndarray) -> np.ndarray:
-        v = self.check_vector(v)
-        dh = np.zeros(self._spec["k2"].shape, dtype=complex)
-        for ax in range(self.dim):
-            dh += self._spec["ik"][ax] * self.fwd(v[ax])
-        return self.bwd(dh)
+        vh = self.fwd(self.check_vector(v))
+        return self.bwd(sum(self._spec["ik"][ax] * vh[self.comp(ax)]
+                            for ax in range(self.dim)))
 
     def gradient_vector(self, v: np.ndarray) -> np.ndarray:
         """Velocity-gradient tensor, ``out[i, j] = d(v_i)/d(x_j)``."""
         v = self.check_vector(v)
-        out = np.empty((self.dim, self.dim, *self.sizes))
-        for i in range(self.dim):
-            vh = self.fwd(v[i])
-            for j in range(self.dim):
-                out[i, j] = self.bwd(self._spec["ik"][j] * vh)
+        vh = self.fwd(v)
+        out = np.empty((*v.shape[:-self.dim], self.dim, *self.sizes))
+        for j in range(self.dim):
+            out[self.comp(slice(None), j)] = self.bwd(self._spec["ik"][j] * vh)
         return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -174,7 +193,7 @@ class Grid:
         return self.bwd(-self._spec["k2"] * self.fwd(f))
 
     def inverse_laplacian(self, f: np.ndarray, mean_tol: float = MEAN_TOL):
-        """Zero-mean solution of ``lap(result) = f``.
+        """Zero-mean solution of ``lap(result) = f`` for a single field.
 
         The input mean is subtracted before inversion; a mean exceeding
         ``mean_tol`` (relative to the field scale) is reported in the second
@@ -191,12 +210,12 @@ class Grid:
     def helmholtz_project(self, v: np.ndarray) -> np.ndarray:
         """Leray/Helmholtz projection ``v - grad(invlap(div v))``."""
         v = self.check_vector(v)
-        vh = [self.fwd(v[ax]) for ax in range(self.dim)]
-        dh = sum(self._spec["ik"][ax] * vh[ax] for ax in range(self.dim))
+        vh = self.fwd(v)
+        dh = sum(self._spec["ik"][ax] * vh[self.comp(ax)] for ax in range(self.dim))
         phi = -self._spec["inv_k2p"] * dh  # = (invlap div v)^, matching symbols
         out = np.empty_like(v)
         for ax in range(self.dim):
-            out[ax] = self.bwd(vh[ax] - self._spec["ik"][ax] * phi)
+            out[self.comp(ax)] = self.bwd(vh[self.comp(ax)] - self._spec["ik"][ax] * phi)
         return out
 
     def div_tensor(self, F: np.ndarray, dealias: bool = False) -> np.ndarray:
@@ -205,31 +224,33 @@ class Grid:
         With ``dealias=True`` the 2/3 mask is applied in the same spectral
         pass, for tensors assembled from pointwise products.
         """
-        mask = self._spec["dealias"]
-        out = np.empty((self.dim, *self.sizes))
-        for i in range(self.dim):
-            acc = np.zeros(self._spec["k2"].shape, dtype=complex)
-            for j in range(self.dim):
-                fh = self.fwd(F[i, j])
-                if dealias:
-                    fh = np.where(mask, fh, 0.0)
-                acc += self._spec["ik"][j] * fh
-            out[i] = self.bwd(acc)
-        return out
+        Fh = self.fwd(F)
+        if dealias:
+            Fh = np.where(self._spec["dealias"], Fh, 0.0)
+        acc = sum(self._spec["ik"][j] * Fh[self.comp(slice(None), j)]
+                  for j in range(self.dim))
+        return self.bwd(acc)
 
     def viscous_operator(self, u: np.ndarray, nu: float, eta: float) -> np.ndarray:
         """Constant-coefficient viscous drift ``nu lap(u) + eta grad(div u)``."""
-        uh = [self.fwd(u[ax]) for ax in range(self.dim)]
-        dh = sum(self._spec["ik"][ax] * uh[ax] for ax in range(self.dim))
+        uh = self.fwd(u)
+        dh = sum(self._spec["ik"][ax] * uh[self.comp(ax)] for ax in range(self.dim))
         out = np.empty_like(u)
         for ax in range(self.dim):
-            out[ax] = self.bwd(-nu * self._spec["k2"] * uh[ax]
-                               + eta * self._spec["ik"][ax] * dh)
+            out[self.comp(ax)] = self.bwd(-nu * self._spec["k2"] * uh[self.comp(ax)]
+                                          + eta * self._spec["ik"][ax] * dh)
         return out
 
-    def integrate(self, f: np.ndarray) -> float:
-        """Cell-volume weighted sum over the torus."""
-        return float(np.sum(f) * self.cell_volume)
+    def integrate(self, f: np.ndarray):
+        """Cell-volume weighted sum over the torus.
+
+        A float for a single field; for a batch, one value per member, each
+        summed over its contiguous row exactly as a single field would be.
+        """
+        lead = f.shape[:-self.dim]
+        if not lead:
+            return float(np.sum(f) * self.cell_volume)
+        return np.sum(np.reshape(f, (*lead, -1)), axis=-1) * self.cell_volume
 
     def mean(self, f: np.ndarray) -> float:
         return float(np.mean(f))
@@ -238,14 +259,8 @@ class Grid:
         """Apply the 2/3-rule mask to a scalar field."""
         return self.bwd(np.where(self._spec["dealias"], self.fwd(f), 0.0))
 
-    def dealias_vector(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        for ax in range(v.shape[0]):
-            out[ax] = self.dealias(v[ax])
-        return out
-
     def modal_norm_sq(self, f: np.ndarray) -> float:
-        """Squared L2 norm computed from Fourier coefficients (Parseval)."""
+        """Squared L2 norm of a single field from its Fourier coefficients (Parseval)."""
         fh = self.fwd(f)
         n_last = self.sizes[-1]
         w = np.full(fh.shape[-1], 2.0)
@@ -258,7 +273,7 @@ class Grid:
     # -- inter-grid transfer ------------------------------------------------
 
     def restrict(self, f: np.ndarray, coarse: "Grid") -> np.ndarray:
-        """Spectral truncation of a scalar field onto a coarser grid.
+        """Spectral truncation of a field onto a coarser grid, per component.
 
         Exact for modes resolved on the coarse grid; content at or above the
         coarse Nyquist is dropped.
@@ -270,18 +285,14 @@ class Grid:
         for nc, nf in zip(coarse.sizes, self.sizes):
             if nc > nf:
                 raise FieldError("restrict: target grid must be coarser")
-        fh = np.fft.fftn(self.check_scalar(f))
+        fh = np.fft.fftn(self.check_scalar(f), axes=self.axes)
         idx = []
         for nc, nf in zip(coarse.sizes, self.sizes):
             half = nc // 2
             idx.append(np.r_[0:half, nf - half : nf])
-        sub = fh[np.ix_(*idx)]
+        sub = fh[(Ellipsis, *np.ix_(*idx))]
         scale = coarse.n_cells / self.n_cells
-        out = np.fft.ifftn(sub * scale).real
-        return out
-
-    def restrict_vector(self, v: np.ndarray, coarse: "Grid") -> np.ndarray:
-        return np.stack([self.restrict(v[ax], coarse) for ax in range(v.shape[0])])
+        return np.fft.ifftn(sub * scale, axes=self.axes).real
 
 
 # -- random smooth fields (shared by tests and the verify suite) ------------

@@ -101,35 +101,48 @@ def poincare_ratio(ym: EmpiricalYoungMeasure, law: PressureLaw) -> float:
 
 @dataclass
 class LedgerAccumulator:
-    """Per-member ledger integration driven step by step by a runner."""
+    """Ledger integration of one member or a batch, driven step by step.
+
+    With ``members`` set, the state is a batch of that many members and the
+    three running sums are ``(members,)`` arrays, one entry per member.
+    """
 
     grid: Grid
     law: PressureLaw
     visc: Viscosity | None
     noise: NoiseModel | None
     rho_floor: float = 1e-8
+    members: int | None = None
     diss_cum: float = 0.0
     ito_cum: float = 0.0
     mart: float = 0.0
 
+    def __post_init__(self):
+        if self.members is not None:
+            self.diss_cum, self.ito_cum, self.mart = np.zeros((3, self.members))
+
     def step_increments(self, state, dW: np.ndarray | None, dt: float):
         """Accumulate dissipation, Ito correction and martingale increments.
 
-        Called with the pre-step state and that step's Wiener increments,
-        matching the explicit Euler-Maruyama quadrature of the run itself.
+        Called with the pre-step state and that step's Wiener increments
+        (``(M, K)`` for a batch), matching the explicit Euler-Maruyama
+        quadrature of the run itself.
         """
-        u = state.velocity(self.rho_floor)
+        grid = self.grid
+        c = -grid.dim - 1  # the component axis
+        u = state.velocity(grid, self.rho_floor)
         if self.visc is not None:
-            grad_u = self.grid.gradient_vector(u)
-            self.diss_cum += dt * self.grid.integrate(stress_contract(self.visc, grad_u))
+            # stress_contract reads the tensor axes first
+            grad_u = np.moveaxis(grid.gradient_vector(u), (c - 1, c), (0, 1))
+            self.diss_cum += dt * grid.integrate(stress_contract(self.visc, grad_u))
         if self.noise is not None and self.noise.modes:
-            self.ito_cum += dt * 0.5 * self.grid.integrate(
-                self.noise.ito_correction_density(self.grid, state.rho, state.mom,
+            self.ito_cum += dt * 0.5 * grid.integrate(
+                self.noise.ito_correction_density(grid, state.rho, state.mom,
                                                   self.rho_floor))
             if dW is not None:
                 for mode in range(self.noise.modes):
-                    gk = self.noise.apply_mode(mode, self.grid, state.rho, state.mom)
-                    self.mart += self.grid.integrate(np.sum(u * gk, axis=0)) * dW[mode]
+                    gk = self.noise.apply_mode(mode, grid, state.rho, state.mom)
+                    self.mart += grid.integrate(np.sum(u * gk, axis=c)) * dW[..., mode]
 
 
 def pooled_ledger(member_ledgers: list[EnergyLedger], grid: Grid,
@@ -209,32 +222,32 @@ def cross_variation_audit(grid: Grid, model, stepper, init_state, horizon: float
     ``Mbar = sum_k int(int G_k dx) dW_k`` is compared against the predicted
     ``sum_k int int <D^s f G_k> dx dt``; the audit passes when the mean
     difference sits within five standard errors of zero, componentwise.
+    All paths are marched as one member batch.
     """
     from .dynamics import step_em
 
     dt = horizon / n_steps
     noise = model.noise
     dim = grid.dim
-    diffs = np.empty((n_paths, dim))
+    paths = [WienerPath(seed, member, noise.modes, dt) for member in range(n_paths)]
+    table = np.stack([path.table(n_steps) for path in paths])  # (paths, steps, K)
+    df_table = np.stack([process.increments(path, table[p])
+                         for p, path in enumerate(paths)])
     ds_run = process.ds_against_run(noise.modes)
-    for member in range(n_paths):
-        path = WienerPath(seed, member, noise.modes, dt)
-        table = path.table(n_steps)
-        df_table = process.increments(path, table)
-        state = init_state.copy()
-        realized = np.zeros(dim)
-        predicted = np.zeros(dim)
-        for step in range(n_steps):
-            dW = table[step]
-            df = df_table[step]
-            g_int = np.empty((noise.modes, dim))
-            for mode in range(noise.modes):
-                gk = noise.apply_mode(mode, grid, state.rho, state.mom)
-                g_int[mode] = [grid.integrate(gk[c]) for c in range(dim)]
-            realized += df * (dW @ g_int)
-            predicted += dt * (ds_run @ g_int)
-            state = step_em(grid, model, stepper, state, dt, dW)
-        diffs[member] = realized - predicted
+    state = init_state.batch(n_paths)
+    realized = np.zeros((n_paths, dim))
+    predicted = np.zeros((n_paths, dim))
+    for step in range(n_steps):
+        dW = table[:, step]
+        g_int = np.empty((n_paths, noise.modes, dim))
+        for mode in range(noise.modes):
+            gk = noise.apply_mode(mode, grid, state.rho, state.mom)
+            for c in range(dim):
+                g_int[:, mode, c] = grid.integrate(gk[:, c])
+        realized += df_table[:, step, None] * (dW[:, None, :] @ g_int)[:, 0]
+        predicted += dt * (ds_run @ g_int)
+        state = step_em(grid, model, stepper, state, dt, dW)
+    diffs = realized - predicted
     mean = diffs.mean(axis=0)
     se = diffs.std(axis=0, ddof=1) / np.sqrt(n_paths)
     ok = bool(np.all(np.abs(mean) <= 5.0 * np.maximum(se, 1e-300)))

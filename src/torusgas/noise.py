@@ -68,30 +68,37 @@ class NoiseModel:
         return float(sum(self.alphas))
 
     def apply_mode(self, mode: int, grid, rho: np.ndarray, mom: np.ndarray) -> np.ndarray:
-        """Coefficient field ``G_k(rho, m)`` for one mode."""
+        """Coefficient field ``G_k(rho, m)`` for one mode (of one state or a batch)."""
         if not 0 <= mode < self.modes:
             raise NoiseError(f"mode {mode} out of range [0, {self.modes})")
         if self.kind == "affine":
             out = self.L[mode] * mom
-            axis = mode % grid.dim
-            out[axis] += self.K[mode] * rho
+            out[grid.comp(mode % grid.dim)] += self.K[mode] * rho
             return out
         return np.asarray(self.coefficients[mode](grid.coordinates(), rho, mom))
 
     def momentum_kick(self, grid, rho: np.ndarray, mom: np.ndarray,
                       dW: np.ndarray) -> np.ndarray:
-        """``sum_k G_k(rho, m) dW_k`` in closed form for the affine kind."""
+        """``sum_k G_k(rho, m) dW_k`` in closed form for the affine kind.
+
+        ``dW`` is one step's ``(K,)`` increments, or ``(M, K)`` for a batch.
+        """
         if self.modes == 0:
             return np.zeros_like(mom)
+        dW = np.asarray(dW)
         if self.kind == "affine":
-            out = float(np.dot(self.L, dW)) * mom
+            # sum_k L_k dW_k in mode order, the same per member as alone
+            ldw = sum(l * dW[..., k] for k, l in enumerate(self.L))
+            out = np.expand_dims(grid.per_cell(ldw), -grid.dim - 1) * mom
             for mode in range(self.modes):
                 if self.K[mode] != 0.0:
-                    out[mode % grid.dim] += self.K[mode] * dW[mode] * rho
+                    out[grid.comp(mode % grid.dim)] += (
+                        grid.per_cell(self.K[mode] * dW[..., mode]) * rho)
             return out
         out = np.zeros_like(mom)
         for mode in range(self.modes):
-            out += dW[mode] * self.apply_mode(mode, grid, rho, mom)
+            kick = np.expand_dims(grid.per_cell(dW[..., mode]), -grid.dim - 1)
+            out += kick * self.apply_mode(mode, grid, rho, mom)
         return out
 
     def ito_correction_density(self, grid, rho: np.ndarray, mom: np.ndarray,
@@ -105,24 +112,24 @@ class NoiseModel:
         """
         if self.modes == 0:
             return np.zeros_like(rho)
+        c = -grid.dim - 1  # the component axis
         vac = rho < rho_floor
         if np.any(vac):
-            bad = int(np.count_nonzero(vac & (np.sum(np.abs(mom), axis=0) > 0)))
+            bad = int(np.count_nonzero(vac & (np.sum(np.abs(mom), axis=c) > 0)))
             if bad:
                 log.warning("ito correction: %d vacuum cells with nonzero momentum", bad)
-        u = mom / np.maximum(rho, rho_floor)
+        u = mom / np.expand_dims(np.maximum(rho, rho_floor), c)
         if self.kind == "affine":
             out = np.zeros_like(rho)
-            u2 = np.sum(u * u, axis=0)
+            u2 = np.sum(u * u, axis=c)
             for mode in range(self.modes):
                 k, l = self.K[mode], self.L[mode]
-                axis = mode % grid.dim
-                out += k * k + 2.0 * k * l * u[axis] + l * l * u2
+                out += k * k + 2.0 * k * l * u[grid.comp(mode % grid.dim)] + l * l * u2
             return rho * out
         out = np.zeros_like(rho)
         for mode in range(self.modes):
             gk = self.apply_mode(mode, grid, rho, mom)
-            out += np.sum(gk * gk, axis=0)
+            out += np.sum(gk * gk, axis=c)
         return out / np.maximum(rho, rho_floor)
 
 

@@ -356,7 +356,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     init = cfg.init or default_smooth_init
     rho_f0, mom_f0 = init(grid_f)
     rho_c0 = grid_f.restrict(rho_f0, grid_c)
-    mom_c0 = grid_f.restrict_vector(mom_f0, grid_c)
+    mom_c0 = grid_f.restrict(mom_f0, grid_c)
 
     sample_idx = list(range(0, cfg.n_steps + 1, cfg.sample_every))
     if sample_idx[-1] != cfg.n_steps:
@@ -393,7 +393,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
                     emv[member, sample_pos] = emv[member, sample_pos - 1]
                 else:
                     r_c = grid_f.restrict(r_fine, grid_c)
-                    U_c = grid_f.restrict_vector(u_fine, grid_c)
+                    U_c = grid_f.restrict(u_fine, grid_c)
                     if np.min(r_c) <= 0:
                         raise RelativeEnergyError(
                             "restricted reference density lost positivity")

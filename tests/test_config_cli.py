@@ -186,6 +186,24 @@ class TestSimulateCommand:
         d_col = [abs(float(r.split(",")[2])) for r in rows]
         assert max(d_col) < 1e-13
 
+    def test_cfl_failure_leaves_one_member_snapshot(self, tmp_path):
+        # 10 steps over T = 2 is far beyond the CFL bound: the first batched
+        # step fails, naming the member, and leaves that member's state
+        from torusgas import driver
+        from torusgas.dynamics import SimulationError
+
+        text = (MINIMAL_1D.replace("run.T = 0.05", "run.T = 2.0")
+                .replace("run.n_steps = 20", "run.n_steps = 10"))
+        cfg = config_mod.load(write_cfg(tmp_path, text))
+        out = str(tmp_path / "fail")
+        with pytest.raises(SimulationError, match="member 0: CFL violation"):
+            driver.run_simulate(cfg, out, threads=2)
+        values, t = snapshots.read_field(os.path.join(out, "diagnostic_failure.snap"))
+        assert values.shape == (1 + 1, 64) and t == 0.0
+        state0 = driver.initial_state(driver.build_grid(cfg), cfg)
+        np.testing.assert_array_equal(values[0], state0.rho)
+        np.testing.assert_array_equal(values[1:], state0.mom)
+
     def test_summary_reports_floor_and_noise_metadata(self, tmp_path):
         import json
 

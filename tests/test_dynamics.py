@@ -3,9 +3,9 @@ import pytest
 
 from torusgas.constitutive import PressureLaw, Viscosity
 from torusgas.dynamics import (ModelConfig, SimulationError, State,
-                               StepperConfig, cfl_dt, energy_total,
+                               StepperConfig, StepStats, cfl_dt, energy_total,
                                rhs_deterministic, step_em)
-from torusgas.grid import Grid
+from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
 from torusgas.noise import NoiseModel, WienerPath
 
 
@@ -155,7 +155,6 @@ class TestStepEM:
         model = ModelConfig(law=LAW)
         st = make_state(grid1d, np.ones(64), np.zeros((1, 64)))
         crash = lambda g, m, s: (np.full(g.sizes, -1e5), np.zeros((g.dim, *g.sizes)))
-        from torusgas.dynamics import StepStats
         stats = StepStats()
         out = step_em(grid1d, model, StepperConfig(), st, 1e-4,
                       rhs_fn=crash, stats=stats)
@@ -212,3 +211,73 @@ def test_stepper_config_validation():
         StepperConfig(rho_floor=0.0)
     with pytest.raises(ValueError):
         StepperConfig(dt=-1.0)
+
+
+def member_batch(grid, members=4, seed=3):
+    """Distinct smooth members; member 1 dips below the test floor of 0.95."""
+    rng = np.random.default_rng(seed)
+    rho = np.stack([1.0 + 0.02 * (m + 1) + 0.01 * random_smooth_scalar(grid, rng)
+                    for m in range(members)])
+    rho[1] = 1.0 + 0.2 * random_smooth_scalar(grid, rng)
+    mom = np.stack([0.1 * random_smooth_vector(grid, rng) for _ in range(members)])
+    return State(rho, mom, 0.25)
+
+
+BATCH_MODEL = ModelConfig(law=LAW, visc=Viscosity(1e-2, 5e-3),
+                          noise=NoiseModel(K=(0.1, 0.2, 0.0), L=(0.05, -0.02, 0.1)))
+
+
+class TestBatch:
+    """A member batch steps bit for bit like its members stepped one by one."""
+
+    @pytest.mark.parametrize("sizes", [(32,), (16, 16)])
+    def test_rhs_step_and_stats_match_member_loop(self, sizes):
+        grid = Grid(sizes)
+        batch = member_batch(grid)
+        members = len(batch.rho)
+        stepper = StepperConfig(rho_floor=0.95)
+        dt = 1e-3
+        dW = np.stack([WienerPath(5, m, BATCH_MODEL.modes, dt).increments(0)
+                       for m in range(members)])
+
+        drho, dmom = rhs_deterministic(grid, BATCH_MODEL, batch)
+        stats = StepStats(np.zeros(members, dtype=np.int64), np.zeros(members))
+        out = step_em(grid, BATCH_MODEL, stepper, batch, dt, dW, stats=stats)
+        for m in range(members):
+            single = batch.member(m)
+            d1, d2 = rhs_deterministic(grid, BATCH_MODEL, single)
+            np.testing.assert_array_equal(drho[m], d1)
+            np.testing.assert_array_equal(dmom[m], d2)
+            one = StepStats()
+            st = step_em(grid, BATCH_MODEL, stepper, single, dt, dW[m], stats=one)
+            np.testing.assert_array_equal(out.rho[m], st.rho)
+            np.testing.assert_array_equal(out.mom[m], st.mom)
+            assert out.t == st.t
+            assert stats.floored_cells[m] == one.floored_cells
+            assert stats.mass_correction[m] == one.mass_correction
+            assert energy_total(grid, LAW, out)[m] == energy_total(grid, LAW, st)
+        assert stats.floored_cells[1] > 0 and stats.floored_cells[0] == 0
+        assert cfl_dt(grid, BATCH_MODEL, batch, stepper) == min(
+            cfl_dt(grid, BATCH_MODEL, batch.member(m), stepper) for m in range(members))
+
+    def test_cfl_violation_names_fastest_member(self, grid1d):
+        batch = member_batch(grid1d)
+        batch.mom[2] *= 40.0
+        with pytest.raises(SimulationError, match="member 2: CFL violation") as err:
+            step_em(grid1d, BATCH_MODEL, StepperConfig(), batch, 0.02)
+        assert err.value.member == 2
+        np.testing.assert_array_equal(err.value.state.mom, batch.mom[2])
+
+    def test_nonfinite_names_first_bad_member(self, grid1d):
+        batch = member_batch(grid1d)
+
+        def blow_up(grid, model, state):
+            drho = np.zeros_like(state.rho)
+            drho[3, 5] = np.nan
+            drho[2, 7] = np.inf
+            return drho, np.zeros_like(state.mom)
+
+        with pytest.raises(SimulationError, match="member 2: non-finite") as err:
+            step_em(grid1d, BATCH_MODEL, StepperConfig(), batch, 1e-3, rhs_fn=blow_up)
+        assert err.value.state.rho.shape == grid1d.sizes
+        assert np.isinf(err.value.state.rho[7])

@@ -66,16 +66,16 @@ def _read_csv(path) -> dict:
     return {name: data[:, j].tolist() for j, name in enumerate(header)}
 
 
-def case_config(name: str) -> dict:
+def case_config(name: str, extra: dict | None = None) -> dict:
     case = CASES[name]
-    overrides = dict(case["overrides"], **{"run.seed": SEED})
+    overrides = dict(case["overrides"], **{"run.seed": SEED}, **(extra or {}))
     return config.load(os.path.join(ROOT, case["config"]), overrides)
 
 
-def run_case(name: str, out_dir: str) -> dict:
-    """Run one case and collect its summary and CSV columns."""
+def run_case(name: str, out_dir: str, extra: dict | None = None) -> dict:
+    """Run one case, with optional extra overrides, and collect its outputs."""
     case = CASES[name]
-    case["run"](case_config(name), out_dir)
+    case["run"](case_config(name, extra), out_dir)
     with open(os.path.join(out_dir, "summary.json"), encoding="ascii") as fh:
         summary = json.load(fh)
     return {"summary": summary,
@@ -109,14 +109,19 @@ def test_matches_golden(name, tmp_path):
 def _expected_draws(name: str, cfg: dict, summary: dict) -> int:
     """One draw per member and step of the finest lattice the run uses."""
     if name == "simulate":
+        if cfg["ensemble.shared_paths"]:  # one path for every member
+            return summary["n_steps"]
         return cfg["ensemble.members"] * summary["n_steps"]
     if name == "weak-strong":
         return cfg["ws.members"] * cfg["ws.refine"] * cfg["ws.n_steps"]
     return cfg["sweep.members"] * max(summary["n_steps"])
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_each_increment_drawn_once(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, extra", [
+    *(pytest.param(name, {}, id=name) for name in sorted(CASES)),
+    pytest.param("simulate", {"ensemble.shared_paths": True}, id="simulate-shared-paths"),
+])
+def test_each_increment_drawn_once(name, extra, tmp_path, monkeypatch):
     keys = []
     draw = noise._philox_normals
 
@@ -125,8 +130,8 @@ def test_each_increment_drawn_once(name, tmp_path, monkeypatch):
         return draw(seed, member, step, count)
 
     monkeypatch.setattr(noise, "_philox_normals", counted)
-    cfg = case_config(name)
-    summary = run_case(name, str(tmp_path))["summary"]
+    cfg = case_config(name, extra)
+    summary = run_case(name, str(tmp_path), extra)["summary"]
     assert len(keys) == _expected_draws(name, cfg, summary)
     assert len(set(keys)) == len(keys)
 

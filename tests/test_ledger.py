@@ -5,7 +5,7 @@ from torusgas.constitutive import PressureLaw, Viscosity, potential_delta
 from torusgas.dynamics import (ModelConfig, State, StepperConfig, energy_total,
                                step_em)
 from torusgas.ensemble import EmpiricalYoungMeasure, build_ym
-from torusgas.grid import Grid
+from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
 from torusgas.ledger import (EnergyLedger, LedgerAccumulator, SmoothItoProcess,
                              cross_variation_audit, poincare_ratio,
                              total_energy)
@@ -29,6 +29,33 @@ def run_member_ledger(grid, model, state0, dt, n_steps, seed=0, member=0,
             acc.step_increments(state, table[step], dt)
             state = step_em(grid, model, stepper, state, dt, table[step])
     return ledger
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 16)])
+def test_batched_accumulator_matches_member_loop(sizes):
+    grid = Grid(sizes)
+    rng = np.random.default_rng(8)
+    members, dt, n_steps = 3, 1e-3, 4
+    model = ModelConfig(law=LAW, visc=Viscosity(1e-2, 5e-3),
+                        noise=NoiseModel(K=(0.1, 0.0), L=(0.05, 0.1)))
+    batch = State(np.stack([1.0 + 0.1 * random_smooth_scalar(grid, rng)
+                            for _ in range(members)]),
+                  np.stack([0.1 * random_smooth_vector(grid, rng)
+                            for _ in range(members)]))
+    table = np.stack([WienerPath(2, m, model.modes, dt).table(n_steps)
+                      for m in range(members)])
+    acc = LedgerAccumulator(grid, LAW, model.visc, model.noise, members=members)
+    singles = [LedgerAccumulator(grid, LAW, model.visc, model.noise)
+               for _ in range(members)]
+    for step in range(n_steps):
+        acc.step_increments(batch, table[:, step], dt)
+        for m, one in enumerate(singles):
+            one.step_increments(batch.member(m), table[m, step], dt)
+        batch = step_em(grid, model, StepperConfig(), batch, dt, table[:, step])
+    for m, one in enumerate(singles):
+        assert (acc.diss_cum[m], acc.ito_cum[m], acc.mart[m]) == (
+            one.diss_cum, one.ito_cum, one.mart)
+    assert np.all(acc.diss_cum > 0) and np.all(acc.mart != 0)
 
 
 class TestTotalEnergy:
