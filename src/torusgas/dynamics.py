@@ -150,24 +150,41 @@ def _check_finite(grid: Grid, message: str, state: "State", rho, mom):
 def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
     """Drift of the semi-discrete system, ``(d rho, d mom)``.
 
-    Nonlinear products are formed pointwise and truncated with the 2/3 rule
-    before differentiation.  Non-finite intermediates abort with the state
-    attached for diagnostics.
+    Nonlinear products are formed pointwise; both tendencies are then built
+    in Fourier space from one transform each of ``m``, the distinct flux
+    entries ``m_i u_j`` (``i <= j``, the flux being symmetric), ``p`` and
+    ``u``, with ``i k``, ``-nu k^2``, ``eta i k (i k .)`` and the 2/3 mask
+    as diagonal multipliers, and one inverse transform per tendency.  That
+    is 4 forward and 2 inverse FFT calls in any dimension, 3 + 1 without
+    viscosity.  Non-finite intermediates abort with the state attached for
+    diagnostics.
     """
     rho, mom = state.rho, state.mom
-    c = -grid.dim - 1  # the component axis
-    drho = -grid.divergence(mom)
+    dim, comp, ik = grid.dim, grid.comp, grid.ik
+    c = -dim - 1  # the component axis
+    mh = grid.fwd(mom)
+    drho = grid.bwd(-sum(ik[j] * mh[comp(j)] for j in range(dim)))
 
     u = mom / np.expand_dims(rho, c)
-    flux = np.expand_dims(mom, c) * np.expand_dims(u, c - 1)  # flux[i, j] = m_i u_j
-    dmom = -grid.div_tensor(flux, dealias=True)
-
-    p = pressure_delta(model.law_eff, rho)
-    dmom -= grid.gradient(grid.dealias(p))
-
+    rows, cols = np.triu_indices(dim)
+    flux_h = grid.fwd(np.take(mom, rows, axis=c) * np.take(u, cols, axis=c))
+    entry = {}
+    for n, (i, j) in enumerate(zip(rows, cols)):
+        entry[i, j] = entry[j, i] = n
+    p_h = grid.fwd(pressure_delta(model.law_eff, rho))
     if model.visc is not None:
-        u_da = grid.dealias(u)
-        dmom += grid.viscous_operator(u_da, model.visc.nu, model.visc.eta(grid.dim))
+        u_h = grid.fwd(u)
+        div_u_h = sum(ik[j] * u_h[comp(j)] for j in range(dim))
+        nu_k2 = -model.visc.nu * grid.k2
+        eta = model.visc.eta(dim)
+
+    dmom_h = np.empty_like(mh)
+    for i in range(dim):
+        acc = -ik[i] * p_h - sum(ik[j] * flux_h[comp(entry[i, j])] for j in range(dim))
+        if model.visc is not None:
+            acc += nu_k2 * u_h[comp(i)] + eta * ik[i] * div_u_h
+        dmom_h[comp(i)] = np.where(grid.dealias_mask, acc, 0.0)
+    dmom = grid.bwd(dmom_h)
 
     _check_finite(grid, "non-finite drift encountered", state, drho, dmom)
     return drho, dmom

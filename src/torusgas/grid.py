@@ -116,6 +116,23 @@ class Grid:
         return {"k": axes_k, "k2": k2, "inv_k2": inv_k2, "ik": ik,
                 "inv_k2p": inv_k2p, "dealias": mask}
 
+    # -- spectral symbols, broadcastable to a field's spectrum -------------
+
+    @property
+    def ik(self) -> list[np.ndarray]:
+        """Per-axis first-derivative symbols ``i k`` (unpaired Nyquist zeroed)."""
+        return self._spec["ik"]
+
+    @property
+    def k2(self) -> np.ndarray:
+        """``|k|^2``, the symbol of ``-lap``."""
+        return self._spec["k2"]
+
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        """The 2/3-rule mask."""
+        return self._spec["dealias"]
+
     # -- coordinates -------------------------------------------------------
 
     def coordinates(self) -> list[np.ndarray]:
@@ -303,8 +320,7 @@ def random_smooth_scalar(grid: Grid, rng: np.random.Generator, kmax: int = 4,
     """Random band-limited scalar field with modes up to ``kmax``."""
     white = rng.standard_normal(grid.sizes)
     fh = grid.fwd(white)
-    k2 = grid._spec["k2"]
-    fh *= np.exp(-k2 / max(kmax, 1) ** 2)
+    fh *= np.exp(-grid.k2 / max(kmax, 1) ** 2)
     f = grid.bwd(fh)
     peak = np.max(np.abs(f))
     return f * (amplitude / peak if peak > 0 else 1.0)

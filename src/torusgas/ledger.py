@@ -99,6 +99,13 @@ def poincare_ratio(ym: EmpiricalYoungMeasure, law: PressureLaw) -> float:
     return osc / D
 
 
+def dissipation_rate(grid: Grid, visc: Viscosity, u: np.ndarray):
+    """``int S(grad u) : grad u dx`` of a velocity field or of a batch of them."""
+    c = -grid.dim - 1  # the component axis; stress_contract reads the tensor axes first
+    grad_u = np.moveaxis(grid.gradient_vector(u), (c - 1, c), (0, 1))
+    return grid.integrate(stress_contract(visc, grad_u))
+
+
 @dataclass
 class LedgerAccumulator:
     """Ledger integration of one member or a batch, driven step by step.
@@ -129,12 +136,9 @@ class LedgerAccumulator:
         quadrature of the run itself.
         """
         grid = self.grid
-        c = -grid.dim - 1  # the component axis
         u = state.velocity(grid, self.rho_floor)
         if self.visc is not None:
-            # stress_contract reads the tensor axes first
-            grad_u = np.moveaxis(grid.gradient_vector(u), (c - 1, c), (0, 1))
-            self.diss_cum += dt * grid.integrate(stress_contract(self.visc, grad_u))
+            self.diss_cum += dt * dissipation_rate(grid, self.visc, u)
         if self.noise is not None and self.noise.modes:
             self.ito_cum += dt * 0.5 * grid.integrate(
                 self.noise.ito_correction_density(grid, state.rho, state.mom,
@@ -142,7 +146,8 @@ class LedgerAccumulator:
             if dW is not None:
                 for mode in range(self.noise.modes):
                     gk = self.noise.apply_mode(mode, grid, state.rho, state.mom)
-                    self.mart += grid.integrate(np.sum(u * gk, axis=c)) * dW[..., mode]
+                    self.mart += (grid.integrate(np.sum(u * gk, axis=-grid.dim - 1))
+                                  * dW[..., mode])
 
 
 def pooled_ledger(member_ledgers: list[EnergyLedger], grid: Grid,
@@ -158,6 +163,11 @@ def pooled_ledger(member_ledgers: list[EnergyLedger], grid: Grid,
     n = len(times)
     ito = np.mean([l.ito_cum for l in member_ledgers], axis=0)
     mart = np.mean([l.martingale for l in member_ledgers], axis=0)
+    rates = np.zeros(n)
+    if visc is not None:  # all sample times as one batch
+        bary = [snapshots[i].barycenter() for i in range(n)]
+        u_bar = np.stack([b_mom / np.maximum(b_rho, 1e-300) for b_rho, b_mom in bary])
+        rates = dissipation_rate(grid, visc, u_bar)
     diss = 0.0
     prev_t = None
     prev_rate = None
@@ -165,11 +175,7 @@ def pooled_ledger(member_ledgers: list[EnergyLedger], grid: Grid,
         ym = snapshots[i]
         defect_field, D = dissipation_defect(ym, law)
         E = total_energy(grid, ym, D, law)
-        rate = 0.0
-        if visc is not None:
-            b_rho, b_mom = ym.barycenter()
-            u_bar = b_mom / np.maximum(b_rho, 1e-300)
-            rate = grid.integrate(stress_contract(visc, grid.gradient_vector(u_bar)))
+        rate = rates[i]
         if prev_t is not None:
             diss += 0.5 * (rate + prev_rate) * (times[i] - prev_t)
         out.append(times[i], E, D, diss, ito[i], mart[i])

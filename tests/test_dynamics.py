@@ -281,3 +281,37 @@ class TestBatch:
             step_em(grid1d, BATCH_MODEL, StepperConfig(), batch, 1e-3, rhs_fn=blow_up)
         assert err.value.state.rho.shape == grid1d.sizes
         assert np.isinf(err.value.state.rho[7])
+
+
+class TestFusedDrift:
+    @pytest.mark.parametrize("sizes", [(32,), (16, 16)])
+    def test_matches_composed_operators(self, sizes):
+        # oracle: the drift assembled from the grid's calculus operators
+        grid = Grid(sizes)
+        st = member_batch(grid)
+        visc = BATCH_MODEL.visc
+        c = -grid.dim - 1
+        u = st.mom / np.expand_dims(st.rho, c)
+        flux = np.expand_dims(st.mom, c) * np.expand_dims(u, c - 1)
+        p = LAW.a * st.rho ** LAW.gamma
+        expected = (-grid.div_tensor(flux, dealias=True) - grid.gradient(grid.dealias(p))
+                    + grid.viscous_operator(grid.dealias(u), visc.nu, visc.eta(grid.dim)))
+        drho, dmom = rhs_deterministic(grid, BATCH_MODEL, st)
+        np.testing.assert_allclose(drho, -grid.divergence(st.mom), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dmom, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("sizes, most", [((32,), 6), ((16, 16), 12)])
+    def test_transform_count(self, sizes, most, monkeypatch):
+        grid = Grid(sizes)
+        batch = member_batch(grid)
+        calls = []
+        for name in ("fwd", "bwd"):
+            def counted(self, f, _orig=getattr(Grid, name)):
+                calls.append(f.shape)
+                return _orig(self, f)
+            monkeypatch.setattr(Grid, name, counted)
+        rhs_deterministic(grid, BATCH_MODEL, batch)
+        if grid.dim == 1:
+            assert len(calls) == most
+        assert len(calls) <= most
