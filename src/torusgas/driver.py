@@ -151,15 +151,17 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
                           for m in range(members)])
 
     def job(chunk):
+        lo, hi = chunk
         try:
             return _march_members(grid, model, stepper, state0, dt, n_steps, stride,
-                                  table[chunk[0]:chunk[-1] + 1])
-        except SimulationError as exc:
-            if exc.member is None or chunk[0] == 0:
+                                  table[lo:hi])
+        except SimulationError as exc:  # name the member by its ensemble index
+            if exc.member is None or lo == 0:
                 raise
-            raise SimulationError(exc.detail, exc.state, chunk[0] + exc.member) from exc
+            raise SimulationError(exc.detail, exc.state, lo + exc.member) from exc
 
-    chunks = [c for c in np.array_split(np.arange(members), max(threads, 1)) if c.size]
+    chunks = [(int(c[0]), int(c[-1]) + 1)
+              for c in np.array_split(np.arange(members), max(threads, 1)) if c.size]
     try:
         if len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=len(chunks)) as pool:

@@ -62,9 +62,6 @@ class State:
     def validate(self, grid: Grid, rho_floor: float = 0.0) -> "State":
         self.rho = grid.check_scalar(self.rho)
         self.mom = grid.check_vector(self.mom)
-        if self.mom.shape[:-grid.dim - 1] != self.rho.shape[:-grid.dim]:
-            raise SimulationError(f"density {self.rho.shape} and momentum "
-                                  f"{self.mom.shape} differ in their members", self)
         if np.min(self.rho) < rho_floor:
             raise SimulationError(
                 f"density below floor {rho_floor}: min={np.min(self.rho)}", self
@@ -84,7 +81,7 @@ class State:
         return State(self.rho[m], self.mom[m], self.t)
 
     def velocity(self, grid: Grid, rho_floor: float = 1e-8) -> np.ndarray:
-        return self.mom / np.expand_dims(np.maximum(self.rho, rho_floor), -grid.dim - 1)
+        return self.mom / np.maximum(self.rho, rho_floor)[grid.comp(None)]
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,7 @@ class StepStats:
 
 def _check_finite(grid: Grid, message: str, state: "State", rho, mom):
     """Raise naming the first member (of a batch) with a non-finite entry."""
-    if np.all(np.isfinite(rho)) and np.all(np.isfinite(mom)):
+    if np.isfinite(rho).all() and np.isfinite(mom).all():
         return
     if np.ndim(rho) == grid.dim:
         raise SimulationError(message, state)
@@ -161,15 +158,15 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
     """
     rho, mom = state.rho, state.mom
     dim, comp, ik = grid.dim, grid.comp, grid.ik
-    c = -dim - 1  # the component axis
     mh = grid.fwd(mom)
     drho = grid.bwd(-sum(ik[j] * mh[comp(j)] for j in range(dim)))
 
-    u = mom / np.expand_dims(rho, c)
-    rows, cols = np.triu_indices(dim)
-    flux_h = grid.fwd(np.take(mom, rows, axis=c) * np.take(u, cols, axis=c))
+    u = mom / rho[comp(None)]
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    rows, cols = (list(ax) for ax in zip(*pairs))
+    flux_h = grid.fwd(mom[comp(rows)] * u[comp(cols)])
     entry = {}
-    for n, (i, j) in enumerate(zip(rows, cols)):
+    for n, (i, j) in enumerate(pairs):
         entry[i, j] = entry[j, i] = n
     p_h = grid.fwd(pressure_delta(model.law_eff, rho))
     if model.visc is not None:

@@ -50,7 +50,9 @@ class Grid:
             if n < 8 or not _is_power_of_two(n):
                 raise FieldError(f"grid sizes must be powers of two >= 8, got {sizes}")
         self.sizes = sizes
-        self.axes = tuple(range(-len(sizes), 0))  # the spatial (trailing) axes
+        self.dim = len(sizes)
+        self.axes = tuple(range(-self.dim, 0))  # the spatial (trailing) axes
+        self._space = (slice(None),) * self.dim
         self._spec = self._build_spectral()
 
     def __repr__(self) -> str:
@@ -61,10 +63,6 @@ class Grid:
 
     def __hash__(self) -> int:
         return hash(self.sizes)
-
-    @property
-    def dim(self) -> int:
-        return len(self.sizes)
 
     @property
     def cell_volume(self) -> float:
@@ -144,14 +142,11 @@ class Grid:
         """Index of component ``idx`` of a field with any leading axes.
 
         ``v[grid.comp(i)]`` is component ``i`` of a vector and
-        ``F[grid.comp(i, j)]`` entry ``(i, j)`` of a tensor, batched or not.
+        ``F[grid.comp(i, j)]`` entry ``(i, j)`` of a tensor, batched or not;
+        ``f[grid.comp(None)]`` views a scalar field as a one-component
+        vector, to scale a vector field cell by cell.
         """
-        return (Ellipsis, *idx) + (slice(None),) * self.dim
-
-    def per_cell(self, a) -> np.ndarray:
-        """Per-member values ``a`` (shape of the leading axes) as a scalar field."""
-        a = np.asarray(a)
-        return a.reshape(a.shape + (1,) * self.dim)
+        return (Ellipsis, *idx) + self._space
 
     # -- validation --------------------------------------------------------
 
@@ -175,9 +170,13 @@ class Grid:
 
     def fwd(self, f: np.ndarray) -> np.ndarray:
         """Real FFT over the trailing ``dim`` axes."""
+        if self.dim == 1:  # what rfftn calls, without its argument handling
+            return np.fft.rfft(f, axis=-1)
         return np.fft.rfftn(f, axes=self.axes)
 
     def bwd(self, fh: np.ndarray) -> np.ndarray:
+        if self.dim == 1:
+            return np.fft.irfft(fh, self.sizes[0], axis=-1)
         return np.fft.irfftn(fh, s=self.sizes, axes=self.axes)
 
     # -- calculus ----------------------------------------------------------

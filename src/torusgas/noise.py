@@ -85,19 +85,19 @@ class NoiseModel:
         """
         if self.modes == 0:
             return np.zeros_like(mom)
-        dW = np.asarray(dW)
+        per_cell = dW.shape[:-1] + (1,) * grid.dim  # a member's value in every cell
         if self.kind == "affine":
             # sum_k L_k dW_k in mode order, the same per member as alone
             ldw = sum(l * dW[..., k] for k, l in enumerate(self.L))
-            out = np.expand_dims(grid.per_cell(ldw), -grid.dim - 1) * mom
+            out = np.reshape(ldw, per_cell)[grid.comp(None)] * mom
             for mode in range(self.modes):
                 if self.K[mode] != 0.0:
                     out[grid.comp(mode % grid.dim)] += (
-                        grid.per_cell(self.K[mode] * dW[..., mode]) * rho)
+                        np.reshape(self.K[mode] * dW[..., mode], per_cell) * rho)
             return out
         out = np.zeros_like(mom)
         for mode in range(self.modes):
-            kick = np.expand_dims(grid.per_cell(dW[..., mode]), -grid.dim - 1)
+            kick = np.reshape(dW[..., mode], per_cell)[grid.comp(None)]
             out += kick * self.apply_mode(mode, grid, rho, mom)
         return out
 
@@ -118,7 +118,7 @@ class NoiseModel:
             bad = int(np.count_nonzero(vac & (np.sum(np.abs(mom), axis=c) > 0)))
             if bad:
                 log.warning("ito correction: %d vacuum cells with nonzero momentum", bad)
-        u = mom / np.expand_dims(np.maximum(rho, rho_floor), c)
+        u = mom / np.maximum(rho, rho_floor)[grid.comp(None)]
         if self.kind == "affine":
             out = np.zeros_like(rho)
             u2 = np.sum(u * u, axis=c)

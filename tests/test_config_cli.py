@@ -204,6 +204,25 @@ class TestSimulateCommand:
         np.testing.assert_array_equal(values[0], state0.rho)
         np.testing.assert_array_equal(values[1:], state0.mom)
 
+    def test_failure_in_later_chunk_names_ensemble_member(self, tmp_path, monkeypatch):
+        # --threads 2 splits 3 members into chunks [0, 2) and [2, 3); a failure
+        # of the second chunk's first member is member 2 of the ensemble
+        from torusgas import driver
+        from torusgas.dynamics import SimulationError
+
+        march = driver._march_members
+
+        def second_chunk_fails(*args):
+            if len(args[-1]) == 1:
+                raise SimulationError("boom", args[3], 0)
+            return march(*args)
+
+        monkeypatch.setattr(driver, "_march_members", second_chunk_fails)
+        cfg = config_mod.load(write_cfg(tmp_path, MINIMAL_1D))
+        with pytest.raises(SimulationError, match="member 2: boom") as err:
+            driver.run_simulate(cfg, str(tmp_path / "fail"), threads=2)
+        assert err.value.member == 2
+
     def test_summary_reports_floor_and_noise_metadata(self, tmp_path):
         import json
 
