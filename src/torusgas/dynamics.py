@@ -163,8 +163,7 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
 
     u = mom / rho[comp(None)]
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    rows, cols = (list(ax) for ax in zip(*pairs))
-    flux_h = grid.fwd(mom[comp(rows)] * u[comp(cols)])
+    flux_h = grid.fwd(mom[comp([i for i, _ in pairs])] * u[comp([j for _, j in pairs])])
     entry = {}
     for n, (i, j) in enumerate(pairs):
         entry[i, j] = entry[j, i] = n
