@@ -10,6 +10,14 @@ multiples of solenoidal fields are already divergence-free, which is
 asserted at startup.  The noise kick is the compressible momentum kick at
 unit density, driven by the increment row the caller passes in, so the
 reference and the compressible run share one Brownian path.
+
+An :class:`EulerState` holds one velocity ``(N, *sizes)`` or a member batch
+``(M, N, *sizes)``, as the compressible :class:`~torusgas.dynamics.State`
+does.  The step, the CFL bound and the gradient norm accept either; a batch
+takes ``(M, K)`` increments, one row per member, and each member's row is
+bit-identical to stepping that member alone.  A batch gets one CFL bound,
+set by its fastest member, and one gradient norm per member, which is what
+the per-member stopping times of the limit sweep test.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
+from .grid import grad_inf_norm as grad_inf  # the reference stopping-time norm
 from .noise import NoiseModel
 
 
@@ -31,7 +40,7 @@ DIV_TOL = 1e-8
 
 @dataclass
 class EulerState:
-    v: np.ndarray                  # (N, *sizes), div v = 0
+    v: np.ndarray                  # (N, *sizes) or (M, N, *sizes), div v = 0
     t: float = 0.0
 
     def copy(self) -> "EulerState":
@@ -47,7 +56,9 @@ def check_affine_noise(noise: NoiseModel | None):
 def advection(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Dealiased convective term ``(v . grad) v``."""
     grad_v = grid.gradient_vector(v)
-    out = np.einsum("j...,ij...->i...", v, grad_v)
+    comp = grid.comp
+    out = sum(v[comp(j)][comp(None)] * grad_v[comp(slice(None), j)]
+              for j in range(grid.dim))
     return grid.dealias(out)
 
 
@@ -63,7 +74,8 @@ def make_state(grid: Grid, v: np.ndarray, t: float = 0.0) -> EulerState:
 
 
 def euler_cfl_dt(grid: Grid, state: EulerState, cfl: float = 0.4) -> float:
-    vmax = float(np.max(np.sqrt(np.sum(state.v**2, axis=0))))
+    """Advective step bound; a batch gets one bound, set by its fastest member."""
+    vmax = float(np.max(np.sqrt(np.sum(state.v**2, axis=-grid.dim - 1))))
     if vmax == 0.0:
         return np.inf
     return cfl * min(grid.spacings) / vmax
@@ -74,21 +86,19 @@ def step_em_euler(grid: Grid, noise: NoiseModel | None, state: EulerState,
     """One Euler-Maruyama step; the velocity is re-projected and audited.
 
     The noise kick is the compressible one at unit density, driven by this
-    step's Wiener increments ``dW``; without ``dW`` the step is deterministic.
+    step's Wiener increments ``dW`` (``(M, K)`` for a batch); without ``dW``
+    the step is deterministic.
     """
     drift = -grid.helmholtz_project(advection(grid, state.v))
     v_new = state.v + dt * drift
     if noise is not None and noise.modes and dW is not None:
-        v_new = v_new + noise.momentum_kick(grid, np.ones_like(state.v[0]), state.v, dW)
+        ones = np.ones_like(state.v[grid.comp(0)])
+        v_new = v_new + noise.momentum_kick(grid, ones, state.v, dW)
     v_new = grid.helmholtz_project(v_new)
     div_norm = float(np.max(np.abs(grid.divergence(v_new))))
     if div_norm > DIV_TOL:
         raise EulerError(f"divergence grew to {div_norm:.3e} at t={state.t + dt:.4f}")
     return EulerState(v_new, state.t + dt)
-
-
-def grad_inf(grid: Grid, v: np.ndarray) -> float:
-    return float(np.max(np.abs(grid.gradient_vector(v))))
 
 
 def kinetic_energy(grid: Grid, v: np.ndarray) -> float:

@@ -338,6 +338,12 @@ def random_solenoidal(grid: Grid, rng: np.random.Generator, kmax: int = 4,
     return grid.helmholtz_project(random_smooth_vector(grid, rng, kmax, amplitude))
 
 
-def grad_inf_norm(grid: Grid, v: np.ndarray) -> float:
-    """Max absolute entry of the velocity-gradient tensor."""
-    return float(np.max(np.abs(grid.gradient_vector(v))))
+def grad_inf_norm(grid: Grid, v: np.ndarray):
+    """Max absolute entry of the velocity-gradient tensor.
+
+    A float for a single field; for a batch, one value per member.
+    """
+    g = np.abs(grid.gradient_vector(v))
+    if v.ndim == grid.dim + 1:
+        return float(np.max(g))
+    return np.max(np.reshape(g, (len(g), -1)), axis=1)

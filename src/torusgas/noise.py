@@ -24,6 +24,7 @@ pathwise are driven by one Wiener process.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +139,28 @@ class NoiseModel:
 # --------------------------------------------------------------------------
 
 
+# one generator per thread, re-keyed per draw: building a Generator costs
+# about three times what setting its bit generator's state does, and per
+# thread no caller can re-key a generator between another's keying and draw
+_local = threading.local()
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
+
 def _philox_normals(seed: int, member: int, step: int, count: int) -> np.ndarray:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, member & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = Generator(Philox())
     # step sits in the high counter word; draws advance the low words, so
-    # streams for distinct steps can never overlap
-    counter = np.array([0, 0, 0, step & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=counter)).standard_normal(count)
+    # streams for distinct steps can never overlap.  buffer_pos = 4 marks
+    # the output buffer empty, as in a freshly keyed Philox.
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, 0, step & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+                  "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, member & 0xFFFFFFFFFFFFFFFF],
+                                  dtype=np.uint64)},
+        "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen.standard_normal(count)
 
 
 @dataclass(frozen=True)
@@ -178,15 +194,17 @@ def coarsen(table: np.ndarray, n_steps: int) -> np.ndarray:
     """Sum consecutive rows of an increment table down to ``n_steps`` rows.
 
     Row ``i`` is ``table[i * agg] + ... + table[(i + 1) * agg - 1]`` with
-    ``agg = len(table) // n_steps``, summed in step order from zero, so a
-    coarse step is driven by exactly the fine Brownian path it spans.
+    ``agg`` the table rows per coarse row, summed in step order from zero, so
+    a coarse step is driven by exactly the fine Brownian path it spans.  A
+    member-stacked ``(M, n, K)`` table is coarsened along its step axis.
     """
-    if n_steps < 1 or len(table) % n_steps != 0:
-        raise NoiseError(f"n_steps {n_steps} must divide the {len(table)} table rows")
-    agg = len(table) // n_steps
-    out = np.zeros((n_steps, *table.shape[1:]))
+    rows = table.shape[-2]
+    if n_steps < 1 or rows % n_steps != 0:
+        raise NoiseError(f"n_steps {n_steps} must divide the {rows} table rows")
+    agg = rows // n_steps
+    out = np.zeros((*table.shape[:-2], n_steps, table.shape[-1]))
     for j in range(agg):
-        out += table[j::agg]
+        out += table[..., j::agg, :]
     return out
 
 

@@ -31,7 +31,7 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            potential_delta_second, potential_delta_third,
                            pressure_delta, pressure_delta_second, relative_h,
                            stress)
-from .dynamics import ModelConfig, State, StepperConfig, step_em
+from .dynamics import ModelConfig, SimulationError, State, StepperConfig, step_em
 from .ensemble import EmpiricalYoungMeasure, build_ym, mean_energy_density
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
 from .noise import WienerPath, coarsen
@@ -341,10 +341,20 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
 
     Each member runs the coarse discretization and its own fine reference
     (refined grid and time step) on one Wiener path, drawn once at the fine
-    step and coarsened for the coarse run; the relative
-    energy of the coarse state against the restricted reference is sampled
-    on the coarse cadence and frozen once the reference velocity gradient
-    exceeds the configured threshold.
+    step and coarsened for the coarse run; the relative energy of the coarse
+    state against the restricted reference is sampled on the coarse cadence
+    and frozen once the reference velocity gradient exceeds the configured
+    threshold.
+
+    The members march together: one coarse batch ``(M, *sizes)`` and one
+    fine batch ``(M, *refine * sizes)``, driven by the members' fine tables
+    stacked into ``(M, n_f, K)`` and coarsened along the step axis.  Freezing
+    is per member: a member whose reference gradient crosses the threshold at
+    a sample leaves both batches and is never stepped again, and its later
+    samples repeat its last value.  The relative energy and the remainder are
+    evaluated member by member, so every member's values are those of
+    marching it alone.  A failing step names the member by its ensemble
+    index.
     """
     grid_c = Grid(cfg.grid_sizes)
     grid_f = Grid(tuple(cfg.refine * n for n in cfg.grid_sizes))
@@ -368,53 +378,60 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     tau = np.full(cfg.members, cfg.horizon)
     rem_acc = np.zeros((n_samples, len(REMAINDER_TERMS))) if cfg.with_remainder else None
 
-    for member in range(cfg.members):
-        fine_table = WienerPath(cfg.seed, member, model.modes, dt_f).table(n_f)
-        coarse_table = coarsen(fine_table, cfg.n_steps)
+    fine_table = np.stack([WienerPath(cfg.seed, m, model.modes, dt_f).table(n_f)
+                           for m in range(cfg.members)])
+    coarse_table = coarsen(fine_table, cfg.n_steps)
+    if cfg.eta > 0:
+        data = [_perturb(grid_c, law, rho_c0, mom_c0, cfg.eta,
+                         np.random.default_rng((cfg.seed, m, 0x7A)))
+                for m in range(cfg.members)]
+        coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
+    else:
+        coarse = State(rho_c0, mom_c0).batch(cfg.members)
+    fine = State(rho_f0, mom_f0).batch(cfg.members)
+    live = np.arange(cfg.members)  # ensemble index of each marched row
 
-        rng = np.random.default_rng((cfg.seed, member, 0x7A))
-        if cfg.eta > 0:
-            rho_c, mom_c = _perturb(grid_c, law, rho_c0, mom_c0, cfg.eta, rng)
-        else:
-            rho_c, mom_c = rho_c0.copy(), mom_c0.copy()
-        coarse = State(rho_c, mom_c)
-        fine = State(rho_f0.copy(), mom_f0.copy())
-
-        frozen = False
-        sample_pos = 0
-        for i_step in range(cfg.n_steps + 1):
-            if i_step == sample_idx[sample_pos]:
-                r_fine = fine.rho
-                u_fine = fine.mom / fine.rho
-                if not frozen and grad_inf_norm(grid_f, u_fine) > model.grad_threshold:
-                    frozen = True
-                    tau[member] = i_step * dt_c
-                if frozen and sample_pos > 0:
-                    emv[member, sample_pos] = emv[member, sample_pos - 1]
-                else:
-                    r_c = grid_f.restrict(r_fine, grid_c)
-                    U_c = grid_f.restrict(u_fine, grid_c)
-                    if np.min(r_c) <= 0:
+    sample_pos = 0
+    for i_step in range(cfg.n_steps + 1):
+        if i_step == sample_idx[sample_pos]:
+            if sample_pos > 0:  # frozen members repeat their last value
+                emv[:, sample_pos] = emv[:, sample_pos - 1]
+            if live.size:
+                u_fine = fine.mom / fine.rho[grid_f.comp(None)]
+                freeze = grad_inf_norm(grid_f, u_fine) > model.grad_threshold
+                r_c = grid_f.restrict(fine.rho, grid_c)
+                U_c = grid_f.restrict(u_fine, grid_c)
+                for row in np.flatnonzero(~freeze | (sample_pos == 0)):
+                    if np.min(r_c[row]) <= 0:
                         raise RelativeEnergyError(
                             "restricted reference density lost positivity")
-                    emv[member, sample_pos] = relative_energy_state(
-                        grid_c, law, coarse, r_c, U_c)
+                    emv[live[row], sample_pos] = relative_energy_state(
+                        grid_c, law, coarse.member(row), r_c[row], U_c[row])
                     if cfg.with_remainder:
                         ref = ReferencePair(grid_c, model, times[sample_pos:sample_pos + 1],
-                                            r_c[None], U_c[None])
-                        dec = ref.decomps(0)
-                        ym = build_ym(grid_c, [coarse])
-                        terms = remainder(grid_c, model, ym, r_c, U_c, dec)
+                                            r_c[row:row + 1], U_c[row:row + 1])
+                        ym = build_ym(grid_c, [coarse.member(row)])
+                        terms = remainder(grid_c, model, ym, r_c[row], U_c[row],
+                                          ref.decomps(0))
                         rem_acc[sample_pos] += [terms[k] for k in REMAINDER_TERMS]
-                sample_pos += 1
-                if sample_pos == n_samples:
-                    break
-            if i_step < cfg.n_steps and not frozen:
+                if freeze.any():
+                    tau[live[freeze]] = i_step * dt_c
+                    keep = ~freeze
+                    coarse = State(coarse.rho[keep], coarse.mom[keep], coarse.t)
+                    fine = State(fine.rho[keep], fine.mom[keep], fine.t)
+                    live = live[keep]
+            sample_pos += 1
+            if sample_pos == n_samples:
+                break
+        if i_step < cfg.n_steps and live.size:
+            try:
                 coarse = step_em(grid_c, model, cfg.stepper, coarse, dt_c,
-                                 coarse_table[i_step])
+                                 coarse_table[live, i_step])
                 for j in range(cfg.refine):
                     fine = step_em(grid_f, model, cfg.stepper, fine, dt_f,
-                                   fine_table[cfg.refine * i_step + j])
+                                   fine_table[live, cfg.refine * i_step + j])
+            except SimulationError as exc:  # name the member by its ensemble index
+                raise SimulationError(exc.detail, exc.state, int(live[exc.member])) from exc
 
     c_fit, amp = fit_exponential(times, emv.mean(axis=0))
     bias = max(amp - emv.mean(axis=0)[0], 0.0)

@@ -27,8 +27,8 @@ from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        cfl_dt, step_em)
 from .ensemble import EmpiricalYoungMeasure, dissipation_defect
-from .euler import (check_affine_noise, euler_cfl_dt, grad_inf, make_state,
-                    step_em_euler, taylor_green)
+from .euler import (EulerState, check_affine_noise, euler_cfl_dt, grad_inf,
+                    make_state, step_em_euler, taylor_green)
 from .grid import Grid
 from .noise import NoiseModel, WienerPath, coarsen
 from .relative import relative_energy_state
@@ -70,6 +70,8 @@ class RateReport:
     d_sup_se: np.ndarray            # (n_eps,)
     tau_min: np.ndarray             # (n_eps,) earliest member stopping time
     n_steps: np.ndarray             # (n_eps,)
+    emv: Optional[np.ndarray] = None  # (n_eps, members, n_samples), frozen past tau
+    tau: Optional[np.ndarray] = None  # (n_eps, members) member stopping times
 
     @property
     def final_emv(self) -> np.ndarray:
@@ -131,15 +133,26 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     """Execute the eps schedule and collect the rate data.
 
     Each member's Brownian path is drawn once, as an increment table at the
-    finest step, before the eps loop; every eps coarsens it to its own step
-    count (powers of two dividing the common base), and the compressible and
-    Euler steps of one eps share each row.  Sharing the path across eps
-    variance-reduces the cross-eps comparison.
+    finest step, before the eps loop; every eps coarsens the stacked
+    ``(M, n_base, K)`` tables to its own step count (powers of two dividing
+    the common base), and the compressible and Euler steps of one eps share
+    each row.  Sharing the path across eps variance-reduces the cross-eps
+    comparison.
+
+    For each eps the members march together, as one compressible batch
+    ``(M, *sizes)`` and one Euler batch ``(M, N, *sizes)``.  Freezing is per
+    member: a member whose reference gradient crosses the threshold at a
+    sample leaves both batches and is never stepped again, and its later
+    samples repeat its last relative energy and snapshot.  The relative
+    energy is evaluated member by member, so every member's values are those
+    of marching it alone.  A CFL blow-up names the member, eps and the
+    ``dt`` it needed.
     """
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
     check_affine_noise(noise)
     v0 = _initial_v0(grid, cfg.v0_kind)
+    eul0 = make_state(grid, v0)
     eps_list = list(cfg.eps_schedule)
 
     # per-eps step counts from the acoustic CFL, rounded up to powers of two
@@ -155,14 +168,14 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         rho0, mom0 = well_prepared_data(grid, eps, v0, delta_data)
         trial = State(rho0, mom0)
         dt_bound = min(cfl_dt(grid, model, trial, stepper),
-                       euler_cfl_dt(grid, make_state(grid, v0), cfg.cfl))
+                       euler_cfl_dt(grid, eul0, cfg.cfl))
         # generous margin: the bound tightens as acoustics steepen mid-run
         n = _round_up_pow2(max(cfg.n_samples, int(np.ceil(cfg.horizon / (0.6 * dt_bound)))))
         n_steps.append(n)
         models.append((model, rho0, mom0))
     n_base = max(n_steps)
-    base_tables = [WienerPath(cfg.seed, member, noise.modes, cfg.horizon / n_base)
-                   .table(n_base) for member in range(cfg.members)]
+    base_table = np.stack([WienerPath(cfg.seed, member, noise.modes, cfg.horizon / n_base)
+                           .table(n_base) for member in range(cfg.members)])
 
     sample_stride = [n // cfg.n_samples for n in n_steps]
     times = np.linspace(0.0, cfg.horizon, cfg.n_samples + 1)
@@ -171,7 +184,8 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     emv = np.zeros((n_eps, cfg.members, cfg.n_samples + 1))
     d_series = np.zeros((n_eps, cfg.n_samples + 1))
     d_groups = np.zeros((n_eps, cfg.se_groups, cfg.n_samples + 1))
-    tau_min = np.full(n_eps, cfg.horizon)
+    tau = np.full((n_eps, cfg.members), cfg.horizon)
+    ones = np.ones(grid.sizes)
 
     for i_eps, eps in enumerate(eps_list):
         model, rho0, mom0 = models[i_eps]
@@ -179,41 +193,43 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         n = n_steps[i_eps]
         dt = cfg.horizon / n
         stride = sample_stride[i_eps]
+        table = coarsen(base_table, n)
         rho_snap = np.zeros((cfg.members, cfg.n_samples + 1, *grid.sizes))
         mom_snap = np.zeros((cfg.members, cfg.n_samples + 1, grid.dim, *grid.sizes))
-        for member in range(cfg.members):
-            table = coarsen(base_tables[member], n)
-            comp = State(rho0.copy(), mom0.copy())
-            eul = make_state(grid, v0)
-            frozen = False
-            tau_member = cfg.horizon
-            ones = np.ones(grid.sizes)
-            for step in range(n + 1):
-                if step % stride == 0:
-                    i_s = step // stride
-                    if not frozen and grad_inf(grid, eul.v) > cfg.grad_threshold:
-                        frozen = True
-                        tau_member = step * dt
-                    if frozen and i_s > 0:
-                        emv[i_eps, member, i_s] = emv[i_eps, member, i_s - 1]
-                        rho_snap[member, i_s] = rho_snap[member, i_s - 1]
-                        mom_snap[member, i_s] = mom_snap[member, i_s - 1]
-                    else:
-                        emv[i_eps, member, i_s] = relative_energy_state(
-                            grid, law_eff, comp, ones, eul.v)
-                        rho_snap[member, i_s] = comp.rho
-                        mom_snap[member, i_s] = comp.mom
-                if step < n and not frozen:
-                    try:
-                        comp = step_em(grid, model, stepper, comp, dt, table[step])
-                    except SimulationError as exc:
-                        needed = cfl_dt(grid, model, comp, stepper)
-                        raise SweepError(
-                            f"CFL blow-up at eps={eps}: {exc}; "
-                            f"required dt <= {needed:.3e} (have {dt:.3e})"
-                        ) from exc
-                    eul = step_em_euler(grid, noise, eul, dt, table[step])
-            tau_min[i_eps] = min(tau_min[i_eps], tau_member)
+        comp = State(rho0, mom0).batch(cfg.members)
+        eul = EulerState(np.repeat(eul0.v[None], cfg.members, axis=0))
+        live = np.arange(cfg.members)  # ensemble index of each marched row
+        for step in range(n + 1):
+            if step % stride == 0:
+                i_s = step // stride
+                if i_s > 0:  # frozen members repeat their last sample
+                    emv[i_eps, :, i_s] = emv[i_eps, :, i_s - 1]
+                    rho_snap[:, i_s] = rho_snap[:, i_s - 1]
+                    mom_snap[:, i_s] = mom_snap[:, i_s - 1]
+                if live.size:
+                    freeze = grad_inf(grid, eul.v) > cfg.grad_threshold
+                    sampled = ~freeze | (i_s == 0)  # frozen rows keep the last sample
+                    for row in np.flatnonzero(sampled):
+                        emv[i_eps, live[row], i_s] = relative_energy_state(
+                            grid, law_eff, comp.member(row), ones, eul.v[row])
+                    rho_snap[live[sampled], i_s] = comp.rho[sampled]
+                    mom_snap[live[sampled], i_s] = comp.mom[sampled]
+                    if freeze.any():
+                        tau[i_eps, live[freeze]] = step * dt
+                        keep = ~freeze
+                        comp = State(comp.rho[keep], comp.mom[keep], comp.t)
+                        eul = EulerState(eul.v[keep], eul.t)
+                        live = live[keep]
+            if step < n and live.size:
+                try:
+                    comp = step_em(grid, model, stepper, comp, dt, table[live, step])
+                except SimulationError as exc:
+                    needed = cfl_dt(grid, model, comp.member(exc.member), stepper)
+                    raise SweepError(
+                        f"CFL blow-up at eps={eps}, member {live[exc.member]}: "
+                        f"{exc.detail}; required dt <= {needed:.3e} (have {dt:.3e})"
+                    ) from exc
+                eul = step_em_euler(grid, noise, eul, dt, table[live, step])
         # pooled dissipation defect across members per sample time
         for i_s in range(cfg.n_samples + 1):
             ym = EmpiricalYoungMeasure(grid, rho_snap[:, i_s], mom_snap[:, i_s])
@@ -238,8 +254,10 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         d_series=d_series,
         d_sup=d_sup,
         d_sup_se=d_sup_se,
-        tau_min=tau_min,
+        tau_min=tau.min(axis=1),
         n_steps=np.asarray(n_steps),
+        emv=emv,
+        tau=tau,
     )
 
 

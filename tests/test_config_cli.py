@@ -282,6 +282,27 @@ ws.samples = 4
         emv = [float(r.split(",")[1]) for r in rows]
         assert max(emv) < 1e-12
 
+    def test_cfl_failure_names_member(self, tmp_path):
+        # 4 steps over T = 2 is far beyond the CFL bound of the coarse grid
+        from torusgas import driver
+        from torusgas.dynamics import SimulationError
+
+        text = """
+grid.sizes = 32
+run.T = 2.0
+model.nu = 0.01
+noise.modes = 1
+noise.K = 0.1
+noise.L = 0.05
+ws.n_steps = 4
+ws.members = 3
+ws.samples = 4
+"""
+        cfg = config_mod.load(write_cfg(tmp_path, text))
+        with pytest.raises(SimulationError, match=r"member \d: CFL violation") as err:
+            driver.run_weak_strong(cfg, str(tmp_path / "fail"))
+        assert err.value.member in range(3)
+
 
 class TestLimitSweepCommand:
     def test_three_point_sweep(self, tmp_path):

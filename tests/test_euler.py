@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusgas.euler import (EulerError, advection, check_affine_noise,
+from torusgas.euler import (EulerError, EulerState, advection, check_affine_noise,
                             euler_cfl_dt, grad_inf, kinetic_energy, make_state,
                             pressure_from_projection, step_em_euler,
                             taylor_green)
@@ -66,15 +66,14 @@ class TestStepping:
         grid = Grid((8, 8))
         noise = NoiseModel(K=(0.3,), L=(0.0,))
         n_paths, n_steps, dt = 2000, 10, 0.02
-        finals = np.empty(n_paths)
-        for member in range(n_paths):
-            table = WienerPath(5, member, 1, dt).table(n_steps)
-            state = make_state(grid, np.zeros((2, 8, 8)))
-            for step in range(n_steps):
-                state = step_em_euler(grid, noise, state, dt, table[step])
-            # field is spatially constant; take one sample point
-            assert np.max(np.abs(state.v[0] - state.v[0, 0, 0])) < 1e-12
-            finals[member] = state.v[0, 0, 0]
+        table = np.stack([WienerPath(5, member, 1, dt).table(n_steps)
+                          for member in range(n_paths)])
+        state = make_state(grid, np.zeros((n_paths, 2, 8, 8)))  # one batch
+        for step in range(n_steps):
+            state = step_em_euler(grid, noise, state, dt, table[:, step])
+        # each path's field is spatially constant; take one sample point
+        assert np.max(np.abs(state.v[:, 0] - state.v[:, 0, :1, :1])) < 1e-12
+        finals = state.v[:, 0, 0, 0]
         var_pred = 0.09 * n_steps * dt
         se = var_pred * np.sqrt(2.0 / (n_paths - 1))
         assert abs(finals.var(ddof=1) - var_pred) < 5 * se
@@ -101,6 +100,57 @@ class TestStepping:
         after = grid2d.helmholtz_project(v - dt * adv)
         before = v - dt * grid2d.helmholtz_project(adv)
         assert np.max(np.abs(after - before)) < 1e-12
+
+
+class TestBatch:
+    """A member batch steps each row exactly as that member alone."""
+
+    NOISE = NoiseModel(K=(0.1, 0.2), L=(0.05, -0.1))
+
+    @staticmethod
+    def batch(grid, rng, members=3):
+        v = np.stack([random_solenoidal(grid, rng, kmax=4) for _ in range(members)])
+        return make_state(grid, v)
+
+    def test_step_matches_member_loop(self, rng):
+        grid = Grid((32, 32))
+        state = self.batch(grid, rng)
+        singles = [EulerState(state.v[m].copy()) for m in range(3)]
+        dt = 0.5 * euler_cfl_dt(grid, state)
+        table = np.stack([WienerPath(5, m, self.NOISE.modes, dt).table(10)
+                          for m in range(3)])
+        for step in range(10):
+            state = step_em_euler(grid, self.NOISE, state, dt, table[:, step])
+            singles = [step_em_euler(grid, self.NOISE, s, dt, table[m, step])
+                       for m, s in enumerate(singles)]
+        for m, single in enumerate(singles):
+            np.testing.assert_allclose(state.v[m], single.v, rtol=0, atol=0)
+        assert state.t == singles[0].t
+
+    def test_grad_inf_and_cfl_per_member(self, rng):
+        grid = Grid((32, 32))
+        state = self.batch(grid, rng)
+        per_member = [grad_inf(grid, v) for v in state.v]
+        assert np.array_equal(grad_inf(grid, state.v), per_member)
+        assert isinstance(per_member[0], float)
+        assert euler_cfl_dt(grid, state) == min(
+            euler_cfl_dt(grid, EulerState(v)) for v in state.v)
+
+    def test_transform_count(self, rng, monkeypatch):
+        grid = Grid((16, 16))
+        state = self.batch(grid, rng)
+        dW = np.full((3, self.NOISE.modes), 0.01)
+        calls = []
+        for name in ("fwd", "bwd"):
+            def counted(self, f, _orig=getattr(Grid, name)):
+                calls.append(f.shape)
+                return _orig(self, f)
+            monkeypatch.setattr(Grid, name, counted)
+        step_em_euler(grid, self.NOISE, EulerState(state.v[0]), 0.01, dW[0])
+        single = len(calls)
+        calls.clear()
+        step_em_euler(grid, self.NOISE, state, 0.01, dW)
+        assert len(calls) == single == 13
 
 
 class TestStoppingTime:

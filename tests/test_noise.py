@@ -1,9 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from torusgas.grid import Grid
-from torusgas.noise import (NoiseError, NoiseModel, WienerPath, coarsen,
-                            domination_audit, lipschitz_audit)
+from torusgas.noise import (NoiseError, NoiseModel, WienerPath, _philox_normals,
+                            coarsen, domination_audit, lipschitz_audit)
 
 
 @pytest.fixture
@@ -47,6 +51,41 @@ class TestWienerPath:
         assert sample.var() == pytest.approx(0.25, rel=0.05)
 
 
+class TestPhiloxDraw:
+    @staticmethod
+    def fresh(seed, member, step, count):
+        """The draw from a newly built generator keyed (seed, member), counter step."""
+        key = np.array([seed, member], dtype=np.uint64)
+        counter = np.array([0, 0, 0, step], dtype=np.uint64)
+        return Generator(Philox(key=key, counter=counter)).standard_normal(count)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 3])
+    @pytest.mark.parametrize("step", [0, 1, 2**40])
+    def test_matches_fresh_generator(self, seed, step):
+        # counts straddling the 4-word Philox buffer; a partial draw before
+        # each one must not leak into the next key
+        for count in (0, 1, 3, 4, 5, 9):
+            _philox_normals(seed + 1, 11, step + 1, 3)
+            expected = self.fresh(seed, 5, step, count)
+            np.testing.assert_allclose(_philox_normals(seed, 5, step, count), expected,
+                                       rtol=0, atol=0)
+
+    def test_threads_draw_same_tables(self):
+        paths = [WienerPath(4, m, 3, 0.01) for m in range(8)]
+        serial = [p.table(200) for p in paths]
+        # switch threads often, so that a generator shared between them
+        # would be re-keyed between another thread's keying and drawing
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda p: p.table(200), paths, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+
 class TestTable:
     def test_rows_are_step_increments(self):
         path = WienerPath(9, 2, 3, 0.125)
@@ -71,6 +110,13 @@ class TestCoarsen:
         fine = WienerPath(9, 2, 3, 2.0 / 16).table(16)
         assert np.array_equal(coarsen(fine, 16), fine)
         assert np.allclose(coarsen(fine, 1)[0], fine.sum(axis=0), rtol=1e-12, atol=1e-15)
+
+    def test_member_stack_along_step_axis(self):
+        tables = [WienerPath(9, m, 3, 2.0 / 16).table(16) for m in range(3)]
+        stacked = coarsen(np.stack(tables), 4)
+        assert stacked.shape == (3, 4, 3)
+        for m, table in enumerate(tables):
+            assert np.array_equal(stacked[m], coarsen(table, 4))
 
     def test_rejects_nondivisor(self):
         table = WienerPath(0, 0, 1, 1.0 / 16).table(16)

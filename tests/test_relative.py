@@ -5,7 +5,8 @@ from torusgas.constitutive import (PressureLaw, Viscosity,
                                    potential_delta_prime, potential_delta_second,
                                    potential_delta_third, pressure_delta,
                                    pressure_delta_second, stress)
-from torusgas.dynamics import ModelConfig, State
+from torusgas import relative
+from torusgas.dynamics import ModelConfig, SimulationError, State
 from torusgas.ensemble import EmpiricalYoungMeasure, build_ym
 from torusgas.grid import Grid
 from torusgas.noise import NoiseModel
@@ -310,3 +311,62 @@ class TestWeakStrong:
         report = weak_strong_experiment(cfg)
         assert report.tau[0] == 0.0
         assert np.all(report.emv[0] == report.emv[0, 0])
+
+
+class TestBatchedMarch:
+    """The members march as one batch; freezing stays per member."""
+
+    @staticmethod
+    def config(members, threshold):
+        # strong multiplicative noise lifts some members' gradients above
+        # their initial value and lets others decay
+        model = ModelConfig(law=LAW, visc=Viscosity(1e-2),
+                            noise=NoiseModel(K=(0.1,), L=(0.5,)),
+                            grad_threshold=threshold)
+        return WeakStrongConfig(grid_sizes=(16,), model=model, horizon=0.5,
+                                n_steps=32, members=members, seed=0,
+                                sample_every=4, with_remainder=True)
+
+    def mixed_threshold(self, monkeypatch):
+        """Midway between the two largest per-member gradient maxima."""
+        seen = []
+        norm = relative.grad_inf_norm
+
+        def record(grid, v):
+            seen.append(norm(grid, v))
+            return seen[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(relative, "grad_inf_norm", record)
+            weak_strong_experiment(self.config(6, np.inf))
+        return float(np.mean(np.sort(np.max(seen, axis=0))[-2:]))
+
+    def test_mixed_freezing(self, monkeypatch):
+        threshold = self.mixed_threshold(monkeypatch)
+        report = weak_strong_experiment(self.config(6, threshold))
+        frozen = report.tau < 0.5
+        assert frozen.any() and not frozen.all()
+        for m in np.flatnonzero(frozen):
+            j = int(np.argmin(np.abs(report.times - report.tau[m])))
+            assert np.all(report.emv[m, j:] == report.emv[m, max(j - 1, 0)])
+        # no member depends on which others share its batch
+        small = weak_strong_experiment(self.config(4, threshold))
+        assert np.array_equal(small.emv, report.emv[:4])
+        assert np.array_equal(small.tau, report.tau[:4])
+
+    def test_failure_after_freezing_names_ensemble_member(self, monkeypatch):
+        # once a member has frozen, batch row 0 is the first live member
+        threshold = self.mixed_threshold(monkeypatch)
+        tau = weak_strong_experiment(self.config(6, threshold)).tau
+        step_em = relative.step_em
+
+        def fails_once_shrunk(grid, model, stepper, state, *args):
+            if len(state.rho) < 6:
+                raise SimulationError("boom", state.member(0), 0)
+            return step_em(grid, model, stepper, state, *args)
+
+        monkeypatch.setattr(relative, "step_em", fails_once_shrunk)
+        first_live = int(np.flatnonzero(tau > tau.min())[0])
+        with pytest.raises(SimulationError, match=f"member {first_live}: boom") as err:
+            weak_strong_experiment(self.config(6, threshold))
+        assert err.value.member == first_live

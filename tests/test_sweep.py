@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusgas import sweep
+from torusgas.dynamics import SimulationError
 from torusgas.euler import taylor_green
 from torusgas.grid import Grid
 from torusgas.sweep import (RateReport, SweepConfig, SweepError, fit_rate,
@@ -148,3 +150,51 @@ class TestRunSweep:
         report = run_sweep(cfg)
         assert report.n_steps[1] % report.n_steps[0] == 0 or \
             report.n_steps[0] % report.n_steps[1] == 0
+
+
+class TestBatchedMarch:
+    """The members of each eps march as one batch; freezing stays per member."""
+
+    @staticmethod
+    def config(members, threshold):
+        return SweepConfig(grid_sizes=(16, 16), eps_schedule=(1.0, 0.5), horizon=0.25,
+                           members=members, n_samples=4, grad_threshold=threshold,
+                           se_groups=2, seed=0)
+
+    def mixed_threshold(self, monkeypatch):
+        """Midway between the two largest per-member gradient maxima."""
+        seen = []
+        norm = sweep.grad_inf
+
+        def record(grid, v):
+            seen.append(norm(grid, v))
+            return seen[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "grad_inf", record)
+            run_sweep(self.config(6, np.inf))
+        return float(np.mean(np.sort(np.max(seen, axis=0))[-2:]))
+
+    def test_mixed_freezing(self, monkeypatch):
+        threshold = self.mixed_threshold(monkeypatch)
+        report = run_sweep(self.config(6, threshold))
+        frozen = report.tau < 0.25
+        assert frozen.any() and not frozen.all()
+        for i_eps, m in zip(*np.nonzero(frozen)):
+            j = int(np.argmin(np.abs(report.times - report.tau[i_eps, m])))
+            row = report.emv[i_eps, m]
+            assert np.all(row[j:] == row[max(j - 1, 0)])
+        assert np.array_equal(report.tau_min, report.tau.min(axis=1))
+        # no member depends on which others share its batch
+        small = run_sweep(self.config(4, threshold))
+        assert np.array_equal(small.emv, report.emv[:, :4])
+        assert np.array_equal(small.tau, report.tau[:, :4])
+
+    def test_cfl_blow_up_names_member_eps_and_dt(self, monkeypatch):
+        def fails_on_row_1(grid, model, stepper, state, dt, dW):
+            raise SimulationError("CFL violation: boom", state.member(1), 1)
+
+        monkeypatch.setattr(sweep, "step_em", fails_on_row_1)
+        with pytest.raises(SweepError, match=r"CFL blow-up at eps=1\.0, member 1: "
+                                             r"CFL violation: boom; required dt <= "):
+            run_sweep(self.config(3, np.inf))
