@@ -269,7 +269,6 @@ def run_weak_strong(cfg: dict, out_dir: str) -> dict:
         refine=cfg["ws.refine"],
         sample_every=max(1, n_steps // samples),
         stepper=build_stepper(cfg),
-        with_remainder=True,
     )
     report = weak_strong_experiment(ws)
     _write_ws_report(out_dir, report)
@@ -290,7 +289,6 @@ def run_weak_strong(cfg: dict, out_dir: str) -> dict:
 
 
 def _write_ws_report(out_dir, report: RelativeEnergyReport):
-    n = len(report.times)
     env = (report.emv_mean[0] + report.gronwall_bias) * np.exp(
         report.gronwall_c * (report.times - report.times[0]))
     cols = {"t": report.times, "Emv_mean": report.emv_mean, "Emv_se": report.emv_se,
@@ -298,8 +296,7 @@ def _write_ws_report(out_dir, report: RelativeEnergyReport):
     order = ["t", "Emv_mean", "Emv_se"]
     for j in range(len(REMAINDER_TERMS)):
         name = f"remainder_term_{j + 1}"
-        cols[name] = (report.remainder_terms[:, j] if report.remainder_terms is not None
-                      else np.zeros(n))
+        cols[name] = report.remainder_terms[:, j]
         order.append(name)
     order.append("gronwall_residual")
     snapshots.write_csv(os.path.join(out_dir, "weak_strong.csv"), cols, order)

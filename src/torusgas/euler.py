@@ -13,11 +13,11 @@ reference and the compressible run share one Brownian path.
 
 An :class:`EulerState` holds one velocity ``(N, *sizes)`` or a member batch
 ``(M, N, *sizes)``, as the compressible :class:`~torusgas.dynamics.State`
-does.  The step, the CFL bound and the gradient norm accept either; a batch
-takes ``(M, K)`` increments, one row per member, and each member's row is
-bit-identical to stepping that member alone.  A batch gets one CFL bound,
-set by its fastest member, and one gradient norm per member, which is what
-the per-member stopping times of the limit sweep test.
+does.  The step and the CFL bound accept either; a batch takes ``(M, K)``
+increments, one row per member, and each member's row is bit-identical to
+stepping that member alone.  A batch gets one CFL bound, set by its fastest
+member; :func:`torusgas.grid.grad_inf_norm` gives one gradient norm per
+member, which is what the per-member stopping times of the limit sweep test.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .grid import grad_inf_norm as grad_inf  # the reference stopping-time norm
 from .noise import NoiseModel
 
 

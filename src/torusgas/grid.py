@@ -266,7 +266,7 @@ class Grid:
         lead = f.shape[:-self.dim]
         if not lead:
             return float(np.sum(f) * self.cell_volume)
-        return np.sum(np.reshape(f, (*lead, -1)), axis=-1) * self.cell_volume
+        return np.sum(np.reshape(f, (*lead, self.n_cells)), axis=-1) * self.cell_volume
 
     def mean(self, f: np.ndarray) -> float:
         return float(np.mean(f))

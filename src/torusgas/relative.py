@@ -12,6 +12,11 @@ remainder breakdown mirrors the nine displayed terms of the relative-energy
 inequality; concentration-defect slots accept estimator fields and default
 to zero, which is what finite empirical measures produce.
 
+The Dirac forms below take one state or a member batch along a leading
+axis and return one value per member.  The relative energy and the
+remainder are affine in the Young measure, so an empirical measure's
+values are the atom means of its atoms' Dirac values.
+
 The weak-strong experiment realizes the computable shadow of the
 uniqueness principle: no closed-form strong solutions of the stochastic
 system exist, so the reference is the same discretization at finer
@@ -23,7 +28,7 @@ relative-energy gap is then the testable statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,13 +37,17 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            pressure_delta, pressure_delta_second, relative_h,
                            stress)
 from .dynamics import ModelConfig, SimulationError, State, StepperConfig, step_em
-from .ensemble import EmpiricalYoungMeasure, build_ym, mean_energy_density
+from .ensemble import EmpiricalYoungMeasure, mean_energy_density
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
 from .noise import WienerPath, coarsen
 
 
 class RelativeEnergyError(ValueError):
-    pass
+    """Invalid reference pair; ``member`` names the offending row of a batch."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message if member is None else f"member {member}: {message}")
+        self.detail, self.member = message, member
 
 
 # --------------------------------------------------------------------------
@@ -46,11 +55,11 @@ class RelativeEnergyError(ValueError):
 # --------------------------------------------------------------------------
 
 
-def relative_energy_density(law: PressureLaw, rho: np.ndarray, mom: np.ndarray,
-                            r: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``0.5 rho |m/rho - U|^2 + H(rho, r)`` per cell."""
-    u = mom / rho
-    kin = 0.5 * rho * np.sum((u - U) ** 2, axis=0)
+def relative_energy_density(grid: Grid, law: PressureLaw, rho: np.ndarray,
+                            mom: np.ndarray, r: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``0.5 rho |m/rho - U|^2 + H(rho, r)`` per cell, of one state or a batch."""
+    u = mom / rho[grid.comp(None)]
+    kin = 0.5 * rho * np.sum((u - U) ** 2, axis=-grid.dim - 1)
     return kin + relative_h(law, rho, r)
 
 
@@ -61,12 +70,9 @@ def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
     r = np.asarray(r, dtype=np.float64)
     if np.any(r <= 0):
         raise RelativeEnergyError("reference density must be positive")
-    if form == "regrouped":
-        acc = np.zeros(grid.sizes)
-        for i in range(ym.n_atoms):
-            acc += relative_energy_density(law, ym.rho_atoms[i], ym.mom_atoms[i], r, U)
-        total = float(np.sum(acc)) / ym.n_atoms * grid.cell_volume
-        return total + D
+    if form == "regrouped":  # the atoms' Dirac densities, summed in atom order
+        dens = relative_energy_density(grid, law, ym.rho_atoms, ym.mom_atoms, r, U)
+        return float(np.sum(np.sum(dens, axis=0))) / ym.n_atoms * grid.cell_volume + D
     if form == "five_term":
         b_rho, b_mom = ym.barycenter()
         t1 = grid.integrate(mean_energy_density(ym, law)) + D
@@ -79,66 +85,57 @@ def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
 
 
 def relative_energy_state(grid: Grid, law: PressureLaw, state: State,
-                          r: np.ndarray, U: np.ndarray) -> float:
-    """Dirac fast path: relative energy of one realization (D = 0)."""
-    dens = relative_energy_density(law, state.rho, state.mom, r, U)
-    return float(np.sum(dens)) * grid.cell_volume
+                          r: np.ndarray, U: np.ndarray):
+    """Dirac fast path: relative energy of a realization (D = 0).
+
+    A float for a single state; for a batch, one value per member, as
+    ``grid.integrate`` returns.  ``(r, U)`` is one pair or one per member.
+    """
+    return grid.integrate(relative_energy_density(grid, law, state.rho, state.mom, r, U))
 
 
 # --------------------------------------------------------------------------
-# reference pairs and remainder breakdown
+# reference decompositions and remainder breakdown
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class RefDecomps:
-    """Drift/diffusion decomposition of the reference pair at one time."""
+    """Drift/diffusion parts of a reference pair; ``lead`` is a batch's member axis."""
 
-    ddr: Optional[np.ndarray] = None   # D^d_t r
-    ddU: Optional[np.ndarray] = None   # D^d_t U
-    dsr: Optional[np.ndarray] = None   # (modes, *sizes)
-    dsU: Optional[np.ndarray] = None   # (modes, N, *sizes)
+    ddr: np.ndarray   # D^d_t r, (*lead, *sizes)
+    ddU: np.ndarray   # D^d_t U, (*lead, N, *sizes)
+    dsr: np.ndarray   # D^s_t r, (modes, *lead, *sizes)
+    dsU: np.ndarray   # D^s_t U, (modes, *lead, N, *sizes)
 
 
-@dataclass
-class ReferencePair:
-    """Sampled strong reference ``(r, U)`` with on-demand decompositions.
+def reference_decomps(grid: Grid, model: ModelConfig, r: np.ndarray,
+                      U: np.ndarray) -> RefDecomps:
+    """Decompose the reference pair ``(r, U)``, one pair or a member batch.
 
     The decompositions substitute the reference's own equations: the
     continuity drift for r, the primitive-variable momentum drift for U and
-    the scaled noise coefficient for the diffusion of U.
+    the scaled noise coefficient for the diffusion of U.  A reference
+    density that is not positive raises, naming the member of a batch.
     """
-
-    grid: Grid
-    model: ModelConfig
-    times: np.ndarray
-    r: np.ndarray   # (n_t, *sizes)
-    U: np.ndarray   # (n_t, N, *sizes)
-
-    def bounds(self):
-        return float(np.min(self.r)), float(np.max(self.r))
-
-    def decomps(self, i: int) -> RefDecomps:
-        grid, model = self.grid, self.model
-        r = self.r[i]
-        U = self.U[i]
-        if np.min(r) <= 0:
-            raise RelativeEnergyError("reference density lost positivity")
-        law = model.law_eff
-        ddr = -grid.divergence(r[None, :] * U if grid.dim == 1 else r * U)
-        grad_U = grid.gradient_vector(U)
-        conv = np.einsum("j...,ij...->i...", U, grad_U)
-        ddU = -conv - grid.gradient(pressure_delta(law, r)) / r
-        if model.visc is not None:
-            ddU = ddU + grid.viscous_operator(U, model.visc.nu,
-                                              model.visc.eta(grid.dim)) / r
-        modes = model.modes
-        dsr = np.zeros((modes, *grid.sizes))
-        dsU = np.zeros((modes, grid.dim, *grid.sizes))
-        if model.noise is not None:
-            for k in range(modes):
-                dsU[k] = model.noise.apply_mode(k, grid, r, r * U) / r
-        return RefDecomps(ddr=ddr, ddU=ddU, dsr=dsr, dsU=dsU)
+    bad = np.flatnonzero(np.any(r <= 0, axis=grid.axes))
+    if bad.size:
+        raise RelativeEnergyError("reference density lost positivity",
+                                  int(bad[0]) if r.ndim > grid.dim else None)
+    law = model.law_eff
+    r_vec = r[grid.comp(None)]  # scales a vector field cell by cell
+    ddr = -grid.divergence(r_vec * U)
+    conv = np.sum(U[grid.comp(None, slice(None))] * grid.gradient_vector(U),
+                  axis=-grid.dim - 1)  # (U . grad) U
+    ddU = -conv - grid.gradient(pressure_delta(law, r)) / r_vec
+    if model.visc is not None:
+        ddU = ddU + grid.viscous_operator(U, model.visc.nu,
+                                          model.visc.eta(grid.dim)) / r_vec
+    dsr = np.zeros((model.modes, *r.shape))
+    dsU = np.zeros((model.modes, *U.shape))
+    for k in range(model.modes):
+        dsU[k] = model.noise.apply_mode(k, grid, r, r_vec * U) / r_vec
+    return RefDecomps(ddr=ddr, ddU=ddU, dsr=dsr, dsU=dsU)
 
 
 REMAINDER_TERMS = (
@@ -154,83 +151,77 @@ REMAINDER_TERMS = (
 )
 
 
-def remainder(grid: Grid, model: ModelConfig, ym: EmpiricalYoungMeasure,
+def remainder(grid: Grid, model: ModelConfig, rho: np.ndarray, mom: np.ndarray,
               r: np.ndarray, U: np.ndarray, decomps: RefDecomps,
               mu_m: Optional[np.ndarray] = None,
               mu_e: Optional[np.ndarray] = None) -> dict:
-    """The nine remainder terms of the relative-energy inequality.
+    """The nine remainder terms of the relative-energy inequality, per member.
 
-    Returns a dict keyed by :data:`REMAINDER_TERMS` plus ``"total"``.
-    Missing decomposition fields raise with the term that needs them.
+    ``(rho, mom)`` is one state or a member batch, each member read as a
+    Dirac measure; ``(r, U)`` and ``decomps`` are one reference pair or one
+    per member.  Returns a dict keyed by :data:`REMAINDER_TERMS` plus
+    ``"total"``: floats for a single state, one value per member for a batch.
+    Every term is affine in the Young measure (barycenters, ``<u>`` through
+    the linear gradient, atom means of the Reynolds, pressure and noise
+    integrands; the defect terms do not see it), so the remainder of an
+    M-atom empirical measure is the atom mean of this call on its atoms.
     """
-    law = model.law_eff
-    visc = model.visc
-    rho_a, mom_a = ym.rho_atoms, ym.mom_atoms
-    b_rho = np.mean(rho_a, axis=0)
-    b_mom = np.mean(mom_a, axis=0)
-    u_mean = np.mean(mom_a / rho_a[:, None], axis=0)
-    grad_U = grid.gradient_vector(U)
+    law, visc = model.law_eff, model.visc
+    c = -grid.dim - 1  # component axis; the algebra below reads axes 0 and 1
+
+    def vec(a):  # component axis first, for a single state and a batch alike
+        return np.moveaxis(a, c, 0)
+
+    def ten(a):  # both tensor axes first
+        return np.moveaxis(a, (c - 1, c), (0, 1))
+
+    U_, m_ = vec(U), vec(mom)
+    grad_U = ten(grid.gradient_vector(U))
     div_U = np.trace(grad_U, axis1=0, axis2=1)
+    zero = grid.integrate(np.zeros_like(rho))
     out = {}
 
+    out["stress_gap"] = zero
     if visc is not None:
-        S_U = stress(visc, grad_U)
-        gap = grad_U - grid.gradient_vector(u_mean)
-        out["stress_gap"] = grid.integrate(np.sum(S_U * gap, axis=(0, 1)))
-    else:
-        out["stress_gap"] = 0.0
+        gap = grad_U - ten(grid.gradient_vector(mom / rho[grid.comp(None)]))
+        out["stress_gap"] = grid.integrate(np.sum(stress(visc, grad_U) * gap, axis=(0, 1)))
 
-    if decomps.ddU is None:
-        raise RelativeEnergyError("remainder term 'momentum_drift' needs D^d U")
-    conv = np.einsum("j...,ij...->i...", U, grad_U)
+    conv = np.einsum("j...,ij...->i...", U_, grad_U)
     out["momentum_drift"] = grid.integrate(
-        np.sum((b_rho * U - b_mom) * (decomps.ddU + conv), axis=0)
-    )
+        np.sum((rho * U_ - m_) * (vec(decomps.ddU) + conv), axis=0))
 
-    w = mom_a - rho_a[:, None] * U  # m - rho U per atom
-    reyn = -np.mean(w[:, :, None] * w[:, None, :] / rho_a[:, None, None], axis=0)
+    w = m_ - rho * U_  # m - rho U
+    reyn = -(w[:, None] * w[None, :] / rho)
     out["reynolds"] = grid.integrate(np.sum(reyn * grad_U, axis=(0, 1)))
 
-    if decomps.ddr is None:
-        raise RelativeEnergyError("remainder term 'density_drift' needs D^d r")
-    grad_Pp = grid.gradient(potential_delta_prime(law, r))
+    grad_Pp = vec(grid.gradient(potential_delta_prime(law, r)))
     out["density_drift"] = grid.integrate(
-        (r - b_rho) * potential_delta_second(law, r) * decomps.ddr
-        + np.sum(grad_Pp * (r * U - b_mom), axis=0)
+        (r - rho) * potential_delta_second(law, r) * decomps.ddr
+        + np.sum(grad_Pp * (r * U_ - m_), axis=0)
     )
 
-    p_mean = np.mean(pressure_delta(law, rho_a), axis=0)
-    out["pressure_div"] = grid.integrate((pressure_delta(law, r) - p_mean) * div_U)
+    out["pressure_div"] = grid.integrate(
+        (pressure_delta(law, r) - pressure_delta(law, rho)) * div_U)
 
-    noise = model.noise
-    if noise is not None and noise.modes:
-        if decomps.dsU is None:
-            raise RelativeEnergyError("remainder term 'noise_mismatch' needs D^s U")
-        acc = np.zeros(grid.sizes)
-        for k in range(noise.modes):
-            for i in range(ym.n_atoms):
-                gk = noise.apply_mode(k, grid, rho_a[i], mom_a[i])
-                diff = gk / rho_a[i] - decomps.dsU[k]
-                acc += rho_a[i] * np.sum(diff * diff, axis=0) / ym.n_atoms
-        out["noise_mismatch"] = 0.5 * grid.integrate(acc)
-    else:
-        out["noise_mismatch"] = 0.0
+    acc = np.zeros_like(rho)
+    for k in range(model.modes):  # one call per mode for the whole batch
+        diff = vec(model.noise.apply_mode(k, grid, rho, mom)) / rho - vec(decomps.dsU[k])
+        acc += rho * np.sum(diff * diff, axis=0)
+    out["noise_mismatch"] = 0.5 * grid.integrate(acc)
 
     out["defect_momentum"] = (
-        -grid.integrate(np.sum(grad_U * mu_m, axis=(0, 1))) if mu_m is not None else 0.0
+        zero - grid.integrate(np.sum(grad_U * ten(mu_m), axis=(0, 1)))
+        if mu_m is not None else zero
     )
-    out["defect_energy"] = 0.5 * grid.integrate(mu_e) if mu_e is not None else 0.0
+    out["defect_energy"] = zero + 0.5 * grid.integrate(mu_e) if mu_e is not None else zero
 
-    if decomps.dsr is None:
-        raise RelativeEnergyError("remainder term 'density_ito' needs D^s r")
-    acc = np.zeros(grid.sizes)
-    for k in range(decomps.dsr.shape[0]):
-        ds2 = decomps.dsr[k] ** 2
-        acc += (-0.5 * b_rho * potential_delta_third(law, r)
-                + 0.5 * pressure_delta_second(law, r)) * ds2
+    acc = np.zeros_like(rho)
+    for k in range(len(decomps.dsr)):
+        acc += (-0.5 * rho * potential_delta_third(law, r)
+                + 0.5 * pressure_delta_second(law, r)) * decomps.dsr[k] ** 2
     out["density_ito"] = grid.integrate(acc)
 
-    out["total"] = float(sum(out[name] for name in REMAINDER_TERMS))
+    out["total"] = sum(out[name] for name in REMAINDER_TERMS)
     return out
 
 
@@ -286,8 +277,6 @@ class WeakStrongConfig:
     refine: int = 2           # reference refinement factor (1 = self comparison)
     sample_every: int = 1
     stepper: StepperConfig = field(default_factory=StepperConfig)
-    init: Optional[Callable] = None  # fine grid -> (rho0, mom0)
-    with_remainder: bool = False
 
 
 @dataclass
@@ -298,7 +287,7 @@ class RelativeEnergyReport:
     gronwall_c: float
     gronwall_bias: float
     gronwall_residual: float
-    remainder_terms: Optional[np.ndarray] = None  # (n_samples, 9) member means
+    remainder_terms: np.ndarray  # (n_samples, 9) member means
 
     @property
     def emv_mean(self) -> np.ndarray:
@@ -351,10 +340,12 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     stacked into ``(M, n_f, K)`` and coarsened along the step axis.  Freezing
     is per member: a member whose reference gradient crosses the threshold at
     a sample leaves both batches and is never stepped again, and its later
-    samples repeat its last value.  The relative energy and the remainder are
-    evaluated member by member, so every member's values are those of
-    marching it alone.  A failing step names the member by its ensemble
-    index.
+    samples repeat its last value.  At a sample the relative energy, the
+    reference decompositions and the remainder are each one call on the
+    batch of sampled members; every member's values are those of marching
+    it alone, and the remainder's member sums run in member order.  A
+    failing step or a nonpositive reference names the member by its
+    ensemble index.
     """
     grid_c = Grid(cfg.grid_sizes)
     grid_f = Grid(tuple(cfg.refine * n for n in cfg.grid_sizes))
@@ -363,8 +354,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     n_f = cfg.refine * cfg.n_steps
     dt_c = cfg.horizon / cfg.n_steps
     dt_f = cfg.horizon / n_f
-    init = cfg.init or default_smooth_init
-    rho_f0, mom_f0 = init(grid_f)
+    rho_f0, mom_f0 = default_smooth_init(grid_f)
     rho_c0 = grid_f.restrict(rho_f0, grid_c)
     mom_c0 = grid_f.restrict(mom_f0, grid_c)
 
@@ -376,7 +366,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
 
     emv = np.zeros((cfg.members, n_samples))
     tau = np.full(cfg.members, cfg.horizon)
-    rem_acc = np.zeros((n_samples, len(REMAINDER_TERMS))) if cfg.with_remainder else None
+    rem_acc = np.zeros((n_samples, len(REMAINDER_TERMS)))
 
     fine_table = np.stack([WienerPath(cfg.seed, m, model.modes, dt_f).table(n_f)
                            for m in range(cfg.members)])
@@ -399,21 +389,22 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
             if live.size:
                 u_fine = fine.mom / fine.rho[grid_f.comp(None)]
                 freeze = grad_inf_norm(grid_f, u_fine) > model.grad_threshold
-                r_c = grid_f.restrict(fine.rho, grid_c)
-                U_c = grid_f.restrict(u_fine, grid_c)
-                for row in np.flatnonzero(~freeze | (sample_pos == 0)):
-                    if np.min(r_c[row]) <= 0:
-                        raise RelativeEnergyError(
-                            "restricted reference density lost positivity")
-                    emv[live[row], sample_pos] = relative_energy_state(
-                        grid_c, law, coarse.member(row), r_c[row], U_c[row])
-                    if cfg.with_remainder:
-                        ref = ReferencePair(grid_c, model, times[sample_pos:sample_pos + 1],
-                                            r_c[row:row + 1], U_c[row:row + 1])
-                        ym = build_ym(grid_c, [coarse.member(row)])
-                        terms = remainder(grid_c, model, ym, r_c[row], U_c[row],
-                                          ref.decomps(0))
-                        rem_acc[sample_pos] += [terms[k] for k in REMAINDER_TERMS]
+                rows = np.flatnonzero(~freeze | (sample_pos == 0))
+                r_c = grid_f.restrict(fine.rho, grid_c)[rows]
+                U_c = grid_f.restrict(u_fine, grid_c)[rows]
+                sampled = State(coarse.rho[rows], coarse.mom[rows])
+                try:
+                    decomps = reference_decomps(grid_c, model, r_c, U_c)
+                except RelativeEnergyError as exc:  # name the ensemble member
+                    raise RelativeEnergyError(f"restricted {exc.detail}",
+                                              int(live[rows[exc.member]])) from exc
+                emv[live[rows], sample_pos] = relative_energy_state(
+                    grid_c, law, sampled, r_c, U_c)
+                terms = remainder(grid_c, model, sampled.rho, sampled.mom, r_c, U_c,
+                                  decomps)
+                # (rows, 9) summed over axis 0 adds the rows in member order
+                rem_acc[sample_pos] = np.sum(
+                    np.stack([terms[k] for k in REMAINDER_TERMS], axis=1), axis=0)
                 if freeze.any():
                     tau[live[freeze]] = i_step * dt_c
                     keep = ~freeze
@@ -443,5 +434,5 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
         gronwall_c=c_fit,
         gronwall_bias=bias,
         gronwall_residual=resid,
-        remainder_terms=None if rem_acc is None else rem_acc / cfg.members,
+        remainder_terms=rem_acc / cfg.members,
     )

@@ -14,6 +14,9 @@ coupling ``nu_eps = lambda_eps = eps^2`` and data preparation
 asserts monotone decay and at least half the envelope slope, since the
 unknown Gronwall constant and the fixed-grid discretization bias pollute
 the small-eps end.
+
+Each eps marches its members as one batch, and each sample evaluates the
+relative energy of all sampled members in one call.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        cfl_dt, step_em)
 from .ensemble import EmpiricalYoungMeasure, dissipation_defect
-from .euler import (EulerState, check_affine_noise, euler_cfl_dt, grad_inf,
-                    make_state, step_em_euler, taylor_green)
-from .grid import Grid
+from .euler import (EulerState, check_affine_noise, euler_cfl_dt, make_state,
+                    step_em_euler, taylor_green)
+from .grid import Grid, grad_inf_norm
 from .noise import NoiseModel, WienerPath, coarsen
 from .relative import relative_energy_state
 
@@ -143,10 +146,10 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     ``(M, *sizes)`` and one Euler batch ``(M, N, *sizes)``.  Freezing is per
     member: a member whose reference gradient crosses the threshold at a
     sample leaves both batches and is never stepped again, and its later
-    samples repeat its last relative energy and snapshot.  The relative
-    energy is evaluated member by member, so every member's values are those
-    of marching it alone.  A CFL blow-up names the member, eps and the
-    ``dt`` it needed.
+    samples repeat its last relative energy and snapshot.  At a sample the
+    relative energy is one call on the batch of sampled members, and every
+    member's values are those of marching it alone.  A CFL blow-up names the
+    member, eps and the ``dt`` it needed.
     """
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
@@ -207,11 +210,11 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
                     rho_snap[:, i_s] = rho_snap[:, i_s - 1]
                     mom_snap[:, i_s] = mom_snap[:, i_s - 1]
                 if live.size:
-                    freeze = grad_inf(grid, eul.v) > cfg.grad_threshold
+                    freeze = grad_inf_norm(grid, eul.v) > cfg.grad_threshold
                     sampled = ~freeze | (i_s == 0)  # frozen rows keep the last sample
-                    for row in np.flatnonzero(sampled):
-                        emv[i_eps, live[row], i_s] = relative_energy_state(
-                            grid, law_eff, comp.member(row), ones, eul.v[row])
+                    emv[i_eps, live[sampled], i_s] = relative_energy_state(
+                        grid, law_eff, State(comp.rho[sampled], comp.mom[sampled]),
+                        ones, eul.v[sampled])
                     rho_snap[live[sampled], i_s] = comp.rho[sampled]
                     mom_snap[live[sampled], i_s] = comp.mom[sampled]
                     if freeze.any():

@@ -236,11 +236,6 @@ def test_criterion_6_cross_variation():
                   f"{elapsed:.0f}s")
 
 
-def smooth_1d_init(grid):
-    x = grid.coordinates()[0]
-    return 1.0 + 0.1 * np.sin(x), (0.1 * np.cos(x))[None].copy()
-
-
 def test_criterion_7_weak_strong_stability():
     t0 = time.perf_counter()
     model = ModelConfig(law=LAW2, visc=Viscosity(1e-2, 1e-2),
@@ -248,13 +243,13 @@ def test_criterion_7_weak_strong_stability():
 
     self_cfg = WeakStrongConfig(grid_sizes=(64,), model=model, horizon=0.5,
                                 n_steps=128, members=4, seed=7, refine=1,
-                                init=smooth_1d_init, sample_every=16)
+                                sample_every=16)
     self_max = float(np.max(weak_strong_experiment(self_cfg).emv))
 
     def gap(sizes, steps):
         cfg = WeakStrongConfig(grid_sizes=(sizes,), model=model, horizon=0.5,
                                n_steps=steps, members=8, seed=2, refine=2,
-                               init=smooth_1d_init, sample_every=steps // 8)
+                               sample_every=steps // 8)
         return float(weak_strong_experiment(cfg).emv_mean[-1])
 
     shrink = gap(64, 128) / gap(128, 256)
@@ -262,7 +257,7 @@ def test_criterion_7_weak_strong_stability():
     def fit_c(members):
         cfg = WeakStrongConfig(grid_sizes=(64,), model=model, horizon=0.5,
                                n_steps=128, members=members, seed=3, refine=2,
-                               eta=1e-4, init=smooth_1d_init, sample_every=16)
+                               eta=1e-4, sample_every=16)
         return weak_strong_experiment(cfg).gronwall_c
 
     c1, c2 = fit_c(8), fit_c(16)

@@ -256,6 +256,13 @@ class TestVerifyCommand:
         assert "ensemble.jensen" in out
         assert "FAIL" in out
 
+    def test_rejects_threads(self, capsys):
+        # the invariant suite has no member axis to split over threads
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestWeakStrongCommand:
     def test_self_comparison(self, tmp_path):

@@ -10,9 +10,9 @@ from torusgas.dynamics import ModelConfig, SimulationError, State
 from torusgas.ensemble import EmpiricalYoungMeasure, build_ym
 from torusgas.grid import Grid
 from torusgas.noise import NoiseModel
-from torusgas.relative import (REMAINDER_TERMS, RefDecomps, ReferencePair,
-                               RelativeEnergyError, WeakStrongConfig,
-                               fit_exponential, gronwall_check, relative_energy,
+from torusgas.relative import (REMAINDER_TERMS, RefDecomps, RelativeEnergyError,
+                               WeakStrongConfig, fit_exponential, gronwall_check,
+                               reference_decomps, relative_energy,
                                relative_energy_state, remainder,
                                weak_strong_experiment)
 
@@ -80,6 +80,12 @@ class TestRelativeEnergy:
         a = relative_energy_state(grid1d, LAW, st, r, U)
         b = relative_energy(grid1d, LAW, build_ym(grid1d, [st]), 0.0, r, U)
         assert a == pytest.approx(b, rel=1e-13)
+
+
+def atom_mean(grid, model, ym, r, U, dec, **defects):
+    """Remainder of an empirical measure: the atom mean of its Dirac remainders."""
+    terms = remainder(grid, model, ym.rho_atoms, ym.mom_atoms, r, U, dec, **defects)
+    return {name: float(np.mean(value)) for name, value in terms.items()}
 
 
 def brute_force_remainder(grid, model, ym, r, U, dec):
@@ -158,8 +164,7 @@ class TestRemainder:
         ym = random_ym(grid, members, rng)
         r = rng.uniform(0.6, 1.8, grid.sizes)
         U = rng.normal(0.0, 0.4, (1, *grid.sizes))
-        ref = ReferencePair(grid, model, np.array([0.0]), r[None], U[None])
-        dec = ref.decomps(0)
+        dec = reference_decomps(grid, model, r, U)
         # give the density a nontrivial diffusion part to exercise term 9
         dec.dsr = rng.normal(0.0, 0.1, (model.modes, *grid.sizes))
         return grid, model, ym, r, U, dec
@@ -169,9 +174,8 @@ class TestRemainder:
         model = ModelConfig(law=LAW, visc=Viscosity(0.2))
         r = np.full(grid.sizes, 1.3)
         U = np.zeros((1, *grid.sizes))
-        ym = build_ym(grid, [State(r.copy(), np.zeros((1, *grid.sizes)))])
-        dec = ReferencePair(grid, model, np.array([0.0]), r[None], U[None]).decomps(0)
-        terms = remainder(grid, model, ym, r, U, dec)
+        dec = reference_decomps(grid, model, r, U)
+        terms = remainder(grid, model, r.copy(), np.zeros((1, *grid.sizes)), r, U, dec)
         for name in REMAINDER_TERMS:
             assert abs(terms[name]) < 1e-13, name
         assert abs(terms["total"]) < 1e-12
@@ -183,11 +187,10 @@ class TestRemainder:
         r = np.ones(grid.sizes)
         U = np.full((1, *grid.sizes), 0.7)
         mom = rng.normal(0.0, 0.5, (1, *grid.sizes))
-        ym = build_ym(grid, [State(np.ones(grid.sizes), mom)])
         dec = RefDecomps(ddr=np.zeros(grid.sizes), ddU=np.zeros((1, *grid.sizes)),
                          dsr=np.zeros((0, *grid.sizes)),
                          dsU=np.zeros((0, 1, *grid.sizes)))
-        terms = remainder(grid, model, ym, r, U, dec)
+        terms = remainder(grid, model, np.ones(grid.sizes), mom, r, U, dec)
         assert terms["pressure_div"] == pytest.approx(0.0, abs=1e-13)
         assert terms["density_drift"] == pytest.approx(0.0, abs=1e-13)
 
@@ -195,7 +198,7 @@ class TestRemainder:
         # independent quadrature oracle, five random configurations
         for trial in range(5):
             grid, model, ym, r, U, dec = self.make_inputs(rng)
-            fast = remainder(grid, model, ym, r, U, dec)
+            fast = atom_mean(grid, model, ym, r, U, dec)
             slow = brute_force_remainder(grid, model, ym, r, U, dec)
             for name in REMAINDER_TERMS:
                 assert fast[name] == pytest.approx(slow[name], rel=1e-10, abs=1e-10), name
@@ -204,21 +207,53 @@ class TestRemainder:
         grid, model, ym, r, U, dec = self.make_inputs(rng, modes=0, members=2)
         mu_m = rng.normal(0.0, 0.1, (1, 1, *grid.sizes))
         mu_e = rng.uniform(0.0, 0.2, grid.sizes)
-        terms = remainder(grid, model, ym, r, U, dec, mu_m=mu_m, mu_e=mu_e)
+        terms = atom_mean(grid, model, ym, r, U, dec, mu_m=mu_m, mu_e=mu_e)
         grad_U = grid.gradient_vector(U)
         assert terms["defect_momentum"] == pytest.approx(
             -grid.integrate(np.sum(grad_U * mu_m, axis=(0, 1))))
         assert terms["defect_energy"] == pytest.approx(0.5 * grid.integrate(mu_e))
 
-    def test_missing_decomposition_identified(self, rng):
-        grid, model, ym, r, U, dec = self.make_inputs(rng)
-        dec.ddU = None
-        with pytest.raises(RelativeEnergyError, match="momentum_drift"):
-            remainder(grid, model, ym, r, U, dec)
-        grid, model, ym, r, U, dec = self.make_inputs(rng)
-        dec.ddr = None
-        with pytest.raises(RelativeEnergyError, match="density_drift"):
-            remainder(grid, model, ym, r, U, dec)
+
+class TestMemberBatch:
+    """A batch of Dirac members gives the values of one call per member."""
+
+    @staticmethod
+    def inputs(rng, sizes, members=5):
+        grid = Grid(sizes)
+        model = ModelConfig(law=PressureLaw(1.1, 1.8), visc=Viscosity(0.3, 0.1),
+                            noise=NoiseModel(K=(0.1, 0.2), L=(0.05, 0.1)))
+        rho = rng.uniform(0.6, 1.8, (members, *grid.sizes))
+        mom = rng.normal(0.0, 0.4, (members, grid.dim, *grid.sizes))
+        r = rng.uniform(0.6, 1.8, (members, *grid.sizes))
+        U = rng.normal(0.0, 0.4, (members, grid.dim, *grid.sizes))
+        return grid, model, rho, mom, r, U
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 8)])
+    def test_batch_matches_single_calls(self, rng, sizes):
+        grid, model, rho, mom, r, U = self.inputs(rng, sizes)
+        law = model.law_eff
+        dec = reference_decomps(grid, model, r, U)
+        terms = remainder(grid, model, rho, mom, r, U, dec)
+        energy = relative_energy_state(grid, law, State(rho, mom), r, U)
+        assert energy.shape == (5,) and terms["total"].shape == (5,)
+        for m in range(5):
+            one = reference_decomps(grid, model, r[m], U[m])
+            assert np.array_equal(dec.ddr[m], one.ddr)
+            assert np.array_equal(dec.ddU[m], one.ddU)
+            assert np.array_equal(dec.dsr[:, m], one.dsr)
+            assert np.array_equal(dec.dsU[:, m], one.dsU)
+            single = remainder(grid, model, rho[m], mom[m], r[m], U[m], one)
+            for name in (*REMAINDER_TERMS, "total"):
+                assert terms[name][m] == single[name], name
+            assert energy[m] == relative_energy_state(grid, law, State(rho[m], mom[m]),
+                                                      r[m], U[m])
+
+    def test_nonpositive_reference_names_member(self, rng):
+        grid, model, _, _, r, U = self.inputs(rng, (16,))
+        r[3, 5] = 0.0
+        with pytest.raises(RelativeEnergyError, match="member 3: reference density") as err:
+            reference_decomps(grid, model, r, U)
+        assert err.value.member == 3
 
 
 class TestGronwall:
@@ -257,13 +292,6 @@ class TestGronwall:
         assert fit_exponential(t, [0.0, 0.0, 0.0, 1.0]) == (0.0, 0.0)
 
 
-def smooth_1d_init(grid):
-    x = grid.coordinates()[0]
-    rho = 1.0 + 0.1 * np.sin(x)
-    mom = (0.1 * np.cos(x))[None]
-    return rho, mom.copy()
-
-
 class TestWeakStrong:
     def test_self_comparison_is_exact(self):
         # identical resolution and identical paths: E_mv stays at roundoff
@@ -271,8 +299,7 @@ class TestWeakStrong:
             grid_sizes=(32,),
             model=ModelConfig(law=LAW, visc=Viscosity(1e-2),
                               noise=NoiseModel(K=(0.1,), L=(0.05,))),
-            horizon=0.25, n_steps=32, members=3, seed=4, refine=1,
-            init=smooth_1d_init)
+            horizon=0.25, n_steps=32, members=3, seed=4, refine=1)
         report = weak_strong_experiment(cfg)
         assert np.max(report.emv) < 1e-12
 
@@ -283,8 +310,7 @@ class TestWeakStrong:
             cfg = WeakStrongConfig(
                 grid_sizes=(sizes,),
                 model=ModelConfig(law=LAW, visc=Viscosity(1e-2)),
-                horizon=0.25, n_steps=steps, members=1, seed=0, refine=2,
-                init=smooth_1d_init)
+                horizon=0.25, n_steps=steps, members=1, seed=0, refine=2)
             return weak_strong_experiment(cfg).emv_mean[-1]
 
         coarse_gap = gap(32, 64)
@@ -297,8 +323,7 @@ class TestWeakStrong:
         cfg = WeakStrongConfig(
             grid_sizes=(32,),
             model=ModelConfig(law=LAW, visc=Viscosity(1e-2)),
-            horizon=0.125, n_steps=16, members=4, seed=1, refine=1, eta=eta,
-            init=smooth_1d_init)
+            horizon=0.125, n_steps=16, members=4, seed=1, refine=1, eta=eta)
         report = weak_strong_experiment(cfg)
         assert report.emv_mean[0] == pytest.approx(eta, rel=0.2)
 
@@ -306,8 +331,7 @@ class TestWeakStrong:
         cfg = WeakStrongConfig(
             grid_sizes=(32,),
             model=ModelConfig(law=LAW, visc=Viscosity(1e-2), grad_threshold=1e-6),
-            horizon=0.25, n_steps=16, members=1, seed=0, refine=2,
-            init=smooth_1d_init)
+            horizon=0.25, n_steps=16, members=1, seed=0, refine=2)
         report = weak_strong_experiment(cfg)
         assert report.tau[0] == 0.0
         assert np.all(report.emv[0] == report.emv[0, 0])
@@ -325,10 +349,11 @@ class TestBatchedMarch:
                             grad_threshold=threshold)
         return WeakStrongConfig(grid_sizes=(16,), model=model, horizon=0.5,
                                 n_steps=32, members=members, seed=0,
-                                sample_every=4, with_remainder=True)
+                                sample_every=4)
 
-    def mixed_threshold(self, monkeypatch):
-        """Midway between the two largest per-member gradient maxima."""
+    @staticmethod
+    def gradients(monkeypatch, members):
+        """Each sample's per-member reference gradient, with no freezing."""
         seen = []
         norm = relative.grad_inf_norm
 
@@ -338,8 +363,24 @@ class TestBatchedMarch:
 
         with monkeypatch.context() as patch:
             patch.setattr(relative, "grad_inf_norm", record)
-            weak_strong_experiment(self.config(6, np.inf))
+            weak_strong_experiment(TestBatchedMarch.config(members, np.inf))
+        return np.array(seen)
+
+    def mixed_threshold(self, monkeypatch):
+        """Midway between the two largest per-member gradient maxima."""
+        seen = self.gradients(monkeypatch, 6)
         return float(np.mean(np.sort(np.max(seen, axis=0))[-2:]))
+
+    def test_last_member_freezing_after_start(self, monkeypatch):
+        # the only live member freezes at a later sample, which then has no
+        # member left to evaluate
+        seen = self.gradients(monkeypatch, 1)[:, 0]
+        assert seen.max() > seen[0]
+        report = weak_strong_experiment(self.config(1, 0.5 * (seen[0] + seen.max())))
+        assert 0.0 < report.tau[0] < 0.5
+        j = int(np.argmin(np.abs(report.times - report.tau[0])))
+        assert np.all(report.emv[0, j:] == report.emv[0, j - 1])
+        assert np.all(report.remainder_terms[j:] == 0.0)
 
     def test_mixed_freezing(self, monkeypatch):
         threshold = self.mixed_threshold(monkeypatch)

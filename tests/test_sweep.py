@@ -164,14 +164,14 @@ class TestBatchedMarch:
     def mixed_threshold(self, monkeypatch):
         """Midway between the two largest per-member gradient maxima."""
         seen = []
-        norm = sweep.grad_inf
+        norm = sweep.grad_inf_norm
 
         def record(grid, v):
             seen.append(norm(grid, v))
             return seen[-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(sweep, "grad_inf", record)
+            patch.setattr(sweep, "grad_inf_norm", record)
             run_sweep(self.config(6, np.inf))
         return float(np.mean(np.sort(np.max(seen, axis=0))[-2:]))
 
