@@ -1,23 +1,30 @@
 """Spectral solver for the stochastic incompressible Euler system.
 
-This is the strong reference of the low-Mach comparison: velocity stays
-exactly solenoidal through the Leray projection, and time stepping is
-explicit Euler-Maruyama on the projected drift, so the stepper never needs
-the pressure.  The pressure is recoverable in closed form from
-``pi = -invlap div[(v . grad) v]`` (:func:`pressure_from_projection`); the
-affine noise adds no stochastic pressure, since constants and scalar
-multiples of solenoidal fields are already divergence-free, which is
-asserted at startup.  The noise kick is the compressible momentum kick at
-unit density, driven by the increment row the caller passes in, so the
+This is the strong reference of the low-Mach comparison.  The state is the
+real-FFT spectrum ``vh`` of the velocity, kept exactly solenoidal by the
+Leray projection; the projection, the 2/3 mask and the affine noise kick are
+all diagonal in Fourier space.  Time stepping is explicit Euler-Maruyama on
+the projected drift, so the stepper never needs the pressure.  The pressure
+is recoverable in closed form from ``pi = -invlap div[(v . grad) v]``
+(:func:`pressure_from_projection`); the affine noise adds no stochastic
+pressure, since constants and scalar multiples of solenoidal fields are
+already divergence-free.  The noise kick is the compressible momentum kick
+at unit density, driven by the increment row the caller passes in, so the
 reference and the compressible run share one Brownian path.
+
+A step makes two FFT calls: one inverse call on the stacked spectra of
+``v`` and its derivatives ``d_j v``, and one forward call on the advection
+``(v . grad) v`` formed from them in physical space.  The state keeps the
+physical fields of that inverse call, so ``v`` and its gradient sup-norm
+are read without another transform.
 
 An :class:`EulerState` holds one velocity ``(N, *sizes)`` or a member batch
 ``(M, N, *sizes)``, as the compressible :class:`~torusgas.dynamics.State`
 does.  The step and the CFL bound accept either; a batch takes ``(M, K)``
 increments, one row per member, and each member's row is bit-identical to
 stepping that member alone.  A batch gets one CFL bound, set by its fastest
-member; :func:`torusgas.grid.grad_inf_norm` gives one gradient norm per
-member, which is what the per-member stopping times of the limit sweep test.
+member; :attr:`EulerState.grad_inf` gives one gradient norm per member,
+which is what the per-member stopping times of the limit sweep test.
 """
 
 from __future__ import annotations
@@ -39,11 +46,28 @@ DIV_TOL = 1e-8
 
 @dataclass
 class EulerState:
-    v: np.ndarray                  # (N, *sizes) or (M, N, *sizes), div v = 0
+    vh: np.ndarray      # (*lead, N, *spectral) real-FFT coefficients, k . vh = 0
+    fields: np.ndarray  # (1 + N, *lead, N, *sizes): v, then d_j v for each axis j
     t: float = 0.0
 
-    def copy(self) -> "EulerState":
-        return EulerState(self.v.copy(), self.t)
+    @property
+    def v(self) -> np.ndarray:
+        return self.fields[0]
+
+    @property
+    def grad_inf(self):
+        """Max absolute entry of the velocity gradient.
+
+        A float for a single state; for a batch, one value per member.
+        """
+        g = np.abs(self.fields[1:])
+        if self.fields.ndim == len(self.fields) + 1:  # (1 + N, N, *sizes)
+            return float(np.max(g))
+        return np.max(g, axis=tuple(a for a in range(g.ndim) if a != 1))
+
+    def rows(self, keep) -> "EulerState":
+        """The members ``keep`` (an index, slice or mask) of a batch."""
+        return EulerState(self.vh[keep], self.fields[:, keep], self.t)
 
 
 def check_affine_noise(noise: NoiseModel | None):
@@ -53,7 +77,7 @@ def check_affine_noise(noise: NoiseModel | None):
 
 
 def advection(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Dealiased convective term ``(v . grad) v``."""
+    """Dealiased convective term ``(v . grad) v`` of a physical velocity."""
     grad_v = grid.gradient_vector(v)
     comp = grid.comp
     out = sum(v[comp(j)][comp(None)] * grad_v[comp(slice(None), j)]
@@ -68,8 +92,14 @@ def pressure_from_projection(grid: Grid, v: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _state(grid: Grid, vh: np.ndarray, t: float) -> EulerState:
+    """The state of spectrum ``vh``, with ``v`` and ``d_j v`` from one inverse call."""
+    return EulerState(vh, grid.bwd(np.stack([vh, *(ik * vh for ik in grid.ik)])), t)
+
+
 def make_state(grid: Grid, v: np.ndarray, t: float = 0.0) -> EulerState:
-    return EulerState(grid.helmholtz_project(grid.check_vector(v)), t)
+    """The state of the Leray projection of a physical velocity."""
+    return _state(grid, grid.leray(grid.fwd(grid.check_vector(v))), t)
 
 
 def euler_cfl_dt(grid: Grid, state: EulerState, cfl: float = 0.4) -> float:
@@ -80,28 +110,56 @@ def euler_cfl_dt(grid: Grid, state: EulerState, cfl: float = 0.4) -> float:
     return cfl * min(grid.spacings) / vmax
 
 
+def _kick(grid: Grid, noise: NoiseModel, vh: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """Spectrum of ``sum_k (K_k e_{k mod N} + L_k v) dW_k``, the unit-density kick.
+
+    The ``K`` part is spatially constant: it lands on the zero mode, scaled
+    by the cell count of the unnormalized forward transform.
+    """
+    check_affine_noise(noise)
+    per_member = dW.shape[:-1] + (1,) * (grid.dim + 1)
+    ldw = sum(l * dW[..., k] for k, l in enumerate(noise.L))
+    out = np.reshape(ldw, per_member) * vh
+    zero_mode = (0,) * grid.dim
+    for mode, k in enumerate(noise.K):
+        if k != 0.0:
+            out[(Ellipsis, mode % grid.dim, *zero_mode)] += k * dW[..., mode] * grid.n_cells
+    return out
+
+
+def _divergence_bound(grid: Grid, vh: np.ndarray) -> float:
+    """``(1/n_cells) sum_k w_k |k . vh_k|``, at least ``sup |div v|`` of every member.
+
+    ``w_k`` is the real-FFT column multiplicity, so the sum runs over the
+    full spectrum and bounds the inverse transform of ``i k . vh`` cell by
+    cell.
+    """
+    dh = sum(ik * vh[grid.comp(ax)] for ax, ik in enumerate(grid.ik))
+    return float(np.max(np.sum(grid.rfft_weight * np.abs(dh), axis=grid.axes))) / grid.n_cells
+
+
 def step_em_euler(grid: Grid, noise: NoiseModel | None, state: EulerState,
                   dt: float, dW: np.ndarray | None = None) -> EulerState:
-    """One Euler-Maruyama step; the velocity is re-projected and audited.
+    """One Euler-Maruyama step of the spectrum; re-projected and audited.
 
-    The noise kick is the compressible one at unit density, driven by this
-    step's Wiener increments ``dW`` (``(M, K)`` for a batch); without ``dW``
-    the step is deterministic.
+    The advection is formed from the state's physical fields and brought
+    back by one forward call; the kick is computed from the pre-step
+    spectrum and driven by this step's Wiener increments ``dW`` (``(M, K)``
+    for a batch).  Without ``dW`` the step is deterministic.  The audit
+    bounds ``sup |div v|`` from the coefficients (:func:`_divergence_bound`).
     """
-    drift = -grid.helmholtz_project(advection(grid, state.v))
-    v_new = state.v + dt * drift
+    comp = grid.comp
+    v, grads = state.fields[0], state.fields[1:]
+    adv = sum(v[comp(j)][comp(None)] * grads[j] for j in range(grid.dim))
+    drift = -grid.leray(np.where(grid.dealias_mask, grid.fwd(adv), 0.0))
+    vh = state.vh + dt * drift
     if noise is not None and noise.modes and dW is not None:
-        ones = np.ones_like(state.v[grid.comp(0)])
-        v_new = v_new + noise.momentum_kick(grid, ones, state.v, dW)
-    v_new = grid.helmholtz_project(v_new)
-    div_norm = float(np.max(np.abs(grid.divergence(v_new))))
+        vh = vh + _kick(grid, noise, state.vh, dW)
+    vh = grid.leray(vh)
+    div_norm = _divergence_bound(grid, vh)
     if div_norm > DIV_TOL:
         raise EulerError(f"divergence grew to {div_norm:.3e} at t={state.t + dt:.4f}")
-    return EulerState(v_new, state.t + dt)
-
-
-def kinetic_energy(grid: Grid, v: np.ndarray) -> float:
-    return 0.5 * grid.integrate(np.sum(v * v, axis=0))
+    return _state(grid, vh, state.t + dt)
 
 
 def taylor_green(grid: Grid) -> np.ndarray:

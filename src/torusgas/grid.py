@@ -131,6 +131,17 @@ class Grid:
         """The 2/3-rule mask."""
         return self._spec["dealias"]
 
+    @property
+    def rfft_weight(self) -> np.ndarray:
+        """Multiplicity of each real-FFT column in the full spectrum.
+
+        Columns of the last axis stand for themselves and their conjugates
+        (weight 2), except the zero and Nyquist columns (weight 1).
+        """
+        w = np.full(self.sizes[-1] // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
+
     # -- coordinates -------------------------------------------------------
 
     def coordinates(self) -> list[np.ndarray]:
@@ -225,13 +236,15 @@ class Grid:
 
     def helmholtz_project(self, v: np.ndarray) -> np.ndarray:
         """Leray/Helmholtz projection ``v - grad(invlap(div v))``."""
-        v = self.check_vector(v)
-        vh = self.fwd(v)
+        return self.bwd(self.leray(self.fwd(self.check_vector(v))))
+
+    def leray(self, vh: np.ndarray) -> np.ndarray:
+        """Leray projection of a vector spectrum ``(..., N, *spectral)``, mode by mode."""
         dh = sum(self._spec["ik"][ax] * vh[self.comp(ax)] for ax in range(self.dim))
         phi = -self._spec["inv_k2p"] * dh  # = (invlap div v)^, matching symbols
-        out = np.empty_like(v)
+        out = np.empty_like(vh)
         for ax in range(self.dim):
-            out[self.comp(ax)] = self.bwd(vh[self.comp(ax)] - self._spec["ik"][ax] * phi)
+            out[self.comp(ax)] = vh[self.comp(ax)] - self._spec["ik"][ax] * phi
         return out
 
     def div_tensor(self, F: np.ndarray, dealias: bool = False) -> np.ndarray:
@@ -277,13 +290,7 @@ class Grid:
 
     def modal_norm_sq(self, f: np.ndarray) -> float:
         """Squared L2 norm of a single field from its Fourier coefficients (Parseval)."""
-        fh = self.fwd(f)
-        n_last = self.sizes[-1]
-        w = np.full(fh.shape[-1], 2.0)
-        w[0] = 1.0
-        if n_last % 2 == 0:
-            w[-1] = 1.0
-        total = np.sum(w * np.abs(fh) ** 2)
+        total = np.sum(self.rfft_weight * np.abs(self.fwd(f)) ** 2)
         return float(total) * self.cell_volume / self.n_cells
 
     # -- inter-grid transfer ------------------------------------------------

@@ -15,8 +15,12 @@ asserts monotone decay and at least half the envelope slope, since the
 unknown Gronwall constant and the fixed-grid discretization bias pollute
 the small-eps end.
 
-Each eps marches its members as one batch, and each sample evaluates the
-relative energy of all sampled members in one call.
+The incompressible reference does not depend on eps, so each member's
+reference is marched once, in Fourier space at the finest step, and every
+eps compares against the same velocity at the common sample times.  A
+member's stopping time is set by that reference alone and shared by every
+eps.  Each eps marches its members as one compressible batch, and each
+sample evaluates the relative energy of all sampled members in one call.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        cfl_dt, step_em)
 from .ensemble import EmpiricalYoungMeasure, dissipation_defect
-from .euler import (EulerState, check_affine_noise, euler_cfl_dt, make_state,
-                    step_em_euler, taylor_green)
-from .grid import Grid, grad_inf_norm
+from .euler import (check_affine_noise, euler_cfl_dt, make_state, step_em_euler,
+                    taylor_green)
+from .grid import Grid
 from .noise import NoiseModel, WienerPath, coarsen
 from .relative import relative_energy_state
 
@@ -71,10 +75,11 @@ class RateReport:
     d_series: np.ndarray            # (n_eps, n_samples) pooled defect
     d_sup: np.ndarray               # (n_eps,)
     d_sup_se: np.ndarray            # (n_eps,)
-    tau_min: np.ndarray             # (n_eps,) earliest member stopping time
+    tau_min: np.ndarray             # (n_eps,) earliest member stopping time, shared
     n_steps: np.ndarray             # (n_eps,)
     emv: Optional[np.ndarray] = None  # (n_eps, members, n_samples), frozen past tau
-    tau: Optional[np.ndarray] = None  # (n_eps, members) member stopping times
+    tau: Optional[np.ndarray] = None  # (members,) member stopping times, shared by all eps
+    grad_max: Optional[np.ndarray] = None  # (members,) reference gradient sup, samples to tau
 
     @property
     def final_emv(self) -> np.ndarray:
@@ -132,24 +137,64 @@ def _initial_v0(grid: Grid, kind: str) -> np.ndarray:
     raise SweepError(f"unknown v0 kind {kind!r}")
 
 
+def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.ndarray,
+                     horizon: float, n_samples: int, threshold: float):
+    """March every member's Euler reference once, on its base increment table.
+
+    Returns the velocity at the ``n_samples + 1`` common sample times
+    ``(M, n_samples + 1, N, *sizes)``, each member's stopping sample
+    (``n_samples + 1`` if it never stops) and each member's largest
+    gradient sup-norm over the samples up to its stop.  A member whose
+    gradient crosses the threshold at a sample stops there: it is not
+    sampled there (unless it is the first sample) and never stepped again.
+    """
+    members, n_base = table.shape[:2]
+    dt = horizon / n_base
+    stride = n_base // n_samples
+    v_ref = np.zeros((members, n_samples + 1, grid.dim, *grid.sizes))
+    stop = np.full(members, n_samples + 1)
+    grad_max = np.zeros(members)
+    eul = make_state(grid, np.broadcast_to(v0, (members, *v0.shape)))
+    live = np.arange(members)  # ensemble index of each marched row
+    for step in range(n_base + 1):
+        if step % stride == 0 and live.size:
+            i_s = step // stride
+            grad = eul.grad_inf
+            freeze = grad > threshold
+            sampled = ~freeze | (i_s == 0)
+            v_ref[live[sampled], i_s] = eul.v[sampled]
+            grad_max[live] = np.maximum(grad_max[live], grad)
+            if freeze.any():
+                stop[live[freeze]] = i_s
+                eul = eul.rows(~freeze)
+                live = live[~freeze]
+        if step < n_base and live.size:
+            eul = step_em_euler(grid, noise, eul, dt, table[live, step])
+    return v_ref, stop, grad_max
+
+
 def run_sweep(cfg: SweepConfig) -> RateReport:
     """Execute the eps schedule and collect the rate data.
 
     Each member's Brownian path is drawn once, as an increment table at the
-    finest step, before the eps loop; every eps coarsens the stacked
+    finest step, before the eps loop.  The incompressible reference does not
+    depend on eps: it is marched once per member, as one Euler batch in
+    Fourier space on the base table (the finest step), and its velocity is
+    kept at the common sample times.  Every eps coarsens the stacked
     ``(M, n_base, K)`` tables to its own step count (powers of two dividing
-    the common base), and the compressible and Euler steps of one eps share
-    each row.  Sharing the path across eps variance-reduces the cross-eps
+    the common base), so its compressible batch runs on the same path as the
+    reference.  Sharing the path across eps variance-reduces the cross-eps
     comparison.
 
-    For each eps the members march together, as one compressible batch
-    ``(M, *sizes)`` and one Euler batch ``(M, N, *sizes)``.  Freezing is per
-    member: a member whose reference gradient crosses the threshold at a
-    sample leaves both batches and is never stepped again, and its later
-    samples repeat its last relative energy and snapshot.  At a sample the
+    Freezing is per member and set by the reference alone: a member whose
+    reference gradient crosses the threshold at a sample stops at that
+    sample's time ``tau``, the same for every eps.  Each eps's compressible
+    batch ``(M, *sizes)`` drops the member at ``tau`` and never steps it
+    again; its later samples repeat its last relative energy, and its last
+    sampled state stays in the pooled dissipation defect.  At a sample the
     relative energy is one call on the batch of sampled members, and every
-    member's values are those of marching it alone.  A CFL blow-up names the
-    member, eps and the ``dt`` it needed.
+    member's values are those of marching it alone.  A CFL blow-up names
+    the member, eps and the ``dt`` it needed.
     """
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
@@ -179,50 +224,53 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     n_base = max(n_steps)
     base_table = np.stack([WienerPath(cfg.seed, member, noise.modes, cfg.horizon / n_base)
                            .table(n_base) for member in range(cfg.members)])
+    v_ref, stop, grad_max = _march_reference(grid, noise, v0, base_table, cfg.horizon,
+                                             cfg.n_samples, cfg.grad_threshold)
 
-    sample_stride = [n // cfg.n_samples for n in n_steps]
     times = np.linspace(0.0, cfg.horizon, cfg.n_samples + 1)
+    tau = times[np.minimum(stop, cfg.n_samples)]
 
     n_eps = len(eps_list)
     emv = np.zeros((n_eps, cfg.members, cfg.n_samples + 1))
     d_series = np.zeros((n_eps, cfg.n_samples + 1))
     d_groups = np.zeros((n_eps, cfg.se_groups, cfg.n_samples + 1))
-    tau = np.full((n_eps, cfg.members), cfg.horizon)
     ones = np.ones(grid.sizes)
+    g_size = cfg.members // cfg.se_groups
 
     for i_eps, eps in enumerate(eps_list):
         model, rho0, mom0 = models[i_eps]
         law_eff = model.law_eff
         n = n_steps[i_eps]
         dt = cfg.horizon / n
-        stride = sample_stride[i_eps]
+        stride = n // cfg.n_samples
         table = coarsen(base_table, n)
-        rho_snap = np.zeros((cfg.members, cfg.n_samples + 1, *grid.sizes))
-        mom_snap = np.zeros((cfg.members, cfg.n_samples + 1, grid.dim, *grid.sizes))
         comp = State(rho0, mom0).batch(cfg.members)
-        eul = EulerState(np.repeat(eul0.v[None], cfg.members, axis=0))
+        last = comp.copy()  # each member's last sampled state
         live = np.arange(cfg.members)  # ensemble index of each marched row
         for step in range(n + 1):
             if step % stride == 0:
                 i_s = step // stride
-                if i_s > 0:  # frozen members repeat their last sample
+                if i_s > 0:  # stopped members repeat their last sample
                     emv[i_eps, :, i_s] = emv[i_eps, :, i_s - 1]
-                    rho_snap[:, i_s] = rho_snap[:, i_s - 1]
-                    mom_snap[:, i_s] = mom_snap[:, i_s - 1]
                 if live.size:
-                    freeze = grad_inf_norm(grid, eul.v) > cfg.grad_threshold
-                    sampled = ~freeze | (i_s == 0)  # frozen rows keep the last sample
-                    emv[i_eps, live[sampled], i_s] = relative_energy_state(
+                    keep = stop[live] > i_s
+                    sampled = keep | (i_s == 0)  # stopped rows keep the last sample
+                    rows = live[sampled]
+                    emv[i_eps, rows, i_s] = relative_energy_state(
                         grid, law_eff, State(comp.rho[sampled], comp.mom[sampled]),
-                        ones, eul.v[sampled])
-                    rho_snap[live[sampled], i_s] = comp.rho[sampled]
-                    mom_snap[live[sampled], i_s] = comp.mom[sampled]
-                    if freeze.any():
-                        tau[i_eps, live[freeze]] = step * dt
-                        keep = ~freeze
+                        ones, v_ref[rows, i_s])
+                    last.rho[rows] = comp.rho[sampled]
+                    last.mom[rows] = comp.mom[sampled]
+                    if not keep.all():
                         comp = State(comp.rho[keep], comp.mom[keep], comp.t)
-                        eul = EulerState(eul.v[keep], eul.t)
                         live = live[keep]
+                # pooled dissipation defect across members, and per SE group
+                _, d_series[i_eps, i_s] = dissipation_defect(
+                    EmpiricalYoungMeasure(grid, last.rho, last.mom), law_eff)
+                for gidx in range(cfg.se_groups):
+                    sl = slice(gidx * g_size, (gidx + 1) * g_size)
+                    _, d_groups[i_eps, gidx, i_s] = dissipation_defect(
+                        EmpiricalYoungMeasure(grid, last.rho[sl], last.mom[sl]), law_eff)
             if step < n and live.size:
                 try:
                     comp = step_em(grid, model, stepper, comp, dt, table[live, step])
@@ -232,16 +280,6 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
                         f"CFL blow-up at eps={eps}, member {live[exc.member]}: "
                         f"{exc.detail}; required dt <= {needed:.3e} (have {dt:.3e})"
                     ) from exc
-                eul = step_em_euler(grid, noise, eul, dt, table[live, step])
-        # pooled dissipation defect across members per sample time
-        for i_s in range(cfg.n_samples + 1):
-            ym = EmpiricalYoungMeasure(grid, rho_snap[:, i_s], mom_snap[:, i_s])
-            _, d_series[i_eps, i_s] = dissipation_defect(ym, law_eff)
-            g_size = cfg.members // cfg.se_groups
-            for gidx in range(cfg.se_groups):
-                sl = slice(gidx * g_size, (gidx + 1) * g_size)
-                ym_g = EmpiricalYoungMeasure(grid, rho_snap[sl, i_s], mom_snap[sl, i_s])
-                _, d_groups[i_eps, gidx, i_s] = dissipation_defect(ym_g, law_eff)
 
     emv_mean = emv.mean(axis=1)
     emv_se = (emv.std(axis=1, ddof=1) / np.sqrt(cfg.members)
@@ -257,10 +295,11 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         d_series=d_series,
         d_sup=d_sup,
         d_sup_se=d_sup_se,
-        tau_min=tau.min(axis=1),
+        tau_min=np.full(n_eps, tau.min()),
         n_steps=np.asarray(n_steps),
         emv=emv,
         tau=tau,
+        grad_max=grad_max,
     )
 
 

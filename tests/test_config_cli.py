@@ -7,6 +7,10 @@ from torusgas import config as config_mod
 from torusgas import snapshots
 from torusgas.cli import main
 from torusgas.config import ConfigError, parse_text, resolve
+from torusgas.dynamics import SimulationError
+from torusgas.euler import EulerError
+from torusgas.relative import RelativeEnergyError
+from torusgas.sweep import SweepError
 
 
 MINIMAL_1D = """
@@ -115,6 +119,29 @@ def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
     cfg = write_cfg(tmp_path, line + "\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert line.split("=")[0].strip() in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,driver_fn,exc", [
+    ("simulate", "run_simulate",
+     SimulationError("CFL violation: dt=2.000e-02 exceeds bound 1.959e-02", None, 31)),
+    ("weak-strong", "run_weak_strong",
+     RelativeEnergyError("reference density lost positivity", 4)),
+    ("limit-sweep", "run_limit_sweep",
+     SweepError("CFL blow-up at eps=0.5, member 3: boom; required dt <= 1.0e-03 "
+                "(have 2.0e-03)")),
+    ("limit-sweep", "run_limit_sweep", EulerError("divergence grew to 1.0e-07 at t=0.2500")),
+], ids=["simulation", "relative-energy", "sweep", "euler"])
+def test_run_failure_exits_3(tmp_path, capsys, monkeypatch, command, driver_fn, exc):
+    # a failed run prints one line naming the command and exits 3; code 1
+    # stays reserved for a failed criterion
+    from torusgas import driver
+
+    def fails(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(driver, driver_fn, fails)
+    assert main([command, "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == f"{command} failed: {exc}\n"
 
 
 class TestSimulateCommand:

@@ -1,12 +1,30 @@
 import numpy as np
 import pytest
 
-from torusgas.euler import (EulerError, EulerState, advection, check_affine_noise,
-                            euler_cfl_dt, kinetic_energy, make_state,
-                            pressure_from_projection, step_em_euler,
-                            taylor_green)
-from torusgas.grid import Grid, grad_inf_norm, random_solenoidal
+from torusgas.euler import (DIV_TOL, EulerError, _divergence_bound, advection,
+                            check_affine_noise, euler_cfl_dt, make_state,
+                            pressure_from_projection, step_em_euler, taylor_green)
+from torusgas.grid import Grid, grad_inf_norm, random_smooth_vector, random_solenoidal
 from torusgas.noise import NoiseModel, WienerPath
+
+
+def _physical_step(grid, noise, v, dt, dW=None):
+    """Oracle: one Euler-Maruyama step of the physical velocity ``v``.
+
+    Projects the dealiased advection, adds the compressible momentum kick at
+    unit density and projects again, with every operator applied in physical
+    space.
+    """
+    drift = -grid.helmholtz_project(advection(grid, v))
+    v_new = v + dt * drift
+    if noise is not None and noise.modes and dW is not None:
+        ones = np.ones_like(v[grid.comp(0)])
+        v_new = v_new + noise.momentum_kick(grid, ones, v, dW)
+    return grid.helmholtz_project(v_new)
+
+
+def kinetic_energy(grid, v):
+    return 0.5 * grid.integrate(np.sum(v * v, axis=0))
 
 
 class TestPressure:
@@ -92,6 +110,44 @@ class TestStepping:
         ratio = drift(4e-3, 125) / drift(2e-3, 250)
         assert 1.5 <= ratio <= 2.5
 
+    @pytest.mark.parametrize("sizes, noise", [
+        ((32, 32), NoiseModel(K=(0.1, 0.2, 0.3), L=(0.05, -0.1, 0.02))),
+        ((64,), NoiseModel(K=(0.3,), L=(0.2,))),
+        ((32, 32), NoiseModel()),
+    ], ids=["2d-noisy", "1d-noisy", "2d-no-modes"])
+    def test_matches_physical_step(self, sizes, noise, rng):
+        # the spectral step agrees with the physical-space oracle over 48
+        # steps to 1e-12 of the velocity's sup-norm
+        grid = Grid(sizes)
+        v = grid.helmholtz_project(np.stack([random_smooth_vector(grid, rng, kmax=4)
+                                             for _ in range(3)]))
+        state = make_state(grid, v)
+        dt = 0.01
+        table = np.stack([WienerPath(5, m, noise.modes, dt).table(48) for m in range(3)])
+        for step in range(48):
+            state = step_em_euler(grid, noise, state, dt, table[:, step])
+            v = _physical_step(grid, noise, v, dt, table[:, step])
+        assert np.max(np.abs(v)) > 0.0
+        assert np.max(np.abs(state.v - v)) <= 1e-12 * np.max(np.abs(v))
+        assert np.max(np.abs(state.v - grid.bwd(state.vh))) <= 1e-14 * np.max(np.abs(v))
+
+    def test_divergence_bound_dominates(self, grid2d, rng):
+        # the coefficient audit bounds sup |div v| from above, and reads
+        # roundoff on a projected field
+        v = random_smooth_vector(grid2d, rng, kmax=4)
+        bound = _divergence_bound(grid2d, grid2d.fwd(v))
+        assert bound >= np.max(np.abs(grid2d.divergence(v))) > 0.1
+        assert _divergence_bound(grid2d, make_state(grid2d, v).vh) < 1e-3 * DIV_TOL
+
+    def test_divergence_audit_raises(self, grid2d, monkeypatch):
+        # a compressive spectrum that the (disabled) projection lets through
+        X, _ = grid2d.coordinates()
+        state = make_state(grid2d, np.zeros((2, *grid2d.sizes)))
+        state.vh[0] = grid2d.fwd(np.sin(X))
+        monkeypatch.setattr(grid2d, "leray", lambda vh: vh)
+        with pytest.raises(EulerError, match="divergence grew"):
+            step_em_euler(grid2d, None, state, 1e-3)
+
     def test_projection_order_agrees(self, grid2d, rng):
         # projecting the drift before stepping equals projecting after
         v = random_solenoidal(grid2d, rng, kmax=4)
@@ -115,7 +171,7 @@ class TestBatch:
     def test_step_matches_member_loop(self, rng):
         grid = Grid((32, 32))
         state = self.batch(grid, rng)
-        singles = [EulerState(state.v[m].copy()) for m in range(3)]
+        singles = [state.rows(m) for m in range(3)]
         dt = 0.5 * euler_cfl_dt(grid, state)
         table = np.stack([WienerPath(5, m, self.NOISE.modes, dt).table(10)
                           for m in range(3)])
@@ -124,7 +180,8 @@ class TestBatch:
             singles = [step_em_euler(grid, self.NOISE, s, dt, table[m, step])
                        for m, s in enumerate(singles)]
         for m, single in enumerate(singles):
-            np.testing.assert_allclose(state.v[m], single.v, rtol=0, atol=0)
+            assert np.array_equal(state.vh[m], single.vh)
+            assert np.array_equal(state.fields[:, m], single.fields)
         assert state.t == singles[0].t
 
     def test_grad_inf_and_cfl_per_member(self, rng):
@@ -133,8 +190,12 @@ class TestBatch:
         per_member = [grad_inf_norm(grid, v) for v in state.v]
         assert np.array_equal(grad_inf_norm(grid, state.v), per_member)
         assert isinstance(per_member[0], float)
+        # the state's own gradient fields: one value per member, or a float
+        np.testing.assert_allclose(state.grad_inf, per_member, rtol=1e-12)
+        assert state.grad_inf[1] == state.rows(1).grad_inf
+        assert isinstance(state.rows(1).grad_inf, float)
         assert euler_cfl_dt(grid, state) == min(
-            euler_cfl_dt(grid, EulerState(v)) for v in state.v)
+            euler_cfl_dt(grid, state.rows(m)) for m in range(3))
 
     def test_transform_count(self, rng, monkeypatch):
         grid = Grid((16, 16))
@@ -146,11 +207,13 @@ class TestBatch:
                 calls.append(f.shape)
                 return _orig(self, f)
             monkeypatch.setattr(Grid, name, counted)
-        step_em_euler(grid, self.NOISE, EulerState(state.v[0]), 0.01, dW[0])
-        single = len(calls)
+        step_em_euler(grid, self.NOISE, state.rows(0), 0.01, dW[0])
+        single = list(calls)
         calls.clear()
         step_em_euler(grid, self.NOISE, state, 0.01, dW)
-        assert len(calls) == single == 13
+        # one forward call on the advection, one inverse call on v and d_j v
+        assert len(calls) == len(single) == 2
+        assert calls[1][:3] == (1 + grid.dim, 3, grid.dim)
 
 
 class TestStoppingTime:

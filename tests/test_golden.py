@@ -14,6 +14,10 @@ summary entries (flags, command names) must match exactly.
 Regenerate the golden files, in a change that says why, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or name the cases to rewrite (``... tests/test_golden.py limit-sweep``).
+Before it rewrites a file, it prints the largest absolute and relative
+deviation of the new values from the ones it replaces.
 """
 
 from __future__ import annotations
@@ -99,6 +103,30 @@ def _compare(actual, golden, where: str):
                                    rtol=RTOL, atol=ATOL, err_msg=where)
 
 
+def _deviation(actual, golden) -> tuple[float, float]:
+    """Largest absolute and relative deviation over the numbers of a record.
+
+    The relative deviation skips golden entries at or below ``ATOL``, the
+    roundoff floor of the comparison; a missing or mismatched entry reads as
+    an infinite deviation.
+    """
+    if isinstance(golden, dict):
+        if not isinstance(actual, dict) or sorted(actual) != sorted(golden):
+            return np.inf, np.inf
+        devs = [_deviation(actual[key], golden[key]) for key in golden]
+        return max((d[0] for d in devs), default=0.0), max((d[1] for d in devs), default=0.0)
+    if isinstance(golden, bool) or golden is None or isinstance(golden, str):
+        return (0.0, 0.0) if actual == golden else (np.inf, np.inf)
+    a = np.asarray(actual, dtype=np.float64)
+    g = np.asarray(golden, dtype=np.float64)
+    if a.shape != g.shape:
+        return np.inf, np.inf
+    diff = np.abs(a - g)
+    big = np.abs(g) > ATOL
+    return (float(np.max(diff, initial=0.0)),
+            float(np.max(diff[big] / np.abs(g[big]), initial=0.0)))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name, tmp_path):
     with open(_golden_path(name), encoding="ascii") as fh:
@@ -140,9 +168,14 @@ if __name__ == "__main__":
     import tempfile
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for case_name in sorted(CASES):
+    for case_name in sys.argv[1:] or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             record = run_case(case_name, tmp)
+        if os.path.exists(_golden_path(case_name)):
+            with open(_golden_path(case_name), encoding="ascii") as fh:
+                abs_dev, rel_dev = _deviation(record, json.load(fh))
+            print(f"{case_name}: largest deviation from the replaced file: "
+                  f"absolute {abs_dev:.3e}, relative {rel_dev:.3e}")
         with open(_golden_path(case_name), "w", encoding="ascii") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -161,34 +161,54 @@ class TestBatchedMarch:
                            members=members, n_samples=4, grad_threshold=threshold,
                            se_groups=2, seed=0)
 
-    def mixed_threshold(self, monkeypatch):
-        """Midway between the two largest per-member gradient maxima."""
-        seen = []
-        norm = sweep.grad_inf_norm
+    def mixed_threshold(self):
+        """Midway between the two largest per-member reference gradient maxima."""
+        grad_max = run_sweep(self.config(6, np.inf)).grad_max
+        return float(np.mean(np.sort(grad_max)[-2:]))
 
-        def record(grid, v):
-            seen.append(norm(grid, v))
-            return seen[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(sweep, "grad_inf_norm", record)
-            run_sweep(self.config(6, np.inf))
-        return float(np.mean(np.sort(np.max(seen, axis=0))[-2:]))
-
-    def test_mixed_freezing(self, monkeypatch):
-        threshold = self.mixed_threshold(monkeypatch)
+    def test_mixed_freezing(self):
+        threshold = self.mixed_threshold()
         report = run_sweep(self.config(6, threshold))
         frozen = report.tau < 0.25
         assert frozen.any() and not frozen.all()
-        for i_eps, m in zip(*np.nonzero(frozen)):
-            j = int(np.argmin(np.abs(report.times - report.tau[i_eps, m])))
-            row = report.emv[i_eps, m]
-            assert np.all(row[j:] == row[max(j - 1, 0)])
-        assert np.array_equal(report.tau_min, report.tau.min(axis=1))
+        assert np.array_equal(report.grad_max > threshold, frozen)
+        for m in np.flatnonzero(frozen):
+            j = int(np.argmin(np.abs(report.times - report.tau[m])))
+            for row in report.emv[:, m]:
+                assert np.all(row[j:] == row[max(j - 1, 0)])
+        assert np.all(report.tau_min == report.tau.min())
         # no member depends on which others share its batch
         small = run_sweep(self.config(4, threshold))
         assert np.array_equal(small.emv, report.emv[:, :4])
-        assert np.array_equal(small.tau, report.tau[:, :4])
+        assert np.array_equal(small.tau, report.tau[:4])
+
+    def test_reference_marched_once_and_shared(self, monkeypatch):
+        # one Euler march at the finest step, whose stopping times every
+        # eps's compressible batch obeys
+        threshold = self.mixed_threshold()
+        cfg = self.config(6, threshold)
+        euler_rows, comp_rows = [], {}
+        step_euler, step_comp = sweep.step_em_euler, sweep.step_em
+
+        def count_euler(grid, noise, state, dt, dW):
+            euler_rows.append(len(dW))
+            return step_euler(grid, noise, state, dt, dW)
+
+        def count_comp(grid, model, stepper, state, dt, dW):
+            comp_rows.setdefault(model.eps, []).append(len(dW))
+            return step_comp(grid, model, stepper, state, dt, dW)
+
+        monkeypatch.setattr(sweep, "step_em_euler", count_euler)
+        monkeypatch.setattr(sweep, "step_em", count_comp)
+        report = run_sweep(cfg)
+        n_base = int(max(report.n_steps))
+        assert report.tau.shape == (cfg.members,)
+        assert (report.tau < cfg.horizon).any()
+        # each member is stepped up to its stopping time, at each step size
+        assert len(euler_rows) == n_base
+        assert sum(euler_rows) == round(float(np.sum(report.tau)) * n_base / cfg.horizon)
+        for eps, n in zip(report.eps, report.n_steps):
+            assert sum(comp_rows[eps]) == round(float(np.sum(report.tau)) * n / cfg.horizon)
 
     def test_cfl_blow_up_names_member_eps_and_dt(self, monkeypatch):
         def fails_on_row_1(grid, model, stepper, state, dt, dW):
