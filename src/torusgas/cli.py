@@ -38,8 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to a key = value file")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        if name != "verify":  # the invariant suite runs single-threaded
+        if name == "simulate":
             p.add_argument("--threads", type=int, default=1, help="worker threads")
+        elif name != "verify":  # the invariant suite runs single-threaded
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted but ignored: this command runs single-threaded")
         p.add_argument("--out", default="out", help="output directory")
     return parser
 

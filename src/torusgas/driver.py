@@ -340,7 +340,7 @@ def run_limit_sweep(cfg: dict, out_dir: str) -> dict:
     summary = {"command": "limit_sweep",
                "eps": report.eps, "final_emv": report.final_emv,
                "d_sup": report.d_sup, "tau_min": report.tau_min,
-               "n_steps": report.n_steps}
+               "n_steps": report.n_steps, "cfl_ratio_max": report.cfl_ratio}
     if report.eps.size >= 3:
         summary.update(fit_rate(report, sweep_cfg.gamma))
     else:

@@ -20,6 +20,22 @@ Young measure).  The drift, the step, the CFL bound and the energy accept
 either: a batch is marched as one array, each member's row bit-identical to
 stepping that member alone, under one CFL bound for the whole batch.  A
 failing batched step names the offending member and carries its state.
+
+The step is explicit by default.  With ``StepperConfig.semi_implicit`` the
+viscous term gets a stabilized semi-implicit treatment (Zhu, Chen, Shen &
+Tikare 1999, within the IMEX framework of Ascher, Ruuth & Spiteri 1997):
+the momentum update solves
+
+    (m+ - m)/dt = F(m) - A lap(m) - B grad div(m) + A lap(m+) + B grad div(m+)
+
+with the constant coefficients ``A = nu max(1/rho)`` and
+``B = eta max(1/rho)``, taken per member.  The implicit part is diagonal in
+Fourier space, so it costs a filter on the momentum tendency's spectrum and
+no extra transform, and it removes the diffusive step limit: ``cfl_dt``
+keeps only the acoustic bound.  The density update and the noise kick stay
+explicit.  The limit sweep uses it; its viscosities grow to ``nu = 1`` at
+eps = 1, where the diffusive bound is the tightest.  Every other command
+keeps the explicit step, whose energy bookkeeping the ledger checks.
 """
 
 from __future__ import annotations
@@ -113,6 +129,7 @@ class StepperConfig:
     dt: float = 0.0  # 0 means: choose from the CFL bound at the initial state
     cfl: float = 0.4
     rho_floor: float = 1e-8
+    semi_implicit: bool = False  # stabilized semi-implicit viscous step, no diffusive bound
 
     def __post_init__(self):
         if self.dt < 0:
@@ -125,10 +142,15 @@ class StepperConfig:
 
 @dataclass
 class StepStats:
-    """Floor activations; start the counters as ``(M,)`` arrays for a batch."""
+    """Floor activations and the CFL margin of the steps it has seen.
+
+    Start the floor counters as ``(M,)`` arrays for a batch.  ``cfl_ratio``
+    is the largest ``dt / cfl_dt`` over those steps, one value per batch.
+    """
 
     floored_cells: int = 0
     mass_correction: float = 0.0
+    cfl_ratio: float = 0.0
 
 
 def _check_finite(grid: Grid, message: str, state: "State", rho, mom):
@@ -144,7 +166,8 @@ def _check_finite(grid: Grid, message: str, state: "State", rho, mom):
     raise SimulationError(message, state.member(m), m)
 
 
-def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
+def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
+                      dt_implicit: float = 0.0):
     """Drift of the semi-discrete system, ``(d rho, d mom)``.
 
     Nonlinear products are formed pointwise; both tendencies are then built
@@ -155,6 +178,13 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
     is 4 forward and 2 inverse FFT calls in any dimension, 3 + 1 without
     viscosity.  Non-finite intermediates abort with the state attached for
     diagnostics.
+
+    With ``dt_implicit > 0`` (and viscosity) the momentum tendency is that
+    of the stabilized semi-implicit step of size ``dt_implicit`` (see the
+    module docstring): its transverse part is divided by
+    ``1 + dt A |k|^2`` and its longitudinal part by
+    ``1 + dt (A + B) |k|^2``, one filter on the spectrum before the inverse
+    transform.
     """
     rho, mom = state.rho, state.mom
     dim, comp, ik = grid.dim, grid.comp, grid.ik
@@ -168,6 +198,7 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
     for n, (i, j) in enumerate(pairs):
         entry[i, j] = entry[j, i] = n
     p_h = grid.fwd(pressure_delta(model.law_eff, rho))
+    implicit = dt_implicit > 0 and model.visc is not None
     if model.visc is not None:
         u_h = grid.fwd(u)
         div_u_h = sum(ik[j] * u_h[comp(j)] for j in range(dim))
@@ -179,7 +210,17 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State):
         acc = -ik[i] * p_h - sum(ik[j] * flux_h[comp(entry[i, j])] for j in range(dim))
         if model.visc is not None:
             acc += nu_k2 * u_h[comp(i)] + eta * ik[i] * div_u_h
-        dmom_h[comp(i)] = np.where(grid.dealias_mask, acc, 0.0)
+        dmom_h[comp(i)] = acc if implicit else np.where(grid.dealias_mask, acc, 0.0)
+    if implicit:
+        # (I + dt A |k|^2 + dt B k k.)^-1 d = (d + ik (ik . d) c_l) / (1 + dt A |k|^2)
+        # with c_l = dt B / (1 + dt (A + B) |k|^2); the mask folds into c_t
+        dt_rho = dt_implicit / np.min(rho, axis=grid.axes, keepdims=True)  # dt max 1/rho
+        k2 = dt_rho * grid.k2
+        c_t = grid.dealias_mask / (1.0 + model.visc.nu * k2)
+        c_l = eta * dt_rho / (1.0 + (model.visc.nu + eta) * k2)
+        long_h = c_l * sum(ik[j] * dmom_h[comp(j)] for j in range(dim))
+        for i in range(dim):
+            dmom_h[comp(i)] = (dmom_h[comp(i)] + ik[i] * long_h) * c_t
     dmom = grid.bwd(dmom_h)
 
     _check_finite(grid, "non-finite drift encountered", state, drho, dmom)
@@ -198,12 +239,13 @@ def cfl_dt(grid: Grid, model: ModelConfig, state: State,
            stepper: StepperConfig = StepperConfig()) -> float:
     """Largest stable step: acoustic bound, plus a diffusion bound if viscous.
 
-    A batch gets one bound, set by its fastest member.
+    The semi-implicit step (``stepper.semi_implicit``) has no diffusion
+    bound.  A batch gets one bound, set by its fastest member.
     """
     h = min(grid.spacings)
     speed = float(np.max(_signal_speed(grid, model, state, stepper.rho_floor)))
     dt = stepper.cfl * h / speed if speed > 0 else np.inf
-    if model.visc is not None:
+    if model.visc is not None and not stepper.semi_implicit:
         dt = min(dt, stepper.cfl * h * h / (4.0 * model.visc.nu))
     return dt
 
@@ -212,12 +254,15 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
             dt: float, dW: Optional[np.ndarray] = None,
             rhs_fn: Callable = rhs_deterministic,
             stats: Optional[StepStats] = None) -> State:
-    """One explicit Euler-Maruyama step of size ``dt``.
+    """One Euler-Maruyama step of size ``dt``.
 
     The drift uses the current state; the noise kick ``sum_k G_k dW_k`` with
     this step's Wiener increments ``dW`` is evaluated at the pre-step state
     and enters the momentum only.  Without ``dW`` the step is deterministic.
-    A batch takes ``(M, K)`` increments, one row per member.
+    A batch takes ``(M, K)`` increments, one row per member.  The step is
+    explicit unless ``stepper.semi_implicit`` asks ``rhs_fn`` for the
+    semi-implicit viscous tendency.  ``stats``, if given, records floor
+    activations and ``dt`` over the CFL bound.
     """
     bound = cfl_dt(grid, model, state, stepper)
     if dt > bound * (1.0 + 1e-9):
@@ -228,8 +273,11 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
         speed = _signal_speed(grid, model, state, stepper.rho_floor)
         m = int(np.unravel_index(np.argmax(speed), speed.shape)[0])
         raise SimulationError(message, state.member(m), m)
+    if stats is not None:
+        stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
 
-    drho, dmom = rhs_fn(grid, model, state)
+    drho, dmom = (rhs_fn(grid, model, state, dt) if stepper.semi_implicit
+                  else rhs_fn(grid, model, state))
     rho_new = state.rho + dt * drho
     mom_new = state.mom + dt * dmom
 

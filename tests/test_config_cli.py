@@ -291,6 +291,14 @@ class TestVerifyCommand:
         assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["weak-strong", "limit-sweep"])
+def test_threads_help_says_ignored(command, capsys):
+    # these commands march one batch on one thread; the help must not promise more
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "ignored" in capsys.readouterr().out
+
+
 class TestWeakStrongCommand:
     def test_self_comparison(self, tmp_path):
         text = """

@@ -260,6 +260,20 @@ class TestBatch:
         assert cfl_dt(grid, BATCH_MODEL, batch, stepper) == min(
             cfl_dt(grid, BATCH_MODEL, batch.member(m), stepper) for m in range(members))
 
+    @pytest.mark.parametrize("sizes", [(32,), (16, 16)])
+    def test_semi_implicit_step_matches_member_loop(self, sizes):
+        grid = Grid(sizes)
+        batch = member_batch(grid)
+        stepper = StepperConfig(semi_implicit=True)
+        dt = 5e-3
+        dW = np.stack([WienerPath(5, m, BATCH_MODEL.modes, dt).increments(0)
+                       for m in range(len(batch.rho))])
+        out = step_em(grid, BATCH_MODEL, stepper, batch, dt, dW)
+        for m in range(len(batch.rho)):
+            st = step_em(grid, BATCH_MODEL, stepper, batch.member(m), dt, dW[m])
+            np.testing.assert_array_equal(out.rho[m], st.rho)
+            np.testing.assert_array_equal(out.mom[m], st.mom)
+
     def test_cfl_violation_names_fastest_member(self, grid1d):
         batch = member_batch(grid1d)
         batch.mom[2] *= 40.0
@@ -311,7 +325,75 @@ class TestFusedDrift:
                 calls.append(f.shape)
                 return _orig(self, f)
             monkeypatch.setattr(Grid, name, counted)
-        rhs_deterministic(grid, BATCH_MODEL, batch)
-        if grid.dim == 1:
-            assert len(calls) == most
-        assert len(calls) <= most
+        for dt_implicit in (0.0, 1e-3):  # the semi-implicit filter adds no transform
+            calls.clear()
+            rhs_deterministic(grid, BATCH_MODEL, batch, dt_implicit)
+            if grid.dim == 1:
+                assert len(calls) == most
+            assert len(calls) <= most
+
+
+class TestSemiImplicit:
+    """The stabilized semi-implicit viscous step of the limit sweep."""
+
+    SEMI = StepperConfig(semi_implicit=True)
+
+    def test_inviscid_identical_to_explicit(self):
+        grid = Grid((16, 16))
+        batch = member_batch(grid)
+        model = ModelConfig(law=LAW, noise=BATCH_MODEL.noise)
+        dW = np.full((len(batch.rho), model.modes), 0.01)
+        explicit = step_em(grid, model, StepperConfig(), batch, 1e-2, dW)
+        semi = step_em(grid, model, self.SEMI, batch, 1e-2, dW)
+        np.testing.assert_allclose(semi.rho, explicit.rho, rtol=0, atol=0)
+        np.testing.assert_allclose(semi.mom, explicit.mom, rtol=0, atol=0)
+        assert cfl_dt(grid, model, batch, self.SEMI) == cfl_dt(grid, model, batch)
+
+    def test_high_mode_decays_beyond_explicit_bound(self):
+        # a k = 10 momentum mode, half transverse and half longitudinal, at
+        # 8x the explicit diffusive step: the explicit update amplifies it,
+        # the semi-implicit one damps it every step
+        grid = Grid((32, 32))
+        x, y = grid.coordinates()
+        model = ModelConfig(law=LAW, visc=Viscosity(1.0, 1.0))
+        amp = 1e-3
+        st = State(np.ones(grid.sizes), np.stack([amp * (np.sin(10 * y) + np.sin(10 * x)),
+                                                  np.zeros(grid.sizes)]))
+        h = min(grid.spacings)
+        dt = 8 * StepperConfig().cfl * h * h / 4.0
+        assert cfl_dt(grid, model, st) < dt <= cfl_dt(grid, model, st, self.SEMI)
+        acoustic = StepperConfig().cfl * h / (np.max(np.abs(st.mom)) + np.sqrt(2.0))
+        assert cfl_dt(grid, model, st, self.SEMI) == pytest.approx(acoustic, rel=1e-12)
+        with pytest.raises(SimulationError, match="CFL"):
+            step_em(grid, model, StepperConfig(), st, dt)
+        _, dmom = rhs_deterministic(grid, model, st)
+        assert np.max(np.abs(st.mom + dt * dmom)) > 2 * amp
+        sizes = [np.max(np.abs(st.mom))]
+        for _ in range(10):
+            st = step_em(grid, model, self.SEMI, st, dt)
+            sizes.append(np.max(np.abs(st.mom)))
+        assert np.all(np.diff(sizes) < 0)
+        assert sizes[-1] < 0.05 * sizes[0]
+        # the acoustic bound still holds
+        with pytest.raises(SimulationError, match="CFL"):
+            step_em(grid, model, self.SEMI, st, 2 * cfl_dt(grid, model, st, self.SEMI))
+
+    def test_first_order_gap_to_explicit(self):
+        # both steps are first order, so their gap over a fixed horizon
+        # roughly halves with dt
+        grid = Grid((16, 16))
+        model = ModelConfig(law=LAW, visc=Viscosity(0.05, 0.05))
+        start = member_batch(grid).member(1)  # the member with 20% density variation
+
+        def gap(n):
+            dt = 0.2 / n
+            ex, si = start, start
+            for _ in range(n):
+                ex = step_em(grid, model, StepperConfig(), ex, dt)
+                si = step_em(grid, model, self.SEMI, si, dt)
+            return np.max(np.abs(si.mom - ex.mom))
+
+        g1, g2, g3 = gap(16), gap(32), gap(64)
+        assert g1 > g2 > g3 > 0
+        assert 1.6 <= g1 / g2 <= 2.4
+        assert 1.6 <= g2 / g3 <= 2.4

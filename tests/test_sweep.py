@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgas import sweep
+from torusgas import config, driver, sweep
 from torusgas.dynamics import SimulationError
 from torusgas.euler import taylor_green
 from torusgas.grid import Grid
@@ -152,6 +154,20 @@ class TestRunSweep:
             report.n_steps[0] % report.n_steps[1] == 0
 
 
+def test_semi_implicit_schedule_and_cfl_margin(tmp_path):
+    # the limit-sweep-2d benchmark overrides: with the viscous step
+    # semi-implicit, eps = 1 no longer takes the diffusive bound's 256 steps
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = config.load(os.path.join(root, "configs", "limit_sweep.cfg"),
+                      {"grid.sizes": [32, 32], "sweep.eps": [1.0, 0.5, 0.25],
+                       "sweep.members": 8, "run.seed": 1})
+    summary = driver.run_limit_sweep(cfg, str(tmp_path))
+    assert summary["n_steps"].tolist() == [64, 64, 128]
+    assert summary["pass"] is True
+    ratio = summary["cfl_ratio_max"]
+    assert ratio.shape == (3,) and np.all(ratio > 0) and np.all(ratio <= 0.6)
+
+
 class TestBatchedMarch:
     """The members of each eps march as one batch; freezing stays per member."""
 
@@ -194,9 +210,9 @@ class TestBatchedMarch:
             euler_rows.append(len(dW))
             return step_euler(grid, noise, state, dt, dW)
 
-        def count_comp(grid, model, stepper, state, dt, dW):
+        def count_comp(grid, model, stepper, state, dt, dW, stats=None):
             comp_rows.setdefault(model.eps, []).append(len(dW))
-            return step_comp(grid, model, stepper, state, dt, dW)
+            return step_comp(grid, model, stepper, state, dt, dW, stats=stats)
 
         monkeypatch.setattr(sweep, "step_em_euler", count_euler)
         monkeypatch.setattr(sweep, "step_em", count_comp)
@@ -211,7 +227,7 @@ class TestBatchedMarch:
             assert sum(comp_rows[eps]) == round(float(np.sum(report.tau)) * n / cfg.horizon)
 
     def test_cfl_blow_up_names_member_eps_and_dt(self, monkeypatch):
-        def fails_on_row_1(grid, model, stepper, state, dt, dW):
+        def fails_on_row_1(grid, model, stepper, state, dt, dW, stats=None):
             raise SimulationError("CFL violation: boom", state.member(1), 1)
 
         monkeypatch.setattr(sweep, "step_em", fails_on_row_1)
