@@ -349,6 +349,23 @@ class TestSemiImplicit:
         np.testing.assert_allclose(semi.mom, explicit.mom, rtol=0, atol=0)
         assert cfl_dt(grid, model, batch, self.SEMI) == cfl_dt(grid, model, batch)
 
+    @pytest.mark.parametrize("sizes", [(32,), (16, 16)])
+    def test_tendency_solves_the_implicit_system(self, sizes):
+        # oracle: d - dt (A lap d + B grad div d) is the explicit tendency,
+        # with A = nu max(1/rho) and B = eta max(1/rho) for each member
+        grid = Grid(sizes)
+        batch = member_batch(grid)
+        visc, dt = BATCH_MODEL.visc, 0.05
+        _, explicit = rhs_deterministic(grid, BATCH_MODEL, batch)
+        _, semi = rhs_deterministic(grid, BATCH_MODEL, batch, dt)
+        for m in range(len(batch.rho)):
+            inv_rho = 1.0 / np.min(batch.rho[m])
+            implicit = grid.viscous_operator(semi[m], visc.nu * inv_rho,
+                                             visc.eta(grid.dim) * inv_rho)
+            np.testing.assert_allclose(semi[m] - dt * implicit, explicit[m], rtol=0,
+                                       atol=1e-12 * np.max(np.abs(explicit[m])))
+        assert np.max(np.abs(semi - explicit)) > 1e-3 * np.max(np.abs(explicit))
+
     def test_high_mode_decays_beyond_explicit_bound(self):
         # a k = 10 momentum mode, half transverse and half longitudinal, at
         # 8x the explicit diffusive step: the explicit update amplifies it,
@@ -368,12 +385,14 @@ class TestSemiImplicit:
             step_em(grid, model, StepperConfig(), st, dt)
         _, dmom = rhs_deterministic(grid, model, st)
         assert np.max(np.abs(st.mom + dt * dmom)) > 2 * amp
-        sizes = [np.max(np.abs(st.mom))]
+        sizes, ratios, stats = [np.max(np.abs(st.mom))], [], StepStats()
         for _ in range(10):
-            st = step_em(grid, model, self.SEMI, st, dt)
+            ratios.append(dt / cfl_dt(grid, model, st, self.SEMI))
+            st = step_em(grid, model, self.SEMI, st, dt, stats=stats)
             sizes.append(np.max(np.abs(st.mom)))
         assert np.all(np.diff(sizes) < 0)
         assert sizes[-1] < 0.05 * sizes[0]
+        assert stats.cfl_ratio == max(ratios)
         # the acoustic bound still holds
         with pytest.raises(SimulationError, match="CFL"):
             step_em(grid, model, self.SEMI, st, 2 * cfl_dt(grid, model, st, self.SEMI))
