@@ -42,7 +42,8 @@ SCHEMA: dict[str, Key] = {
     "stepper.dt": Key("float", 0.0, "time step; 0 = auto from CFL"),
     "stepper.cfl": Key("float", 0.4, "CFL number in (0, 1]"),
     "stepper.rho_floor": Key("float", 1e-8, "density positivity floor"),
-    "noise.kind": Key("str", "affine", "noise coefficient family"),
+    "noise.kind": Key("str", "affine", "noise coefficient family; only 'affine' exists, "
+                      "the key stays so earlier resolved configs load"),
     "noise.modes": Key("int", 0, "number of Wiener modes"),
     "noise.K": Key("float_list", [], "density coupling per mode"),
     "noise.L": Key("float_list", [], "momentum coupling per mode"),
@@ -131,6 +132,10 @@ def resolve(raw: dict, overrides: Optional[dict] = None) -> dict:
 
 
 def _cross_validate(cfg: dict):
+    if not (math.isfinite(cfg["run.T"]) and cfg["run.T"] > 0):
+        raise ConfigError("run.T: must be finite and positive")
+    if cfg["run.n_steps"] < 0:
+        raise ConfigError("run.n_steps: must be nonnegative (0 picks from the CFL bound)")
     sizes = cfg["grid.sizes"]
     if not sizes or not all(n >= 8 and (n & (n - 1)) == 0 for n in sizes):
         raise ConfigError("grid.sizes: need powers of two, each at least 8")
@@ -148,6 +153,8 @@ def _cross_validate(cfg: dict):
         raise ConfigError("model.nu/model.lambda: must be nonnegative")
     if cfg["model.eps"] <= 0:
         raise ConfigError("model.eps: must be positive")
+    if cfg["stepper.dt"] < 0:
+        raise ConfigError("stepper.dt: must be nonnegative (0 picks from the CFL bound)")
     if not 0 < cfg["stepper.cfl"] <= 1:
         raise ConfigError("stepper.cfl: must lie in (0, 1]")
     if cfg["stepper.rho_floor"] <= 0:
@@ -178,6 +185,13 @@ def _cross_validate(cfg: dict):
     eps = cfg["sweep.eps"]
     if not eps or not all(e > 0 for e in eps):
         raise ConfigError("sweep.eps: need at least one value, all positive")
+    if cfg["sweep.nu_coupling"] == "zero":
+        raise ConfigError("sweep.nu_coupling: must be eps2, eps or const; the sweep needs nu > 0")
+    if cfg["sweep.nu_coupling"] == "const" and cfg["sweep.const_nu"] <= 0:
+        raise ConfigError("sweep.const_nu: must be positive when sweep.nu_coupling = const")
+    if cfg["sweep.lambda_coupling"] == "const" and cfg["sweep.const_nu"] < 0:
+        raise ConfigError("sweep.const_nu: must be nonnegative when "
+                          "sweep.lambda_coupling = const")
 
 
 def load(path, overrides: Optional[dict] = None) -> dict:

@@ -50,7 +50,7 @@ def build_model(cfg: dict) -> ModelConfig:
 
 
 def build_stepper(cfg: dict) -> StepperConfig:
-    return StepperConfig(dt=0.0, cfl=cfg["stepper.cfl"],
+    return StepperConfig(cfl=cfg["stepper.cfl"],
                          rho_floor=cfg["stepper.rho_floor"])
 
 

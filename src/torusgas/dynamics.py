@@ -126,14 +126,11 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    dt: float = 0.0  # 0 means: choose from the CFL bound at the initial state
     cfl: float = 0.4
     rho_floor: float = 1e-8
     semi_implicit: bool = False  # stabilized semi-implicit viscous step, no diffusive bound
 
     def __post_init__(self):
-        if self.dt < 0:
-            raise ValueError("dt must be nonnegative (0 selects auto)")
         if not 0 < self.cfl <= 1:
             raise ValueError("cfl must lie in (0, 1]")
         if not self.rho_floor > 0:

@@ -70,21 +70,14 @@ def build_ym(grid: Grid, states: list[State]) -> EmpiricalYoungMeasure:
 
 @dataclass(frozen=True)
 class Observable:
-    """Evaluation rule ``F(rho, m)`` with declared growth exponents.
+    """Evaluation rule ``F(rho, m)``.
 
     ``func`` maps stacked atoms ``(rho, mom)`` -> per-atom values with the
-    atom axis first.  ``p_growth``/``q_growth`` are the declared powers in
-    density and momentum; :meth:`within_budget` flags whether they respect
-    the integrability budget of the limit framework.
+    atom axis first.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    p_growth: float = 0.0
-    q_growth: float = 0.0
     name: str = ""
-
-    def within_budget(self, gamma: float) -> bool:
-        return self.p_growth <= gamma and self.q_growth <= 2.0 * gamma / (gamma + 1.0)
 
 
 def expect(ym: EmpiricalYoungMeasure, obs: Observable) -> np.ndarray:

@@ -70,12 +70,6 @@ class EulerState:
         return EulerState(self.vh[keep], self.fields[:, keep], self.t)
 
 
-def check_affine_noise(noise: NoiseModel | None):
-    """The Euler noise must keep solenoidal fields solenoidal."""
-    if noise is not None and noise.modes and noise.kind != "affine":
-        raise EulerError("euler reference requires the affine noise form")
-
-
 def advection(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Dealiased convective term ``(v . grad) v`` of a physical velocity."""
     grad_v = grid.gradient_vector(v)
@@ -88,8 +82,7 @@ def advection(grid: Grid, v: np.ndarray) -> np.ndarray:
 def pressure_from_projection(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Explicit pressure ``pi`` with ``grad pi = -grad invlap div[(v.grad)v]``."""
     adv = advection(grid, v)
-    pi, _ = grid.inverse_laplacian(-grid.divergence(adv))
-    return pi
+    return grid.inverse_laplacian(-grid.divergence(adv))
 
 
 def _state(grid: Grid, vh: np.ndarray, t: float) -> EulerState:
@@ -116,7 +109,6 @@ def _kick(grid: Grid, noise: NoiseModel, vh: np.ndarray, dW: np.ndarray) -> np.n
     The ``K`` part is spatially constant: it lands on the zero mode, scaled
     by the cell count of the unnormalized forward transform.
     """
-    check_affine_noise(noise)
     per_member = dW.shape[:-1] + (1,) * (grid.dim + 1)
     ldw = sum(l * dW[..., k] for k, l in enumerate(noise.L))
     out = np.reshape(ldw, per_member) * vh

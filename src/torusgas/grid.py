@@ -20,12 +20,9 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: tolerance used when a zero-mean precondition is enforced
-MEAN_TOL = 1e-12
-
 
 class FieldError(ValueError):
-    """Raised when a field violates a grid contract (shape, finiteness, mean)."""
+    """Raised when a field violates a grid contract (shape, finiteness)."""
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -219,20 +216,15 @@ class Grid:
         f = self.check_scalar(f)
         return self.bwd(-self._spec["k2"] * self.fwd(f))
 
-    def inverse_laplacian(self, f: np.ndarray, mean_tol: float = MEAN_TOL):
+    def inverse_laplacian(self, f: np.ndarray) -> np.ndarray:
         """Zero-mean solution of ``lap(result) = f`` for a single field.
 
-        The input mean is subtracted before inversion; a mean exceeding
-        ``mean_tol`` (relative to the field scale) is reported in the second
-        return slot so callers can surface an ill-posed right-hand side.
+        The input mean is subtracted before inversion.
         """
         f = self.check_scalar(f)
-        mean = float(np.mean(f))
-        scale = max(1.0, float(np.max(np.abs(f))))
         fh = self.fwd(f)
         fh.flat[0] = 0.0
-        out = self.bwd(-self._spec["inv_k2"] * fh)
-        return out, abs(mean) > mean_tol * scale
+        return self.bwd(-self._spec["inv_k2"] * fh)
 
     def helmholtz_project(self, v: np.ndarray) -> np.ndarray:
         """Leray/Helmholtz projection ``v - grad(invlap(div v))``."""

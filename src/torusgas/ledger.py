@@ -49,9 +49,6 @@ class EnergyLedger:
         self.ito_cum.append(float(ito_cum))
         self.martingale.append(float(martingale))
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     def residual(self, i_tau: int = 0, i_t: int = -1) -> float:
         """Energy-inequality residual between two sample indices."""
         i_t = range(len(self.times))[i_t]

@@ -2,14 +2,14 @@
 
 The driving noise is a finite family of independent scalar Brownian motions
 ``W_k``; mode ``k`` forces the momentum through a coefficient field
-``G_k(rho, m)``.  Two coefficient families are supported:
+``G_k(rho, m)``.  The paper allows any Lipschitz ``G_k``; every run here
+uses one affine family,
 
-* ``affine``: ``G_k(rho, m) = rho K_k e_{k mod N} + L_k m`` with real
-  ``K_k, L_k``.  The density factor acts along a fixed unit axis per mode
-  (axes cycle with ``k``), which keeps constants solenoidal and makes the
-  sub-linearity constant ``2 sum(K_k^2 + L_k^2)`` exact.
-* ``general``: user callables ``g(coords, rho, mom) -> (N, *sizes)`` with
-  declared Lipschitz constants, vanishing at ``(rho, m) = (0, 0)``.
+    ``G_k(rho, m) = rho K_k e_{k mod N} + L_k m``  with real ``K_k, L_k``.
+
+The density factor acts along a fixed unit axis per mode (axes cycle with
+``k``), which keeps constants solenoidal and makes the sub-linearity
+constant ``2 sum(K_k^2 + L_k^2)`` exact.
 
 Brownian increments come from counter-based Philox streams keyed by
 ``(master seed, member)`` with the step index in the counter, so every path
@@ -39,67 +39,48 @@ class NoiseError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    kind: str = "affine"
     K: tuple[float, ...] = ()
     L: tuple[float, ...] = ()
-    coefficients: tuple = ()  # general kind: callables g(coords, rho, mom)
-    alphas: tuple[float, ...] = ()  # general kind: declared Lipschitz constants
 
     def __post_init__(self):
-        if self.kind not in ("affine", "general"):
-            raise NoiseError(f"unknown noise kind {self.kind!r}")
         object.__setattr__(self, "K", tuple(float(k) for k in self.K))
         object.__setattr__(self, "L", tuple(float(l) for l in self.L))
-        if self.kind == "affine":
-            if len(self.K) != len(self.L):
-                raise NoiseError("K and L must have equal length")
-        else:
-            if len(self.coefficients) != len(self.alphas):
-                raise NoiseError("each general coefficient needs a Lipschitz constant")
+        if len(self.K) != len(self.L):
+            raise NoiseError("K and L must have equal length")
 
     @property
     def modes(self) -> int:
-        return len(self.K) if self.kind == "affine" else len(self.coefficients)
+        return len(self.K)
 
     @property
     def alpha_sum(self) -> float:
         """Sum of per-mode Lipschitz constants (finite by truncation)."""
-        if self.kind == "affine":
-            return float(sum(abs(k) + abs(l) for k, l in zip(self.K, self.L)))
-        return float(sum(self.alphas))
+        return float(sum(abs(k) + abs(l) for k, l in zip(self.K, self.L)))
 
     def apply_mode(self, mode: int, grid, rho: np.ndarray, mom: np.ndarray) -> np.ndarray:
         """Coefficient field ``G_k(rho, m)`` for one mode (of one state or a batch)."""
         if not 0 <= mode < self.modes:
             raise NoiseError(f"mode {mode} out of range [0, {self.modes})")
-        if self.kind == "affine":
-            out = self.L[mode] * mom
-            out[grid.comp(mode % grid.dim)] += self.K[mode] * rho
-            return out
-        return np.asarray(self.coefficients[mode](grid.coordinates(), rho, mom))
+        out = self.L[mode] * mom
+        out[grid.comp(mode % grid.dim)] += self.K[mode] * rho
+        return out
 
     def momentum_kick(self, grid, rho: np.ndarray, mom: np.ndarray,
                       dW: np.ndarray) -> np.ndarray:
-        """``sum_k G_k(rho, m) dW_k`` in closed form for the affine kind.
+        """``sum_k G_k(rho, m) dW_k`` in closed form.
 
         ``dW`` is one step's ``(K,)`` increments, or ``(M, K)`` for a batch.
         """
         if self.modes == 0:
             return np.zeros_like(mom)
         per_cell = dW.shape[:-1] + (1,) * grid.dim  # a member's value in every cell
-        if self.kind == "affine":
-            # sum_k L_k dW_k in mode order, the same per member as alone
-            ldw = sum(l * dW[..., k] for k, l in enumerate(self.L))
-            out = np.reshape(ldw, per_cell)[grid.comp(None)] * mom
-            for mode in range(self.modes):
-                if self.K[mode] != 0.0:
-                    out[grid.comp(mode % grid.dim)] += (
-                        np.reshape(self.K[mode] * dW[..., mode], per_cell) * rho)
-            return out
-        out = np.zeros_like(mom)
+        # sum_k L_k dW_k in mode order, the same per member as alone
+        ldw = sum(l * dW[..., k] for k, l in enumerate(self.L))
+        out = np.reshape(ldw, per_cell)[grid.comp(None)] * mom
         for mode in range(self.modes):
-            kick = np.reshape(dW[..., mode], per_cell)[grid.comp(None)]
-            out += kick * self.apply_mode(mode, grid, rho, mom)
+            if self.K[mode] != 0.0:
+                out[grid.comp(mode % grid.dim)] += (
+                    np.reshape(self.K[mode] * dW[..., mode], per_cell) * rho)
         return out
 
     def ito_correction_density(self, grid, rho: np.ndarray, mom: np.ndarray,
@@ -120,18 +101,12 @@ class NoiseModel:
             if bad:
                 log.warning("ito correction: %d vacuum cells with nonzero momentum", bad)
         u = mom / np.maximum(rho, rho_floor)[grid.comp(None)]
-        if self.kind == "affine":
-            out = np.zeros_like(rho)
-            u2 = np.sum(u * u, axis=c)
-            for mode in range(self.modes):
-                k, l = self.K[mode], self.L[mode]
-                out += k * k + 2.0 * k * l * u[grid.comp(mode % grid.dim)] + l * l * u2
-            return rho * out
         out = np.zeros_like(rho)
+        u2 = np.sum(u * u, axis=c)
         for mode in range(self.modes):
-            gk = self.apply_mode(mode, grid, rho, mom)
-            out += np.sum(gk * gk, axis=c)
-        return out / np.maximum(rho, rho_floor)
+            k, l = self.K[mode], self.L[mode]
+            out += k * k + 2.0 * k * l * u[grid.comp(mode % grid.dim)] + l * l * u2
+        return rho * out
 
 
 # --------------------------------------------------------------------------
@@ -216,10 +191,7 @@ def coarsen(table: np.ndarray, n_steps: int) -> np.ndarray:
 def lipschitz_audit(model: NoiseModel, grid, n_pairs: int = 10_000, seed: int = 0) -> dict:
     """Sampled check of ``|G_k(r,q) - G_k(r',q')| <= alpha_k (|r-r'| + |q-q'|)``."""
     rng = np.random.default_rng(seed)
-    if model.kind == "affine":
-        alphas = [abs(k) + abs(l) for k, l in zip(model.K, model.L)]
-    else:
-        alphas = list(model.alphas)
+    alphas = [abs(k) + abs(l) for k, l in zip(model.K, model.L)]
     shape = grid.sizes
     worst = 0.0
     violations = 0
@@ -247,13 +219,10 @@ def lipschitz_audit(model: NoiseModel, grid, n_pairs: int = 10_000, seed: int = 
 def domination_audit(model: NoiseModel, grid, n_states: int = 32, seed: int = 0) -> dict:
     """Check ``sum_k |G_k|^2 / rho <= c (rho + |m|^2 / rho)`` on random states.
 
-    For the affine kind the sharp constant is ``c = 2 sum(K_k^2 + L_k^2)``.
+    The sharp constant is ``c = 2 sum(K_k^2 + L_k^2)``.
     """
     rng = np.random.default_rng(seed)
-    if model.kind == "affine":
-        c = 2.0 * float(sum(k * k + l * l for k, l in zip(model.K, model.L)))
-    else:
-        c = 2.0 * float(sum(a * a for a in model.alphas))
+    c = 2.0 * float(sum(k * k + l * l for k, l in zip(model.K, model.L)))
     worst = 0.0
     for _ in range(n_states):
         rho = rng.uniform(0.05, 3.0, grid.sizes)

@@ -113,6 +113,17 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("limit-sweep", "sweep.v0 = vortex"),
     ("limit-sweep", "grid.sizes = 64"),
     ("limit-sweep", "grid.sizes = 16,16,16"),
+    ("simulate", "run.T = -0.5"),
+    ("simulate", "run.T = 0"),
+    ("simulate", "run.T = inf"),
+    ("simulate", "run.T = nan"),
+    ("weak-strong", "run.T = 0"),
+    ("simulate", "run.n_steps = -20"),
+    ("simulate", "stepper.dt = -0.01"),
+    ("limit-sweep", "sweep.nu_coupling = zero"),
+    ("limit-sweep", "sweep.nu_coupling = const\nsweep.const_nu = 0"),
+    ("limit-sweep", "sweep.nu_coupling = const\nsweep.const_nu = -0.01"),
+    ("limit-sweep", "sweep.lambda_coupling = const\nsweep.const_nu = -0.01"),
 ])
 def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
     # rejected up front with the key named, not as a crash mid-run (exit 1)

@@ -209,8 +209,6 @@ def test_stepper_config_validation():
         StepperConfig(cfl=0.0)
     with pytest.raises(ValueError):
         StepperConfig(rho_floor=0.0)
-    with pytest.raises(ValueError):
-        StepperConfig(dt=-1.0)
 
 
 def member_batch(grid, members=4, seed=3):

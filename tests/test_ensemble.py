@@ -91,11 +91,6 @@ class TestExpect:
             with np.errstate(divide="ignore"):
                 expect(ym, bad)
 
-    def test_growth_budget_flag(self):
-        assert Observable(lambda r, m: r, p_growth=2.0).within_budget(2.0)
-        assert not Observable(lambda r, m: r, p_growth=3.0).within_budget(2.0)
-        assert Observable(lambda r, m: m, q_growth=4 / 3).within_budget(2.0)
-
 
 class TestDissipationDefect:
     def test_dirac_zero(self, grid1d, rng):

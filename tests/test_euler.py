@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from torusgas.euler import (DIV_TOL, EulerError, _divergence_bound, advection,
-                            check_affine_noise, euler_cfl_dt, make_state,
-                            pressure_from_projection, step_em_euler, taylor_green)
+from torusgas.euler import (DIV_TOL, EulerError, _divergence_bound, advection, euler_cfl_dt,
+                            make_state, pressure_from_projection, step_em_euler, taylor_green)
 from torusgas.grid import Grid, grad_inf_norm, random_smooth_vector, random_solenoidal
 from torusgas.noise import NoiseModel, WienerPath
 
@@ -222,15 +221,6 @@ class TestStoppingTime:
         # weak-strong stopping times compare against their threshold
         v = taylor_green(grid2d)
         assert grad_inf_norm(grid2d, v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_affine_noise_required():
-    general = NoiseModel(kind="general",
-                         coefficients=(lambda c, r, m: m,), alphas=(1.0,))
-    with pytest.raises(EulerError):
-        check_affine_noise(general)
-    check_affine_noise(NoiseModel(K=(0.1,), L=(0.2,)))  # passes
-    check_affine_noise(None)
 
 
 def test_taylor_green_needs_2d(grid1d):

@@ -206,31 +206,15 @@ class TestItoCorrection:
 
 
 class TestGeneralKind:
-    def make_model(self):
-        def g0(coords, rho, mom):
-            out = np.zeros_like(mom)
-            out[0] = 0.2 * np.tanh(rho)  # Lipschitz constant 0.2 in rho
-            return out
-
-        def g1(coords, rho, mom):
-            return 0.1 * np.sin(coords[0])[None] * mom  # |L| <= 0.1 in q
-
-        return NoiseModel(kind="general", coefficients=(g0, g1), alphas=(0.2, 0.1))
-
-    def test_lipschitz_audit(self):
-        model = self.make_model()
-        report = lipschitz_audit(model, Grid((32,)), n_pairs=10_000, seed=3)
-        assert report["pass"]
-        assert report["violations"] == 0
-        assert report["zero_at_zero"] == 0.0
-
-    def test_declared_constant_violation_detected(self):
-        def bad(coords, rho, mom):
+    def test_declared_constant_violation_detected(self, monkeypatch):
+        # a coefficient 50 times steeper in rho than the declared |K| + |L|
+        def too_steep(self, mode, grid, rho, mom):
             out = np.zeros_like(mom)
             out[0] = 5.0 * rho
             return out
 
-        model = NoiseModel(kind="general", coefficients=(bad,), alphas=(0.1,))
+        monkeypatch.setattr(NoiseModel, "apply_mode", too_steep)
+        model = NoiseModel(K=(0.05,), L=(0.05,))
         report = lipschitz_audit(model, Grid((16,)), n_pairs=2000, seed=4)
         assert not report["pass"]
         assert report["violations"] > 0

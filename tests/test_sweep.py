@@ -44,12 +44,6 @@ class TestWellPreparedData:
         with pytest.raises(SweepError):
             well_prepared_data(grid2d, 0.5, v, 0.1)
 
-    def test_rejects_oversized_shapes(self, grid2d):
-        v0 = taylor_green(grid2d)
-        with pytest.raises(SweepError):
-            well_prepared_data(grid2d, 0.5, v0, 0.1,
-                               eta_shape=2.0 * np.sin(grid2d.coordinates()[0]))
-
     @given(eps=st.floats(0.05, 1.0), delta=st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_property_bounds(self, eps, delta):
