@@ -63,7 +63,7 @@ SCHEMA: dict[str, Key] = {
     "sweep.grad_threshold": Key("float", 2.0, "Euler gradient stopping threshold"),
     "sweep.v0": Key("str", "taylor_green", "limit velocity data"),
     "sweep.nu_coupling": Key("str", "eps2", "eps2 | eps | const"),
-    "sweep.lambda_coupling": Key("str", "eps2", "eps2 | eps | zero"),
+    "sweep.lambda_coupling": Key("str", "eps2", "eps2 | eps | zero | const"),
     "sweep.delta_coupling": Key("str", "eps", "data preparation rate: eps | eps2 | zero"),
     "sweep.const_nu": Key("float", 1e-2, "viscosity when coupling = const"),
 }
@@ -185,8 +185,11 @@ def _cross_validate(cfg: dict):
     eps = cfg["sweep.eps"]
     if not eps or not all(e > 0 for e in eps):
         raise ConfigError("sweep.eps: need at least one value, all positive")
-    if cfg["sweep.nu_coupling"] == "zero":
-        raise ConfigError("sweep.nu_coupling: must be eps2, eps or const; the sweep needs nu > 0")
+    for key, allowed in (("sweep.nu_coupling", "eps2 | eps | const"),  # the sweep needs nu > 0
+                         ("sweep.lambda_coupling", "eps2 | eps | zero | const"),
+                         ("sweep.delta_coupling", "eps | eps2 | zero")):
+        if cfg[key] not in allowed.split(" | "):
+            raise ConfigError(f"{key}: must be one of {allowed}, got {cfg[key]!r}")
     if cfg["sweep.nu_coupling"] == "const" and cfg["sweep.const_nu"] <= 0:
         raise ConfigError("sweep.const_nu: must be positive when sweep.nu_coupling = const")
     if cfg["sweep.lambda_coupling"] == "const" and cfg["sweep.const_nu"] < 0:

@@ -6,8 +6,8 @@ a format-version marker and deterministically formatted CSV files.
 ``simulate`` marches its whole ensemble as one member-batched state, the
 members along a leading axis (see :mod:`torusgas.dynamics`).  With
 ``--threads T`` the member axis is split into ``T`` contiguous chunks, each
-marched as one batch on a thread pool, and the chunks are joined in member
-order.  Every member's arithmetic is the same in any chunk, so outputs are
+marched as one batch by :func:`torusgas.ledger.march` on a thread pool, and
+the chunks and their ledgers are joined in member order.  Every member's arithmetic is the same in any chunk, so outputs are
 byte-identical for any worker count.
 """
 
@@ -23,12 +23,12 @@ from . import config as config_mod
 from . import snapshots
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
-                       StepStats, cfl_dt, energy_total, step_em)
+                       StepStats, cfl_dt)
 from .ensemble import EmpiricalYoungMeasure, dissipation_defect
 from .euler import taylor_green
 from .grid import Grid
-from .ledger import EnergyLedger, LedgerAccumulator, pooled_ledger
-from .noise import NoiseModel, WienerPath
+from .ledger import EnergyLedger, march, pooled_ledger
+from .noise import NoiseModel, member_tables
 from .relative import (REMAINDER_TERMS, RelativeEnergyReport, WeakStrongConfig,
                        weak_strong_experiment)
 from .sweep import V0_KINDS, RateReport, SweepConfig, fit_rate, run_sweep
@@ -98,40 +98,6 @@ def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
 # --------------------------------------------------------------------------
 
 
-def _march_members(grid, model, stepper, state0, dt, n_steps, sample_stride,
-                   table):
-    """March a member batch driven by its ``(M, n_steps, K)`` increments.
-
-    Returns the sampled batched states, the ledger columns
-    ``(samples, 4, M)`` (energy, dissipation, Ito correction, martingale)
-    and the step stats with one entry per member.
-    """
-    members = len(table)
-    law = model.law_eff
-    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor,
-                            members=members)
-    stats = StepStats(np.zeros(members, dtype=np.int64), np.zeros(members))
-    state = state0.batch(members)
-    samples, columns = [], []
-    for step in range(n_steps + 1):
-        if step % sample_stride == 0:
-            samples.append(state)  # steps build new arrays; no copy needed
-            columns.append(np.stack([energy_total(grid, law, state),
-                                     acc.diss_cum, acc.ito_cum, acc.mart]))
-        if step < n_steps:
-            acc.step_increments(state, table[:, step], dt)
-            state = step_em(grid, model, stepper, state, dt, table[:, step],
-                            stats=stats)
-    return samples, np.stack(columns), stats
-
-
-def _member_ledger(times, columns, m) -> EnergyLedger:
-    ledger = EnergyLedger()
-    for t, (energy, diss, ito, mart) in zip(times, columns[:, :, m].tolist()):
-        ledger.append(t, energy, 0.0, diss, ito, mart)
-    return ledger
-
-
 def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     grid = build_grid(cfg)
@@ -144,17 +110,17 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     members = cfg["ensemble.members"]
     seed = cfg["run.seed"]
     if cfg["ensemble.shared_paths"]:  # every member rides member 0's path
-        shared = WienerPath(seed, 0, model.modes, dt).table(n_steps)
-        table = np.broadcast_to(shared, (members, *shared.shape))
+        table = np.broadcast_to(member_tables(seed, 1, model.modes, dt, n_steps),
+                                (members, n_steps, model.modes))
     else:
-        table = np.stack([WienerPath(seed, m, model.modes, dt).table(n_steps)
-                          for m in range(members)])
+        table = member_tables(seed, members, model.modes, dt, n_steps)
 
     def job(chunk):
         lo, hi = chunk
+        stats = StepStats(np.zeros(hi - lo, dtype=np.int64), np.zeros(hi - lo))
         try:
-            return _march_members(grid, model, stepper, state0, dt, n_steps, stride,
-                                  table[lo:hi])
+            return (*march(grid, model, stepper, state0, dt, table[lo:hi], stride, stats),
+                    stats)
         except SimulationError as exc:  # name the member by its ensemble index
             if exc.member is None or lo == 0:
                 raise
@@ -174,17 +140,19 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
                                   grid, exc.state)
         raise
 
-    columns = np.concatenate([r[1] for r in results], axis=2)
-    times = [s.t for s in results[0][0]]
+    ledgers = [r[0] for r in results]  # joined along the member axis
+    member_ledger = EnergyLedger(ledgers[0].times, *(
+        np.concatenate([getattr(l, name) for l in ledgers])
+        for name in ("energy", "defect", "diss_cum", "ito_cum", "martingale")))
+    times = member_ledger.times
     yms = [EmpiricalYoungMeasure(grid,
-                                 np.concatenate([r[0][i].rho for r in results]),
-                                 np.concatenate([r[0][i].mom for r in results]))
+                                 np.concatenate([r[1][i].rho for r in results]),
+                                 np.concatenate([r[1][i].mom for r in results]))
            for i in range(len(times))]
-    member_ledgers = [_member_ledger(times, columns, m) for m in range(members)]
     floored_total = sum(int(r[2].floored_cells.sum()) for r in results)
     mass_corrections = sum(x for r in results for x in r[2].mass_correction.tolist())
     law = model.law_eff
-    pooled = pooled_ledger(member_ledgers, grid, law, model.visc, yms, times)
+    pooled = pooled_ledger(member_ledger, grid, law, model.visc, yms)
 
     snapshots.write_csv(os.path.join(out_dir, "ledger.csv"), pooled.as_columns(),
                         ["t", "E", "D", "dissipation_cum", "ito_cum", "martingale",
@@ -203,7 +171,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     _write_observables(os.path.join(out_dir, "observables.csv"), grid, yms[-1],
                        times[-1], final_defect)
 
-    residuals = np.array([l.residual(0, -1) for l in member_ledgers])
+    residuals = member_ledger.residual(0, -1)
     mass0 = grid.integrate(state0.rho)
     mass_end = grid.integrate(yms[-1].rho_atoms).tolist()
     summary = {

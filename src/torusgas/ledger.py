@@ -7,6 +7,11 @@ Each ledger tracks, on one shared time axis,
 * the cumulative Ito correction ``0.5 int sum_k <|G_k|^2 / rho>``,
 * the realized energy martingale ``sum_k int (int u . G_k dx) dW_k``.
 
+A ledger holds numpy columns with the samples on the last axis: ``(S,)``
+for one member or a pooled ensemble, ``(M, S)`` for a member batch.
+:func:`march` steps one member or a batch and keeps its ledger;
+:func:`pooled_ledger` turns a batch ledger into the ensemble's.
+
 For a single realization the measure is a Dirac and D = 0; for a pooled
 ensemble the defect series carries the member spread.  The residual of the
 energy inequality between two sample times is
@@ -19,62 +24,49 @@ tracked separately and lands in the residual's sign allowance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constitutive import PressureLaw, Viscosity, stress_contract
+from .dynamics import StepStats, energy_total, step_em
 from .ensemble import (EmpiricalYoungMeasure, dissipation_defect,
                        mean_energy_density, velocity_oscillation_field)
 from .grid import Grid
-from .noise import NoiseModel, WienerPath
+from .noise import NoiseModel, WienerPath, member_tables
 
 
 @dataclass
 class EnergyLedger:
-    """Time series of the energy-inequality bookkeeping."""
+    """Columns of the energy-inequality bookkeeping, samples on the last axis."""
 
-    times: list = field(default_factory=list)
-    energy: list = field(default_factory=list)       # E(t) including D(t)
-    defect: list = field(default_factory=list)       # D(t)
-    diss_cum: list = field(default_factory=list)     # viscous dissipation integral
-    ito_cum: list = field(default_factory=list)      # Ito correction integral
-    martingale: list = field(default_factory=list)   # realized M^2_E path
+    times: np.ndarray       # (S,)
+    energy: np.ndarray      # E(t) including D(t)
+    defect: np.ndarray      # D(t)
+    diss_cum: np.ndarray    # viscous dissipation integral
+    ito_cum: np.ndarray     # Ito correction integral
+    martingale: np.ndarray  # realized M^2_E path
 
-    def append(self, t, energy, defect, diss_cum, ito_cum, martingale):
-        self.times.append(float(t))
-        self.energy.append(float(energy))
-        self.defect.append(float(defect))
-        self.diss_cum.append(float(diss_cum))
-        self.ito_cum.append(float(ito_cum))
-        self.martingale.append(float(martingale))
+    def _residual(self, i_tau, i_t):
+        # i_t may be a slice when i_tau is a one-element list, as in as_columns
+        lhs = self.energy[..., i_t] + (self.diss_cum[..., i_t] - self.diss_cum[..., i_tau])
+        rhs = (self.energy[..., i_tau] + (self.ito_cum[..., i_t] - self.ito_cum[..., i_tau])
+               + (self.martingale[..., i_t] - self.martingale[..., i_tau]))
+        return lhs - rhs
 
-    def residual(self, i_tau: int = 0, i_t: int = -1) -> float:
-        """Energy-inequality residual between two sample indices."""
+    def residual(self, i_tau: int = 0, i_t: int = -1):
+        """Energy-inequality residual between two sample indices (per member of a batch)."""
         i_t = range(len(self.times))[i_t]
         i_tau = range(len(self.times))[i_tau]
         if self.times[i_tau] > self.times[i_t]:
             raise ValueError("residual needs tau <= t")
-        lhs = self.energy[i_t] + (self.diss_cum[i_t] - self.diss_cum[i_tau])
-        rhs = (self.energy[i_tau] + (self.ito_cum[i_t] - self.ito_cum[i_tau])
-               + (self.martingale[i_t] - self.martingale[i_tau]))
-        return lhs - rhs
-
-    def residual_series(self) -> np.ndarray:
-        """Residual from the first sample to each later sample."""
-        return np.array([self.residual(0, i) for i in range(len(self.times))])
+        return self._residual(i_tau, i_t)
 
     def as_columns(self) -> dict:
-        cols = {
-            "t": np.asarray(self.times),
-            "E": np.asarray(self.energy),
-            "D": np.asarray(self.defect),
-            "dissipation_cum": np.asarray(self.diss_cum),
-            "ito_cum": np.asarray(self.ito_cum),
-            "martingale": np.asarray(self.martingale),
-        }
-        cols["residual"] = self.residual_series()
-        return cols
+        return {"t": self.times, "E": self.energy, "D": self.defect,
+                "dissipation_cum": self.diss_cum, "ito_cum": self.ito_cum,
+                "martingale": self.martingale,
+                "residual": self._residual([0], slice(None))}  # from the first sample
 
 
 def total_energy(grid: Grid, ym: EmpiricalYoungMeasure, D: float,
@@ -147,37 +139,61 @@ class LedgerAccumulator:
                                   * dW[..., mode])
 
 
-def pooled_ledger(member_ledgers: list[EnergyLedger], grid: Grid,
-                  law: PressureLaw, visc, snapshots, times) -> EnergyLedger:
+def march(grid: Grid, model, stepper, state0, dt: float, table: np.ndarray,
+          stride: int, stats: StepStats | None = None):
+    """March one member or a member batch and keep its ledger.
+
+    ``table`` holds the Wiener increments: ``(n_steps, K)`` for one member,
+    or ``(M, n_steps, K)`` for a batch whose members all start from the one
+    state ``state0``.  A deterministic run passes an empty ``(n_steps, 0)``
+    table.  The state and its ledger are sampled every ``stride`` steps from
+    step 0; ``stats`` is handed to every step.  Returns the ledger, whose
+    defect column is zero, and the sampled states.
+    """
+    n_steps = table.shape[-2]
+    members = len(table) if table.ndim == 3 else None
+    law = model.law_eff
+    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor,
+                            members=members)
+    state = state0 if members is None else state0.batch(members)
+    samples, rows = [], []
+    for step in range(n_steps + 1):
+        if step % stride == 0:
+            samples.append(state)  # steps build new arrays; no copy needed
+            # stacked here: a batch's running sums are updated in place
+            rows.append(np.stack([energy_total(grid, law, state), acc.diss_cum,
+                                  acc.ito_cum, acc.mart]))
+        if step < n_steps:
+            dW = table[..., step, :]
+            acc.step_increments(state, dW, dt)
+            state = step_em(grid, model, stepper, state, dt, dW, stats=stats)
+    energy, diss, ito, mart = np.stack(rows, axis=-1)
+    times = np.array([s.t for s in samples])
+    return EnergyLedger(times, energy, np.zeros_like(energy), diss, ito, mart), samples
+
+
+def pooled_ledger(members: EnergyLedger, grid: Grid, law: PressureLaw, visc,
+                  snapshots) -> EnergyLedger:
     """Ensemble ledger: pooled Young-measure energy with the defect series.
 
-    ``snapshots`` maps sample index -> EmpiricalYoungMeasure of all members.
-    Dissipation is re-derived from the barycentric velocity (the form the
-    measure-valued inequality uses); Ito and martingale columns are member
-    means.
+    ``members`` is the ensemble's batch ledger and ``snapshots`` maps sample
+    index -> EmpiricalYoungMeasure of all members.  Dissipation is
+    re-derived from the barycentric velocity (the form the measure-valued
+    inequality uses) by the trapezoid rule; Ito and martingale columns are
+    member means.
     """
-    out = EnergyLedger()
+    times = members.times
     n = len(times)
-    ito = np.mean([l.ito_cum for l in member_ledgers], axis=0)
-    mart = np.mean([l.martingale for l in member_ledgers], axis=0)
     rates = np.zeros(n)
     if visc is not None:  # all sample times as one batch
         bary = [snapshots[i].barycenter() for i in range(n)]
         u_bar = np.stack([b_mom / np.maximum(b_rho, 1e-300) for b_rho, b_mom in bary])
         rates = dissipation_rate(grid, visc, u_bar)
-    diss = 0.0
-    prev_t = None
-    prev_rate = None
-    for i in range(n):
-        ym = snapshots[i]
-        defect_field, D = dissipation_defect(ym, law)
-        E = total_energy(grid, ym, D, law)
-        rate = rates[i]
-        if prev_t is not None:
-            diss += 0.5 * (rate + prev_rate) * (times[i] - prev_t)
-        out.append(times[i], E, D, diss, ito[i], mart[i])
-        prev_t, prev_rate = times[i], rate
-    return out
+    diss = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
+    defect = np.array([dissipation_defect(snapshots[i], law)[1] for i in range(n)])
+    energy = np.array([total_energy(grid, snapshots[i], D, law) for i, D in enumerate(defect)])
+    return EnergyLedger(times, energy, defect, diss, np.mean(members.ito_cum, axis=0),
+                        np.mean(members.martingale, axis=0))
 
 
 # --------------------------------------------------------------------------
@@ -227,13 +243,11 @@ def cross_variation_audit(grid: Grid, model, stepper, init_state, horizon: float
     difference sits within five standard errors of zero, componentwise.
     All paths are marched as one member batch.
     """
-    from .dynamics import step_em
-
     dt = horizon / n_steps
     noise = model.noise
     dim = grid.dim
     paths = [WienerPath(seed, member, noise.modes, dt) for member in range(n_paths)]
-    table = np.stack([path.table(n_steps) for path in paths])  # (paths, steps, K)
+    table = member_tables(seed, n_paths, noise.modes, dt, n_steps)
     df_table = np.stack([process.increments(path, table[p])
                          for p, path in enumerate(paths)])
     ds_run = process.ds_against_run(noise.modes)

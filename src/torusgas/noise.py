@@ -15,10 +15,11 @@ Brownian increments come from counter-based Philox streams keyed by
 ``(master seed, member)`` with the step index in the counter, so every path
 is a pure function of its key and is independent of scheduling order.  A
 run draws one member's path once, as an ``(n_steps, modes)`` increment
-table from :meth:`WienerPath.table`, and hands each row to every stepper
-of that step.  Runs at a coarser step on the same path use
-:func:`coarsen`, which sums consecutive fine rows, so solutions compared
-pathwise are driven by one Wiener process.
+table from :meth:`WienerPath.table` (an ensemble's paths from
+:func:`member_tables`), and hands each row to every stepper of that step.
+Runs at a coarser step on the same path use :func:`coarsen`, which sums
+consecutive fine rows, so solutions compared pathwise are driven by one
+Wiener process.
 """
 
 from __future__ import annotations
@@ -163,6 +164,16 @@ class WienerPath:
         for step in range(n_steps):
             out[step] = self.increments(step)
         return out
+
+
+def member_tables(seed: int, members: int, modes: int, dt: float,
+                  n_steps: int) -> np.ndarray:
+    """The ``(members, n_steps, modes)`` increments of an ensemble's paths.
+
+    Member ``m`` rides the path ``WienerPath(seed, m, modes, dt)``.
+    """
+    return np.stack([WienerPath(seed, m, modes, dt).table(n_steps)
+                     for m in range(members)])
 
 
 def coarsen(table: np.ndarray, n_steps: int) -> np.ndarray:

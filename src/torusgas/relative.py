@@ -39,7 +39,7 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
 from .dynamics import ModelConfig, SimulationError, State, StepperConfig, step_em
 from .ensemble import EmpiricalYoungMeasure, mean_energy_density
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
-from .noise import WienerPath, coarsen
+from .noise import coarsen, member_tables
 
 
 class RelativeEnergyError(ValueError):
@@ -368,8 +368,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     tau = np.full(cfg.members, cfg.horizon)
     rem_acc = np.zeros((n_samples, len(REMAINDER_TERMS)))
 
-    fine_table = np.stack([WienerPath(cfg.seed, m, model.modes, dt_f).table(n_f)
-                           for m in range(cfg.members)])
+    fine_table = member_tables(cfg.seed, cfg.members, model.modes, dt_f, n_f)
     coarse_table = coarsen(fine_table, cfg.n_steps)
     if cfg.eta > 0:
         data = [_perturb(grid_c, law, rho_c0, mom_c0, cfg.eta,

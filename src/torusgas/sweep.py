@@ -41,7 +41,7 @@ from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
 from .ensemble import EmpiricalYoungMeasure, dissipation_defect
 from .euler import euler_cfl_dt, make_state, step_em_euler, taylor_green
 from .grid import Grid
-from .noise import NoiseModel, WienerPath, coarsen
+from .noise import NoiseModel, coarsen, member_tables
 from .relative import relative_energy_state
 
 
@@ -224,8 +224,8 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         n_steps.append(n)
         models.append((model, rho0, mom0))
     n_base = max(n_steps)
-    base_table = np.stack([WienerPath(cfg.seed, member, noise.modes, cfg.horizon / n_base)
-                           .table(n_base) for member in range(cfg.members)])
+    base_table = member_tables(cfg.seed, cfg.members, noise.modes, cfg.horizon / n_base,
+                               n_base)
     v_ref, stop, grad_max = _march_reference(grid, noise, v0, base_table, cfg.horizon,
                                              cfg.n_samples, cfg.grad_threshold)
 

@@ -13,15 +13,13 @@ import numpy as np
 from torusgas.cli import main
 from torusgas.constitutive import (PressureLaw, Viscosity, potential_delta,
                                    pressure_delta, relative_h)
-from torusgas.dynamics import (ModelConfig, State, StepperConfig, energy_total,
-                               step_em)
+from torusgas.dynamics import ModelConfig, State, StepperConfig, step_em
 from torusgas.ensemble import (EmpiricalYoungMeasure,
                                defect_domination_audit, dissipation_defect,
                                expect, momentum_defect_total, Observable)
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
-from torusgas.ledger import (EnergyLedger, LedgerAccumulator, SmoothItoProcess,
-                             cross_variation_audit)
-from torusgas.noise import NoiseModel, WienerPath
+from torusgas.ledger import SmoothItoProcess, cross_variation_audit, march
+from torusgas.noise import NoiseModel, member_tables
 from torusgas.relative import WeakStrongConfig, weak_strong_experiment
 from torusgas.sweep import SweepConfig, fit_rate, run_sweep
 
@@ -85,20 +83,6 @@ def test_criterion_2_field_calculus():
     report(2, ok, f"max residual {worst:.2e} on 64^2, {elapsed:.2f}s")
 
 
-def run_deterministic_ledger(grid, model, state0, dt, n):
-    acc = LedgerAccumulator(grid, model.law_eff, model.visc, model.noise)
-    ledger = EnergyLedger()
-    st = state0.copy()
-    stepper = StepperConfig()
-    for step in range(n + 1):
-        ledger.append(st.t, energy_total(grid, model.law_eff, st), 0.0,
-                      acc.diss_cum, acc.ito_cum, acc.mart)
-        if step < n:
-            acc.step_increments(st, None, dt)
-            st = step_em(grid, model, stepper, st, dt)
-    return ledger
-
-
 def test_criterion_3_conservation_and_energy():
     t0 = time.perf_counter()
     grid = Grid((256,))
@@ -111,7 +95,7 @@ def test_criterion_3_conservation_and_energy():
     mass_ok = True
     energy_ok = True
     for dt, n in ((4e-3, 250), (2e-3, 500)):
-        ledger = run_deterministic_ledger(grid, model, state0, dt, n)
+        ledger, _ = march(grid, model, StepperConfig(), state0, dt, np.zeros((n, 0)), 1)
         drifts[dt] = abs(ledger.residual(0, -1))
         e = np.asarray(ledger.energy)
         tol_rate = 5.0 * dt * e[0]
@@ -136,32 +120,18 @@ def test_criterion_4_stochastic_energy_inequality():
     x = grid.coordinates()[0]
     state0 = State(1 + 0.1 * np.sin(x), (0.05 * np.cos(x))[None].copy())
     members = 256
-    law = model.law_eff
     stepper = StepperConfig()
 
     stats = {}
     marts = None
     for dt, n in ((4e-3, 125), (2e-3, 250)):
         # all members marched as one batch, each on its own Wiener path
-        table = np.stack([WienerPath(11, member, noise.modes, dt).table(n)
-                          for member in range(members)])
-        acc = LedgerAccumulator(grid, law, model.visc, noise, members=members)
-        st = state0.batch(members)
-        rows = []
-        for step in range(n + 1):
-            if step % (n // 25) == 0:
-                rows.append(np.stack([energy_total(grid, law, st), acc.diss_cum,
-                                      acc.ito_cum, acc.mart]))
-            if step < n:
-                acc.step_increments(st, table[:, step], dt)
-                st = step_em(grid, model, stepper, st, dt, table[:, step])
-        energy, diss, ito, mart = np.stack(rows).transpose(1, 0, 2)  # (samples, members)
-        # EnergyLedger.residual(0, -1), member by member
-        residuals = ((energy[-1] + (diss[-1] - diss[0]))
-                     - (energy[0] + (ito[-1] - ito[0]) + (mart[-1] - mart[0])))
+        ledger, _ = march(grid, model, stepper, state0, dt,
+                          member_tables(11, members, noise.modes, dt, n), n // 25)
+        residuals = ledger.residual(0, -1)
         stats[dt] = (residuals.mean(), residuals.std(ddof=1) / np.sqrt(members))
         if dt == 4e-3:
-            marts = np.ascontiguousarray(mart.T)  # one martingale row per member
+            marts = ledger.martingale  # one martingale row per member
 
     h = 4e-3
     r1, se1 = stats[h]

@@ -124,6 +124,9 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("limit-sweep", "sweep.nu_coupling = const\nsweep.const_nu = 0"),
     ("limit-sweep", "sweep.nu_coupling = const\nsweep.const_nu = -0.01"),
     ("limit-sweep", "sweep.lambda_coupling = const\nsweep.const_nu = -0.01"),
+    ("limit-sweep", "sweep.nu_coupling = eps3"),
+    ("limit-sweep", "sweep.lambda_coupling = eps3"),
+    ("limit-sweep", "sweep.delta_coupling = const"),
 ])
 def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
     # rejected up front with the key named, not as a crash mid-run (exit 1)
@@ -248,14 +251,14 @@ class TestSimulateCommand:
         from torusgas import driver
         from torusgas.dynamics import SimulationError
 
-        march = driver._march_members
+        march = driver.march
 
         def second_chunk_fails(*args):
-            if len(args[-1]) == 1:
+            if len(args[5]) == 1:  # the chunk's increment table
                 raise SimulationError("boom", args[3], 0)
             return march(*args)
 
-        monkeypatch.setattr(driver, "_march_members", second_chunk_fails)
+        monkeypatch.setattr(driver, "march", second_chunk_fails)
         cfg = config_mod.load(write_cfg(tmp_path, MINIMAL_1D))
         with pytest.raises(SimulationError, match="member 2: boom") as err:
             driver.run_simulate(cfg, str(tmp_path / "fail"), threads=2)

@@ -2,54 +2,20 @@ import numpy as np
 import pytest
 
 from torusgas.constitutive import PressureLaw, Viscosity, potential_delta
-from torusgas.dynamics import (ModelConfig, State, StepperConfig, energy_total,
-                               step_em)
+from torusgas.dynamics import ModelConfig, State, StepperConfig, step_em
 from torusgas.ensemble import EmpiricalYoungMeasure, build_ym
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
 from torusgas.ledger import (EnergyLedger, LedgerAccumulator, SmoothItoProcess,
-                             cross_variation_audit, poincare_ratio,
+                             cross_variation_audit, march, poincare_ratio,
                              total_energy)
-from torusgas.noise import NoiseModel, WienerPath
+from torusgas.noise import NoiseModel, member_tables
 
 LAW = PressureLaw(1.0, 2.0)
 
 
-def run_member_ledger(grid, model, state0, dt, n_steps, seed=0, member=0,
-                      stepper=StepperConfig()):
-    """March one member and return its (sampled every step) ledger."""
-    law = model.law_eff
-    table = WienerPath(seed, member, model.modes, dt).table(n_steps)
-    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor)
-    ledger = EnergyLedger()
-    state = state0.copy()
-    for step in range(n_steps + 1):
-        ledger.append(state.t, energy_total(grid, law, state), 0.0,
-                      acc.diss_cum, acc.ito_cum, acc.mart)
-        if step < n_steps:
-            acc.step_increments(state, table[step], dt)
-            state = step_em(grid, model, stepper, state, dt, table[step])
-    return ledger
-
-
-def run_batch_residuals(grid, model, state0, dt, n_steps, seed, members,
-                        stepper=StepperConfig()):
-    """March ``members`` members as one batch; each member's residual over the run.
-
-    The residual is :meth:`EnergyLedger.residual` from the first to the last
-    step, member by member.
-    """
-    law = model.law_eff
-    table = np.stack([WienerPath(seed, m, model.modes, dt).table(n_steps)
-                      for m in range(members)])
-    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor,
-                            members=members)
-    state = state0.batch(members)
-    energy0 = energy_total(grid, law, state)
-    for step in range(n_steps):
-        acc.step_increments(state, table[:, step], dt)
-        state = step_em(grid, model, stepper, state, dt, table[:, step])
-    return ((energy_total(grid, law, state) + acc.diss_cum)
-            - (energy0 + acc.ito_cum + acc.mart))
+def deterministic_ledger(grid, model, state0, dt, n_steps):
+    """The ledger of a noiseless march, sampled every step."""
+    return march(grid, model, StepperConfig(), state0, dt, np.zeros((n_steps, 0)), 1)[0]
 
 
 @pytest.mark.parametrize("sizes", [(32,), (16, 16)])
@@ -63,8 +29,7 @@ def test_batched_accumulator_matches_member_loop(sizes):
                             for _ in range(members)]),
                   np.stack([0.1 * random_smooth_vector(grid, rng)
                             for _ in range(members)]))
-    table = np.stack([WienerPath(2, m, model.modes, dt).table(n_steps)
-                      for m in range(members)])
+    table = member_tables(2, members, model.modes, dt, n_steps)
     acc = LedgerAccumulator(grid, LAW, model.visc, model.noise, members=members)
     singles = [LedgerAccumulator(grid, LAW, model.visc, model.noise)
                for _ in range(members)]
@@ -77,6 +42,32 @@ def test_batched_accumulator_matches_member_loop(sizes):
         assert (acc.diss_cum[m], acc.ito_cum[m], acc.mart[m]) == (
             one.diss_cum, one.ito_cum, one.mart)
     assert np.all(acc.diss_cum > 0) and np.all(acc.mart != 0)
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 16)], ids=["1-D", "2-D"])
+def test_batched_march_matches_member_marches(sizes):
+    # every member of a batch march keeps the ledger and the sampled states
+    # of its own single-member march, at every sample and to the last bit
+    grid = Grid(sizes)
+    rng = np.random.default_rng(8)
+    members, dt, n_steps, stride = 3, 1e-3, 6, 2
+    model = ModelConfig(law=LAW, visc=Viscosity(1e-2, 5e-3),
+                        noise=NoiseModel(K=(0.1, 0.0), L=(0.05, 0.1)))
+    state0 = State(1.0 + 0.1 * random_smooth_scalar(grid, rng),
+                   0.1 * random_smooth_vector(grid, rng))
+    table = member_tables(4, members, model.modes, dt, n_steps)
+    batch, batch_states = march(grid, model, StepperConfig(), state0, dt, table, stride)
+    assert batch.energy.shape == (members, n_steps // stride + 1)
+    assert np.all(np.diff(batch.martingale, axis=1) != 0)  # a row per sample
+    for m in range(members):
+        one, states = march(grid, model, StepperConfig(), state0, dt, table[m], stride)
+        np.testing.assert_array_equal(batch.times, one.times)
+        for name in ("energy", "defect", "diss_cum", "ito_cum", "martingale"):
+            np.testing.assert_array_equal(getattr(batch, name)[m], getattr(one, name))
+        assert batch.residual(0, -1)[m] == one.residual(0, -1)
+        for b, single in zip(batch_states, states, strict=True):
+            np.testing.assert_array_equal(b.rho[m], single.rho)
+            np.testing.assert_array_equal(b.mom[m], single.mom)
 
 
 class TestTotalEnergy:
@@ -105,8 +96,8 @@ class TestTotalEnergy:
 class TestResidual:
     def test_equilibrium_zero(self, grid1d):
         model = ModelConfig(law=LAW, visc=Viscosity(1e-2, 2e-2))
-        ledger = run_member_ledger(grid1d, model,
-                                   State(np.ones(64), np.zeros((1, 64))), 1e-3, 50)
+        ledger = deterministic_ledger(grid1d, model,
+                                      State(np.ones(64), np.zeros((1, 64))), 1e-3, 50)
         assert abs(ledger.residual(0, -1)) < 1e-12
 
     def test_deterministic_bound(self, grid1d):
@@ -116,7 +107,7 @@ class TestResidual:
         model = ModelConfig(law=LAW, visc=Viscosity(1e-2, 2e-2))
         st = State(1 + 0.1 * np.sin(x), (0.05 * np.cos(x))[None].copy())
         dt, n = 2e-3, 250
-        ledger = run_member_ledger(grid1d, model, st, dt, n)
+        ledger = deterministic_ledger(grid1d, model, st, dt, n)
         e0 = ledger.energy[0]
         t_span = ledger.times[-1] - ledger.times[0]
         assert ledger.residual(0, -1) <= 5.0 * dt * e0 * t_span
@@ -125,8 +116,8 @@ class TestResidual:
         x = grid1d.coordinates()[0]
         model = ModelConfig(law=LAW, visc=Viscosity(1e-2, 2e-2))
         st = State(1 + 0.1 * np.sin(x), (0.05 * np.cos(x))[None].copy())
-        r1 = abs(run_member_ledger(grid1d, model, st, 2e-3, 250).residual())
-        r2 = abs(run_member_ledger(grid1d, model, st, 1e-3, 500).residual())
+        r1 = abs(deterministic_ledger(grid1d, model, st, 2e-3, 250).residual())
+        r2 = abs(deterministic_ledger(grid1d, model, st, 1e-3, 500).residual())
         assert 1.5 <= r1 / r2 <= 2.5
 
     def test_stochastic_member_mean(self, grid1d):
@@ -138,7 +129,8 @@ class TestResidual:
         members = 64
         res = {}
         for dt, n in ((4e-3, 125), (2e-3, 250)):
-            vals = run_batch_residuals(grid1d, model, st, dt, n, seed=5, members=members)
+            table = member_tables(5, members, noise.modes, dt, n)
+            vals = march(grid1d, model, StepperConfig(), st, dt, table, n)[0].residual(0, -1)
             res[dt] = (vals.mean(), vals.std(ddof=1) / np.sqrt(members))
         h = 4e-3
         bias_slope = (h * res[h][0] + (h / 2) * res[h / 2][0]) / (h * h + h * h / 4)
@@ -146,9 +138,7 @@ class TestResidual:
         assert mean <= 5 * se + bias_slope * h + 1e-12
 
     def test_requires_order(self):
-        ledger = EnergyLedger()
-        ledger.append(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        ledger.append(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        ledger = EnergyLedger(np.array([0.0, 1.0]), np.ones(2), *np.zeros((4, 2)))
         with pytest.raises(ValueError):
             ledger.residual(1, 0)
 
@@ -160,10 +150,8 @@ class TestMartingaleStatistics:
         x = grid1d.coordinates()[0]
         st = State(1 + 0.1 * np.sin(x), (0.05 * np.cos(x))[None].copy())
         members = 64
-        marts = np.stack([
-            np.asarray(run_member_ledger(grid1d, model, st, 4e-3, 60, seed=9,
-                                         member=m).martingale)
-            for m in range(members)])
+        table = member_tables(9, members, noise.modes, 4e-3, 60)
+        marts = march(grid1d, model, StepperConfig(), st, 4e-3, table, 1)[0].martingale
         mean = marts.mean(axis=0)
         se = marts.std(axis=0, ddof=1) / np.sqrt(members)
         live = se > 0
@@ -220,10 +208,15 @@ class TestCrossVariation:
 
 
 def test_ledger_columns_roundtrip():
-    ledger = EnergyLedger()
-    for i in range(4):
-        ledger.append(0.1 * i, 1.0 + i, 0.1, 0.2 * i, 0.05 * i, 0.01 * i)
+    i = np.arange(4.0)
+    ledger = EnergyLedger(0.1 * i, 1.0 + i, np.full(4, 0.1), 0.2 * i, 0.05 * i, 0.01 * i)
     cols = ledger.as_columns()
     assert list(cols["t"]) == pytest.approx([0.0, 0.1, 0.2, 0.3])
     assert cols["residual"][0] == 0.0
+    assert list(cols["residual"]) == [ledger.residual(0, k) for k in range(4)]
     assert len(cols) == 7
+    # a batch ledger: one residual row per member
+    batch = EnergyLedger(ledger.times, *(np.stack([c, 2 * c]) for c in (
+        ledger.energy, ledger.defect, ledger.diss_cum, ledger.ito_cum, ledger.martingale)))
+    np.testing.assert_array_equal(batch.as_columns()["residual"],
+                                  np.stack([cols["residual"], 2 * cols["residual"]]))
