@@ -33,7 +33,7 @@ from .dynamics import StepStats, energy_total, step_em
 from .ensemble import (EmpiricalYoungMeasure, dissipation_defect,
                        mean_energy_density, velocity_oscillation_field)
 from .grid import Grid
-from .noise import NoiseModel, WienerPath, member_tables
+from .noise import NoiseModel, member_tables
 
 
 @dataclass
@@ -213,15 +213,16 @@ class SmoothItoProcess:
     ds: tuple[float, ...]
     independent_seed: int | None = None
 
-    def increments(self, run_path: WienerPath, run_table: np.ndarray) -> np.ndarray:
-        """Per-step increments ``df_n = ds . dW_n`` along one run.
+    def increments(self, run_table: np.ndarray, dt: float) -> np.ndarray:
+        """Per-step increments ``df_n = ds . dW_n`` along each run of a batch.
 
-        ``run_table`` holds the run's own Wiener increments; an independent
-        process draws its own table on the run's time lattice instead.
+        ``run_table`` holds the runs' own ``(M, n_steps, K)`` Wiener
+        increments; an independent process draws its own paths on the runs'
+        time lattice instead, member ``m`` from ``(independent_seed, m)``.
         """
         if self.independent_seed is not None:
-            run_table = WienerPath(self.independent_seed, run_path.member,
-                                   run_path.modes, run_path.dt).table(len(run_table))
+            members, n_steps, modes = run_table.shape
+            run_table = member_tables(self.independent_seed, members, modes, dt, n_steps)
         return run_table @ np.asarray(self.ds, dtype=np.float64)
 
     def ds_against_run(self, modes: int) -> np.ndarray:
@@ -246,10 +247,8 @@ def cross_variation_audit(grid: Grid, model, stepper, init_state, horizon: float
     dt = horizon / n_steps
     noise = model.noise
     dim = grid.dim
-    paths = [WienerPath(seed, member, noise.modes, dt) for member in range(n_paths)]
     table = member_tables(seed, n_paths, noise.modes, dt, n_steps)
-    df_table = np.stack([process.increments(path, table[p])
-                         for p, path in enumerate(paths)])
+    df_table = process.increments(table, dt)
     ds_run = process.ds_against_run(noise.modes)
     state = init_state.batch(n_paths)
     realized = np.zeros((n_paths, dim))

@@ -20,6 +20,19 @@ table from :meth:`WienerPath.table` (an ensemble's paths from
 Runs at a coarser step on the same path use :func:`coarsen`, which sums
 consecutive fine rows, so solutions compared pathwise are driven by one
 Wiener process.
+
+Row ``s`` of member ``m`` is, by definition, ``WienerPath.increments(s)``:
+numpy's ``standard_normal(modes)`` from a Philox generator keyed
+``(seed, m)`` at counter ``(0, 0, 0, s)``, times ``sqrt(dt)``.  A table
+does not call numpy once per row.  It computes the first Philox4x64-10
+block of every ``(member, step)`` key in one vectorized pass (Salmon et al.
+2011), and decodes each word as numpy's ziggurat (Marsaglia & Tsang 2000)
+does when it accepts the word at once.  The ziggurat tables are probed
+from the running numpy on the first draw, and a word's acceptance bound is
+kept only where a probe has proven it, so a decoded row is the row numpy
+draws, bit for bit.  A row with a word the ziggurat would not accept at
+once (about 2% of one-mode rows), and every row of more than 4 modes,
+needs more than the first block and is drawn by ``increments`` itself.
 """
 
 from __future__ import annotations
@@ -120,6 +133,19 @@ class NoiseModel:
 # thread no caller can re-key a generator between another's keying and draw
 _local = threading.local()
 _EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+_U64 = 0xFFFFFFFFFFFFFFFF
+_LO32 = np.uint64(0xFFFFFFFF)
+_MANTISSA = np.uint64((1 << 52) - 1)
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al. 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _philox_state(counter, key, buffer=_EMPTY_BUFFER, buffer_pos: int = 4) -> dict:
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.asarray(counter, dtype=np.uint64),
+                      "key": np.asarray(key, dtype=np.uint64)},
+            "buffer": buffer, "buffer_pos": buffer_pos, "has_uint32": 0, "uinteger": 0}
 
 
 def _philox_normals(seed: int, member: int, step: int, count: int) -> np.ndarray:
@@ -129,14 +155,139 @@ def _philox_normals(seed: int, member: int, step: int, count: int) -> np.ndarray
     # step sits in the high counter word; draws advance the low words, so
     # streams for distinct steps can never overlap.  buffer_pos = 4 marks
     # the output buffer empty, as in a freshly keyed Philox.
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, 0, step & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
-                  "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, member & 0xFFFFFFFFFFFFFFFF],
-                                  dtype=np.uint64)},
-        "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    gen.bit_generator.state = _philox_state(
+        [0, 0, 0, step & _U64], [seed & _U64, member & _U64])
     return gen.standard_normal(count)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product ``m * x``, from 32-bit halves."""
+    m_lo, m_hi, s32 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(32)
+    x_lo, x_hi = x & _LO32, x >> s32
+    lh = x_lo * m_hi
+    # below 2**64: (2**32 - 1)**2 + 2 (2**32 - 1) = 2**64 - 1
+    mid = x_hi * m_lo + ((x_lo * m_lo) >> s32) + (lh & _LO32)
+    return x_hi * m_hi + (lh >> s32) + (mid >> s32), x * np.uint64(m)
+
+
+def _philox_blocks(seed: int, members: np.ndarray, n_steps: int) -> np.ndarray:
+    """``(M, n_steps, 4)`` first output words of every ``(member, step)`` stream.
+
+    Philox4x64-10 of counter ``(1, 0, 0, step)`` under key ``(seed, member)``:
+    numpy bumps the counter before it fills an empty buffer, so these are
+    the words that ``_philox_normals`` consumes first.  The counter words
+    start as scalars and broadcast up as the rounds mix them.
+    """
+    k0, k1 = np.uint64(seed & _U64), members[:, None]
+    c0, c1, c2, c3 = np.uint64(1), np.uint64(0), np.uint64(0), np.arange(n_steps, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for rnd in range(10):
+            if rnd:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+
+
+def _feed(gen: Generator, words: list[int]) -> tuple[np.ndarray, bool]:
+    """One normal per word from a generator whose buffer holds ``words``.
+
+    The flag says whether numpy took no further word, which its ziggurat
+    does only if it accepted every word at once.
+    """
+    buffer = np.zeros(4, dtype=np.uint64)
+    buffer[:len(words)] = words
+    gen.bit_generator.state = _philox_state([0, 0, 0, 0], [0, 0], buffer, 0)
+    normals = gen.standard_normal(len(words))
+    state = gen.bit_generator.state
+    return normals, state["buffer_pos"] == len(words) and not state["state"]["counter"].any()
+
+
+def _accepted_normals(gen: Generator, words: list[int]) -> np.ndarray:
+    """numpy's normal of each word that its ziggurat accepts at once, NaN elsewhere.
+
+    Words go four to a buffer; a buffer that took a further word is fed
+    again word by word.
+    """
+    out = np.full(len(words), np.nan)
+    for i in range(0, len(words), 4):
+        chunk = words[i:i + 4]
+        normals, once = _feed(gen, chunk)
+        if once:
+            out[i:i + len(chunk)] = normals
+        elif len(chunk) > 1:
+            out[i:i + len(chunk)] = [_accepted_normals(gen, [w])[0] for w in chunk]
+    return out
+
+
+def _probe_ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat layer widths ``wi`` and proven acceptance bounds ``ki``.
+
+    numpy's normal from a word ``r`` is ``rabs * wi[idx]``, negated if bit 8
+    is set, with ``idx = r & 0xff`` and ``rabs`` the 52 bits above bit 8.  It
+    accepts the word at once iff ``rabs`` is below numpy's own ``ki[idx]``.
+    Both tables are read off the running numpy: ``wi[idx]`` as the normal
+    of ``rabs = 1``, and ``ki[idx]`` as ``floor(2**52 wi[idx-1] / wi[idx]) - 1``,
+    kept only if a negative word at ``rabs = ki[idx] - 1`` is accepted at
+    once with the value above.  Where nothing is proven ``ki`` is 0, and so
+    always for the tail layer 0 and for layer 1, whose numpy bound is 0.
+    """
+    gen = Generator(Philox())
+    wi = np.zeros(256)
+    wi[2:] = _accepted_normals(gen, [(1 << 9) | i for i in range(2, 256)])
+    # layer 1's word passes the wedge test on the zero word behind it; its
+    # width only enters layer 2's estimate, which the probe then proves
+    wi[1] = _feed(gen, [(1 << 9) | 1])[0][0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.floor(wi[1:-1] / wi[2:] * 2.0 ** 52) - 1.0
+    ok = np.isfinite(est) & (est >= 1.0) & (est <= 2.0 ** 52)
+    ki = np.zeros(256, dtype=np.uint64)
+    ki[2:] = np.where(ok, est, 1.0).astype(np.uint64)
+    rabs = ki[2:] - np.uint64(1)
+    probed = _accepted_normals(gen, [(int(r) << 9) | 0x100 | i for i, r in enumerate(rabs, 2)])
+    ki[2:][~ok | (probed != -(rabs * wi[2:]))] = 0
+    # the emulated Philox must match numpy's, or its words decide nothing
+    gen.bit_generator.state = _philox_state([0, 0, 0, 3], [_U64 - 2, 1 << 63])
+    if not np.array_equal(gen.bit_generator.random_raw(4),
+                          _philox_blocks(_U64 - 2, np.array([1 << 63], np.uint64), 4)[0, 3]):
+        log.warning("emulated Philox differs from numpy's: every row takes the per-step draw")
+        ki[:] = 0
+    return wi, ki
+
+
+_ZIGGURAT = None  # (wi, ki) of the running numpy, probed on the first draw
+
+
+def _table(seed: int, members, modes: int, dt: float, n_steps: int) -> np.ndarray:
+    """``(len(members), n_steps, modes)`` increments of the paths ``(seed, member)``.
+
+    Row ``(m, s)`` equals ``_philox_normals(seed, m, s, modes) * sqrt(dt)``
+    bit for bit.  Every row's first Philox block is computed in one pass,
+    and a row whose words numpy's ziggurat accepts at once is decoded from
+    them; any other row, and every row with more than 4 modes, is drawn by
+    :meth:`WienerPath.increments` itself.
+    """
+    global _ZIGGURAT
+    keys = np.array([m & _U64 for m in members], dtype=np.uint64)
+    out = np.zeros((len(keys), n_steps, modes))
+    if dt == 0.0 or modes == 0 or n_steps == 0:
+        return out
+    slow = np.ones(out.shape[:2], dtype=bool)
+    if modes <= 4:
+        if _ZIGGURAT is None:
+            _ZIGGURAT = _probe_ziggurat()
+        wi, ki = _ZIGGURAT
+        words = _philox_blocks(seed, keys, n_steps)[..., :modes]
+        idx = (words & np.uint64(0xFF)).astype(np.intp)
+        rabs = (words >> np.uint64(9)) & _MANTISSA
+        normals = rabs * wi[idx]
+        np.negative(normals, out=normals, where=(words & np.uint64(0x100)) != 0)
+        out = normals * np.sqrt(dt)
+        slow = ~np.all(rabs < ki[idx], axis=-1)
+    for m, s in zip(*np.nonzero(slow)):
+        out[m, s] = WienerPath(seed, members[m], modes, dt).increments(int(s))
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +296,7 @@ class WienerPath:
 
     ``increments(step)`` returns the K independent ``N(0, dt)`` draws for
     that step, deterministically from ``(seed, member, step)``; ``table``
-    stacks them for a whole run so each step is drawn once.
+    gives the same rows for a whole run at once.
     """
 
     seed: int
@@ -160,10 +311,7 @@ class WienerPath:
 
     def table(self, n_steps: int) -> np.ndarray:
         """Increments of steps ``0 .. n_steps - 1``, one ``(modes,)`` row each."""
-        out = np.empty((n_steps, self.modes))
-        for step in range(n_steps):
-            out[step] = self.increments(step)
-        return out
+        return _table(self.seed, [self.member], self.modes, self.dt, n_steps)[0]
 
 
 def member_tables(seed: int, members: int, modes: int, dt: float,
@@ -172,8 +320,7 @@ def member_tables(seed: int, members: int, modes: int, dt: float,
 
     Member ``m`` rides the path ``WienerPath(seed, m, modes, dt)``.
     """
-    return np.stack([WienerPath(seed, m, modes, dt).table(n_steps)
-                     for m in range(members)])
+    return _table(seed, range(members), modes, dt, n_steps)
 
 
 def coarsen(table: np.ndarray, n_steps: int) -> np.ndarray:

@@ -19,8 +19,8 @@ from .ensemble import (ConvexityError, EmpiricalYoungMeasure, Observable,
 from .euler import advection, make_state, pressure_from_projection, step_em_euler
 from .grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
 from .ledger import poincare_ratio
-from .noise import (NoiseModel, WienerPath, coarsen, domination_audit,
-                    lipschitz_audit)
+from .noise import (NoiseModel, WienerPath, _philox_normals, coarsen, domination_audit,
+                    lipschitz_audit, member_tables)
 from .relative import gronwall_check, relative_energy
 
 
@@ -143,8 +143,18 @@ def check_noise_determinism():
     same = np.array_equal(a, WienerPath(11, 3, 4, 0.01).table(8))
     differ = not np.array_equal(a[0], WienerPath(11, 4, 4, 0.01).table(1)[0])
     pairs = np.array_equal(coarsen(a, 4), a[0::2] + a[1::2])
-    return same and differ and pairs, ("keyed tables reproducible and member-distinct, "
-                                       "coarsening sums consecutive steps")
+    # tables against their rows drawn one at a time: seed 11's first two
+    # 4-mode paths hold rows the ziggurat decodes and rows with layer 0 or 1
+    # words, left to the per-step draw, as is every 5-mode row
+    exact = True
+    for table in (member_tables(11, 2, 4, 0.01, 8), member_tables(11, 1, 5, 0.01, 1)):
+        members, n_steps, modes = table.shape
+        rows = [_philox_normals(11, m, s, modes) * np.sqrt(0.01)
+                for m in range(members) for s in range(n_steps)]
+        exact &= table.tobytes() == np.concatenate(rows).tobytes()
+    return same and differ and pairs and exact, (
+        "keyed tables reproducible, member-distinct and equal to their per-step draws, "
+        "coarsening sums consecutive steps")
 
 
 def check_equilibrium_and_mass():

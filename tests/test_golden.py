@@ -151,13 +151,13 @@ def _expected_draws(name: str, cfg: dict, summary: dict) -> int:
 ])
 def test_each_increment_drawn_once(name, extra, tmp_path, monkeypatch):
     keys = []
-    draw = noise._philox_normals
+    draw = noise._table
 
-    def counted(seed, member, step, count):
-        keys.append((seed, member, step))
-        return draw(seed, member, step, count)
+    def counted(seed, members, modes, dt, n_steps):
+        keys.extend((seed, member, step) for member in members for step in range(n_steps))
+        return draw(seed, members, modes, dt, n_steps)
 
-    monkeypatch.setattr(noise, "_philox_normals", counted)
+    monkeypatch.setattr(noise, "_table", counted)
     cfg = case_config(name, extra)
     summary = run_case(name, str(tmp_path), extra)["summary"]
     assert len(keys) == _expected_draws(name, cfg, summary)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from torusgas import noise, verify
 from torusgas.grid import Grid
 from torusgas.noise import (NoiseError, NoiseModel, WienerPath, _philox_normals,
-                            coarsen, domination_audit, lipschitz_audit)
+                            coarsen, domination_audit, lipschitz_audit, member_tables)
 
 
 @pytest.fixture
@@ -96,6 +97,80 @@ class TestTable:
 
     def test_zero_modes(self):
         assert WienerPath(9, 2, 0, 0.125).table(4).shape == (4, 0)
+
+    @staticmethod
+    def oracle(seed, members, modes, dt, n_steps):
+        """Row ``(m, s)`` drawn on its own from the ``(seed, m)`` stream at step ``s``."""
+        out = np.zeros((len(members), n_steps, modes))
+        for i, member in enumerate(members):
+            for step in range(n_steps):
+                out[i, step] = _philox_normals(seed, member, step, modes) * np.sqrt(dt)
+        return out
+
+    @staticmethod
+    def count_slow_rows(monkeypatch):
+        rows = []
+        draw = WienerPath.increments
+
+        def counted(path, step):
+            rows.append((path.member, path.modes, step))
+            return draw(path, step)
+
+        monkeypatch.setattr(WienerPath, "increments", counted)
+        return rows
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 3, -1])
+    @pytest.mark.parametrize("modes", [0, 1, 3, 4, 5])
+    def test_equals_per_row_draws(self, seed, modes, monkeypatch):
+        slow = self.count_slow_rows(monkeypatch)
+        members, dt, n_steps = [0, 5, 2**63], 0.03, 64
+        expected = self.oracle(seed, members, modes, dt, n_steps)
+        for m, member in enumerate(members):
+            table = WienerPath(seed, member, modes, dt).table(n_steps)
+            np.testing.assert_allclose(table, expected[m], rtol=0, atol=0)
+            assert table.tobytes() == expected[m].tobytes()
+        if modes > 4:
+            assert len(slow) == len(members) * n_steps
+        elif modes:  # both the decoded rows and the per-step draw ran
+            assert 0 < len(slow) < len(members) * n_steps
+
+    def test_ensemble_equals_per_row_draws(self, monkeypatch):
+        # seed 1 at 48 x 256 leaves 244 of its 12,288 rows to the per-step draw
+        slow = self.count_slow_rows(monkeypatch)
+        table = member_tables(1, 48, 1, 0.01, 256)
+        expected = self.oracle(1, range(48), 1, 0.01, 256)
+        np.testing.assert_allclose(table, expected, rtol=0, atol=0)
+        assert table.tobytes() == expected.tobytes()
+        assert 0 < len(slow) < 0.05 * table.shape[0] * table.shape[1]
+        assert len(set(slow)) == len(slow)
+
+    def test_verify_guards_the_decoded_rows(self, monkeypatch):
+        slow = self.count_slow_rows(monkeypatch)
+        assert verify.check_noise_determinism()[0]
+        # its key set holds 4-mode rows of members 0 and 1 left to the
+        # per-step draw, and a 5-mode row
+        assert any(member < 2 and modes == 4 for member, modes, _ in slow)
+        assert any(modes == 5 for _, modes, _ in slow)
+        wi, ki = noise._ZIGGURAT
+        monkeypatch.setattr(noise, "_ZIGGURAT", (wi * (1.0 + 2.0**-52), ki))
+        assert not verify.check_noise_determinism()[0]
+
+    def test_threads_set_up_tables_alike(self, monkeypatch):
+        serial = member_tables(4, 8, 3, 0.01, 200)
+        monkeypatch.setattr(noise, "_ZIGGURAT", None)
+        # threads racing through the first draw's probe may each probe, but
+        # every one must draw the serial tables
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda m: WienerPath(4, m, 3, 0.01).table(200),
+                                         range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert noise._ZIGGURAT is not None
+        for m, table in enumerate(threaded):
+            assert table.tobytes() == serial[m].tobytes()
 
 
 class TestCoarsen:
