@@ -22,6 +22,12 @@ from .relative import RelativeEnergyError
 from .sweep import SweepError
 
 
+def _thread_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusgas",
@@ -39,9 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="path to a key = value file")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         if name == "simulate":
-            p.add_argument("--threads", type=int, default=1, help="worker threads")
+            p.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
         elif name != "verify":  # the invariant suite runs single-threaded
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_thread_count, default=1,
                            help="accepted but ignored: this command runs single-threaded")
         p.add_argument("--out", default="out", help="output directory")
     return parser

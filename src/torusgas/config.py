@@ -38,7 +38,7 @@ SCHEMA: dict[str, Key] = {
     "model.nu": Key("float", 1e-2, "shear viscosity (0 = inviscid)"),
     "model.lambda": Key("float", 0.0, "bulk viscosity"),
     "model.eps": Key("float", 1.0, "Mach parameter; 1 disables rescaling"),
-    "model.grad_threshold": Key("float", math.inf, "reference gradient cutoff"),
+    "model.grad_threshold": Key("float", math.inf, "weak-strong reference gradient cutoff"),
     "stepper.dt": Key("float", 0.0, "time step; 0 = auto from CFL"),
     "stepper.cfl": Key("float", 0.4, "CFL number in (0, 1]"),
     "stepper.rho_floor": Key("float", 1e-8, "density positivity floor"),
@@ -171,9 +171,13 @@ def _cross_validate(cfg: dict):
         raise ConfigError("ensemble.members: need at least one member")
     if cfg["run.samples"] < 1:
         raise ConfigError("run.samples: need at least one sample")
+    if cfg["run.snapshot_every"] < 0:
+        raise ConfigError("run.snapshot_every: must be nonnegative (0 = final only)")
     for key in ("ws.members", "ws.n_steps", "ws.samples"):
         if cfg[key] < 1:
             raise ConfigError(f"{key}: must be at least 1")
+    if cfg["ws.eta"] < 0:
+        raise ConfigError("ws.eta: must be nonnegative (0 = exact data)")
     refine = cfg["ws.refine"]
     if refine < 1 or (refine & (refine - 1)) != 0:
         raise ConfigError("ws.refine: must be a power of two (1 = self comparison)")

@@ -24,7 +24,7 @@ from . import snapshots
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt)
-from .ensemble import EmpiricalYoungMeasure, dissipation_defect
+from .ensemble import EmpiricalYoungMeasure, dissipation_defect, member_se
 from .euler import taylor_green
 from .grid import Grid
 from .ledger import EnergyLedger, march, pooled_ledger
@@ -42,11 +42,8 @@ def build_model(cfg: dict) -> ModelConfig:
     law = PressureLaw(cfg["model.a"], cfg["model.gamma"], cfg["model.delta"],
                       cfg["model.Gamma"])
     visc = Viscosity(cfg["model.nu"], cfg["model.lambda"]) if cfg["model.nu"] > 0 else None
-    noise = None
-    if cfg["noise.modes"]:
-        noise = NoiseModel(K=tuple(cfg["noise.K"]), L=tuple(cfg["noise.L"]))
-    return ModelConfig(law=law, visc=visc, noise=noise, eps=cfg["model.eps"],
-                       grad_threshold=cfg["model.grad_threshold"])
+    noise = NoiseModel(K=tuple(cfg["noise.K"]), L=tuple(cfg["noise.L"]))
+    return ModelConfig(law=law, visc=visc, noise=noise, eps=cfg["model.eps"])
 
 
 def build_stepper(cfg: dict) -> StepperConfig:
@@ -70,6 +67,9 @@ def initial_state(grid: Grid, cfg: dict) -> State:
     elif kind == "bump":
         rho = 1.0 + amp * np.exp(np.cos(coords[0])) / math.e
     elif kind == "taylor_green":
+        if grid.dim != 2:
+            raise config_mod.ConfigError(f"init.kind = taylor_green needs a 2-D grid, "
+                                         f"grid.sizes has {grid.dim} dimension(s)")
         mom = amp * taylor_green(grid)
     else:
         raise config_mod.ConfigError(f"init.kind: unknown kind {kind!r}")
@@ -99,11 +99,11 @@ def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
 
 
 def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
     grid = build_grid(cfg)
     model = build_model(cfg)
     stepper = build_stepper(cfg)
     state0 = initial_state(grid, cfg).validate(grid)
+    os.makedirs(out_dir, exist_ok=True)
     n_steps = choose_steps(grid, model, stepper, state0, cfg)
     dt = cfg["run.T"] / n_steps
     stride = n_steps // cfg["run.samples"]
@@ -127,7 +127,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
             raise SimulationError(exc.detail, exc.state, lo + exc.member) from exc
 
     chunks = [(int(c[0]), int(c[-1]) + 1)
-              for c in np.array_split(np.arange(members), max(threads, 1)) if c.size]
+              for c in np.array_split(np.arange(members), threads) if c.size]
     try:
         if len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
@@ -154,9 +154,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     law = model.law_eff
     pooled = pooled_ledger(member_ledger, grid, law, model.visc, yms)
 
-    snapshots.write_csv(os.path.join(out_dir, "ledger.csv"), pooled.as_columns(),
-                        ["t", "E", "D", "dissipation_cum", "ito_cum", "martingale",
-                         "residual"])
+    snapshots.write_csv(os.path.join(out_dir, "ledger.csv"), pooled.as_columns())
 
     snap_every = cfg["run.snapshot_every"]
     snap_indices = (list(range(0, len(times), snap_every)) if snap_every
@@ -180,11 +178,10 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         "dt": dt,
         "members": members,
         "seed": seed,
-        "noise_alpha_sum": model.noise.alpha_sum if model.noise else 0.0,
+        "noise_alpha_sum": model.noise.alpha_sum,
         "noise_tail_alpha": 0.0,  # all configured modes are simulated
         "mean_member_residual": float(residuals.mean()),
-        "se_member_residual": float(residuals.std(ddof=1) / np.sqrt(members))
-        if members > 1 else 0.0,
+        "se_member_residual": float(member_se(residuals)),
         "final_defect_D": final_D,
         "max_rel_mass_drift": float(max(abs(m - mass0) for m in mass_end) / mass0),
         "floored_cells_total": int(floored_total),
@@ -199,13 +196,10 @@ def _write_observables(path, grid, ym, time, defect_field):
     n = grid.n_cells
     cols = {"t": [time] * n, "cell": list(range(n)),
             "rho_mean": b_rho.reshape(-1)}
-    order = ["t", "cell", "rho_mean"]
     for c in range(grid.dim):
         cols[f"mom_mean_{c}"] = b_mom[c].reshape(-1)
-        order.append(f"mom_mean_{c}")
     cols["energy_defect"] = defect_field.reshape(-1)
-    order.append("energy_defect")
-    snapshots.write_csv(path, cols, order)
+    snapshots.write_csv(path, cols)
 
 
 def _finalize(out_dir, cfg, summary):
@@ -237,6 +231,7 @@ def run_weak_strong(cfg: dict, out_dir: str) -> dict:
         refine=cfg["ws.refine"],
         sample_every=max(1, n_steps // samples),
         stepper=build_stepper(cfg),
+        grad_threshold=cfg["model.grad_threshold"],
     )
     report = weak_strong_experiment(ws)
     _write_ws_report(out_dir, report)
@@ -259,15 +254,11 @@ def run_weak_strong(cfg: dict, out_dir: str) -> dict:
 def _write_ws_report(out_dir, report: RelativeEnergyReport):
     env = (report.emv_mean[0] + report.gronwall_bias) * np.exp(
         report.gronwall_c * (report.times - report.times[0]))
-    cols = {"t": report.times, "Emv_mean": report.emv_mean, "Emv_se": report.emv_se,
-            "gronwall_residual": report.emv_mean - env}
-    order = ["t", "Emv_mean", "Emv_se"]
+    cols = {"t": report.times, "Emv_mean": report.emv_mean, "Emv_se": report.emv_se}
     for j in range(len(REMAINDER_TERMS)):
-        name = f"remainder_term_{j + 1}"
-        cols[name] = report.remainder_terms[:, j]
-        order.append(name)
-    order.append("gronwall_residual")
-    snapshots.write_csv(os.path.join(out_dir, "weak_strong.csv"), cols, order)
+        cols[f"remainder_term_{j + 1}"] = report.remainder_terms[:, j]
+    cols["gronwall_residual"] = report.emv_mean - env
+    snapshots.write_csv(os.path.join(out_dir, "weak_strong.csv"), cols)
 
 
 # --------------------------------------------------------------------------
@@ -318,15 +309,8 @@ def run_limit_sweep(cfg: dict, out_dir: str) -> dict:
 
 
 def _write_sweep_csv(out_dir, report: RateReport):
-    rows = {"eps": [], "t": [], "Emv_mean": [], "Emv_se": [], "D_sup": [],
-            "tau_M": []}
-    for i, eps in enumerate(report.eps):
-        for j, t in enumerate(report.times):
-            rows["eps"].append(float(eps))
-            rows["t"].append(float(t))
-            rows["Emv_mean"].append(float(report.emv_mean[i, j]))
-            rows["Emv_se"].append(float(report.emv_se[i, j]))
-            rows["D_sup"].append(float(report.d_sup[i]))
-            rows["tau_M"].append(float(report.tau_min[i]))
-    snapshots.write_csv(os.path.join(out_dir, "sweep.csv"), rows,
-                        ["eps", "t", "Emv_mean", "Emv_se", "D_sup", "tau_M"])
+    n_t = len(report.times)  # one row per (eps, t), eps-major
+    rows = {"eps": np.repeat(report.eps, n_t), "t": np.tile(report.times, len(report.eps)),
+            "Emv_mean": report.emv_mean.ravel(), "Emv_se": report.emv_se.ravel(),
+            "D_sup": np.repeat(report.d_sup, n_t), "tau_M": np.repeat(report.tau_min, n_t)}
+    snapshots.write_csv(os.path.join(out_dir, "sweep.csv"), rows)

@@ -18,8 +18,10 @@ of shape ``(N, *sizes)``) or a member batch with one leading member axis
 (``(M, *sizes)`` / ``(M, N, *sizes)``, the atom layout of the empirical
 Young measure).  The drift, the step, the CFL bound and the energy accept
 either: a batch is marched as one array, each member's row bit-identical to
-stepping that member alone, under one CFL bound for the whole batch.  A
-failing batched step names the offending member and carries its state.
+stepping that member alone, under one CFL bound for the whole batch.
+:meth:`State.rows` takes a subset of a batch's members.  A failing batched
+step names the offending member and carries its state.  A model without
+noise carries a zero-mode :class:`~torusgas.noise.NoiseModel`.
 
 The step is explicit by default.  With ``StepperConfig.semi_implicit`` the
 viscous term gets a stabilized semi-implicit treatment (Zhu, Chen, Shen &
@@ -92,9 +94,9 @@ class State:
         return State(np.repeat(self.rho[None], members, axis=0),
                      np.repeat(self.mom[None], members, axis=0), self.t)
 
-    def member(self, m: int) -> "State":
-        """Member ``m`` of a batch, as a single state."""
-        return State(self.rho[m], self.mom[m], self.t)
+    def rows(self, keep) -> "State":
+        """The members ``keep`` (an index, slice or mask) of a batch."""
+        return State(self.rho[keep], self.mom[keep], self.t)
 
     def velocity(self, grid: Grid, rho_floor: float = 1e-8) -> np.ndarray:
         return self.mom / np.maximum(self.rho, rho_floor)[grid.comp(None)]
@@ -106,9 +108,8 @@ class ModelConfig:
 
     law: PressureLaw = PressureLaw()
     visc: Optional[Viscosity] = None
-    noise: Optional[NoiseModel] = None
+    noise: NoiseModel = NoiseModel()  # zero modes: no noise
     eps: float = 1.0
-    grad_threshold: float = np.inf  # reference blow-up cutoff for comparisons
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -121,7 +122,7 @@ class ModelConfig:
 
     @property
     def modes(self) -> int:
-        return self.noise.modes if self.noise is not None else 0
+        return self.noise.modes
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def _check_finite(grid: Grid, message: str, state: "State", rho, mom):
     finite = (np.all(np.isfinite(np.reshape(rho, (lead, -1))), axis=1)
               & np.all(np.isfinite(np.reshape(mom, (lead, -1))), axis=1))
     m = int(np.argmin(finite))
-    raise SimulationError(message, state.member(m), m)
+    raise SimulationError(message, state.rows(m), m)
 
 
 def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
@@ -269,7 +270,7 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
         # the member with the fastest signal sets the batch's bound
         speed = _signal_speed(grid, model, state, stepper.rho_floor)
         m = int(np.unravel_index(np.argmax(speed), speed.shape)[0])
-        raise SimulationError(message, state.member(m), m)
+        raise SimulationError(message, state.rows(m), m)
     if stats is not None:
         stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
 
@@ -278,7 +279,7 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     rho_new = state.rho + dt * drho
     mom_new = state.mom + dt * dmom
 
-    if model.noise is not None and model.noise.modes and dW is not None:
+    if model.noise.modes and dW is not None:
         mom_new += model.noise.momentum_kick(grid, state.rho, state.mom, dW)
 
     low = rho_new < stepper.rho_floor

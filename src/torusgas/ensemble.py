@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constitutive import PressureLaw, potential_delta, pressure_delta
-from .dynamics import State
 from .grid import Grid
 
 
@@ -59,13 +58,12 @@ class EmpiricalYoungMeasure:
         return np.mean(self.rho_atoms, axis=0), np.mean(self.mom_atoms, axis=0)
 
 
-def build_ym(grid: Grid, states: list[State]) -> EmpiricalYoungMeasure:
-    """Stack member states into the per-cell uniform atomic measure."""
-    if not states:
-        raise EnsembleError("need at least one member")
-    rho = np.stack([s.rho for s in states])
-    mom = np.stack([s.mom for s in states])
-    return EmpiricalYoungMeasure(grid, rho, mom)
+def member_se(values: np.ndarray, axis: int = 0):
+    """Standard error ``std(ddof=1) / sqrt(n)`` of the mean along ``axis``; 0 if n = 1."""
+    n = values.shape[axis]
+    if n < 2:
+        return np.zeros_like(np.take(values, 0, axis=axis))
+    return values.std(axis=axis, ddof=1) / np.sqrt(n)
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def _divergence_bound(grid: Grid, vh: np.ndarray) -> float:
     return float(np.max(np.sum(grid.rfft_weight * np.abs(dh), axis=grid.axes))) / grid.n_cells
 
 
-def step_em_euler(grid: Grid, noise: NoiseModel | None, state: EulerState,
+def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState,
                   dt: float, dW: np.ndarray | None = None) -> EulerState:
     """One Euler-Maruyama step of the spectrum; re-projected and audited.
 
@@ -145,7 +145,7 @@ def step_em_euler(grid: Grid, noise: NoiseModel | None, state: EulerState,
     adv = sum(v[comp(j)][comp(None)] * grads[j] for j in range(grid.dim))
     drift = -grid.leray(np.where(grid.dealias_mask, grid.fwd(adv), 0.0))
     vh = state.vh + dt * drift
-    if noise is not None and noise.modes and dW is not None:
+    if noise.modes and dW is not None:
         vh = vh + _kick(grid, noise, state.vh, dW)
     vh = grid.leray(vh)
     div_norm = _divergence_bound(grid, vh)

@@ -50,7 +50,7 @@ class Grid:
         self.dim = len(sizes)
         self.axes = tuple(range(-self.dim, 0))  # the spatial (trailing) axes
         self._space = (slice(None),) * self.dim
-        self._spec = self._build_spectral()
+        self._build_spectral()
 
     def __repr__(self) -> str:
         return f"Grid(sizes={self.sizes})"
@@ -73,71 +73,49 @@ class Grid:
     def n_cells(self) -> int:
         return int(np.prod(self.sizes))
 
-    def _build_spectral(self) -> dict:
-        dim = len(self.sizes)
+    def _build_spectral(self):
+        """Set the spectral symbols, each broadcastable to a field's spectrum.
+
+        ``ik``: per-axis first-derivative symbols ``i k``, unpaired Nyquist
+        zeroed.  ``k2``: ``|k|^2``, the symbol of ``-lap``.  ``dealias_mask``:
+        the 2/3 rule.  ``rfft_weight``: each real-FFT column's multiplicity in
+        the full spectrum, 2 except for the zero and Nyquist columns.
+        """
         # integer wavenumbers; rfft layout on the last axis
         axes_k = []
         for ax, n in enumerate(self.sizes):
-            if ax == dim - 1:
+            if ax == self.dim - 1:
                 k = np.arange(n // 2 + 1, dtype=np.float64)
             else:
                 k = np.fft.fftfreq(n, d=1.0 / n)
-            shape = [1] * dim
+            shape = [1] * self.dim
             shape[ax] = k.size
             axes_k.append(k.reshape(shape))
-        k2 = sum(k * k for k in axes_k)
-        inv_k2 = np.zeros_like(k2)
-        nz = k2 > 0
-        inv_k2[nz] = 1.0 / k2[nz]
+        self.k2 = sum(k * k for k in axes_k)
+        self._inv_k2 = np.zeros_like(self.k2)
+        nz = self.k2 > 0
+        self._inv_k2[nz] = 1.0 / self.k2[nz]
         # odd derivatives drop the (unpaired) Nyquist mode for real symmetry
-        ik = []
+        self.ik = []
         k_odd = []
         for ax, n in enumerate(self.sizes):
             k = axes_k[ax].copy()
             k[np.abs(k) == n // 2] = 0.0
             k_odd.append(k)
-            ik.append(1j * k)
+            self.ik.append(1j * k)
         # the projection must invert the same (Nyquist-zeroed) symbol that
         # grad/div use, or mixed-Nyquist modes survive with nonzero div
         k2p = sum(k * k for k in k_odd)
-        inv_k2p = np.zeros_like(k2p)
+        self._inv_k2p = np.zeros_like(k2p)
         nzp = k2p > 0
-        inv_k2p[nzp] = 1.0 / k2p[nzp]
+        self._inv_k2p[nzp] = 1.0 / k2p[nzp]
         # 2/3-rule mask for products formed in physical space
-        mask = np.ones(k2.shape, dtype=bool)
+        self.dealias_mask = np.ones(self.k2.shape, dtype=bool)
         for ax, n in enumerate(self.sizes):
             cut = (2.0 / 3.0) * (n // 2)
-            mask &= np.abs(axes_k[ax]) <= cut
-        return {"k": axes_k, "k2": k2, "inv_k2": inv_k2, "ik": ik,
-                "inv_k2p": inv_k2p, "dealias": mask}
-
-    # -- spectral symbols, broadcastable to a field's spectrum -------------
-
-    @property
-    def ik(self) -> list[np.ndarray]:
-        """Per-axis first-derivative symbols ``i k`` (unpaired Nyquist zeroed)."""
-        return self._spec["ik"]
-
-    @property
-    def k2(self) -> np.ndarray:
-        """``|k|^2``, the symbol of ``-lap``."""
-        return self._spec["k2"]
-
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        """The 2/3-rule mask."""
-        return self._spec["dealias"]
-
-    @property
-    def rfft_weight(self) -> np.ndarray:
-        """Multiplicity of each real-FFT column in the full spectrum.
-
-        Columns of the last axis stand for themselves and their conjugates
-        (weight 2), except the zero and Nyquist columns (weight 1).
-        """
-        w = np.full(self.sizes[-1] // 2 + 1, 2.0)
-        w[0] = w[-1] = 1.0
-        return w
+            self.dealias_mask &= np.abs(axes_k[ax]) <= cut
+        self.rfft_weight = np.full(self.sizes[-1] // 2 + 1, 2.0)
+        self.rfft_weight[0] = self.rfft_weight[-1] = 1.0
 
     # -- coordinates -------------------------------------------------------
 
@@ -195,12 +173,12 @@ class Grid:
         fh = self.fwd(f)
         out = np.empty((*f.shape[:-self.dim], self.dim, *self.sizes))
         for ax in range(self.dim):
-            out[self.comp(ax)] = self.bwd(self._spec["ik"][ax] * fh)
+            out[self.comp(ax)] = self.bwd(self.ik[ax] * fh)
         return out
 
     def divergence(self, v: np.ndarray) -> np.ndarray:
         vh = self.fwd(self.check_vector(v))
-        return self.bwd(sum(self._spec["ik"][ax] * vh[self.comp(ax)]
+        return self.bwd(sum(self.ik[ax] * vh[self.comp(ax)]
                             for ax in range(self.dim)))
 
     def gradient_vector(self, v: np.ndarray) -> np.ndarray:
@@ -209,12 +187,8 @@ class Grid:
         vh = self.fwd(v)
         out = np.empty((*v.shape[:-self.dim], self.dim, *self.sizes))
         for j in range(self.dim):
-            out[self.comp(slice(None), j)] = self.bwd(self._spec["ik"][j] * vh)
+            out[self.comp(slice(None), j)] = self.bwd(self.ik[j] * vh)
         return out
-
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        f = self.check_scalar(f)
-        return self.bwd(-self._spec["k2"] * self.fwd(f))
 
     def inverse_laplacian(self, f: np.ndarray) -> np.ndarray:
         """Zero-mean solution of ``lap(result) = f`` for a single field.
@@ -224,7 +198,7 @@ class Grid:
         f = self.check_scalar(f)
         fh = self.fwd(f)
         fh.flat[0] = 0.0
-        return self.bwd(-self._spec["inv_k2"] * fh)
+        return self.bwd(-self._inv_k2 * fh)
 
     def helmholtz_project(self, v: np.ndarray) -> np.ndarray:
         """Leray/Helmholtz projection ``v - grad(invlap(div v))``."""
@@ -232,34 +206,21 @@ class Grid:
 
     def leray(self, vh: np.ndarray) -> np.ndarray:
         """Leray projection of a vector spectrum ``(..., N, *spectral)``, mode by mode."""
-        dh = sum(self._spec["ik"][ax] * vh[self.comp(ax)] for ax in range(self.dim))
-        phi = -self._spec["inv_k2p"] * dh  # = (invlap div v)^, matching symbols
+        dh = sum(self.ik[ax] * vh[self.comp(ax)] for ax in range(self.dim))
+        phi = -self._inv_k2p * dh  # = (invlap div v)^, matching symbols
         out = np.empty_like(vh)
         for ax in range(self.dim):
-            out[self.comp(ax)] = vh[self.comp(ax)] - self._spec["ik"][ax] * phi
+            out[self.comp(ax)] = vh[self.comp(ax)] - self.ik[ax] * phi
         return out
-
-    def div_tensor(self, F: np.ndarray, dealias: bool = False) -> np.ndarray:
-        """Row-wise tensor divergence ``out_i = sum_j d(F_ij)/d(x_j)``.
-
-        With ``dealias=True`` the 2/3 mask is applied in the same spectral
-        pass, for tensors assembled from pointwise products.
-        """
-        Fh = self.fwd(F)
-        if dealias:
-            Fh = np.where(self._spec["dealias"], Fh, 0.0)
-        acc = sum(self._spec["ik"][j] * Fh[self.comp(slice(None), j)]
-                  for j in range(self.dim))
-        return self.bwd(acc)
 
     def viscous_operator(self, u: np.ndarray, nu: float, eta: float) -> np.ndarray:
         """Constant-coefficient viscous drift ``nu lap(u) + eta grad(div u)``."""
         uh = self.fwd(u)
-        dh = sum(self._spec["ik"][ax] * uh[self.comp(ax)] for ax in range(self.dim))
+        dh = sum(self.ik[ax] * uh[self.comp(ax)] for ax in range(self.dim))
         out = np.empty_like(u)
         for ax in range(self.dim):
-            out[self.comp(ax)] = self.bwd(-nu * self._spec["k2"] * uh[self.comp(ax)]
-                                          + eta * self._spec["ik"][ax] * dh)
+            out[self.comp(ax)] = self.bwd(-nu * self.k2 * uh[self.comp(ax)]
+                                          + eta * self.ik[ax] * dh)
         return out
 
     def integrate(self, f: np.ndarray):
@@ -273,12 +234,9 @@ class Grid:
             return float(np.sum(f) * self.cell_volume)
         return np.sum(np.reshape(f, (*lead, self.n_cells)), axis=-1) * self.cell_volume
 
-    def mean(self, f: np.ndarray) -> float:
-        return float(np.mean(f))
-
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Apply the 2/3-rule mask to a scalar field."""
-        return self.bwd(np.where(self._spec["dealias"], self.fwd(f), 0.0))
+        return self.bwd(np.where(self.dealias_mask, self.fwd(f), 0.0))
 
     def modal_norm_sq(self, f: np.ndarray) -> float:
         """Squared L2 norm of a single field from its Fourier coefficients (Parseval)."""

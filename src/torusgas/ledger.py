@@ -106,7 +106,7 @@ class LedgerAccumulator:
     grid: Grid
     law: PressureLaw
     visc: Viscosity | None
-    noise: NoiseModel | None
+    noise: NoiseModel
     rho_floor: float = 1e-8
     members: int | None = None
     diss_cum: float = 0.0
@@ -128,7 +128,7 @@ class LedgerAccumulator:
         u = state.velocity(grid, self.rho_floor)
         if self.visc is not None:
             self.diss_cum += dt * dissipation_rate(grid, self.visc, u)
-        if self.noise is not None and self.noise.modes:
+        if self.noise.modes:
             self.ito_cum += dt * 0.5 * grid.integrate(
                 self.noise.ito_correction_density(grid, state.rho, state.mom,
                                                   self.rho_floor))

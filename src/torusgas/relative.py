@@ -37,7 +37,7 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            pressure_delta, pressure_delta_second, relative_h,
                            stress)
 from .dynamics import ModelConfig, SimulationError, State, StepperConfig, step_em
-from .ensemble import EmpiricalYoungMeasure, mean_energy_density
+from .ensemble import EmpiricalYoungMeasure, mean_energy_density, member_se
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
 from .noise import coarsen, member_tables
 
@@ -277,6 +277,7 @@ class WeakStrongConfig:
     refine: int = 2           # reference refinement factor (1 = self comparison)
     sample_every: int = 1
     stepper: StepperConfig = field(default_factory=StepperConfig)
+    grad_threshold: float = np.inf  # reference gradient past which a member freezes
 
 
 @dataclass
@@ -295,10 +296,7 @@ class RelativeEnergyReport:
 
     @property
     def emv_se(self) -> np.ndarray:
-        m = self.emv.shape[0]
-        if m < 2:
-            return np.zeros(self.emv.shape[1])
-        return self.emv.std(axis=0, ddof=1) / np.sqrt(m)
+        return member_se(self.emv)
 
 
 def default_smooth_init(grid: Grid):
@@ -387,11 +385,11 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
                 emv[:, sample_pos] = emv[:, sample_pos - 1]
             if live.size:
                 u_fine = fine.mom / fine.rho[grid_f.comp(None)]
-                freeze = grad_inf_norm(grid_f, u_fine) > model.grad_threshold
+                freeze = grad_inf_norm(grid_f, u_fine) > cfg.grad_threshold
                 rows = np.flatnonzero(~freeze | (sample_pos == 0))
                 r_c = grid_f.restrict(fine.rho, grid_c)[rows]
                 U_c = grid_f.restrict(u_fine, grid_c)[rows]
-                sampled = State(coarse.rho[rows], coarse.mom[rows])
+                sampled = coarse.rows(rows)
                 try:
                     decomps = reference_decomps(grid_c, model, r_c, U_c)
                 except RelativeEnergyError as exc:  # name the ensemble member
@@ -407,8 +405,8 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
                 if freeze.any():
                     tau[live[freeze]] = i_step * dt_c
                     keep = ~freeze
-                    coarse = State(coarse.rho[keep], coarse.mom[keep], coarse.t)
-                    fine = State(fine.rho[keep], fine.mom[keep], fine.t)
+                    coarse = coarse.rows(keep)
+                    fine = fine.rows(keep)
                     live = live[keep]
             sample_pos += 1
             if sample_pos == n_samples:

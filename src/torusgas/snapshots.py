@@ -79,16 +79,14 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def write_csv(path, columns: dict, order: list[str]):
-    """Deterministically formatted CSV with the given column order."""
-    n = len(columns[order[0]])
-    lines = [",".join(order)]
-    for i in range(n):
-        row = []
-        for name in order:
-            v = columns[name][i]
-            row.append(format_float(v) if isinstance(v, (float, np.floating)) else str(v))
-        lines.append(",".join(row))
+def write_csv(path, columns: dict):
+    """Deterministically formatted CSV, columns in the dict's order."""
+    cols = list(columns.values())
+    lines = [",".join(columns)]
+    for i in range(len(cols[0])):
+        row = (col[i] for col in cols)
+        lines.append(",".join(format_float(v) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -38,7 +38,7 @@ import numpy as np
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt, step_em)
-from .ensemble import EmpiricalYoungMeasure, dissipation_defect
+from .ensemble import EmpiricalYoungMeasure, dissipation_defect, member_se
 from .euler import euler_cfl_dt, make_state, step_em_euler, taylor_green
 from .grid import Grid
 from .noise import NoiseModel, coarsen, member_tables
@@ -196,8 +196,8 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     again; its later samples repeat its last relative energy, and its last
     sampled state stays in the pooled dissipation defect.  At a sample the
     relative energy is one call on the batch of sampled members, and every
-    member's values are those of marching it alone.  A CFL blow-up names
-    the member, eps and the ``dt`` it needed.
+    member's values are those of marching it alone.  A failing step is
+    re-raised naming the member by its ensemble index, with eps and ``dt``.
     """
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
@@ -212,8 +212,7 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     for eps in eps_list:
         law = PressureLaw(cfg.a, cfg.gamma)
         visc = Viscosity(cfg.nu_of_eps(eps), cfg.lambda_of_eps(eps))
-        model = ModelConfig(law=law, visc=visc, noise=noise, eps=eps,
-                            grad_threshold=cfg.grad_threshold)
+        model = ModelConfig(law=law, visc=visc, noise=noise, eps=eps)
         delta_data = cfg.delta_data_of_eps(eps)
         rho0, mom0 = well_prepared_data(grid, eps, v0, delta_data)
         trial = State(rho0, mom0)
@@ -260,12 +259,11 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
                     sampled = keep | (i_s == 0)  # stopped rows keep the last sample
                     rows = live[sampled]
                     emv[i_eps, rows, i_s] = relative_energy_state(
-                        grid, law_eff, State(comp.rho[sampled], comp.mom[sampled]),
-                        ones, v_ref[rows, i_s])
+                        grid, law_eff, comp.rows(sampled), ones, v_ref[rows, i_s])
                     last.rho[rows] = comp.rho[sampled]
                     last.mom[rows] = comp.mom[sampled]
                     if not keep.all():
-                        comp = State(comp.rho[keep], comp.mom[keep], comp.t)
+                        comp = comp.rows(keep)
                         live = live[keep]
                 # pooled dissipation defect across members, and per SE group
                 _, d_series[i_eps, i_s] = dissipation_defect(
@@ -279,28 +277,19 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
                 try:
                     comp = step_em(grid, model, stepper, comp, dt, table[live, step],
                                    stats=stats)
-                except SimulationError as exc:
-                    needed = cfl_dt(grid, model, comp.member(exc.member), stepper)
-                    raise SweepError(
-                        f"CFL blow-up at eps={eps}, member {live[exc.member]}: "
-                        f"{exc.detail}; required dt <= {needed:.3e} (have {dt:.3e})"
-                    ) from exc
+                except SimulationError as exc:  # name the member by its ensemble index
+                    raise SimulationError(f"eps={eps}, dt={dt:.3e}: {exc.detail}",
+                                          exc.state, int(live[exc.member])) from exc
                 cfl_ratio[i_eps] = max(cfl_ratio[i_eps], stats.cfl_ratio)
 
-    emv_mean = emv.mean(axis=1)
-    emv_se = (emv.std(axis=1, ddof=1) / np.sqrt(cfg.members)
-              if cfg.members > 1 else np.zeros_like(emv_mean))
-    d_sup = d_series.max(axis=1)
-    d_sup_se = (d_groups.max(axis=2).std(axis=1, ddof=1) / np.sqrt(cfg.se_groups)
-                if cfg.se_groups > 1 else np.zeros(n_eps))
     return RateReport(
         eps=np.asarray(eps_list),
         times=times,
-        emv_mean=emv_mean,
-        emv_se=emv_se,
+        emv_mean=emv.mean(axis=1),
+        emv_se=member_se(emv, axis=1),
         d_series=d_series,
-        d_sup=d_sup,
-        d_sup_se=d_sup_se,
+        d_sup=d_series.max(axis=1),
+        d_sup_se=member_se(d_groups.max(axis=2), axis=1),
         tau_min=np.full(n_eps, tau.min()),
         n_steps=np.asarray(n_steps),
         emv=emv,

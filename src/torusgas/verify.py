@@ -313,7 +313,7 @@ def check_euler_structure():
     adv = advection(grid, v)
     residual = np.max(np.abs(grid.gradient(pi) - (grid.helmholtz_project(adv) - adv)))
     state = make_state(grid, v)
-    nxt = step_em_euler(grid, None, state, 1e-3)
+    nxt = step_em_euler(grid, NoiseModel(), state, 1e-3)
     div_norm = np.max(np.abs(grid.divergence(nxt.v)))
     ok = residual < 1e-10 and div_norm < 1e-10 and abs(np.mean(pi)) < 1e-14
     return ok, f"pressure identity {residual:.1e}, div after step {div_norm:.1e}"

@@ -127,6 +127,9 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("limit-sweep", "sweep.nu_coupling = eps3"),
     ("limit-sweep", "sweep.lambda_coupling = eps3"),
     ("limit-sweep", "sweep.delta_coupling = const"),
+    ("simulate", "init.kind = taylor_green\ngrid.sizes = 16"),
+    ("simulate", "run.snapshot_every = -2"),
+    ("weak-strong", "ws.eta = -1"),
 ])
 def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
     # rejected up front with the key named, not as a crash mid-run (exit 1)
@@ -303,6 +306,16 @@ class TestVerifyCommand:
             main(["verify", "--threads", "2"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "weak-strong", "limit-sweep"])
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_rejected(command, threads, capsys):
+    # refused by the parser, before any configuration is read or run started
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["weak-strong", "limit-sweep"])

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from torusgas.constitutive import PressureLaw, potential_delta
 from torusgas.dynamics import State
 from torusgas.ensemble import (ConvexityError, EmpiricalYoungMeasure,
-                               EnsembleError, Observable, build_ym,
+                               EnsembleError, Observable,
                                defect_domination_audit, dissipation_defect,
                                expect, momentum_defect, momentum_defect_total,
                                velocity_oscillation_field)
 from torusgas.grid import Grid
+
+from oracles import build_ym
 
 LAW = PressureLaw(1.0, 2.0)
 

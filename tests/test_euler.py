@@ -60,20 +60,20 @@ class TestStepping:
         state = make_state(grid, v0)
         dt = 0.01
         for step in range(100):
-            state = step_em_euler(grid, None, state, dt)
+            state = step_em_euler(grid, NoiseModel(), state, dt)
         assert np.max(np.abs(state.v - v0)) < 1e-6
 
     def test_zero_stays_zero(self, grid2d):
         state = make_state(grid2d, np.zeros((2, *grid2d.sizes)))
         for step in range(5):
-            state = step_em_euler(grid2d, None, state, 0.05)
+            state = step_em_euler(grid2d, NoiseModel(), state, 0.05)
         assert np.max(np.abs(state.v)) == 0.0
 
     def test_divergence_preserved(self, grid2d, rng):
         state = make_state(grid2d, random_solenoidal(grid2d, rng, kmax=4))
         dt = 0.5 * euler_cfl_dt(grid2d, state)
         for step in range(20):
-            state = step_em_euler(grid2d, None, state, dt)
+            state = step_em_euler(grid2d, NoiseModel(), state, dt)
             assert np.max(np.abs(grid2d.divergence(state.v))) < 1e-10
 
     def test_constant_forcing_random_drift(self):
@@ -103,7 +103,7 @@ class TestStepping:
             state = make_state(grid, v0)
             e0 = kinetic_energy(grid, state.v)
             for step in range(n):
-                state = step_em_euler(grid, None, state, dt)
+                state = step_em_euler(grid, NoiseModel(), state, dt)
             return abs(kinetic_energy(grid, state.v) - e0)
 
         ratio = drift(4e-3, 125) / drift(2e-3, 250)
@@ -145,7 +145,7 @@ class TestStepping:
         state.vh[0] = grid2d.fwd(np.sin(X))
         monkeypatch.setattr(grid2d, "leray", lambda vh: vh)
         with pytest.raises(EulerError, match="divergence grew"):
-            step_em_euler(grid2d, None, state, 1e-3)
+            step_em_euler(grid2d, NoiseModel(), state, 1e-3)
 
     def test_projection_order_agrees(self, grid2d, rng):
         # projecting the drift before stepping equals projecting after

@@ -63,6 +63,17 @@ CASES = {
 }
 
 
+# exact header lines: the comparison below reads columns by name, not in order
+HEADERS = {
+    "ledger.csv": "t,E,D,dissipation_cum,ito_cum,martingale,residual",
+    "observables.csv": "t,cell,rho_mean,mom_mean_0,energy_defect",
+    "weak_strong.csv": ",".join(["t", "Emv_mean", "Emv_se",
+                                 *(f"remainder_term_{j}" for j in range(1, 10)),
+                                 "gronwall_residual"]),
+    "sweep.csv": "eps,t,Emv_mean,Emv_se,D_sup,tau_M",
+}
+
+
 def _read_csv(path) -> dict:
     with open(path, encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
@@ -132,6 +143,9 @@ def test_matches_golden(name, tmp_path):
     with open(_golden_path(name), encoding="ascii") as fh:
         golden = json.load(fh)
     _compare(run_case(name, str(tmp_path)), golden, name)
+    for fname in CASES[name]["csv"]:
+        with open(os.path.join(tmp_path, fname), encoding="ascii") as fh:
+            assert fh.readline() == HEADERS[fname] + "\n", fname
 
 
 def _expected_draws(name: str, cfg: dict, summary: dict) -> int:

@@ -3,12 +3,14 @@ import pytest
 
 from torusgas.constitutive import PressureLaw, Viscosity, potential_delta
 from torusgas.dynamics import ModelConfig, State, StepperConfig, step_em
-from torusgas.ensemble import EmpiricalYoungMeasure, build_ym
+from torusgas.ensemble import EmpiricalYoungMeasure
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
 from torusgas.ledger import (EnergyLedger, LedgerAccumulator, SmoothItoProcess,
                              cross_variation_audit, march, poincare_ratio,
                              total_energy)
 from torusgas.noise import NoiseModel, member_tables
+
+from oracles import build_ym
 
 LAW = PressureLaw(1.0, 2.0)
 
@@ -36,7 +38,7 @@ def test_batched_accumulator_matches_member_loop(sizes):
     for step in range(n_steps):
         acc.step_increments(batch, table[:, step], dt)
         for m, one in enumerate(singles):
-            one.step_increments(batch.member(m), table[m, step], dt)
+            one.step_increments(batch.rows(m), table[m, step], dt)
         batch = step_em(grid, model, StepperConfig(), batch, dt, table[:, step])
     for m, one in enumerate(singles):
         assert (acc.diss_cum[m], acc.ito_cum[m], acc.mart[m]) == (

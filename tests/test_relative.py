@@ -7,7 +7,7 @@ from torusgas.constitutive import (PressureLaw, Viscosity,
                                    pressure_delta_second, stress)
 from torusgas import relative
 from torusgas.dynamics import ModelConfig, SimulationError, State
-from torusgas.ensemble import EmpiricalYoungMeasure, build_ym
+from torusgas.ensemble import EmpiricalYoungMeasure
 from torusgas.grid import Grid
 from torusgas.noise import NoiseModel
 from torusgas.relative import (REMAINDER_TERMS, RefDecomps, RelativeEnergyError,
@@ -15,6 +15,8 @@ from torusgas.relative import (REMAINDER_TERMS, RefDecomps, RelativeEnergyError,
                                reference_decomps, relative_energy,
                                relative_energy_state, remainder,
                                weak_strong_experiment)
+
+from oracles import build_ym
 
 LAW = PressureLaw(1.0, 2.0)
 
@@ -158,7 +160,7 @@ class TestRemainder:
     def make_inputs(self, rng, modes=2, members=3):
         grid = Grid((16,))
         noise = NoiseModel(K=tuple(0.1 * (i + 1) for i in range(modes)),
-                           L=tuple(0.05 * (i + 1) for i in range(modes))) if modes else None
+                           L=tuple(0.05 * (i + 1) for i in range(modes)))
         model = ModelConfig(law=PressureLaw(1.1, 1.8), visc=Viscosity(0.3, 0.1),
                             noise=noise)
         ym = random_ym(grid, members, rng)
@@ -330,8 +332,8 @@ class TestWeakStrong:
     def test_stopping_time_freezes_series(self):
         cfg = WeakStrongConfig(
             grid_sizes=(32,),
-            model=ModelConfig(law=LAW, visc=Viscosity(1e-2), grad_threshold=1e-6),
-            horizon=0.25, n_steps=16, members=1, seed=0, refine=2)
+            model=ModelConfig(law=LAW, visc=Viscosity(1e-2)),
+            horizon=0.25, n_steps=16, members=1, seed=0, refine=2, grad_threshold=1e-6)
         report = weak_strong_experiment(cfg)
         assert report.tau[0] == 0.0
         assert np.all(report.emv[0] == report.emv[0, 0])
@@ -345,11 +347,10 @@ class TestBatchedMarch:
         # strong multiplicative noise lifts some members' gradients above
         # their initial value and lets others decay
         model = ModelConfig(law=LAW, visc=Viscosity(1e-2),
-                            noise=NoiseModel(K=(0.1,), L=(0.5,)),
-                            grad_threshold=threshold)
+                            noise=NoiseModel(K=(0.1,), L=(0.5,)))
         return WeakStrongConfig(grid_sizes=(16,), model=model, horizon=0.5,
                                 n_steps=32, members=members, seed=0,
-                                sample_every=4)
+                                sample_every=4, grad_threshold=threshold)
 
     @staticmethod
     def gradients(monkeypatch, members):
@@ -403,7 +404,7 @@ class TestBatchedMarch:
 
         def fails_once_shrunk(grid, model, stepper, state, *args):
             if len(state.rho) < 6:
-                raise SimulationError("boom", state.member(0), 0)
+                raise SimulationError("boom", state.rows(0), 0)
             return step_em(grid, model, stepper, state, *args)
 
         monkeypatch.setattr(relative, "step_em", fails_once_shrunk)

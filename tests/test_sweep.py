@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgas import config, driver, sweep
-from torusgas.dynamics import SimulationError
+from torusgas.dynamics import SimulationError, rhs_deterministic
 from torusgas.euler import taylor_green
 from torusgas.grid import Grid
 from torusgas.sweep import (RateReport, SweepConfig, SweepError, fit_rate,
@@ -222,9 +222,31 @@ class TestBatchedMarch:
 
     def test_cfl_blow_up_names_member_eps_and_dt(self, monkeypatch):
         def fails_on_row_1(grid, model, stepper, state, dt, dW, stats=None):
-            raise SimulationError("CFL violation: boom", state.member(1), 1)
+            raise SimulationError("CFL violation: boom", state.rows(1), 1)
 
         monkeypatch.setattr(sweep, "step_em", fails_on_row_1)
-        with pytest.raises(SweepError, match=r"CFL blow-up at eps=1\.0, member 1: "
-                                             r"CFL violation: boom; required dt <= "):
+        with pytest.raises(SimulationError, match=r"member 1: eps=1\.0, dt=\d\.\d{3}e-\d\d: "
+                                                  r"CFL violation: boom"):
             run_sweep(self.config(3, np.inf))
+
+    def test_non_finite_step_names_member_eps_and_dt(self, monkeypatch):
+        # a non-finite state is reported as such, not as a CFL failure
+        n_half = int(run_sweep(self.config(3, np.inf)).n_steps[1])
+        step = sweep.step_em
+
+        def blows_up_at_half(grid, model, stepper, state, dt, dW, stats=None):
+            def rhs(*args):
+                drho, dmom = rhs_deterministic(*args)
+                if model.eps == 0.5:
+                    drho[2] = np.inf
+                return drho, dmom
+            return step(grid, model, stepper, state, dt, dW, rhs_fn=rhs, stats=stats)
+
+        monkeypatch.setattr(sweep, "step_em", blows_up_at_half)
+        with pytest.raises(SimulationError) as err:
+            run_sweep(self.config(3, np.inf))
+        message = str(err.value)
+        assert message.startswith(f"member 2: eps=0.5, dt={0.25 / n_half:.3e}: non-finite")
+        assert "CFL" not in message
+        assert err.value.member == 2
+        assert np.isinf(err.value.state.rho).all()
