@@ -44,11 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to a key = value file")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        if name == "simulate":
-            p.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
-        elif name != "verify":  # the invariant suite runs single-threaded
+        if name != "verify":  # the invariant suite has no member axis to split
             p.add_argument("--threads", type=_thread_count, default=1,
-                           help="accepted but ignored: this command runs single-threaded")
+                           help="worker threads, one contiguous member range each")
         p.add_argument("--out", default="out", help="output directory")
     return parser
 
@@ -84,13 +82,13 @@ def main(argv=None) -> int:
             print(f"{'all checks passed' if ok else 'FAILURES detected'}")
             return 0 if ok else 1
         if args.command == "weak-strong":
-            summary = driver.run_weak_strong(cfg, args.out)
+            summary = driver.run_weak_strong(cfg, args.out, threads=args.threads)
             print(f"weak-strong: E_mv(0)={summary['emv_initial']:.3e} -> "
                   f"E_mv(T)={summary['emv_final']:.3e}, fitted c={summary['gronwall_c']:.3f}; "
                   f"artifacts in {args.out}")
             return 0
         if args.command == "limit-sweep":
-            summary = driver.run_limit_sweep(cfg, args.out)
+            summary = driver.run_limit_sweep(cfg, args.out, threads=args.threads)
             slope = summary.get("slope")
             eps_list = [float(e) for e in summary["eps"]]
             print(f"limit-sweep: eps={eps_list}, "

@@ -3,19 +3,19 @@
 Every command writes into its output directory the resolved configuration,
 a format-version marker and deterministically formatted CSV files.
 
-``simulate`` marches its whole ensemble as one member-batched state, the
-members along a leading axis (see :mod:`torusgas.dynamics`).  With
-``--threads T`` the member axis is split into ``T`` contiguous chunks, each
-marched as one batch by :func:`torusgas.ledger.march` on a thread pool, and
-the chunks and their ledgers are joined in member order.  Every member's arithmetic is the same in any chunk, so outputs are
-byte-identical for any worker count.
+Every command marches member-batched states, the members along a leading
+axis (see :mod:`torusgas.dynamics`).  With ``--threads T`` each command
+splits the member axis into ``T`` contiguous ranges, marched on a thread
+pool by :func:`torusgas.ensemble.by_member_range`: ``simulate`` a ledger
+march per range, ``weak-strong`` a coarse and a fine batch, ``limit-sweep``
+the reference and then each eps.  Member sums are taken after the join, in
+member order, so outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import snapshots
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt)
-from .ensemble import EmpiricalYoungMeasure, dissipation_defect, member_se
+from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
 from .euler import taylor_green
 from .grid import Grid
 from .ledger import EnergyLedger, march, pooled_ledger
@@ -115,8 +115,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     else:
         table = member_tables(seed, members, model.modes, dt, n_steps)
 
-    def job(chunk):
-        lo, hi = chunk
+    def march_range(lo, hi):
         stats = StepStats(np.zeros(hi - lo, dtype=np.int64), np.zeros(hi - lo))
         try:
             return (*march(grid, model, stepper, state0, dt, table[lo:hi], stride, stats),
@@ -126,14 +125,8 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
                 raise
             raise SimulationError(exc.detail, exc.state, lo + exc.member) from exc
 
-    chunks = [(int(c[0]), int(c[-1]) + 1)
-              for c in np.array_split(np.arange(members), threads) if c.size]
     try:
-        if len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                results = list(pool.map(job, chunks))
-        else:
-            results = [job(chunks[0])]
+        results = by_member_range(members, threads, march_range)
     except SimulationError as exc:
         if exc.state is not None:  # leave a diagnostic snapshot behind
             snapshots.write_state(os.path.join(out_dir, "diagnostic_failure.snap"),
@@ -215,7 +208,7 @@ def _finalize(out_dir, cfg, summary):
 # --------------------------------------------------------------------------
 
 
-def run_weak_strong(cfg: dict, out_dir: str) -> dict:
+def run_weak_strong(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
     n_steps = cfg["ws.n_steps"]
@@ -233,7 +226,7 @@ def run_weak_strong(cfg: dict, out_dir: str) -> dict:
         stepper=build_stepper(cfg),
         grad_threshold=cfg["model.grad_threshold"],
     )
-    report = weak_strong_experiment(ws)
+    report = weak_strong_experiment(ws, threads)
     _write_ws_report(out_dir, report)
     summary = {
         "command": "weak_strong",
@@ -266,7 +259,7 @@ def _write_ws_report(out_dir, report: RelativeEnergyReport):
 # --------------------------------------------------------------------------
 
 
-def run_limit_sweep(cfg: dict, out_dir: str) -> dict:
+def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     v0, sizes = cfg["sweep.v0"], cfg["grid.sizes"]
     if v0 not in V0_KINDS:
         raise config_mod.ConfigError(f"sweep.v0: unknown kind {v0!r}, "
@@ -294,7 +287,7 @@ def run_limit_sweep(cfg: dict, out_dir: str) -> dict:
         n_samples=cfg["sweep.samples"],
         v0_kind=v0,
     )
-    report = run_sweep(sweep_cfg)
+    report = run_sweep(sweep_cfg, threads)
     _write_sweep_csv(out_dir, report)
     summary = {"command": "limit_sweep",
                "eps": report.eps, "final_emv": report.final_emv,

@@ -11,6 +11,8 @@ estimators carry the oscillation content only.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,6 +66,21 @@ def member_se(values: np.ndarray, axis: int = 0):
     if n < 2:
         return np.zeros_like(np.take(values, 0, axis=axis))
     return values.std(axis=axis, ddof=1) / np.sqrt(n)
+
+
+def by_member_range(members: int, threads: int, march: Callable) -> list:
+    """``march(lo, hi)`` on ``min(threads, members)`` contiguous member ranges.
+
+    One range runs on the calling thread; several run on a pool of at most
+    ``os.cpu_count()`` threads, which numpy shares by releasing the GIL.
+    Results come back in member order; the first failing range's error is raised.
+    """
+    ranges = [(int(r[0]), int(r[-1]) + 1)
+              for r in np.array_split(np.arange(members), min(threads, members))]
+    if len(ranges) == 1:
+        return [march(*ranges[0])]
+    with ThreadPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
+        return list(pool.map(lambda r: march(*r), ranges))
 
 
 @dataclass(frozen=True)

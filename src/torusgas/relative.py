@@ -37,7 +37,7 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            pressure_delta, pressure_delta_second, relative_h,
                            stress)
 from .dynamics import ModelConfig, SimulationError, State, StepperConfig, step_em
-from .ensemble import EmpiricalYoungMeasure, mean_energy_density, member_se
+from .ensemble import EmpiricalYoungMeasure, by_member_range, mean_energy_density, member_se
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
 from .noise import coarsen, member_tables
 
@@ -323,7 +323,7 @@ def _perturb(grid: Grid, law: PressureLaw, rho: np.ndarray, mom: np.ndarray,
     return rho + amp * d_rho, mom + amp * d_mom
 
 
-def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
+def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeEnergyReport:
     """Pathwise coarse-vs-fine comparison under shared Brownian increments.
 
     Each member runs the coarse discretization and its own fine reference
@@ -333,15 +333,16 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
     and frozen once the reference velocity gradient exceeds the configured
     threshold.
 
-    The members march together: one coarse batch ``(M, *sizes)`` and one
-    fine batch ``(M, *refine * sizes)``, driven by the members' fine tables
-    stacked into ``(M, n_f, K)`` and coarsened along the step axis.  Freezing
-    is per member: a member whose reference gradient crosses the threshold at
-    a sample leaves both batches and is never stepped again, and its later
-    samples repeat its last value.  At a sample the relative energy, the
-    reference decompositions and the remainder are each one call on the
-    batch of sampled members; every member's values are those of marching
-    it alone, and the remainder's member sums run in member order.  A
+    Each of ``threads`` contiguous member ranges marches as one coarse batch
+    ``(M_r, *sizes)`` and one fine batch ``(M_r, *refine * sizes)``, driven
+    by its rows of the fine tables ``(M, n_f, K)`` and their coarsening along
+    the step axis.  Freezing is per member: a member whose reference gradient
+    crosses the threshold at a sample leaves both batches and is never
+    stepped again, and its later samples repeat its last value.  At a sample
+    the relative energy, the reference decompositions and the remainder are
+    each one call on the range's sampled members.  Every member's values are
+    those of marching it alone, and the remainder's member sums run in member
+    order after the join, so the report is the same for any ``threads``.  A
     failing step or a nonpositive reference names the member by its
     ensemble index.
     """
@@ -364,63 +365,69 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
 
     emv = np.zeros((cfg.members, n_samples))
     tau = np.full(cfg.members, cfg.horizon)
-    rem_acc = np.zeros((n_samples, len(REMAINDER_TERMS)))
+    rem = np.zeros((cfg.members, n_samples, len(REMAINDER_TERMS)))
+    sampled_at = np.zeros((cfg.members, n_samples), dtype=bool)
 
     fine_table = member_tables(cfg.seed, cfg.members, model.modes, dt_f, n_f)
     coarse_table = coarsen(fine_table, cfg.n_steps)
-    if cfg.eta > 0:
-        data = [_perturb(grid_c, law, rho_c0, mom_c0, cfg.eta,
-                         np.random.default_rng((cfg.seed, m, 0x7A)))
-                for m in range(cfg.members)]
-        coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
-    else:
-        coarse = State(rho_c0, mom_c0).batch(cfg.members)
-    fine = State(rho_f0, mom_f0).batch(cfg.members)
-    live = np.arange(cfg.members)  # ensemble index of each marched row
 
-    sample_pos = 0
-    for i_step in range(cfg.n_steps + 1):
-        if i_step == sample_idx[sample_pos]:
-            if sample_pos > 0:  # frozen members repeat their last value
-                emv[:, sample_pos] = emv[:, sample_pos - 1]
-            if live.size:
-                u_fine = fine.mom / fine.rho[grid_f.comp(None)]
-                freeze = grad_inf_norm(grid_f, u_fine) > cfg.grad_threshold
-                rows = np.flatnonzero(~freeze | (sample_pos == 0))
-                r_c = grid_f.restrict(fine.rho, grid_c)[rows]
-                U_c = grid_f.restrict(u_fine, grid_c)[rows]
-                sampled = coarse.rows(rows)
+    def march_range(lo, hi):
+        if cfg.eta > 0:
+            data = [_perturb(grid_c, law, rho_c0, mom_c0, cfg.eta,
+                             np.random.default_rng((cfg.seed, m, 0x7A)))
+                    for m in range(lo, hi)]
+            coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
+        else:
+            coarse = State(rho_c0, mom_c0).batch(hi - lo)
+        fine = State(rho_f0, mom_f0).batch(hi - lo)
+        live = np.arange(lo, hi)  # ensemble index of each marched row
+        sample_pos = 0
+        for i_step in range(cfg.n_steps + 1):
+            if i_step == sample_idx[sample_pos]:
+                if sample_pos > 0:  # frozen members repeat their last value
+                    emv[lo:hi, sample_pos] = emv[lo:hi, sample_pos - 1]
+                if live.size:
+                    u_fine = fine.mom / fine.rho[grid_f.comp(None)]
+                    freeze = grad_inf_norm(grid_f, u_fine) > cfg.grad_threshold
+                    rows = np.flatnonzero(~freeze | (sample_pos == 0))
+                    r_c = grid_f.restrict(fine.rho, grid_c)[rows]
+                    U_c = grid_f.restrict(u_fine, grid_c)[rows]
+                    sampled = coarse.rows(rows)
+                    try:
+                        decomps = reference_decomps(grid_c, model, r_c, U_c)
+                    except RelativeEnergyError as exc:  # name the ensemble member
+                        raise RelativeEnergyError(f"restricted {exc.detail}",
+                                                  int(live[rows[exc.member]])) from exc
+                    emv[live[rows], sample_pos] = relative_energy_state(
+                        grid_c, law, sampled, r_c, U_c)
+                    terms = remainder(grid_c, model, sampled.rho, sampled.mom, r_c, U_c,
+                                      decomps)
+                    rem[live[rows], sample_pos] = np.stack(
+                        [terms[k] for k in REMAINDER_TERMS], axis=1)
+                    sampled_at[live[rows], sample_pos] = True
+                    if freeze.any():
+                        tau[live[freeze]] = i_step * dt_c
+                        keep = ~freeze
+                        coarse = coarse.rows(keep)
+                        fine = fine.rows(keep)
+                        live = live[keep]
+                sample_pos += 1
+                if sample_pos == n_samples:
+                    break
+            if i_step < cfg.n_steps and live.size:
                 try:
-                    decomps = reference_decomps(grid_c, model, r_c, U_c)
-                except RelativeEnergyError as exc:  # name the ensemble member
-                    raise RelativeEnergyError(f"restricted {exc.detail}",
-                                              int(live[rows[exc.member]])) from exc
-                emv[live[rows], sample_pos] = relative_energy_state(
-                    grid_c, law, sampled, r_c, U_c)
-                terms = remainder(grid_c, model, sampled.rho, sampled.mom, r_c, U_c,
-                                  decomps)
-                # (rows, 9) summed over axis 0 adds the rows in member order
-                rem_acc[sample_pos] = np.sum(
-                    np.stack([terms[k] for k in REMAINDER_TERMS], axis=1), axis=0)
-                if freeze.any():
-                    tau[live[freeze]] = i_step * dt_c
-                    keep = ~freeze
-                    coarse = coarse.rows(keep)
-                    fine = fine.rows(keep)
-                    live = live[keep]
-            sample_pos += 1
-            if sample_pos == n_samples:
-                break
-        if i_step < cfg.n_steps and live.size:
-            try:
-                coarse = step_em(grid_c, model, cfg.stepper, coarse, dt_c,
-                                 coarse_table[live, i_step])
-                for j in range(cfg.refine):
-                    fine = step_em(grid_f, model, cfg.stepper, fine, dt_f,
-                                   fine_table[live, cfg.refine * i_step + j])
-            except SimulationError as exc:  # name the member by its ensemble index
-                raise SimulationError(exc.detail, exc.state, int(live[exc.member])) from exc
+                    coarse = step_em(grid_c, model, cfg.stepper, coarse, dt_c,
+                                     coarse_table[live, i_step])
+                    for j in range(cfg.refine):
+                        fine = step_em(grid_f, model, cfg.stepper, fine, dt_f,
+                                       fine_table[live, cfg.refine * i_step + j])
+                except SimulationError as exc:  # name the member by its ensemble index
+                    raise SimulationError(exc.detail, exc.state,
+                                          int(live[exc.member])) from exc
 
+    by_member_range(cfg.members, threads, march_range)
+    # each sample's sampled members, (members, 9) summed over axis 0 in member order
+    rem_sum = np.stack([np.sum(rem[sampled_at[:, i], i], axis=0) for i in range(n_samples)])
     c_fit, amp = fit_exponential(times, emv.mean(axis=0))
     bias = max(amp - emv.mean(axis=0)[0], 0.0)
     resid = gronwall_check(times, emv.mean(axis=0), c_fit, bias)
@@ -431,5 +438,5 @@ def weak_strong_experiment(cfg: WeakStrongConfig) -> RelativeEnergyReport:
         gronwall_c=c_fit,
         gronwall_bias=bias,
         gronwall_residual=resid,
-        remainder_terms=rem_acc / cfg.members,
+        remainder_terms=rem_sum / cfg.members,
     )

@@ -19,8 +19,8 @@ The incompressible reference does not depend on eps, so each member's
 reference is marched once, in Fourier space at the finest step, and every
 eps compares against the same velocity at the common sample times.  A
 member's stopping time is set by that reference alone and shared by every
-eps.  Each eps marches its members as one compressible batch, and each
-sample evaluates the relative energy of all sampled members in one call.
+eps.  Each eps marches contiguous member ranges, one compressible batch
+each, and a sample evaluates a range's sampled members in one call.
 
 The compressible step treats viscosity semi-implicitly (see
 :mod:`torusgas.dynamics`), so each eps's step is set by the acoustic bound
@@ -38,7 +38,7 @@ import numpy as np
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt, step_em)
-from .ensemble import EmpiricalYoungMeasure, dissipation_defect, member_se
+from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
 from .euler import euler_cfl_dt, make_state, step_em_euler, taylor_green
 from .grid import Grid
 from .noise import NoiseModel, coarsen, member_tables
@@ -133,8 +133,8 @@ def _initial_v0(grid: Grid, kind: str) -> np.ndarray:
 
 
 def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.ndarray,
-                     horizon: float, n_samples: int, threshold: float):
-    """March every member's Euler reference once, on its base increment table.
+                     horizon: float, n_samples: int, threshold: float, threads: int = 1):
+    """March every member's Euler reference once on its base table, in member ranges.
 
     Returns the velocity at the ``n_samples + 1`` common sample times
     ``(M, n_samples + 1, N, *sizes)``, each member's stopping sample
@@ -149,26 +149,30 @@ def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.nd
     v_ref = np.zeros((members, n_samples + 1, grid.dim, *grid.sizes))
     stop = np.full(members, n_samples + 1)
     grad_max = np.zeros(members)
-    eul = make_state(grid, np.broadcast_to(v0, (members, *v0.shape)))
-    live = np.arange(members)  # ensemble index of each marched row
-    for step in range(n_base + 1):
-        if step % stride == 0 and live.size:
-            i_s = step // stride
-            grad = eul.grad_inf
-            freeze = grad > threshold
-            sampled = ~freeze | (i_s == 0)
-            v_ref[live[sampled], i_s] = eul.v[sampled]
-            grad_max[live] = np.maximum(grad_max[live], grad)
-            if freeze.any():
-                stop[live[freeze]] = i_s
-                eul = eul.rows(~freeze)
-                live = live[~freeze]
-        if step < n_base and live.size:
-            eul = step_em_euler(grid, noise, eul, dt, table[live, step])
+
+    def march_range(lo, hi):
+        eul = make_state(grid, np.broadcast_to(v0, (hi - lo, *v0.shape)))
+        live = np.arange(lo, hi)  # ensemble index of each marched row
+        for step in range(n_base + 1):
+            if step % stride == 0 and live.size:
+                i_s = step // stride
+                grad = eul.grad_inf
+                freeze = grad > threshold
+                sampled = ~freeze | (i_s == 0)
+                v_ref[live[sampled], i_s] = eul.v[sampled]
+                grad_max[live] = np.maximum(grad_max[live], grad)
+                if freeze.any():
+                    stop[live[freeze]] = i_s
+                    eul = eul.rows(~freeze)
+                    live = live[~freeze]
+            if step < n_base and live.size:
+                eul = step_em_euler(grid, noise, eul, dt, table[live, step])
+
+    by_member_range(members, threads, march_range)
     return v_ref, stop, grad_max
 
 
-def run_sweep(cfg: SweepConfig) -> RateReport:
+def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     """Execute the eps schedule and collect the rate data.
 
     Each member's Brownian path is drawn once, as an increment table at the
@@ -191,13 +195,14 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
 
     Freezing is per member and set by the reference alone: a member whose
     reference gradient crosses the threshold at a sample stops at that
-    sample's time ``tau``, the same for every eps.  Each eps's compressible
-    batch ``(M, *sizes)`` drops the member at ``tau`` and never steps it
-    again; its later samples repeat its last relative energy, and its last
-    sampled state stays in the pooled dissipation defect.  At a sample the
-    relative energy is one call on the batch of sampled members, and every
-    member's values are those of marching it alone.  A failing step is
-    re-raised naming the member by its ensemble index, with eps and ``dt``.
+    sample's time ``tau``, the same for every eps.  The reference and each
+    eps march ``threads`` contiguous member ranges, one batch ``(M_r, *sizes)``
+    each, which drops the member at ``tau`` and never steps it again; its
+    later samples repeat its last relative energy and last sampled state.
+    After the join those states give the pooled dissipation defect and its
+    contiguous standard-error groups, and every member's values are those of
+    marching it alone.  A failing step is re-raised naming the member by its
+    ensemble index, with eps and ``dt``.
     """
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
@@ -226,7 +231,7 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     base_table = member_tables(cfg.seed, cfg.members, noise.modes, cfg.horizon / n_base,
                                n_base)
     v_ref, stop, grad_max = _march_reference(grid, noise, v0, base_table, cfg.horizon,
-                                             cfg.n_samples, cfg.grad_threshold)
+                                             cfg.n_samples, cfg.grad_threshold, threads)
 
     times = np.linspace(0.0, cfg.horizon, cfg.n_samples + 1)
     tau = times[np.minimum(stop, cfg.n_samples)]
@@ -237,7 +242,10 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     d_groups = np.zeros((n_eps, cfg.se_groups, cfg.n_samples + 1))
     cfl_ratio = np.zeros(n_eps)
     ones = np.ones(grid.sizes)
-    g_size = cfg.members // cfg.se_groups
+    groups = np.array_split(np.arange(cfg.members), cfg.se_groups)  # contiguous SE groups
+    # each member's last sampled state at every sample, reused across eps
+    last_rho = np.zeros((cfg.n_samples + 1, cfg.members, *grid.sizes))
+    last_mom = np.zeros((cfg.n_samples + 1, cfg.members, grid.dim, *grid.sizes))
 
     for i_eps, eps in enumerate(eps_list):
         model, rho0, mom0 = models[i_eps]
@@ -246,41 +254,48 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         dt = cfg.horizon / n
         stride = n // cfg.n_samples
         table = coarsen(base_table, n)
-        comp = State(rho0, mom0).batch(cfg.members)
-        last = comp.copy()  # each member's last sampled state
-        live = np.arange(cfg.members)  # ensemble index of each marched row
-        for step in range(n + 1):
-            if step % stride == 0:
-                i_s = step // stride
-                if i_s > 0:  # stopped members repeat their last sample
-                    emv[i_eps, :, i_s] = emv[i_eps, :, i_s - 1]
-                if live.size:
-                    keep = stop[live] > i_s
-                    sampled = keep | (i_s == 0)  # stopped rows keep the last sample
-                    rows = live[sampled]
-                    emv[i_eps, rows, i_s] = relative_energy_state(
-                        grid, law_eff, comp.rows(sampled), ones, v_ref[rows, i_s])
-                    last.rho[rows] = comp.rho[sampled]
-                    last.mom[rows] = comp.mom[sampled]
-                    if not keep.all():
-                        comp = comp.rows(keep)
-                        live = live[keep]
-                # pooled dissipation defect across members, and per SE group
-                _, d_series[i_eps, i_s] = dissipation_defect(
-                    EmpiricalYoungMeasure(grid, last.rho, last.mom), law_eff)
-                for gidx in range(cfg.se_groups):
-                    sl = slice(gidx * g_size, (gidx + 1) * g_size)
-                    _, d_groups[i_eps, gidx, i_s] = dissipation_defect(
-                        EmpiricalYoungMeasure(grid, last.rho[sl], last.mom[sl]), law_eff)
-            if step < n and live.size:
-                stats = StepStats()  # the batch shrinks as members stop: floors not kept
-                try:
-                    comp = step_em(grid, model, stepper, comp, dt, table[live, step],
-                                   stats=stats)
-                except SimulationError as exc:  # name the member by its ensemble index
-                    raise SimulationError(f"eps={eps}, dt={dt:.3e}: {exc.detail}",
-                                          exc.state, int(live[exc.member])) from exc
-                cfl_ratio[i_eps] = max(cfl_ratio[i_eps], stats.cfl_ratio)
+
+        def march_range(lo, hi):
+            comp = State(rho0, mom0).batch(hi - lo)
+            live = np.arange(lo, hi)  # ensemble index of each marched row
+            ratio = 0.0
+            for step in range(n + 1):
+                if step % stride == 0:
+                    i_s = step // stride
+                    if i_s > 0:  # stopped members repeat their last sample
+                        emv[i_eps, lo:hi, i_s] = emv[i_eps, lo:hi, i_s - 1]
+                        last_rho[i_s, lo:hi] = last_rho[i_s - 1, lo:hi]
+                        last_mom[i_s, lo:hi] = last_mom[i_s - 1, lo:hi]
+                    if live.size:
+                        keep = stop[live] > i_s
+                        sampled = keep | (i_s == 0)  # stopped rows keep the last sample
+                        rows = live[sampled]
+                        emv[i_eps, rows, i_s] = relative_energy_state(
+                            grid, law_eff, comp.rows(sampled), ones, v_ref[rows, i_s])
+                        last_rho[i_s, rows] = comp.rho[sampled]
+                        last_mom[i_s, rows] = comp.mom[sampled]
+                        if not keep.all():
+                            comp = comp.rows(keep)
+                            live = live[keep]
+                if step < n and live.size:
+                    stats = StepStats()  # the batch shrinks as members stop: floors not kept
+                    try:
+                        comp = step_em(grid, model, stepper, comp, dt, table[live, step],
+                                       stats=stats)
+                    except SimulationError as exc:  # name the member by its ensemble index
+                        raise SimulationError(f"eps={eps}, dt={dt:.3e}: {exc.detail}",
+                                              exc.state, int(live[exc.member])) from exc
+                    ratio = max(ratio, stats.cfl_ratio)
+            return ratio
+
+        cfl_ratio[i_eps] = max(by_member_range(cfg.members, threads, march_range))
+        # pooled dissipation defect across members, and per SE group
+        for i_s, (rho_s, mom_s) in enumerate(zip(last_rho, last_mom)):
+            _, d_series[i_eps, i_s] = dissipation_defect(
+                EmpiricalYoungMeasure(grid, rho_s, mom_s), law_eff)
+            for g, idx in enumerate(groups):
+                _, d_groups[i_eps, g, i_s] = dissipation_defect(
+                    EmpiricalYoungMeasure(grid, rho_s[idx], mom_s[idx]), law_eff)
 
     return RateReport(
         eps=np.asarray(eps_list),

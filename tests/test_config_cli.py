@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -144,8 +145,7 @@ def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
     ("weak-strong", "run_weak_strong",
      RelativeEnergyError("reference density lost positivity", 4)),
     ("limit-sweep", "run_limit_sweep",
-     SweepError("CFL blow-up at eps=0.5, member 3: boom; required dt <= 1.0e-03 "
-                "(have 2.0e-03)")),
+     SweepError("prepared density lost positivity; shrink eps or delta")),
     ("limit-sweep", "run_limit_sweep", EulerError("divergence grew to 1.0e-07 at t=0.2500")),
 ], ids=["simulation", "relative-energy", "sweep", "euler"])
 def test_run_failure_exits_3(tmp_path, capsys, monkeypatch, command, driver_fn, exc):
@@ -318,12 +318,60 @@ def test_threads_below_one_rejected(command, threads, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["weak-strong", "limit-sweep"])
-def test_threads_help_says_ignored(command, capsys):
-    # these commands march one batch on one thread; the help must not promise more
-    with pytest.raises(SystemExit):
-        main([command, "--help"])
-    assert "ignored" in capsys.readouterr().out
+WS_FREEZING = """
+# strong multiplicative noise: members 0 and 7 cross the gradient threshold
+# at t = 0.0625, the others never do
+grid.sizes = 16
+run.T = 0.5
+model.nu = 0.01
+model.grad_threshold = 0.12
+noise.modes = 1
+noise.K = 0.1
+noise.L = 1.0
+ws.n_steps = 32
+ws.members = 8
+ws.samples = 8
+"""
+
+SWEEP_FREEZING = """
+# members 0, 7 and 9 stop mid-run and the others run to T; 10 members make
+# standard-error groups of unequal size
+grid.sizes = 16,16
+run.T = 0.25
+sweep.eps = 1.0,0.5,0.25
+sweep.members = 10
+sweep.samples = 4
+sweep.grad_threshold = 1.15
+noise.modes = 1
+noise.K = 0.1
+noise.L = 0.5
+"""
+
+
+@pytest.mark.parametrize("command,text,csv", [
+    ("weak-strong", WS_FREEZING, "weak_strong.csv"),
+    ("limit-sweep", SWEEP_FREEZING, "sweep.csv"),
+], ids=["weak-strong", "limit-sweep"])
+def test_thread_count_does_not_change_bytes(tmp_path, command, text, csv):
+    # criterion 9 for the other two commands, on runs where members freeze;
+    # frequent thread switches would expose a lost write to a shared array
+    import json
+
+    cfg = write_cfg(tmp_path, text)
+    blobs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "2", "8"):
+            out = tmp_path / f"t{threads}"
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--threads", threads]) in (0, 1)
+            blobs.append([(out / name).read_bytes() for name in (csv, "summary.json")])
+    finally:
+        sys.setswitchinterval(interval)
+    assert blobs[0] == blobs[1] == blobs[2]
+    tau_min = np.min(json.loads(blobs[0][1])["tau_min"])
+    assert 0.0 < tau_min < config_mod.load(cfg)["run.T"]
 
 
 class TestWeakStrongCommand:

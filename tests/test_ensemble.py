@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgas.constitutive import PressureLaw, potential_delta
+from torusgas import ensemble
 from torusgas.dynamics import State
 from torusgas.ensemble import (ConvexityError, EmpiricalYoungMeasure,
-                               EnsembleError, Observable,
+                               EnsembleError, Observable, by_member_range,
                                defect_domination_audit, dissipation_defect,
                                expect, momentum_defect, momentum_defect_total,
                                velocity_oscillation_field)
@@ -241,3 +242,53 @@ def test_jensen_property_two_atoms(m1, m2, r1, r2):
 def test_velocity_oscillation_two_atoms(grid1d):
     osc = velocity_oscillation_field(two_atom_ym(grid1d))
     assert np.allclose(osc, 1.0, atol=1e-14)
+
+
+class TestByMemberRange:
+    @staticmethod
+    def bounds(lo, hi):
+        return lo, hi
+
+    def test_contiguous_ranges_in_member_order(self):
+        assert by_member_range(10, 4, self.bounds) == [(0, 3), (3, 6), (6, 8), (8, 10)]
+        assert by_member_range(3, 8, self.bounds) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_one_range_runs_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single range started a pool")
+
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", no_pool)
+        assert by_member_range(5, 1, self.bounds) == [(0, 5)]
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a huge thread count still makes one range per member, but asks the
+        # pool for no more workers than CPUs; no thread is started here
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        ranges = by_member_range(1000, 100000, self.bounds)
+        assert ranges == [(m, m + 1) for m in range(1000)]
+        assert workers == [2]
+
+    def test_first_failing_range_raises(self):
+        def march(lo, hi):
+            if lo > 0:
+                raise ValueError(f"range from {lo}")
+            return lo
+
+        with pytest.raises(ValueError, match="range from 3"):
+            by_member_range(10, 4, march)

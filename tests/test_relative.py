@@ -412,3 +412,32 @@ class TestBatchedMarch:
         with pytest.raises(SimulationError, match=f"member {first_live}: boom") as err:
             weak_strong_experiment(self.config(6, threshold))
         assert err.value.member == first_live
+
+    def test_step_failure_in_later_range_names_ensemble_member(self, monkeypatch):
+        # --threads 2 marches members [0, 3) and [3, 5); row 1 of the second
+        # range is member 4 of the ensemble
+        step_em = relative.step_em
+
+        def second_range_fails(grid, model, stepper, state, *args):
+            if len(state.rho) == 2:
+                raise SimulationError("boom", state.rows(1), 1)
+            return step_em(grid, model, stepper, state, *args)
+
+        monkeypatch.setattr(relative, "step_em", second_range_fails)
+        with pytest.raises(SimulationError, match="member 4: boom") as err:
+            weak_strong_experiment(self.config(5, np.inf), threads=2)
+        assert err.value.member == 4
+
+    def test_reference_failure_in_later_range_names_ensemble_member(self, monkeypatch):
+        decomps = relative.reference_decomps
+
+        def second_range_fails(grid, model, r, U):
+            if len(r) == 2:
+                raise RelativeEnergyError("reference density lost positivity", 1)
+            return decomps(grid, model, r, U)
+
+        monkeypatch.setattr(relative, "reference_decomps", second_range_fails)
+        with pytest.raises(RelativeEnergyError,
+                           match="member 4: restricted reference density") as err:
+            weak_strong_experiment(self.config(5, np.inf), threads=2)
+        assert err.value.member == 4

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from torusgas import config, driver, sweep
 from torusgas.dynamics import SimulationError, rhs_deterministic
+from torusgas.ensemble import member_se
 from torusgas.euler import taylor_green
 from torusgas.grid import Grid
 from torusgas.sweep import (RateReport, SweepConfig, SweepError, fit_rate,
@@ -250,3 +251,43 @@ class TestBatchedMarch:
         assert "CFL" not in message
         assert err.value.member == 2
         assert np.isinf(err.value.state.rho).all()
+
+    def test_failure_in_later_range_names_ensemble_member(self, monkeypatch):
+        # --threads 2 marches members [0, 3) and [3, 5); row 1 of the second
+        # range is member 4 of the ensemble
+        step = sweep.step_em
+
+        def second_range_fails(grid, model, stepper, state, dt, dW, stats=None):
+            if len(state.rho) == 2:
+                raise SimulationError("boom", state.rows(1), 1)
+            return step(grid, model, stepper, state, dt, dW, stats=stats)
+
+        monkeypatch.setattr(sweep, "step_em", second_range_fails)
+        with pytest.raises(SimulationError, match=r"member 4: eps=1\.0, dt=\S+: boom") as err:
+            run_sweep(self.config(5, np.inf), threads=2)
+        assert err.value.member == 4
+
+
+def test_se_groups_cover_every_member(monkeypatch):
+    # 10 members in 4 standard-error groups: contiguous groups of 3, 3, 2
+    # and 2 members, which together are the pooled measure's atoms
+    calls = []
+    defect = sweep.dissipation_defect
+
+    def record(ym, law):
+        calls.append((ym.rho_atoms, defect(ym, law)[1]))
+        return None, calls[-1][1]
+
+    monkeypatch.setattr(sweep, "dissipation_defect", record)
+    cfg = SweepConfig(grid_sizes=(16,), eps_schedule=(1.0,), horizon=0.1, members=10,
+                      noise_K=(0.1,), noise_L=(0.05,), n_samples=2, v0_kind="zero",
+                      grad_threshold=1e9, seed=3)
+    report = run_sweep(cfg)
+    assert len(calls) == (cfg.n_samples + 1) * (1 + cfg.se_groups)
+    group_d = []
+    for i in range(0, len(calls), 1 + cfg.se_groups):
+        (pooled, _), *groups = calls[i:i + 1 + cfg.se_groups]
+        assert [len(atoms) for atoms, _ in groups] == [3, 3, 2, 2]
+        assert np.array_equal(np.concatenate([atoms for atoms, _ in groups]), pooled)
+        group_d.append([d for _, d in groups])
+    assert report.d_sup_se[0] == member_se(np.max(group_d, axis=0))
