@@ -123,7 +123,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         except SimulationError as exc:  # name the member by its ensemble index
             if exc.member is None or lo == 0:
                 raise
-            raise SimulationError(exc.detail, exc.state, lo + exc.member) from exc
+            raise exc.renamed(lo + exc.member, exc.step) from exc
 
     try:
         results = by_member_range(members, threads, march_range)
@@ -292,7 +292,9 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     summary = {"command": "limit_sweep",
                "eps": report.eps, "final_emv": report.final_emv,
                "d_sup": report.d_sup, "tau_min": report.tau_min,
-               "n_steps": report.n_steps, "cfl_ratio_max": report.cfl_ratio}
+               "n_steps": report.n_steps, "cfl_ratio_max": report.cfl_ratio,
+               "reference_n_steps": report.n_ref,
+               "reference_cfl_ratio_max": report.ref_cfl_ratio}
     if report.eps.size >= 3:
         summary.update(fit_rate(report, sweep_cfg.gamma))
     else:

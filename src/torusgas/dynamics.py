@@ -58,15 +58,24 @@ class SimulationError(RuntimeError):
 
     After a batched step ``member`` is the offending member's index in the
     batch and ``state`` that member's single state; ``detail`` is the
-    message without the member.
+    message without the member.  A CFL violation carries the offender's
+    signal ``speed``.  A march that re-raises a failure sets its ``step``,
+    the failing step's position in the march (see :meth:`renamed`), by
+    which :func:`torusgas.ensemble.by_member_range` orders failures.
     """
 
     def __init__(self, message: str, state: "State | None" = None,
-                 member: int | None = None):
+                 member: int | None = None, step=None, speed: float | None = None):
         super().__init__(message if member is None else f"member {member}: {message}")
         self.detail = message
         self.state = state
         self.member = member
+        self.step = step
+        self.speed = speed
+
+    def renamed(self, member: int, step, prefix: str = "") -> "SimulationError":
+        """This failure naming ``member`` at march step ``step``, its detail prefixed."""
+        return SimulationError(prefix + self.detail, self.state, member, step, self.speed)
 
 
 @dataclass
@@ -265,12 +274,12 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     bound = cfl_dt(grid, model, state, stepper)
     if dt > bound * (1.0 + 1e-9):
         message = f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} at t={state.t:.4f}"
-        if state.rho.ndim == grid.dim:
-            raise SimulationError(message, state)
-        # the member with the fastest signal sets the batch's bound
         speed = _signal_speed(grid, model, state, stepper.rho_floor)
+        if state.rho.ndim == grid.dim:
+            raise SimulationError(message, state, speed=float(np.max(speed)))
+        # the member with the fastest signal sets the batch's bound
         m = int(np.unravel_index(np.argmax(speed), speed.shape)[0])
-        raise SimulationError(message, state.rows(m), m)
+        raise SimulationError(message, state.rows(m), m, speed=float(np.max(speed)))
     if stats is not None:
         stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
 

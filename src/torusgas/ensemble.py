@@ -68,19 +68,44 @@ def member_se(values: np.ndarray, axis: int = 0):
     return values.std(axis=axis, ddof=1) / np.sqrt(n)
 
 
-def by_member_range(members: int, threads: int, march: Callable) -> list:
-    """``march(lo, hi)`` on ``min(threads, members)`` contiguous member ranges.
+def _failure_order(exc) -> tuple:
+    """Sort key of a range's failure, the failure one batch raises first.
 
-    One range runs on the calling thread; several run on a pool of at most
-    ``os.cpu_count()`` threads, which numpy shares by releasing the GIL.
-    Results come back in member order; the first failing range's error is raised.
+    The earliest ``step`` of the march comes first.  At one step a CFL
+    violation (one that carries a signal ``speed``), checked before the
+    step, comes before a non-finite state; among CFL violations the fastest
+    signal comes first, and otherwise the lowest ``member``.
     """
+    speed = getattr(exc, "speed", None)
+    cfl = speed is not None
+    return (exc.step, not cfl, -speed if cfl else 0.0, getattr(exc, "member", None) or 0)
+
+
+def by_member_range(members: int, threads: int, march: Callable) -> list:
+    """``march(lo, hi)`` on contiguous member ranges, at most one per thread and CPU.
+
+    The range count is ``min(threads, members, os.cpu_count())``: a range
+    beyond the CPU count would only add per-batch overhead, and a member's
+    arithmetic does not depend on its range.  One range runs on the calling
+    thread; several run on a pool, which numpy shares by releasing the GIL,
+    and every range is joined.  Results come back in member order.
+
+    If ranges fail, the failure raised is the one a single batch of all
+    members would have raised (see :func:`_failure_order`).  A failure
+    without a ``step`` is raised before any other.
+    """
+    count = min(threads, members, os.cpu_count() or 1)
     ranges = [(int(r[0]), int(r[-1]) + 1)
-              for r in np.array_split(np.arange(members), min(threads, members))]
+              for r in np.array_split(np.arange(members), count)]
     if len(ranges) == 1:
         return [march(*ranges[0])]
-    with ThreadPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
-        return list(pool.map(lambda r: march(*r), ranges))
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [pool.submit(march, *r) for r in ranges]
+    errors = [f.exception() for f in futures if f.exception() is not None]
+    if errors:
+        unordered = [e for e in errors if getattr(e, "step", None) is None]
+        raise unordered[0] if unordered else min(errors, key=_failure_order)
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)

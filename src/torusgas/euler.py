@@ -65,6 +65,15 @@ class EulerState:
             return float(np.max(g))
         return np.max(g, axis=tuple(a for a in range(g.ndim) if a != 1))
 
+    @property
+    def speed_inf(self):
+        """Max speed ``|v|``: a float for a single state, one value per member for a batch."""
+        single = self.fields.ndim == len(self.fields) + 1
+        speed = np.sqrt(np.sum(self.v**2, axis=0 if single else 1))
+        if single:
+            return float(np.max(speed))
+        return np.max(np.reshape(speed, (len(speed), -1)), axis=1)
+
     def rows(self, keep) -> "EulerState":
         """The members ``keep`` (an index, slice or mask) of a batch."""
         return EulerState(self.vh[keep], self.fields[:, keep], self.t)
@@ -97,7 +106,7 @@ def make_state(grid: Grid, v: np.ndarray, t: float = 0.0) -> EulerState:
 
 def euler_cfl_dt(grid: Grid, state: EulerState, cfl: float = 0.4) -> float:
     """Advective step bound; a batch gets one bound, set by its fastest member."""
-    vmax = float(np.max(np.sqrt(np.sum(state.v**2, axis=-grid.dim - 1))))
+    vmax = float(np.max(state.speed_inf))
     if vmax == 0.0:
         return np.inf
     return cfl * min(grid.spacings) / vmax

@@ -43,11 +43,15 @@ from .noise import coarsen, member_tables
 
 
 class RelativeEnergyError(ValueError):
-    """Invalid reference pair; ``member`` names the offending row of a batch."""
+    """Invalid reference pair; ``member`` names the offending row of a batch.
 
-    def __init__(self, message: str, member: int | None = None):
+    A march that re-raises it sets ``step``, as for
+    :class:`~torusgas.dynamics.SimulationError`.
+    """
+
+    def __init__(self, message: str, member: int | None = None, step=None):
         super().__init__(message if member is None else f"member {member}: {message}")
-        self.detail, self.member = message, member
+        self.detail, self.member, self.step = message, member, step
 
 
 # --------------------------------------------------------------------------
@@ -397,7 +401,8 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
                         decomps = reference_decomps(grid_c, model, r_c, U_c)
                     except RelativeEnergyError as exc:  # name the ensemble member
                         raise RelativeEnergyError(f"restricted {exc.detail}",
-                                                  int(live[rows[exc.member]])) from exc
+                                                  int(live[rows[exc.member]]),
+                                                  (i_step, 0)) from exc
                     emv[live[rows], sample_pos] = relative_energy_state(
                         grid_c, law, sampled, r_c, U_c)
                     terms = remainder(grid_c, model, sampled.rho, sampled.mom, r_c, U_c,
@@ -415,15 +420,16 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
                 if sample_pos == n_samples:
                     break
             if i_step < cfg.n_steps and live.size:
+                phase = 1  # position within the step: sample 0, coarse 1, fine 2 + j
                 try:
                     coarse = step_em(grid_c, model, cfg.stepper, coarse, dt_c,
                                      coarse_table[live, i_step])
                     for j in range(cfg.refine):
+                        phase = 2 + j
                         fine = step_em(grid_f, model, cfg.stepper, fine, dt_f,
                                        fine_table[live, cfg.refine * i_step + j])
                 except SimulationError as exc:  # name the member by its ensemble index
-                    raise SimulationError(exc.detail, exc.state,
-                                          int(live[exc.member])) from exc
+                    raise exc.renamed(int(live[exc.member]), (i_step, phase)) from exc
 
     by_member_range(cfg.members, threads, march_range)
     # each sample's sampled members, (members, 9) summed over axis 0 in member order

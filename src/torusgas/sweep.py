@@ -16,8 +16,8 @@ unknown Gronwall constant and the fixed-grid discretization bias pollute
 the small-eps end.
 
 The incompressible reference does not depend on eps, so each member's
-reference is marched once, in Fourier space at the finest step, and every
-eps compares against the same velocity at the common sample times.  A
+reference is marched once, in Fourier space at its own advective step, and
+every eps compares against the same velocity at the common sample times.  A
 member's stopping time is set by that reference alone and shared by every
 eps.  Each eps marches contiguous member ranges, one compressible batch
 each, and a sample evaluates a range's sampled members in one call.
@@ -85,6 +85,8 @@ class RateReport:
     tau: Optional[np.ndarray] = None  # (members,) member stopping times, shared by all eps
     grad_max: Optional[np.ndarray] = None  # (members,) reference gradient sup, samples to tau
     cfl_ratio: Optional[np.ndarray] = None  # (n_eps,) largest dt / CFL bound of the march
+    n_ref: int = 0                  # the reference's step count
+    ref_cfl_ratio: float = 0.0      # largest dt / advective bound of the reference march
 
     @property
     def final_emv(self) -> np.ndarray:
@@ -121,6 +123,14 @@ def _round_up_pow2(n: int) -> int:
     return p
 
 
+def _step_count(cfg: SweepConfig, dt_bound: float) -> int:
+    """Steps over the horizon at ``0.6 dt_bound``, a power of two, at least one per sample.
+
+    The margin is generous because the bound tightens as the run goes on.
+    """
+    return _round_up_pow2(max(cfg.n_samples, int(np.ceil(cfg.horizon / (0.6 * dt_bound)))))
+
+
 V0_KINDS = ("taylor_green", "zero")  # taylor_green needs a 2-D grid
 
 
@@ -133,19 +143,23 @@ def _initial_v0(grid: Grid, kind: str) -> np.ndarray:
 
 
 def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.ndarray,
-                     horizon: float, n_samples: int, threshold: float, threads: int = 1):
-    """March every member's Euler reference once on its base table, in member ranges.
+                     horizon: float, n_samples: int, threshold: float, cfl: float,
+                     threads: int = 1):
+    """March every member's Euler reference once on its own table, in member ranges.
 
-    Returns the velocity at the ``n_samples + 1`` common sample times
-    ``(M, n_samples + 1, N, *sizes)``, each member's stopping sample
-    (``n_samples + 1`` if it never stops) and each member's largest
-    gradient sup-norm over the samples up to its stop.  A member whose
-    gradient crosses the threshold at a sample stops there: it is not
-    sampled there (unless it is the first sample) and never stepped again.
+    ``table`` is ``(M, n_ref, K)``, the members' paths at the reference's
+    own step.  Returns the velocity at the ``n_samples + 1`` common sample
+    times ``(M, n_samples + 1, N, *sizes)``, each member's stopping sample
+    (``n_samples + 1`` if it never stops), each member's largest gradient
+    sup-norm over the samples up to its stop, and the largest ``dt`` over
+    the advective bound of the march.  A member whose gradient crosses the
+    threshold at a sample stops there: it is not sampled there (unless it is
+    the first sample) and never stepped again.  A step beyond the advective
+    bound (or a non-finite flow) raises, naming the member with the fastest flow.
     """
-    members, n_base = table.shape[:2]
-    dt = horizon / n_base
-    stride = n_base // n_samples
+    members, n_ref = table.shape[:2]
+    dt = horizon / n_ref
+    stride = n_ref // n_samples
     v_ref = np.zeros((members, n_samples + 1, grid.dim, *grid.sizes))
     stop = np.full(members, n_samples + 1)
     grad_max = np.zeros(members)
@@ -153,7 +167,8 @@ def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.nd
     def march_range(lo, hi):
         eul = make_state(grid, np.broadcast_to(v0, (hi - lo, *v0.shape)))
         live = np.arange(lo, hi)  # ensemble index of each marched row
-        for step in range(n_base + 1):
+        ratio = 0.0
+        for step in range(n_ref + 1):
             if step % stride == 0 and live.size:
                 i_s = step // stride
                 grad = eul.grad_inf
@@ -165,11 +180,20 @@ def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.nd
                     stop[live[freeze]] = i_s
                     eul = eul.rows(~freeze)
                     live = live[~freeze]
-            if step < n_base and live.size:
+            if step < n_ref and live.size:
+                bound = euler_cfl_dt(grid, eul, cfl)
+                if not dt <= bound * (1.0 + 1e-9):  # a non-finite flow fails here too
+                    speed = eul.speed_inf
+                    m = int(np.argmax(speed))
+                    raise SimulationError(
+                        f"reference CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} "
+                        f"at t={eul.t:.4f}", eul.rows(m), int(live[m]), step, float(speed[m]))
+                ratio = max(ratio, dt / bound)
                 eul = step_em_euler(grid, noise, eul, dt, table[live, step])
+        return ratio
 
-    by_member_range(members, threads, march_range)
-    return v_ref, stop, grad_max
+    ratio = max(by_member_range(members, threads, march_range))
+    return v_ref, stop, grad_max, ratio
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
@@ -178,20 +202,20 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     Each member's Brownian path is drawn once, as an increment table at the
     finest step, before the eps loop.  The incompressible reference does not
     depend on eps: it is marched once per member, as one Euler batch in
-    Fourier space on the base table (the finest step), and its velocity is
-    kept at the common sample times.  Every eps coarsens the stacked
-    ``(M, n_base, K)`` tables to its own step count (powers of two dividing
-    the common base), so its compressible batch runs on the same path as the
-    reference.  Sharing the path across eps variance-reduces the cross-eps
-    comparison.
+    Fourier space at its own step, and its velocity is kept at the common
+    sample times.  The reference and every eps coarsen the stacked
+    ``(M, n_base, K)`` tables to their own step counts (powers of two
+    dividing the common base), so each batch runs on the same path.
+    Sharing the path across eps variance-reduces the cross-eps comparison.
 
-    Each eps's step count is ``horizon / (0.6 dt)`` rounded up to a power of
-    two, where ``dt`` is the smaller of the compressible acoustic bound and
-    the reference's bound at the initial state; the compressible step is
-    semi-implicit in the viscosity, so it has no diffusive bound.
-    The bound tightens as the run goes on; ``RateReport.cfl_ratio`` records,
-    per eps, the largest ``dt`` over the bound met during the march, which
-    the 0.6 margin keeps below 1.
+    Each march's step count is ``horizon / (0.6 dt)`` rounded up to a power
+    of two, where ``dt`` is its own CFL bound at the initial state: the
+    advective bound for the reference, the compressible step's bound for an
+    eps.  The compressible step is semi-implicit in the viscosity, so it has
+    no diffusive bound.  The bounds tighten as the run goes on;
+    ``RateReport.cfl_ratio`` records, per eps, and ``RateReport.ref_cfl_ratio``
+    for the reference, the largest ``dt`` over the bound met during the
+    march, which the 0.6 margin keeps below 1; beyond 1 a march raises.
 
     Freezing is per member and set by the reference alone: a member whose
     reference gradient crosses the threshold at a sample stops at that
@@ -207,10 +231,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
     v0 = _initial_v0(grid, cfg.v0_kind)
-    eul0 = make_state(grid, v0)
     eps_list = list(cfg.eps_schedule)
 
-    # per-eps step counts from the acoustic and reference CFL bounds at t = 0
+    # step counts from each march's own CFL bound at t = 0
+    n_ref = _step_count(cfg, euler_cfl_dt(grid, make_state(grid, v0), cfg.cfl))
     n_steps = []
     models = []
     stepper = StepperConfig(cfl=cfg.cfl, semi_implicit=True)
@@ -220,18 +244,14 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
         model = ModelConfig(law=law, visc=visc, noise=noise, eps=eps)
         delta_data = cfg.delta_data_of_eps(eps)
         rho0, mom0 = well_prepared_data(grid, eps, v0, delta_data)
-        trial = State(rho0, mom0)
-        dt_bound = min(cfl_dt(grid, model, trial, stepper),
-                       euler_cfl_dt(grid, eul0, cfg.cfl))
-        # generous margin: the bound tightens as acoustics steepen mid-run
-        n = _round_up_pow2(max(cfg.n_samples, int(np.ceil(cfg.horizon / (0.6 * dt_bound)))))
-        n_steps.append(n)
+        n_steps.append(_step_count(cfg, cfl_dt(grid, model, State(rho0, mom0), stepper)))
         models.append((model, rho0, mom0))
-    n_base = max(n_steps)
+    n_base = max(n_steps + [n_ref])
     base_table = member_tables(cfg.seed, cfg.members, noise.modes, cfg.horizon / n_base,
                                n_base)
-    v_ref, stop, grad_max = _march_reference(grid, noise, v0, base_table, cfg.horizon,
-                                             cfg.n_samples, cfg.grad_threshold, threads)
+    v_ref, stop, grad_max, ref_cfl_ratio = _march_reference(
+        grid, noise, v0, coarsen(base_table, n_ref), cfg.horizon, cfg.n_samples,
+        cfg.grad_threshold, cfg.cfl, threads)
 
     times = np.linspace(0.0, cfg.horizon, cfg.n_samples + 1)
     tau = times[np.minimum(stop, cfg.n_samples)]
@@ -283,8 +303,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
                         comp = step_em(grid, model, stepper, comp, dt, table[live, step],
                                        stats=stats)
                     except SimulationError as exc:  # name the member by its ensemble index
-                        raise SimulationError(f"eps={eps}, dt={dt:.3e}: {exc.detail}",
-                                              exc.state, int(live[exc.member])) from exc
+                        raise exc.renamed(int(live[exc.member]), step,
+                                          f"eps={eps}, dt={dt:.3e}: ") from exc
                     ratio = max(ratio, stats.cfl_ratio)
             return ratio
 
@@ -311,6 +331,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
         tau=tau,
         grad_max=grad_max,
         cfl_ratio=cfl_ratio,
+        n_ref=n_ref,
+        ref_cfl_ratio=ref_cfl_ratio,
     )
 
 

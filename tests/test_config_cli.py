@@ -352,11 +352,15 @@ noise.L = 0.5
     ("weak-strong", WS_FREEZING, "weak_strong.csv"),
     ("limit-sweep", SWEEP_FREEZING, "sweep.csv"),
 ], ids=["weak-strong", "limit-sweep"])
-def test_thread_count_does_not_change_bytes(tmp_path, command, text, csv):
+def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, command, text, csv):
     # criterion 9 for the other two commands, on runs where members freeze;
-    # frequent thread switches would expose a lost write to a shared array
+    # frequent thread switches would expose a lost write to a shared array.
+    # Eight CPUs are reported, so --threads 8 makes eight ranges on any host
     import json
 
+    from torusgas import ensemble
+
+    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
     cfg = write_cfg(tmp_path, text)
     blobs = []
     interval = sys.getswitchinterval()

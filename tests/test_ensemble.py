@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from torusgas.constitutive import PressureLaw, potential_delta
 from torusgas import ensemble
-from torusgas.dynamics import State
+from torusgas.dynamics import SimulationError, State
 from torusgas.ensemble import (ConvexityError, EmpiricalYoungMeasure,
                                EnsembleError, Observable, by_member_range,
                                defect_domination_audit, dissipation_defect,
@@ -249,7 +251,12 @@ class TestByMemberRange:
     def bounds(lo, hi):
         return lo, hi
 
-    def test_contiguous_ranges_in_member_order(self):
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: n)
+
+    def test_contiguous_ranges_in_member_order(self, monkeypatch):
+        self.cpus(monkeypatch, 8)
         assert by_member_range(10, 4, self.bounds) == [(0, 3), (3, 6), (6, 8), (8, 10)]
         assert by_member_range(3, 8, self.bounds) == [(0, 1), (1, 2), (2, 3)]
 
@@ -259,10 +266,12 @@ class TestByMemberRange:
 
         monkeypatch.setattr(ensemble, "ThreadPoolExecutor", no_pool)
         assert by_member_range(5, 1, self.bounds) == [(0, 5)]
+        self.cpus(monkeypatch, 1)
+        assert by_member_range(5, 8, self.bounds) == [(0, 5)]
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # a huge thread count still makes one range per member, but asks the
-        # pool for no more workers than CPUs; no thread is started here
+        # a huge thread count makes one range per CPU, each on its own
+        # worker; no thread is started here
         workers = []
 
         class SerialPool:
@@ -275,16 +284,20 @@ class TestByMemberRange:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(ensemble, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
-        ranges = by_member_range(1000, 100000, self.bounds)
-        assert ranges == [(m, m + 1) for m in range(1000)]
+        self.cpus(monkeypatch, 2)
+        assert by_member_range(1000, 100000, self.bounds) == [(0, 500), (500, 1000)]
         assert workers == [2]
 
-    def test_first_failing_range_raises(self):
+    def test_first_failing_range_raises(self, monkeypatch):
+        # failures without a step keep range order
+        self.cpus(monkeypatch, 8)
+
         def march(lo, hi):
             if lo > 0:
                 raise ValueError(f"range from {lo}")
@@ -292,3 +305,27 @@ class TestByMemberRange:
 
         with pytest.raises(ValueError, match="range from 3"):
             by_member_range(10, 4, march)
+
+    @pytest.mark.parametrize("failures, expected", [
+        # (lo, member, step, speed) of each failing range; the one raised
+        ([(3, 3, 6, None), (6, 7, 1, None)], 7),              # earliest step
+        ([(3, 4, 2, None), (6, 6, 2, 3.0)], 6),               # CFL before non-finite
+        ([(0, 1, 2, 2.0), (3, 4, 2, 5.0), (6, 6, 2, 3.0)], 4),  # fastest signal
+        ([(3, 5, 2, None), (6, 6, 2, None)], 5),              # lowest member
+        ([(3, 5, (2, 1), None), (6, 6, (2, 0), None)], 6),    # steps of any order
+    ])
+    def test_failure_one_batch_would_raise(self, monkeypatch, failures, expected):
+        self.cpus(monkeypatch, 8)
+        ran = []
+
+        def march(lo, hi):
+            ran.append(lo)
+            for f_lo, member, step, speed in failures:
+                if f_lo == lo:
+                    raise SimulationError("boom", None, member, step, speed)
+            return lo
+
+        with pytest.raises(SimulationError) as err:
+            by_member_range(10, 4, march)
+        assert err.value.member == expected
+        assert sorted(ran) == [0, 3, 6, 8]  # every range is joined

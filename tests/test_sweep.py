@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgas import config, driver, sweep
+from torusgas import config, driver, ensemble, sweep
 from torusgas.dynamics import SimulationError, rhs_deterministic
 from torusgas.ensemble import member_se
 from torusgas.euler import taylor_green
 from torusgas.grid import Grid
+from torusgas.noise import coarsen
 from torusgas.sweep import (RateReport, SweepConfig, SweepError, fit_rate,
                             run_sweep, theoretical_envelope_exponent,
                             well_prepared_data)
@@ -194,8 +195,8 @@ class TestBatchedMarch:
         assert np.array_equal(small.tau, report.tau[:4])
 
     def test_reference_marched_once_and_shared(self, monkeypatch):
-        # one Euler march at the finest step, whose stopping times every
-        # eps's compressible batch obeys
+        # one Euler march at its own step, whose stopping times every eps's
+        # compressible batch obeys
         threshold = self.mixed_threshold()
         cfg = self.config(6, threshold)
         euler_rows, comp_rows = [], {}
@@ -212,12 +213,12 @@ class TestBatchedMarch:
         monkeypatch.setattr(sweep, "step_em_euler", count_euler)
         monkeypatch.setattr(sweep, "step_em", count_comp)
         report = run_sweep(cfg)
-        n_base = int(max(report.n_steps))
+        n_ref = report.n_ref
         assert report.tau.shape == (cfg.members,)
         assert (report.tau < cfg.horizon).any()
         # each member is stepped up to its stopping time, at each step size
-        assert len(euler_rows) == n_base
-        assert sum(euler_rows) == round(float(np.sum(report.tau)) * n_base / cfg.horizon)
+        assert len(euler_rows) == n_ref
+        assert sum(euler_rows) == round(float(np.sum(report.tau)) * n_ref / cfg.horizon)
         for eps, n in zip(report.eps, report.n_steps):
             assert sum(comp_rows[eps]) == round(float(np.sum(report.tau)) * n / cfg.horizon)
 
@@ -266,6 +267,64 @@ class TestBatchedMarch:
         with pytest.raises(SimulationError, match=r"member 4: eps=1\.0, dt=\S+: boom") as err:
             run_sweep(self.config(5, np.inf), threads=2)
         assert err.value.member == 4
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_earliest_failure_at_any_thread_count(self, monkeypatch, threads):
+        # member 7's path turns non-finite at step 1 and member 2's at step 6:
+        # one batch fails on member 7, and so does every split into ranges
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
+        calls = []
+
+        def poisoned(table, n):
+            out = coarsen(table, n)
+            calls.append(n)
+            if len(calls) > 1:  # the first call coarsens the reference's table
+                out = out.copy()
+                out[7, 1] = out[2, 6] = np.nan
+            return out
+
+        monkeypatch.setattr(sweep, "coarsen", poisoned)
+        cfg = SweepConfig(grid_sizes=(16, 16), eps_schedule=(1.0,), horizon=0.25,
+                          members=10, n_samples=4, seed=0)
+        with pytest.raises(SimulationError, match="member 7: eps=1.0, dt=") as err:
+            run_sweep(cfg, threads)
+        assert (err.value.member, err.value.step) == (7, 1)
+        assert "non-finite state after step" in str(err.value)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reference_cfl_violation_names_member(self, monkeypatch, threads):
+        # member 4's reference flow speeds up 100-fold after its first step
+        step = sweep.step_em_euler
+        rows = {1: 4, 2: 1}[threads]  # member 4's row in its range
+
+        def speeds_up_member_4(grid, noise, state, dt, dW):
+            out = step(grid, noise, state, dt, dW)
+            if state.t == 0.0 and len(dW) > rows and (threads == 1 or len(dW) == 2):
+                out.vh[rows] *= 100.0
+                out.fields[:, rows] *= 100.0
+            return out
+
+        monkeypatch.setattr(sweep, "step_em_euler", speeds_up_member_4)
+        with pytest.raises(SimulationError, match=r"member 4: reference CFL violation: "
+                                                  r"dt=\S+ exceeds bound") as err:
+            run_sweep(self.config(5, np.inf), threads)
+        assert (err.value.member, err.value.step) == (4, 1)
+        assert err.value.speed > 50.0
+
+    def test_reference_step_count_is_its_own(self):
+        # the reference's step count comes from its own bound, whatever the
+        # eps schedule, and no eps needs fewer steps
+        def report(schedule):
+            cfg = SweepConfig(grid_sizes=(16, 16), eps_schedule=schedule, horizon=0.25,
+                              members=2, n_samples=4, seed=0, se_groups=2)
+            return run_sweep(cfg)
+
+        coarse, fine = report((1.0,)), report((0.5, 0.25))
+        h = 2 * np.pi / 16
+        assert coarse.n_ref == fine.n_ref == sweep._step_count(
+            SweepConfig(horizon=0.25, n_samples=4), 0.4 * h)  # Taylor-Green |v| <= 1
+        assert coarse.n_ref <= min(coarse.n_steps.min(), fine.n_steps.min())
+        assert 0.0 < fine.ref_cfl_ratio <= 0.6
 
 
 def test_se_groups_cover_every_member(monkeypatch):
