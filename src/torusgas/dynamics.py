@@ -23,21 +23,36 @@ stepping that member alone, under one CFL bound for the whole batch.
 step names the offending member and carries its state.  A model without
 noise carries a zero-mode :class:`~torusgas.noise.NoiseModel`.
 
-The step is explicit by default.  With ``StepperConfig.semi_implicit`` the
-viscous term gets a stabilized semi-implicit treatment (Zhu, Chen, Shen &
-Tikare 1999, within the IMEX framework of Ascher, Ruuth & Spiteri 1997):
-the momentum update solves
+The step is explicit by default.  With ``StepperConfig.semi_implicit`` it is
+an IMEX step.  The viscous term gets a stabilized semi-implicit treatment
+(Zhu, Chen, Shen & Tikare 1999, within the IMEX framework of Ascher, Ruuth
+& Spiteri 1997): the momentum update solves
 
     (m+ - m)/dt = F(m) - A lap(m) - B grad div(m) + A lap(m+) + B grad div(m+)
 
 with the constant coefficients ``A = nu max(1/rho)`` and
-``B = eta max(1/rho)``, taken per member.  The implicit part is diagonal in
-Fourier space, so it costs a filter on the momentum tendency's spectrum and
-no extra transform, and it removes the diffusive step limit: ``cfl_dt``
-keeps only the acoustic bound.  The density update and the noise kick stay
-explicit.  The limit sweep uses it; its viscosities grow to ``nu = 1`` at
-eps = 1, where the diffusive bound is the tightest.  Every other command
-keeps the explicit step, whose energy bookkeeping the ledger checks.
+``B = eta max(1/rho)``, taken per member.  Let ``m*`` be that update plus
+the noise kick.  The linear acoustics about ``rho = 1``, with
+``c0^2 = p_eff'(1)``, are then treated by Crank-Nicolson (``theta = 1/2``;
+Degond & Tang 2011, Haack, Jin & Liu 2012):
+
+    r^   = -dt ik . (m^ + theta (m*^ - m^)) / (1 + theta^2 dt^2 c0^2 |k|^2)
+    rho+ = rho + r
+    m+   = m* - theta dt c0^2 grad r
+
+The advection and the pressure remainder ``p_eff(rho) - c0^2 rho`` stay
+explicit.  Every implicit part is diagonal in Fourier space: ``rho`` joins
+the forward transform of ``p``, the kick is formed from the spectra, and
+``rho+`` and ``m+`` come from the two inverse transforms the explicit drift
+makes, so the step makes no extra transform.  The zero mode of ``r`` is 0,
+so mass is conserved, and theta = 1/2 keeps the linear acoustic energy
+``|m^|^2 + c0^2 |rho^|^2`` of each mode, which the relative energy
+contains.  ``cfl_dt`` keeps only the explicit remainder's bound
+``|u| + sqrt|p_eff'(rho) - c0^2|``: no diffusive bound and no ``1/eps``
+sound speed.  The limit sweep uses this step: its viscosities grow to
+``nu = 1`` at eps = 1, where the diffusive bound is the tightest, and its
+sound speed grows like ``1/eps``.  Every other command keeps the explicit
+step, whose energy bookkeeping the ledger checks.
 """
 
 from __future__ import annotations
@@ -138,7 +153,7 @@ class ModelConfig:
 class StepperConfig:
     cfl: float = 0.4
     rho_floor: float = 1e-8
-    semi_implicit: bool = False  # stabilized semi-implicit viscous step, no diffusive bound
+    semi_implicit: bool = False  # implicit viscosity and Crank-Nicolson acoustics
 
     def __post_init__(self):
         if not 0 < self.cfl <= 1:
@@ -186,17 +201,20 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
     viscosity.  Non-finite intermediates abort with the state attached for
     diagnostics.
 
-    With ``dt_implicit > 0`` (and viscosity) the momentum tendency is that
-    of the stabilized semi-implicit step of size ``dt_implicit`` (see the
-    module docstring): its transverse part is divided by
-    ``1 + dt A |k|^2`` and its longitudinal part by
-    ``1 + dt (A + B) |k|^2``, one filter on the spectrum before the inverse
-    transform.
+    With ``dt_implicit > 0`` it returns instead the spectra that the
+    semi-implicit step of size ``dt_implicit`` needs (see the module
+    docstring): ``(rho_h, mom_h, dmom_h)``, the density, the momentum and
+    the explicit momentum tendency.  ``rho`` joins the forward call of
+    ``p``, and no inverse call is made.  With viscosity the tendency's
+    transverse part is divided by ``1 + dt A |k|^2`` and its longitudinal
+    part by ``1 + dt (A + B) |k|^2``, one filter on the spectrum.
     """
     rho, mom = state.rho, state.mom
     dim, comp, ik = grid.dim, grid.comp, grid.ik
+    implicit = dt_implicit > 0
     mh = grid.fwd(mom)
-    drho = grid.bwd(-sum(ik[j] * mh[comp(j)] for j in range(dim)))
+    if not implicit:
+        drho = grid.bwd(-sum(ik[j] * mh[comp(j)] for j in range(dim)))
 
     u = mom / rho[comp(None)]
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
@@ -204,8 +222,11 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
     entry = {}
     for n, (i, j) in enumerate(pairs):
         entry[i, j] = entry[j, i] = n
-    p_h = grid.fwd(pressure_delta(model.law_eff, rho))
-    implicit = dt_implicit > 0 and model.visc is not None
+    if implicit:
+        p_h, rho_h = grid.fwd(np.stack([pressure_delta(model.law_eff, rho), rho]))
+    else:
+        p_h = grid.fwd(pressure_delta(model.law_eff, rho))
+    filtered = implicit and model.visc is not None
     if model.visc is not None:
         u_h = grid.fwd(u)
         div_u_h = sum(ik[j] * u_h[comp(j)] for j in range(dim))
@@ -217,8 +238,8 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
         acc = -ik[i] * p_h - sum(ik[j] * flux_h[comp(entry[i, j])] for j in range(dim))
         if model.visc is not None:
             acc += nu_k2 * u_h[comp(i)] + eta * ik[i] * div_u_h
-        dmom_h[comp(i)] = acc if implicit else np.where(grid.dealias_mask, acc, 0.0)
-    if implicit:
+        dmom_h[comp(i)] = acc if filtered else np.where(grid.dealias_mask, acc, 0.0)
+    if filtered:
         # (I + dt A |k|^2 + dt B k k.)^-1 d = (d + ik (ik . d) c_l) / (1 + dt A |k|^2)
         # with c_l = dt B / (1 + dt (A + B) |k|^2); the mask folds into c_t
         dt_rho = dt_implicit / np.min(rho, axis=grid.axes, keepdims=True)  # dt max 1/rho
@@ -228,6 +249,8 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
         long_h = c_l * sum(ik[j] * dmom_h[comp(j)] for j in range(dim))
         for i in range(dim):
             dmom_h[comp(i)] = (dmom_h[comp(i)] + ik[i] * long_h) * c_t
+    if implicit:
+        return rho_h, mh, dmom_h
     dmom = grid.bwd(dmom_h)
 
     _check_finite(grid, "non-finite drift encountered", state, drho, dmom)
@@ -235,11 +258,18 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
 
 
 def _signal_speed(grid: Grid, model: ModelConfig, state: State,
-                  rho_floor: float) -> np.ndarray:
-    """Pointwise ``|u| + c``, the acoustic signal speed."""
-    u_mag = np.sqrt(np.sum(state.velocity(grid, rho_floor) ** 2, axis=-grid.dim - 1))
-    return u_mag + np.sqrt(pressure_delta_prime(model.law_eff,
-                                                np.maximum(state.rho, rho_floor)))
+                  stepper: StepperConfig) -> np.ndarray:
+    """Pointwise signal speed of the step's explicit part.
+
+    ``|u| + c`` for the explicit step.  The semi-implicit step treats the
+    acoustics about ``rho = 1`` implicitly, so it keeps the remainder's
+    ``|u| + sqrt|p_eff'(rho) - c0^2|`` with ``c0^2 = p_eff'(1)``.
+    """
+    u_mag = np.sqrt(np.sum(state.velocity(grid, stepper.rho_floor) ** 2, axis=-grid.dim - 1))
+    c2 = pressure_delta_prime(model.law_eff, np.maximum(state.rho, stepper.rho_floor))
+    if stepper.semi_implicit:
+        c2 = np.abs(c2 - pressure_delta_prime(model.law_eff, 1.0))
+    return u_mag + np.sqrt(c2)
 
 
 def cfl_dt(grid: Grid, model: ModelConfig, state: State,
@@ -247,10 +277,12 @@ def cfl_dt(grid: Grid, model: ModelConfig, state: State,
     """Largest stable step: acoustic bound, plus a diffusion bound if viscous.
 
     The semi-implicit step (``stepper.semi_implicit``) has no diffusion
-    bound.  A batch gets one bound, set by its fastest member.
+    bound, and its acoustic bound is that of the explicit remainder (see
+    :func:`_signal_speed`).  A batch gets one bound, set by its fastest
+    member.
     """
     h = min(grid.spacings)
-    speed = float(np.max(_signal_speed(grid, model, state, stepper.rho_floor)))
+    speed = float(np.max(_signal_speed(grid, model, state, stepper)))
     dt = stepper.cfl * h / speed if speed > 0 else np.inf
     if model.visc is not None and not stepper.semi_implicit:
         dt = min(dt, stepper.cfl * h * h / (4.0 * model.visc.nu))
@@ -268,13 +300,14 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     and enters the momentum only.  Without ``dW`` the step is deterministic.
     A batch takes ``(M, K)`` increments, one row per member.  The step is
     explicit unless ``stepper.semi_implicit`` asks ``rhs_fn`` for the
-    semi-implicit viscous tendency.  ``stats``, if given, records floor
-    activations and ``dt`` over the CFL bound.
+    spectra of the IMEX step (see the module docstring), whose kick and
+    Crank-Nicolson acoustics are formed here.  ``stats``, if given, records
+    floor activations and ``dt`` over the CFL bound.
     """
     bound = cfl_dt(grid, model, state, stepper)
     if dt > bound * (1.0 + 1e-9):
         message = f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} at t={state.t:.4f}"
-        speed = _signal_speed(grid, model, state, stepper.rho_floor)
+        speed = _signal_speed(grid, model, state, stepper)
         if state.rho.ndim == grid.dim:
             raise SimulationError(message, state, speed=float(np.max(speed)))
         # the member with the fastest signal sets the batch's bound
@@ -283,13 +316,26 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     if stats is not None:
         stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
 
-    drho, dmom = (rhs_fn(grid, model, state, dt) if stepper.semi_implicit
-                  else rhs_fn(grid, model, state))
-    rho_new = state.rho + dt * drho
-    mom_new = state.mom + dt * dmom
-
-    if model.noise.modes and dW is not None:
-        mom_new += model.noise.momentum_kick(grid, state.rho, state.mom, dW)
+    if stepper.semi_implicit:
+        rho_h, mom_h, dmom_h = rhs_fn(grid, model, state, dt)
+        dm_h = dt * dmom_h  # m* - m, the explicit update, in Fourier space
+        if model.noise.modes and dW is not None:  # the kick is linear in (rho, m)
+            dm_h += model.noise.momentum_kick(grid, rho_h, mom_h, dW)
+        # Crank-Nicolson (theta = 1/2) acoustics about rho = 1
+        c2 = pressure_delta_prime(model.law_eff, 1.0)
+        comp, ik = grid.comp, grid.ik
+        r_h = -dt * sum(ik[j] * (mom_h[comp(j)] + 0.5 * dm_h[comp(j)])
+                        for j in range(grid.dim)) / (1.0 + 0.25 * dt * dt * c2 * grid.k2_odd)
+        for j in range(grid.dim):
+            dm_h[comp(j)] -= 0.5 * dt * c2 * ik[j] * r_h
+        rho_new = state.rho + grid.bwd(r_h)
+        mom_new = state.mom + grid.bwd(dm_h)
+    else:
+        drho, dmom = rhs_fn(grid, model, state)
+        rho_new = state.rho + dt * drho
+        mom_new = state.mom + dt * dmom
+        if model.noise.modes and dW is not None:
+            mom_new += model.noise.momentum_kick(grid, state.rho, state.mom, dW)
 
     low = rho_new < stepper.rho_floor
     if np.any(low):

@@ -77,7 +77,8 @@ class Grid:
         """Set the spectral symbols, each broadcastable to a field's spectrum.
 
         ``ik``: per-axis first-derivative symbols ``i k``, unpaired Nyquist
-        zeroed.  ``k2``: ``|k|^2``, the symbol of ``-lap``.  ``dealias_mask``:
+        zeroed.  ``k2``: ``|k|^2``, the symbol of ``-lap``.  ``k2_odd``: the
+        symbol of ``-div grad``, ``|k|^2`` from the Nyquist-zeroed ``ik``.  ``dealias_mask``:
         the 2/3 rule.  ``rfft_weight``: each real-FFT column's multiplicity in
         the full spectrum, 2 except for the zero and Nyquist columns.
         """
@@ -105,10 +106,10 @@ class Grid:
             self.ik.append(1j * k)
         # the projection must invert the same (Nyquist-zeroed) symbol that
         # grad/div use, or mixed-Nyquist modes survive with nonzero div
-        k2p = sum(k * k for k in k_odd)
-        self._inv_k2p = np.zeros_like(k2p)
-        nzp = k2p > 0
-        self._inv_k2p[nzp] = 1.0 / k2p[nzp]
+        self.k2_odd = sum(k * k for k in k_odd)
+        self._inv_k2p = np.zeros_like(self.k2_odd)
+        nzp = self.k2_odd > 0
+        self._inv_k2p[nzp] = 1.0 / self.k2_odd[nzp]
         # 2/3-rule mask for products formed in physical space
         self.dealias_mask = np.ones(self.k2.shape, dtype=bool)
         for ax, n in enumerate(self.sizes):

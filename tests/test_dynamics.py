@@ -325,29 +325,74 @@ class TestFusedDrift:
                 calls.append(f.shape)
                 return _orig(self, f)
             monkeypatch.setattr(Grid, name, counted)
-        for dt_implicit in (0.0, 1e-3):  # the semi-implicit filter adds no transform
-            calls.clear()
-            rhs_deterministic(grid, BATCH_MODEL, batch, dt_implicit)
-            if grid.dim == 1:
-                assert len(calls) == most
-            assert len(calls) <= most
+        rhs_deterministic(grid, BATCH_MODEL, batch)
+        explicit = len(calls)
+        # the semi-implicit step, viscous filter, kick and acoustics included,
+        # makes no transform beyond the explicit drift's
+        calls.clear()
+        dW = np.full((len(batch.rho), BATCH_MODEL.modes), 0.01)
+        step_em(grid, BATCH_MODEL, StepperConfig(semi_implicit=True), batch, 1e-3, dW)
+        if grid.dim == 1:
+            assert explicit == len(calls) == most
+        assert explicit <= most and len(calls) <= most
 
 
 class TestSemiImplicit:
-    """The stabilized semi-implicit viscous step of the limit sweep."""
+    """The limit sweep's step: implicit viscosity and Crank-Nicolson acoustics."""
 
     SEMI = StepperConfig(semi_implicit=True)
 
-    def test_inviscid_identical_to_explicit(self):
+    @staticmethod
+    def acoustic_wave(grid, amp):
+        """A small wave on the (2, 1) Fourier mode, density and momentum out of phase."""
+        x, y = grid.coordinates()
+        phase = 2 * x + y
+        return State(1.0 + amp * np.cos(phase),
+                     np.stack([2 * amp * np.sin(phase), amp * np.cos(phase)]))
+
+    @staticmethod
+    def acoustic_energy(grid, state, c2):
+        """``sum |m^|^2 + c0^2 |rho^|^2`` over the nonzero modes."""
+        rho_h, mom_h = grid.fwd(state.rho - 1.0), grid.fwd(state.mom)
+        rho_h.flat[0] = 0.0
+        return np.sum(np.abs(mom_h) ** 2) + c2 * np.sum(np.abs(rho_h) ** 2)
+
+    def test_linear_acoustics_keep_their_energy(self):
+        # theta = 1/2 with the explicit remainder set to zero (the pressure
+        # linear, c0^2 rho), no viscosity and no noise is Crank-Nicolson on
+        # the linear acoustics, here at 4x the explicit acoustic bound
         grid = Grid((16, 16))
-        batch = member_batch(grid)
-        model = ModelConfig(law=LAW, noise=BATCH_MODEL.noise)
-        dW = np.full((len(batch.rho), model.modes), 0.01)
-        explicit = step_em(grid, model, StepperConfig(), batch, 1e-2, dW)
-        semi = step_em(grid, model, self.SEMI, batch, 1e-2, dW)
-        np.testing.assert_allclose(semi.rho, explicit.rho, rtol=0, atol=0)
-        np.testing.assert_allclose(semi.mom, explicit.mom, rtol=0, atol=0)
-        assert cfl_dt(grid, model, batch, self.SEMI) == cfl_dt(grid, model, batch)
+        model = ModelConfig(law=LAW, eps=0.1)
+        c2 = LAW.a * LAW.gamma / model.eps**2
+
+        def linear(grid, model, state, dt):
+            rho_h, mom_h = grid.fwd(state.rho), grid.fwd(state.mom)
+            return rho_h, mom_h, np.stack([-c2 * ik * rho_h for ik in grid.ik])
+
+        st = self.acoustic_wave(grid, 1e-3)
+        e0 = self.acoustic_energy(grid, st, c2)
+        dt = 0.05
+        assert dt > 4 * cfl_dt(grid, model, st)
+        for _ in range(40):
+            st = step_em(grid, model, self.SEMI, st, dt, rhs_fn=linear)
+        assert self.acoustic_energy(grid, st, c2) == pytest.approx(e0, rel=1e-12)
+        assert st.rho.mean() == pytest.approx(1.0, abs=1e-15)
+
+    def test_small_acoustic_mode_keeps_energy_explicit_grows(self):
+        # the full inviscid step at half the explicit acoustic bound: the
+        # explicit update amplifies the mode by |1 + i c k dt| each step
+        grid = Grid((16, 16))
+        model = ModelConfig(law=LAW, eps=0.25)
+        c2 = LAW.a * LAW.gamma / model.eps**2
+        start = self.acoustic_wave(grid, 1e-4)
+        dt = 0.5 * cfl_dt(grid, model, start)
+        explicit, semi = start, start
+        for _ in range(64):
+            explicit = step_em(grid, model, StepperConfig(), explicit, dt)
+            semi = step_em(grid, model, self.SEMI, semi, dt)
+        e0 = self.acoustic_energy(grid, start, c2)
+        assert self.acoustic_energy(grid, explicit, c2) > 5.0 * e0
+        assert self.acoustic_energy(grid, semi, c2) == pytest.approx(e0, rel=1e-6)
 
     @pytest.mark.parametrize("sizes", [(32,), (16, 16)])
     def test_tendency_solves_the_implicit_system(self, sizes):
@@ -357,7 +402,7 @@ class TestSemiImplicit:
         batch = member_batch(grid)
         visc, dt = BATCH_MODEL.visc, 0.05
         _, explicit = rhs_deterministic(grid, BATCH_MODEL, batch)
-        _, semi = rhs_deterministic(grid, BATCH_MODEL, batch, dt)
+        semi = grid.bwd(rhs_deterministic(grid, BATCH_MODEL, batch, dt)[2])
         for m in range(len(batch.rho)):
             inv_rho = 1.0 / np.min(batch.rho[m])
             implicit = grid.viscous_operator(semi[m], visc.nu * inv_rho,
@@ -379,8 +424,9 @@ class TestSemiImplicit:
         h = min(grid.spacings)
         dt = 8 * StepperConfig().cfl * h * h / 4.0
         assert cfl_dt(grid, model, st) < dt <= cfl_dt(grid, model, st, self.SEMI)
-        acoustic = StepperConfig().cfl * h / (np.max(np.abs(st.mom)) + np.sqrt(2.0))
-        assert cfl_dt(grid, model, st, self.SEMI) == pytest.approx(acoustic, rel=1e-12)
+        # at rho = 1 the explicit remainder has no sound speed: |u| sets the bound
+        advective = StepperConfig().cfl * h / np.max(np.sqrt(np.sum(st.mom**2, axis=0)))
+        assert cfl_dt(grid, model, st, self.SEMI) == pytest.approx(advective, rel=1e-12)
         with pytest.raises(SimulationError, match="CFL"):
             step_em(grid, model, StepperConfig(), st, dt)
         _, dmom = rhs_deterministic(grid, model, st)
@@ -393,7 +439,7 @@ class TestSemiImplicit:
         assert np.all(np.diff(sizes) < 0)
         assert sizes[-1] < 0.05 * sizes[0]
         assert stats.cfl_ratio == max(ratios)
-        # the acoustic bound still holds
+        # the remainder's bound still holds
         with pytest.raises(SimulationError, match="CFL"):
             step_em(grid, model, self.SEMI, st, 2 * cfl_dt(grid, model, st, self.SEMI))
 
