@@ -5,11 +5,13 @@ a format-version marker and deterministically formatted CSV files.
 
 Every command marches member-batched states, the members along a leading
 axis (see :mod:`torusgas.dynamics`).  With ``--threads T`` each command
-splits the member axis into ``T`` contiguous ranges, marched on a thread
-pool by :func:`torusgas.ensemble.by_member_range`: ``simulate`` a ledger
-march per range, ``weak-strong`` a coarse and a fine batch, ``limit-sweep``
-the reference and then each eps.  Member sums are taken after the join, in
-member order, so outputs are byte-identical for any thread count.
+splits the member axis into ``T`` contiguous ranges (at most one per CPU),
+marched on a thread pool by :func:`torusgas.ensemble.by_member_range`:
+``simulate`` a ledger march per range, ``weak-strong`` a coarse and a fine
+batch, ``limit-sweep`` the reference and then each eps.  Member sums are
+taken after the join, in member order, so outputs are byte-identical for
+any thread count, and a failed run reports the failure of its earliest
+step, as one batch would.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ def by_member_range(members: int, threads: int, march: Callable) -> list:
         return [march(*ranges[0])]
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         futures = [pool.submit(march, *r) for r in ranges]
-    errors = [f.exception() for f in futures if f.exception() is not None]
+    errors = [e for e in (f.exception() for f in futures) if e is not None]
     if errors:
         unordered = [e for e in errors if getattr(e, "step", None) is None]
         raise unordered[0] if unordered else min(errors, key=_failure_order)

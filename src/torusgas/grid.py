@@ -78,9 +78,10 @@ class Grid:
 
         ``ik``: per-axis first-derivative symbols ``i k``, unpaired Nyquist
         zeroed.  ``k2``: ``|k|^2``, the symbol of ``-lap``.  ``k2_odd``: the
-        symbol of ``-div grad``, ``|k|^2`` from the Nyquist-zeroed ``ik``.  ``dealias_mask``:
-        the 2/3 rule.  ``rfft_weight``: each real-FFT column's multiplicity in
-        the full spectrum, 2 except for the zero and Nyquist columns.
+        symbol of ``-div grad``, ``|k|^2`` from the Nyquist-zeroed ``ik``.
+        ``dealias_mask``: the 2/3 rule.  ``rfft_weight``: each real-FFT
+        column's multiplicity in the full spectrum, 2 except for the zero and
+        Nyquist columns.
         """
         # integer wavenumbers; rfft layout on the last axis
         axes_k = []
