@@ -22,10 +22,13 @@ member's stopping time is set by that reference alone and shared by every
 eps.  Each eps marches contiguous member ranges, one compressible batch
 each, and a sample evaluates a range's sampled members in one call.
 
-The compressible step treats viscosity semi-implicitly (see
-:mod:`torusgas.dynamics`), so each eps's step is set by the acoustic bound
-alone.  Along ``nu_eps = eps^2`` the explicit diffusive bound would set the
-step at the large-eps end, the easiest point of the sweep.
+The compressible step is IMEX (see :mod:`torusgas.dynamics`): viscosity
+semi-implicit and the linear acoustics about ``rho = 1`` Crank-Nicolson, so
+each eps's step is set by the advection and the pressure remainder alone.
+Along ``nu_eps = eps^2`` the explicit diffusive bound would set the step at
+the large-eps end, the easiest point of the sweep, and the explicit
+acoustic bound ``h eps / c`` at the small-eps end, where it also biases the
+relative energy upward.
 """
 
 from __future__ import annotations
@@ -211,8 +214,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     Each march's step count is ``horizon / (0.6 dt)`` rounded up to a power
     of two, where ``dt`` is its own CFL bound at the initial state: the
     advective bound for the reference, the compressible step's bound for an
-    eps.  The compressible step is semi-implicit in the viscosity, so it has
-    no diffusive bound.  The bounds tighten as the run goes on;
+    eps.  The compressible step has no diffusive bound and no ``1/eps``
+    sound speed in its bound.  The bounds tighten as the run goes on;
     ``RateReport.cfl_ratio`` records, per eps, and ``RateReport.ref_cfl_ratio``
     for the reference, the largest ``dt`` over the bound met during the
     march, which the 0.6 margin keeps below 1; beyond 1 a march raises.

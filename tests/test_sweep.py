@@ -298,6 +298,7 @@ class TestBatchedMarch:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_reference_cfl_violation_names_member(self, monkeypatch, threads):
         # member 4's reference flow speeds up 100-fold after its first step
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
         step = sweep.step_em_euler
         rows = {1: 4, 2: 1}[threads]  # member 4's row in its range
 
