@@ -10,8 +10,9 @@ marched on a thread pool by :func:`torusgas.ensemble.by_member_range`:
 ``simulate`` a ledger march per range, ``weak-strong`` a coarse and a fine
 batch, ``limit-sweep`` the reference and then each eps.  Member sums are
 taken after the join, in member order, so outputs are byte-identical for
-any thread count, and a failed run reports the failure of its earliest
-step, as one batch would.
+any thread count.  A failed run reports the failure one batch of all
+members raises, replayed on one thread if the ranges failed; it names the
+member by its ensemble index and the step by its place in the march.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         except SimulationError as exc:  # name the member by its ensemble index
             if exc.member is None or lo == 0:
                 raise
-            raise exc.renamed(lo + exc.member, exc.step) from exc
+            raise exc.renamed(lo + exc.member) from exc
 
     try:
         results = by_member_range(members, threads, march_range)

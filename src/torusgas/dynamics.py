@@ -73,24 +73,22 @@ class SimulationError(RuntimeError):
 
     After a batched step ``member`` is the offending member's index in the
     batch and ``state`` that member's single state; ``detail`` is the
-    message without the member.  A CFL violation carries the offender's
-    signal ``speed``.  A march that re-raises a failure sets its ``step``,
-    the failing step's position in the march (see :meth:`renamed`), by
-    which :func:`torusgas.ensemble.by_member_range` orders failures.
+    message without the member.  A failing step's message names the step's
+    position in its march and ``t``.  A run split into member ranges
+    reports the failure one batch of all members raises (see
+    :func:`torusgas.ensemble.by_member_range`).
     """
 
     def __init__(self, message: str, state: "State | None" = None,
-                 member: int | None = None, step=None, speed: float | None = None):
+                 member: int | None = None):
         super().__init__(message if member is None else f"member {member}: {message}")
         self.detail = message
         self.state = state
         self.member = member
-        self.step = step
-        self.speed = speed
 
-    def renamed(self, member: int, step, prefix: str = "") -> "SimulationError":
-        """This failure naming ``member`` at march step ``step``, its detail prefixed."""
-        return SimulationError(prefix + self.detail, self.state, member, step, self.speed)
+    def renamed(self, member: int, prefix: str = "") -> "SimulationError":
+        """This failure naming ``member``, its detail prefixed."""
+        return SimulationError(prefix + self.detail, self.state, member)
 
 
 @dataclass
@@ -175,10 +173,17 @@ class StepStats:
     cfl_ratio: float = 0.0
 
 
-def _check_finite(grid: Grid, message: str, state: "State", rho, mom):
-    """Raise naming the first member (of a batch) with a non-finite entry."""
+def step_label(t: float, dt: float) -> str:
+    """``step k (t=...)``: the step of size ``dt`` from ``t``, counted in a march from 0."""
+    return f"step {round(t / dt)} (t={t:.4f})"
+
+
+def _check_finite(grid: Grid, message: str, state: "State", rho, mom, at=None):
+    """Raise naming the first non-finite member (of a batch) and the step ``at = (t, dt)``."""
     if np.isfinite(rho).all() and np.isfinite(mom).all():
         return
+    if at is not None:
+        message += " " + step_label(*at)
     if np.ndim(rho) == grid.dim:
         raise SimulationError(message, state)
     lead = len(rho)
@@ -302,17 +307,19 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     explicit unless ``stepper.semi_implicit`` asks ``rhs_fn`` for the
     spectra of the IMEX step (see the module docstring), whose kick and
     Crank-Nicolson acoustics are formed here.  ``stats``, if given, records
-    floor activations and ``dt`` over the CFL bound.
+    floor activations and ``dt`` over the CFL bound.  A failure names the
+    step by :func:`step_label`, as a march of steps ``dt`` from t = 0 counts it.
     """
     bound = cfl_dt(grid, model, state, stepper)
     if dt > bound * (1.0 + 1e-9):
-        message = f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} at t={state.t:.4f}"
-        speed = _signal_speed(grid, model, state, stepper)
+        message = (f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} "
+                   f"at {step_label(state.t, dt)}")
         if state.rho.ndim == grid.dim:
-            raise SimulationError(message, state, speed=float(np.max(speed)))
+            raise SimulationError(message, state)
         # the member with the fastest signal sets the batch's bound
+        speed = _signal_speed(grid, model, state, stepper)
         m = int(np.unravel_index(np.argmax(speed), speed.shape)[0])
-        raise SimulationError(message, state.rows(m), m, speed=float(np.max(speed)))
+        raise SimulationError(message, state.rows(m), m)
     if stats is not None:
         stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
 
@@ -331,7 +338,11 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
         rho_new = state.rho + grid.bwd(r_h)
         mom_new = state.mom + grid.bwd(dm_h)
     else:
-        drho, dmom = rhs_fn(grid, model, state)
+        try:
+            drho, dmom = rhs_fn(grid, model, state)
+        except SimulationError as exc:  # a non-finite drift: say at which step
+            raise SimulationError(f"{exc.detail} at {step_label(state.t, dt)}",
+                                  exc.state, exc.member) from exc
         rho_new = state.rho + dt * drho
         mom_new = state.mom + dt * dmom
         if model.noise.modes and dW is not None:
@@ -347,7 +358,7 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
             stats.mass_correction += grid.integrate(rho_new) - before
 
     out = State(rho_new, mom_new, state.t + dt)
-    _check_finite(grid, "non-finite state after step", out, out.rho, out.mom)
+    _check_finite(grid, "non-finite state after", out, out.rho, out.mom, (state.t, dt))
     return out
 
 

@@ -68,19 +68,6 @@ def member_se(values: np.ndarray, axis: int = 0):
     return values.std(axis=axis, ddof=1) / np.sqrt(n)
 
 
-def _failure_order(exc) -> tuple:
-    """Sort key of a range's failure, the failure one batch raises first.
-
-    The earliest ``step`` of the march comes first.  At one step a CFL
-    violation (one that carries a signal ``speed``), checked before the
-    step, comes before a non-finite state; among CFL violations the fastest
-    signal comes first, and otherwise the lowest ``member``.
-    """
-    speed = getattr(exc, "speed", None)
-    cfl = speed is not None
-    return (exc.step, not cfl, -speed if cfl else 0.0, getattr(exc, "member", None) or 0)
-
-
 def by_member_range(members: int, threads: int, march: Callable) -> list:
     """``march(lo, hi)`` on contiguous member ranges, at most one per thread and CPU.
 
@@ -90,9 +77,11 @@ def by_member_range(members: int, threads: int, march: Callable) -> list:
     thread; several run on a pool, which numpy shares by releasing the GIL,
     and every range is joined.  Results come back in member order.
 
-    If ranges fail, the failure raised is the one a single batch of all
-    members would have raised (see :func:`_failure_order`).  A failure
-    without a ``step`` is raised before any other.
+    If a range fails, ``march(0, members)`` is replayed on the calling
+    thread and its failure raised: the failure of one batch of all members,
+    the same at any thread count.  That costs one single-thread march up to
+    the failing step.  Should the replay pass (a failure that depends on
+    the split), the lowest failing range's failure is raised.
     """
     count = min(threads, members, os.cpu_count() or 1)
     ranges = [(int(r[0]), int(r[-1]) + 1)
@@ -103,8 +92,8 @@ def by_member_range(members: int, threads: int, march: Callable) -> list:
         futures = [pool.submit(march, *r) for r in ranges]
     errors = [e for e in (f.exception() for f in futures) if e is not None]
     if errors:
-        unordered = [e for e in errors if getattr(e, "step", None) is None]
-        raise unordered[0] if unordered else min(errors, key=_failure_order)
+        march(0, members)  # one batch raises its own failure
+        raise errors[0]
     return [f.result() for f in futures]
 
 

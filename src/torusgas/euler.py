@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import step_label
 from .grid import Grid
 from .noise import NoiseModel
 
@@ -147,7 +148,9 @@ def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState,
     back by one forward call; the kick is computed from the pre-step
     spectrum and driven by this step's Wiener increments ``dW`` (``(M, K)``
     for a batch).  Without ``dW`` the step is deterministic.  The audit
-    bounds ``sup |div v|`` from the coefficients (:func:`_divergence_bound`).
+    bounds ``sup |div v|`` from the coefficients (:func:`_divergence_bound`);
+    a non-finite spectrum fails it as a non-finite flow.  A failure names
+    the step as :func:`~torusgas.dynamics.step_label` does.
     """
     comp = grid.comp
     v, grads = state.fields[0], state.fields[1:]
@@ -158,8 +161,9 @@ def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState,
         vh = vh + _kick(grid, noise, state.vh, dW)
     vh = grid.leray(vh)
     div_norm = _divergence_bound(grid, vh)
-    if div_norm > DIV_TOL:
-        raise EulerError(f"divergence grew to {div_norm:.3e} at t={state.t + dt:.4f}")
+    if not div_norm <= DIV_TOL:  # a non-finite spectrum fails too
+        what = f"divergence grew to {div_norm:.3e}" if np.isfinite(div_norm) else "non-finite flow"
+        raise EulerError(f"{what} at {step_label(state.t, dt)}")
     return _state(grid, vh, state.t + dt)
 
 

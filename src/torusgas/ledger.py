@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import PressureLaw, Viscosity, stress_contract
-from .dynamics import SimulationError, StepStats, energy_total, step_em
+from .dynamics import StepStats, energy_total, step_em
 from .ensemble import (EmpiricalYoungMeasure, dissipation_defect,
                        mean_energy_density, velocity_oscillation_field)
 from .grid import Grid
@@ -166,10 +166,7 @@ def march(grid: Grid, model, stepper, state0, dt: float, table: np.ndarray,
         if step < n_steps:
             dW = table[..., step, :]
             acc.step_increments(state, dW, dt)
-            try:
-                state = step_em(grid, model, stepper, state, dt, dW, stats=stats)
-            except SimulationError as exc:  # say at which step of the march
-                raise exc.renamed(exc.member, step) from exc
+            state = step_em(grid, model, stepper, state, dt, dW, stats=stats)
     energy, diss, ito, mart = np.stack(rows, axis=-1)
     times = np.array([s.t for s in samples])
     return EnergyLedger(times, energy, np.zeros_like(energy), diss, ito, mart), samples

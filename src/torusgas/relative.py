@@ -36,22 +36,19 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            potential_delta_second, potential_delta_third,
                            pressure_delta, pressure_delta_second, relative_h,
                            stress)
-from .dynamics import ModelConfig, SimulationError, State, StepperConfig, step_em
+from .dynamics import (ModelConfig, SimulationError, State, StepperConfig, step_em,
+                       step_label)
 from .ensemble import EmpiricalYoungMeasure, by_member_range, mean_energy_density, member_se
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
 from .noise import coarsen, member_tables
 
 
 class RelativeEnergyError(ValueError):
-    """Invalid reference pair; ``member`` names the offending row of a batch.
+    """Invalid reference pair; ``member`` names the offending row of a batch."""
 
-    A march that re-raises it sets ``step``, as for
-    :class:`~torusgas.dynamics.SimulationError`.
-    """
-
-    def __init__(self, message: str, member: int | None = None, step=None):
+    def __init__(self, message: str, member: int | None = None):
         super().__init__(message if member is None else f"member {member}: {message}")
-        self.detail, self.member, self.step = message, member, step
+        self.detail, self.member = message, member
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +345,8 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     those of marching it alone, and the remainder's member sums run in member
     order after the join, so the report is the same for any ``threads``.  A
     failing step or a nonpositive reference names the member by its
-    ensemble index.
+    ensemble index, and the step and ``t`` (a fine step by its place in the
+    fine march).
     """
     grid_c = Grid(cfg.grid_sizes)
     grid_f = Grid(tuple(cfg.refine * n for n in cfg.grid_sizes))
@@ -400,9 +398,9 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
                     try:
                         decomps = reference_decomps(grid_c, model, r_c, U_c)
                     except RelativeEnergyError as exc:  # name the ensemble member
-                        raise RelativeEnergyError(f"restricted {exc.detail}",
-                                                  int(live[rows[exc.member]]),
-                                                  (i_step, 0)) from exc
+                        raise RelativeEnergyError(
+                            f"restricted {exc.detail} at {step_label(times[sample_pos], dt_c)}",
+                            int(live[rows[exc.member]])) from exc
                     emv[live[rows], sample_pos] = relative_energy_state(
                         grid_c, law, sampled, r_c, U_c)
                     terms = remainder(grid_c, model, sampled.rho, sampled.mom, r_c, U_c,
@@ -420,16 +418,14 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
                 if sample_pos == n_samples:
                     break
             if i_step < cfg.n_steps and live.size:
-                phase = 1  # position within the step: sample 0, coarse 1, fine 2 + j
                 try:
                     coarse = step_em(grid_c, model, cfg.stepper, coarse, dt_c,
                                      coarse_table[live, i_step])
                     for j in range(cfg.refine):
-                        phase = 2 + j
                         fine = step_em(grid_f, model, cfg.stepper, fine, dt_f,
                                        fine_table[live, cfg.refine * i_step + j])
                 except SimulationError as exc:  # name the member by its ensemble index
-                    raise exc.renamed(int(live[exc.member]), (i_step, phase)) from exc
+                    raise exc.renamed(int(live[exc.member])) from exc
 
     by_member_range(cfg.members, threads, march_range)
     # each sample's sampled members, (members, 9) summed over axis 0 in member order

@@ -40,7 +40,7 @@ import numpy as np
 
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
-                       StepStats, cfl_dt, step_em)
+                       StepStats, cfl_dt, step_em, step_label)
 from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
 from .euler import euler_cfl_dt, make_state, step_em_euler, taylor_green
 from .grid import Grid
@@ -158,7 +158,8 @@ def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.nd
     the advective bound of the march.  A member whose gradient crosses the
     threshold at a sample stops there: it is not sampled there (unless it is
     the first sample) and never stepped again.  A step beyond the advective
-    bound (or a non-finite flow) raises, naming the member with the fastest flow.
+    bound raises, naming the member with the fastest flow and the step; a
+    step that makes the flow non-finite raises in ``step_em_euler``.
     """
     members, n_ref = table.shape[:2]
     dt = horizon / n_ref
@@ -186,11 +187,10 @@ def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.nd
             if step < n_ref and live.size:
                 bound = euler_cfl_dt(grid, eul, cfl)
                 if not dt <= bound * (1.0 + 1e-9):  # a non-finite flow fails here too
-                    speed = eul.speed_inf
-                    m = int(np.argmax(speed))
+                    m = int(np.argmax(eul.speed_inf))
                     raise SimulationError(
                         f"reference CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} "
-                        f"at t={eul.t:.4f}", eul.rows(m), int(live[m]), step, float(speed[m]))
+                        f"at {step_label(eul.t, dt)}", eul.rows(m), int(live[m]))
                 ratio = max(ratio, dt / bound)
                 eul = step_em_euler(grid, noise, eul, dt, table[live, step])
         return ratio
@@ -229,7 +229,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     After the join those states give the pooled dissipation defect and its
     contiguous standard-error groups, and every member's values are those of
     marching it alone.  A failing step is re-raised naming the member by its
-    ensemble index, with eps and ``dt``.
+    ensemble index, with eps and ``dt``; the step's message names the step.
     """
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
@@ -306,7 +306,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
                         comp = step_em(grid, model, stepper, comp, dt, table[live, step],
                                        stats=stats)
                     except SimulationError as exc:  # name the member by its ensemble index
-                        raise exc.renamed(int(live[exc.member]), step,
+                        raise exc.renamed(int(live[exc.member]),
                                           f"eps={eps}, dt={dt:.3e}: ") from exc
                     ratio = max(ratio, stats.cfl_ratio)
             return ratio

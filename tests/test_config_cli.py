@@ -267,6 +267,39 @@ class TestSimulateCommand:
             driver.run_simulate(cfg, str(tmp_path / "fail"), threads=2)
         assert err.value.member == 2
 
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_earliest_failure_at_any_thread_count(self, tmp_path, monkeypatch, threads):
+        # member 7's path turns non-finite at step 1 and member 2's at step 6:
+        # one batch fails on member 7, and so does every split into ranges
+        from torusgas import driver, ensemble
+
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
+        tables = driver.member_tables
+
+        def poisoned(*args):
+            out = tables(*args).copy()
+            out[7, 1] = out[2, 6] = np.nan
+            return out
+
+        monkeypatch.setattr(driver, "member_tables", poisoned)
+        cfg = config_mod.load(write_cfg(tmp_path, MINIMAL_1D), {"ensemble.members": 10})
+
+        def failure(threads):
+            out = str(tmp_path / f"t{threads}")
+            with pytest.raises(SimulationError) as err:
+                driver.run_simulate(cfg, out, threads=threads)
+            snap = snapshots.read_field(os.path.join(out, "diagnostic_failure.snap"))
+            return err.value, snap
+
+        exc, (values, t) = failure(threads)
+        dt = cfg["run.T"] / cfg["run.n_steps"]
+        assert str(exc) == f"member 7: non-finite state after step 1 (t={dt:.4f})"
+        assert exc.member == 7 and t == exc.state.t == pytest.approx(2 * dt)
+        assert not np.isfinite(values).all()
+        one_exc, (one_values, _) = failure(1)
+        assert str(exc) == str(one_exc)
+        np.testing.assert_array_equal(values, one_values)
+
     def test_summary_reports_floor_and_noise_metadata(self, tmp_path):
         import json
 

@@ -282,6 +282,20 @@ class TestBatch:
         assert err.value.member == 2
         np.testing.assert_array_equal(err.value.state.mom, batch.mom[2])
 
+    def test_drift_failure_names_step_and_time(self, grid1d):
+        # the drift knows no step size; the step names its place in the march
+        batch = member_batch(grid1d)
+        batch.t = 0.003
+
+        def fails(grid, model, state):
+            raise SimulationError("non-finite drift encountered", state.rows(1), 1)
+
+        with pytest.raises(SimulationError) as err:
+            step_em(grid1d, BATCH_MODEL, StepperConfig(), batch, 1e-3, rhs_fn=fails)
+        assert str(err.value) == ("member 1: non-finite drift encountered "
+                                  "at step 3 (t=0.0030)")
+        np.testing.assert_array_equal(err.value.state.rho, batch.rho[1])
+
     def test_nonfinite_names_first_bad_member(self, grid1d):
         batch = member_batch(grid1d)
 

@@ -295,7 +295,7 @@ class TestByMemberRange:
         assert workers == [2]
 
     def test_first_failing_range_raises(self, monkeypatch):
-        # failures without a step keep range order
+        # failures that the one batch does not repeat keep range order
         self.cpus(monkeypatch, 8)
 
         def march(lo, hi):
@@ -306,26 +306,35 @@ class TestByMemberRange:
         with pytest.raises(ValueError, match="range from 3"):
             by_member_range(10, 4, march)
 
-    @pytest.mark.parametrize("failures, expected", [
-        # (lo, member, step, speed) of each failing range; the one raised
-        ([(3, 3, 6, None), (6, 7, 1, None)], 7),              # earliest step
-        ([(3, 4, 2, None), (6, 6, 2, 3.0)], 6),               # CFL before non-finite
-        ([(0, 1, 2, 2.0), (3, 4, 2, 5.0), (6, 6, 2, 3.0)], 4),  # fastest signal
-        ([(3, 5, 2, None), (6, 6, 2, None)], 5),              # lowest member
-        ([(3, 5, (2, 1), None), (6, 6, (2, 0), None)], 6),    # steps of any order
-    ])
-    def test_failure_one_batch_would_raise(self, monkeypatch, failures, expected):
+    def test_split_run_raises_the_one_batch_failure(self, monkeypatch):
+        # members 4 and 7 fail in ranges [3, 6) and [6, 8); the one batch of
+        # all ten members fails first on member 7, and that is what is raised
         self.cpus(monkeypatch, 8)
         ran = []
 
         def march(lo, hi):
-            ran.append(lo)
-            for f_lo, member, step, speed in failures:
-                if f_lo == lo:
-                    raise SimulationError("boom", None, member, step, speed)
+            ran.append((lo, hi))
+            if lo <= 7 < hi:
+                raise SimulationError("boom at step 1", None, 7 - lo)
+            if lo <= 4 < hi:
+                raise SimulationError("boom at step 6", None, 4 - lo)
             return lo
 
-        with pytest.raises(SimulationError) as err:
+        with pytest.raises(SimulationError, match="member 7: boom at step 1"):
             by_member_range(10, 4, march)
-        assert err.value.member == expected
-        assert sorted(ran) == [0, 3, 6, 8]  # every range is joined
+        # every range is joined, then the one batch is replayed
+        assert sorted(ran[:4]) == [(0, 3), (3, 6), (6, 8), (8, 10)]
+        assert ran[4:] == [(0, 10)]
+
+    def test_failure_of_one_range_only_is_raised(self, monkeypatch):
+        # a failure keyed on the range length passes in the one batch, so
+        # the failing range's own failure is raised
+        self.cpus(monkeypatch, 8)
+
+        def march(lo, hi):
+            if hi - lo == 2 and lo > 6:
+                raise ValueError(f"range from {lo}")
+            return lo
+
+        with pytest.raises(ValueError, match="range from 8"):
+            by_member_range(10, 4, march)

@@ -147,6 +147,20 @@ class TestStepping:
         with pytest.raises(EulerError, match="divergence grew"):
             step_em_euler(grid2d, NoiseModel(), state, 1e-3)
 
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_non_finite_increment_raises(self, members):
+        # a NaN increment makes a NaN spectrum, which fails the audit as a
+        # non-finite flow, for one state and for a batch
+        grid = Grid((16, 16))
+        v = taylor_green(grid)
+        if members is None:
+            state, dW = make_state(grid, v, t=0.05), np.array([np.nan])
+        else:
+            state = make_state(grid, np.stack([v] * members), t=0.05)
+            dW = np.array([[0.01], [np.nan], [0.02]])
+        with pytest.raises(EulerError, match=r"^non-finite flow at step 5 \(t=0\.0500\)$"):
+            step_em_euler(grid, NoiseModel(K=(0.1,), L=(0.05,)), state, 0.01, dW)
+
     def test_projection_order_agrees(self, grid2d, rng):
         # projecting the drift before stepping equals projecting after
         v = random_solenoidal(grid2d, rng, kmax=4)

@@ -17,7 +17,8 @@ Regenerate the golden files, in a change that says why, with
 
 or name the cases to rewrite (``... tests/test_golden.py limit-sweep``).
 Before it rewrites a file, it prints the largest absolute and relative
-deviation of the new values from the ones it replaces.
+deviation of the new values from the ones it replaces, over the keys both
+hold, and names the keys the new record adds or removes.
 """
 
 from __future__ import annotations
@@ -115,16 +116,17 @@ def _compare(actual, golden, where: str):
 
 
 def _deviation(actual, golden) -> tuple[float, float]:
-    """Largest absolute and relative deviation over the numbers of a record.
+    """Largest absolute and relative deviation over the numbers both records hold.
 
-    The relative deviation skips golden entries at or below ``ATOL``, the
-    roundoff floor of the comparison; a missing or mismatched entry reads as
-    an infinite deviation.
+    Keys found in one record only are skipped (:func:`_key_changes` names
+    them).  The relative deviation skips golden entries at or below
+    ``ATOL``, the roundoff floor of the comparison; a mismatched entry reads
+    as an infinite deviation.
     """
     if isinstance(golden, dict):
-        if not isinstance(actual, dict) or sorted(actual) != sorted(golden):
+        if not isinstance(actual, dict):
             return np.inf, np.inf
-        devs = [_deviation(actual[key], golden[key]) for key in golden]
+        devs = [_deviation(actual[key], golden[key]) for key in golden if key in actual]
         return max((d[0] for d in devs), default=0.0), max((d[1] for d in devs), default=0.0)
     if isinstance(golden, bool) or golden is None or isinstance(golden, str):
         return (0.0, 0.0) if actual == golden else (np.inf, np.inf)
@@ -138,6 +140,19 @@ def _deviation(actual, golden) -> tuple[float, float]:
             float(np.max(diff[big] / np.abs(g[big]), initial=0.0)))
 
 
+def _key_changes(actual, golden, where: str = "") -> tuple[list, list]:
+    """Dotted paths of the keys that ``actual`` adds to ``golden``, and of those it drops."""
+    if not (isinstance(actual, dict) and isinstance(golden, dict)):
+        return [], []
+    added = [where + key for key in sorted(actual.keys() - golden.keys())]
+    removed = [where + key for key in sorted(golden.keys() - actual.keys())]
+    for key in sorted(actual.keys() & golden.keys()):
+        more, fewer = _key_changes(actual[key], golden[key], f"{where}{key}.")
+        added += more
+        removed += fewer
+    return added, removed
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name, tmp_path):
     with open(_golden_path(name), encoding="ascii") as fh:
@@ -146,6 +161,13 @@ def test_matches_golden(name, tmp_path):
     for fname in CASES[name]["csv"]:
         with open(os.path.join(tmp_path, fname), encoding="ascii") as fh:
             assert fh.readline() == HEADERS[fname] + "\n", fname
+
+
+def test_deviation_compares_shared_keys():
+    golden = {"summary": {"dt": 0.5, "gone": 1.0}, "csv": {"a": [1.0, 2.0]}}
+    actual = {"summary": {"dt": 0.5, "new": {"x": 3.0}}, "csv": {"a": [1.0, 2.5]}}
+    assert _deviation(actual, golden) == (0.5, 0.25)
+    assert _key_changes(actual, golden) == (["summary.new"], ["summary.gone"])
 
 
 def _expected_draws(name: str, cfg: dict, summary: dict) -> int:
@@ -187,9 +209,13 @@ if __name__ == "__main__":
             record = run_case(case_name, tmp)
         if os.path.exists(_golden_path(case_name)):
             with open(_golden_path(case_name), encoding="ascii") as fh:
-                abs_dev, rel_dev = _deviation(record, json.load(fh))
+                replaced = json.load(fh)
+            abs_dev, rel_dev = _deviation(record, replaced)
             print(f"{case_name}: largest deviation from the replaced file: "
                   f"absolute {abs_dev:.3e}, relative {rel_dev:.3e}")
+            for change, keys in zip(("added", "removed"), _key_changes(record, replaced)):
+                if keys:
+                    print(f"{case_name}: keys {change}: {', '.join(keys)}")
         with open(_golden_path(case_name), "w", encoding="ascii") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -5,7 +5,7 @@ from torusgas.constitutive import (PressureLaw, Viscosity,
                                    potential_delta_prime, potential_delta_second,
                                    potential_delta_third, pressure_delta,
                                    pressure_delta_second, stress)
-from torusgas import relative
+from torusgas import ensemble, relative
 from torusgas.dynamics import ModelConfig, SimulationError, State
 from torusgas.ensemble import EmpiricalYoungMeasure
 from torusgas.grid import Grid
@@ -412,6 +412,35 @@ class TestBatchedMarch:
         with pytest.raises(SimulationError, match=f"member {first_live}: boom") as err:
             weak_strong_experiment(self.config(6, threshold))
         assert err.value.member == first_live
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_earliest_failure_at_any_thread_count(self, monkeypatch, threads):
+        # member 7's path turns non-finite at coarse step 1 and member 2's at
+        # coarse step 6: one batch fails on member 7, and so does every split
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
+        tables = relative.member_tables
+
+        def poisoned(*args):
+            out = tables(*args).copy()
+            out[7, 2] = out[2, 12] = np.nan  # fine rows of coarse steps 1 and 6
+            return out
+
+        monkeypatch.setattr(relative, "member_tables", poisoned)
+        cfg = self.config(10, np.inf)
+
+        def failure(threads):
+            with pytest.raises(SimulationError) as err:
+                weak_strong_experiment(cfg, threads)
+            return err.value
+
+        exc = failure(threads)
+        dt_c = cfg.horizon / cfg.n_steps
+        assert str(exc) == f"member 7: non-finite state after step 1 (t={dt_c:.4f})"
+        assert exc.member == 7 and exc.state.rho.shape == cfg.grid_sizes
+        one = failure(1)
+        assert str(exc) == str(one)
+        np.testing.assert_array_equal(exc.state.rho, one.state.rho)
+        np.testing.assert_array_equal(exc.state.mom, one.state.mom)
 
     def test_step_failure_in_later_range_names_ensemble_member(self, monkeypatch):
         # --threads 2 marches members [0, 3) and [3, 5); row 1 of the second

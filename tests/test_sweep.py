@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -290,31 +291,53 @@ class TestBatchedMarch:
         monkeypatch.setattr(sweep, "coarsen", poisoned)
         cfg = SweepConfig(grid_sizes=(16, 16), eps_schedule=(1.0,), horizon=0.25,
                           members=10, n_samples=4, seed=0)
-        with pytest.raises(SimulationError, match="member 7: eps=1.0, dt=") as err:
-            run_sweep(cfg, threads)
-        assert (err.value.member, err.value.step) == (7, 1)
-        assert "non-finite state after step" in str(err.value)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+        def failure(threads):
+            calls.clear()
+            with pytest.raises(SimulationError, match="member 7: eps=1.0, dt=") as err:
+                run_sweep(cfg, threads)
+            return err.value
+
+        exc = failure(threads)
+        assert exc.member == 7
+        assert str(exc).endswith("non-finite state after step 1 (t=0.0156)")
+        one = failure(1)
+        assert str(exc) == str(one)
+        np.testing.assert_array_equal(exc.state.mom, one.state.mom)
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_reference_cfl_violation_names_member(self, monkeypatch, threads):
-        # member 4's reference flow speeds up 100-fold after its first step
+        # a large increment speeds up member 4's reference flow at step 0 and
+        # member 1's at step 2: one batch exceeds its bound at step 1 on
+        # member 4, and so does every split into ranges
         monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
-        step = sweep.step_em_euler
-        rows = {1: 4, 2: 1}[threads]  # member 4's row in its range
+        calls = []
 
-        def speeds_up_member_4(grid, noise, state, dt, dW):
-            out = step(grid, noise, state, dt, dW)
-            if state.t == 0.0 and len(dW) > rows and (threads == 1 or len(dW) == 2):
-                out.vh[rows] *= 100.0
-                out.fields[:, rows] *= 100.0
+        def kicked(table, n):
+            out = coarsen(table, n)
+            calls.append(n)
+            if len(calls) == 1:  # the first call coarsens the reference's table
+                out = out.copy()
+                out[4, 0] = out[1, 2] = 500.0
             return out
 
-        monkeypatch.setattr(sweep, "step_em_euler", speeds_up_member_4)
-        with pytest.raises(SimulationError, match=r"member 4: reference CFL violation: "
-                                                  r"dt=\S+ exceeds bound") as err:
-            run_sweep(self.config(5, np.inf), threads)
-        assert (err.value.member, err.value.step) == (4, 1)
-        assert err.value.speed > 50.0
+        monkeypatch.setattr(sweep, "coarsen", kicked)
+
+        def failure(threads):
+            calls.clear()
+            with pytest.raises(SimulationError) as err:
+                run_sweep(self.config(5, np.inf), threads)
+            return err.value
+
+        exc = failure(threads)
+        match = re.fullmatch(r"member 4: reference CFL violation: dt=(\S+) exceeds bound "
+                             r"(\S+) at step 1 \(t=(\S+)\)", str(exc))
+        dt, bound, t = map(float, match.groups())
+        assert bound < dt / 20 and t == pytest.approx(dt, abs=1e-4)
+        assert exc.member == 4
+        one = failure(1)
+        assert str(exc) == str(one)
+        np.testing.assert_array_equal(exc.state.fields, one.state.fields)
 
     def test_reference_step_count_is_its_own(self):
         # the reference's step count comes from its own bound, whatever the
