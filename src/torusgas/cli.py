@@ -2,11 +2,10 @@
 
 Subcommands: ``simulate``, ``verify``, ``weak-strong``, ``limit-sweep``.
 Exit codes: 0 on success, 1 when a check or experiment criterion fails,
-2 on configuration errors, 3 when a run fails (a CFL violation, lost
-positivity, a non-finite state, Euler divergence growth or an invalid
-reference pair).  A failed run prints one line, ``<command> failed:
-<message>``, whose message names the member and, where they apply, eps and
-the step size.
+2 on configuration errors, 3 when a run fails (a ``SimulationError``, which
+every failed step and reference raises, or a ``SweepError``).  A failed run
+prints one line, ``<command> failed: <message>``, whose message names the
+member, the step and ``t`` and, where they apply, eps and the step size.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import sys
 from . import config as config_mod
 from . import driver, verify
 from .dynamics import SimulationError
-from .euler import EulerError
-from .relative import RelativeEnergyError
 from .sweep import SweepError
 
 
@@ -100,7 +97,7 @@ def main(argv=None) -> int:
     except config_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, SweepError, EulerError, RelativeEnergyError) as exc:
+    except (SimulationError, SweepError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 3
     raise AssertionError("unreachable")

@@ -171,6 +171,9 @@ def _cross_validate(cfg: dict):
         raise ConfigError("ensemble.members: need at least one member")
     if cfg["run.samples"] < 1:
         raise ConfigError("run.samples: need at least one sample")
+    if cfg["run.n_steps"] % cfg["run.samples"]:
+        raise ConfigError(f"run.n_steps: {cfg['run.n_steps']} is not a multiple of "
+                          f"run.samples = {cfg['run.samples']}")
     if cfg["run.snapshot_every"] < 0:
         raise ConfigError("run.snapshot_every: must be nonnegative (0 = final only)")
     for key in ("ws.members", "ws.n_steps", "ws.samples"):

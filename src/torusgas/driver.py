@@ -12,7 +12,8 @@ batch, ``limit-sweep`` the reference and then each eps.  Member sums are
 taken after the join, in member order, so outputs are byte-identical for
 any thread count.  A failed run reports the failure one batch of all
 members raises, replayed on one thread if the ranges failed; it names the
-member by its ensemble index and the step by its place in the march.
+member by its ensemble index and the step by its place in the march, and
+``simulate`` leaves the member's state at the step's start behind.
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ def initial_state(grid: Grid, cfg: dict) -> State:
 
 def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
                  state: State, cfg: dict) -> int:
-    """Step count honoring run.n_steps or the CFL bound, divisible by samples."""
+    """run.n_steps (which run.samples divides), or a count from stepper.dt or
+    the CFL bound, rounded up to a multiple of run.samples."""
     samples = cfg["run.samples"]
     if cfg["run.n_steps"]:
-        n = cfg["run.n_steps"]
-    elif cfg["stepper.dt"] > 0:
+        return cfg["run.n_steps"]
+    if cfg["stepper.dt"] > 0:
         n = int(np.ceil(cfg["run.T"] / cfg["stepper.dt"]))
     else:
         bound = cfl_dt(grid, model, state, stepper)
@@ -124,8 +126,6 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
             return (*march(grid, model, stepper, state0, dt, table[lo:hi], stride, stats),
                     stats)
         except SimulationError as exc:  # name the member by its ensemble index
-            if exc.member is None or lo == 0:
-                raise
             raise exc.renamed(lo + exc.member) from exc
 
     try:

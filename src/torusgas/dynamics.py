@@ -20,8 +20,9 @@ Young measure).  The drift, the step, the CFL bound and the energy accept
 either: a batch is marched as one array, each member's row bit-identical to
 stepping that member alone, under one CFL bound for the whole batch.
 :meth:`State.rows` takes a subset of a batch's members.  A failing batched
-step names the offending member and carries its state.  A model without
-noise carries a zero-mode :class:`~torusgas.noise.NoiseModel`.
+step names the offending member and carries its state at the start of the
+step.  A model without noise carries a zero-mode
+:class:`~torusgas.noise.NoiseModel`.
 
 The step is explicit by default.  With ``StepperConfig.semi_implicit`` it is
 an IMEX step.  The viscous term gets a stabilized semi-implicit treatment
@@ -69,13 +70,14 @@ from .noise import NoiseModel
 
 
 class SimulationError(RuntimeError):
-    """Raised on non-finite states or CFL violations; carries the offender.
+    """Every failed run: a CFL violation, a non-finite update, Euler
+    divergence growth or a non-positive reference; carries the offender.
 
     After a batched step ``member`` is the offending member's index in the
-    batch and ``state`` that member's single state; ``detail`` is the
-    message without the member.  A failing step's message names the step's
-    position in its march and ``t``.  A run split into member ranges
-    reports the failure one batch of all members raises (see
+    batch and ``state`` that member's single state at the start of the step;
+    ``detail`` is the message without the member.  A failing step's message
+    names the step's position in its march and ``t``.  A run split into
+    member ranges reports the failure one batch of all members raises (see
     :func:`torusgas.ensemble.by_member_range`).
     """
 
@@ -86,9 +88,14 @@ class SimulationError(RuntimeError):
         self.state = state
         self.member = member
 
-    def renamed(self, member: int, prefix: str = "") -> "SimulationError":
-        """This failure naming ``member``, its detail prefixed."""
-        return SimulationError(prefix + self.detail, self.state, member)
+    @classmethod
+    def of_row(cls, message: str, state, member: int | None) -> "SimulationError":
+        """The failure of batch row ``member`` of ``state``, or of one state (None)."""
+        return cls(message, state) if member is None else cls(message, state.rows(member), member)
+
+    def renamed(self, member: int, prefix: str = "", suffix: str = "") -> "SimulationError":
+        """This failure naming ``member``, its detail prefixed and suffixed."""
+        return SimulationError(prefix + self.detail + suffix, self.state, member)
 
 
 @dataclass
@@ -178,19 +185,16 @@ def step_label(t: float, dt: float) -> str:
     return f"step {round(t / dt)} (t={t:.4f})"
 
 
-def _check_finite(grid: Grid, message: str, state: "State", rho, mom, at=None):
-    """Raise naming the first non-finite member (of a batch) and the step ``at = (t, dt)``."""
+def _check_finite(grid: Grid, state: "State", rho, mom, dt: float):
+    """Raise naming the first member whose update ``(rho, mom)`` from ``state`` is non-finite."""
     if np.isfinite(rho).all() and np.isfinite(mom).all():
         return
-    if at is not None:
-        message += " " + step_label(*at)
-    if np.ndim(rho) == grid.dim:
-        raise SimulationError(message, state)
-    lead = len(rho)
-    finite = (np.all(np.isfinite(np.reshape(rho, (lead, -1))), axis=1)
-              & np.all(np.isfinite(np.reshape(mom, (lead, -1))), axis=1))
-    m = int(np.argmin(finite))
-    raise SimulationError(message, state.rows(m), m)
+    m = None
+    if np.ndim(rho) > grid.dim:
+        finite = (np.isfinite(rho).all(axis=grid.axes)
+                  & np.isfinite(mom).all(axis=(-grid.dim - 1, *grid.axes)))
+        m = int(np.argmin(finite))
+    raise SimulationError.of_row(f"non-finite state after {step_label(state.t, dt)}", state, m)
 
 
 def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
@@ -203,8 +207,8 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
     ``u``, with ``i k``, ``-nu k^2``, ``eta i k (i k .)`` and the 2/3 mask
     as diagonal multipliers, and one inverse transform per tendency.  That
     is 4 forward and 2 inverse FFT calls in any dimension, 3 + 1 without
-    viscosity.  Non-finite intermediates abort with the state attached for
-    diagnostics.
+    viscosity.  The drift does not check finiteness: :func:`step_em` checks
+    the update it makes.
 
     With ``dt_implicit > 0`` it returns instead the spectra that the
     semi-implicit step of size ``dt_implicit`` needs (see the module
@@ -256,10 +260,7 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
             dmom_h[comp(i)] = (dmom_h[comp(i)] + ik[i] * long_h) * c_t
     if implicit:
         return rho_h, mh, dmom_h
-    dmom = grid.bwd(dmom_h)
-
-    _check_finite(grid, "non-finite drift encountered", state, drho, dmom)
-    return drho, dmom
+    return drho, grid.bwd(dmom_h)
 
 
 def _signal_speed(grid: Grid, model: ModelConfig, state: State,
@@ -307,19 +308,20 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     explicit unless ``stepper.semi_implicit`` asks ``rhs_fn`` for the
     spectra of the IMEX step (see the module docstring), whose kick and
     Crank-Nicolson acoustics are formed here.  ``stats``, if given, records
-    floor activations and ``dt`` over the CFL bound.  A failure names the
-    step by :func:`step_label`, as a march of steps ``dt`` from t = 0 counts it.
+    floor activations and ``dt`` over the CFL bound.  The step checks its
+    CFL bound, then its unfloored update once, in either scheme.  A failure
+    names the step by :func:`step_label`, as a march of steps ``dt`` from
+    t = 0 counts it, and the fastest or first non-finite member of a batch,
+    whose state at the start of the step and increment row reproduce it.
     """
     bound = cfl_dt(grid, model, state, stepper)
     if dt > bound * (1.0 + 1e-9):
-        message = (f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} "
-                   f"at {step_label(state.t, dt)}")
-        if state.rho.ndim == grid.dim:
-            raise SimulationError(message, state)
-        # the member with the fastest signal sets the batch's bound
-        speed = _signal_speed(grid, model, state, stepper)
-        m = int(np.unravel_index(np.argmax(speed), speed.shape)[0])
-        raise SimulationError(message, state.rows(m), m)
+        m = None
+        if state.rho.ndim > grid.dim:  # the member with the fastest signal sets the bound
+            speed = _signal_speed(grid, model, state, stepper)
+            m = int(np.unravel_index(np.argmax(speed), speed.shape)[0])
+        raise SimulationError.of_row(f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} "
+                                     f"at {step_label(state.t, dt)}", state, m)
     if stats is not None:
         stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
 
@@ -338,16 +340,13 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
         rho_new = state.rho + grid.bwd(r_h)
         mom_new = state.mom + grid.bwd(dm_h)
     else:
-        try:
-            drho, dmom = rhs_fn(grid, model, state)
-        except SimulationError as exc:  # a non-finite drift: say at which step
-            raise SimulationError(f"{exc.detail} at {step_label(state.t, dt)}",
-                                  exc.state, exc.member) from exc
+        drho, dmom = rhs_fn(grid, model, state)
         rho_new = state.rho + dt * drho
         mom_new = state.mom + dt * dmom
         if model.noise.modes and dW is not None:
             mom_new += model.noise.momentum_kick(grid, state.rho, state.mom, dW)
 
+    _check_finite(grid, state, rho_new, mom_new, dt)  # before the floor hides a -inf
     low = rho_new < stepper.rho_floor
     if np.any(low):
         n_low = np.count_nonzero(low, axis=grid.axes)
@@ -357,9 +356,7 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
             stats.floored_cells += n_low
             stats.mass_correction += grid.integrate(rho_new) - before
 
-    out = State(rho_new, mom_new, state.t + dt)
-    _check_finite(grid, "non-finite state after", out, out.rho, out.mom, (state.t, dt))
-    return out
+    return State(rho_new, mom_new, state.t + dt)
 
 
 def energy_total(grid: Grid, law: PressureLaw, state: State):

@@ -33,14 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import step_label
-from .grid import Grid
+from .dynamics import SimulationError, StepStats, step_label
+from .grid import FieldError, Grid
 from .noise import NoiseModel
-
-
-class EulerError(RuntimeError):
-    pass
-
 
 DIV_TOL = 1e-8
 
@@ -129,29 +124,42 @@ def _kick(grid: Grid, noise: NoiseModel, vh: np.ndarray, dW: np.ndarray) -> np.n
     return out
 
 
-def _divergence_bound(grid: Grid, vh: np.ndarray) -> float:
-    """``(1/n_cells) sum_k w_k |k . vh_k|``, at least ``sup |div v|`` of every member.
+def _divergence_bound(grid: Grid, vh: np.ndarray) -> np.ndarray:
+    """``(1/n_cells) sum_k w_k |k . vh_k|``, at least ``sup |div v|``, per member.
 
     ``w_k`` is the real-FFT column multiplicity, so the sum runs over the
     full spectrum and bounds the inverse transform of ``i k . vh`` cell by
-    cell.
+    cell.  One value for each member of a batch, a 0-d array for one state.
     """
     dh = sum(ik * vh[grid.comp(ax)] for ax, ik in enumerate(grid.ik))
-    return float(np.max(np.sum(grid.rfft_weight * np.abs(dh), axis=grid.axes))) / grid.n_cells
+    return np.sum(grid.rfft_weight * np.abs(dh), axis=grid.axes) / grid.n_cells
 
 
-def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState,
-                  dt: float, dW: np.ndarray | None = None) -> EulerState:
+def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState, dt: float,
+                  dW: np.ndarray | None = None, cfl: float = 0.4,
+                  stats: StepStats | None = None) -> EulerState:
     """One Euler-Maruyama step of the spectrum; re-projected and audited.
 
     The advection is formed from the state's physical fields and brought
     back by one forward call; the kick is computed from the pre-step
     spectrum and driven by this step's Wiener increments ``dW`` (``(M, K)``
-    for a batch).  Without ``dW`` the step is deterministic.  The audit
-    bounds ``sup |div v|`` from the coefficients (:func:`_divergence_bound`);
-    a non-finite spectrum fails it as a non-finite flow.  A failure names
-    the step as :func:`~torusgas.dynamics.step_label` does.
+    for a batch).  Without ``dW`` the step is deterministic.  As
+    :func:`~torusgas.dynamics.step_em` does, it checks its (advective) bound,
+    recording ``dt`` over it in ``stats``, and audits its update once, by
+    bounding ``sup |div v|`` (:func:`_divergence_bound`); a non-finite
+    spectrum fails as a non-finite flow.  A failure is a ``SimulationError``
+    naming the step and the fastest, first non-finite or most divergent
+    member of a batch, with its state at the start of the step.
     """
+    single = state.vh.ndim == grid.dim + 1
+    bound = euler_cfl_dt(grid, state, cfl)
+    if not dt <= bound * (1.0 + 1e-9):  # a non-finite flow fails here too
+        m = None if single else int(np.argmax(state.speed_inf))
+        raise SimulationError.of_row(f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} "
+                                     f"at {step_label(state.t, dt)}", state, m)
+    if stats is not None:
+        stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
+
     comp = grid.comp
     v, grads = state.fields[0], state.fields[1:]
     adv = sum(v[comp(j)][comp(None)] * grads[j] for j in range(grid.dim))
@@ -161,15 +169,18 @@ def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState,
         vh = vh + _kick(grid, noise, state.vh, dW)
     vh = grid.leray(vh)
     div_norm = _divergence_bound(grid, vh)
-    if not div_norm <= DIV_TOL:  # a non-finite spectrum fails too
-        what = f"divergence grew to {div_norm:.3e}" if np.isfinite(div_norm) else "non-finite flow"
-        raise EulerError(f"{what} at {step_label(state.t, dt)}")
+    if not np.all(div_norm <= DIV_TOL):  # a non-finite spectrum fails too
+        m = int(np.argmax(np.where(np.isfinite(div_norm), div_norm, np.inf)))  # worst member
+        worst = np.ravel(div_norm)[m]
+        what = f"divergence grew to {worst:.3e}" if np.isfinite(worst) else "non-finite flow"
+        raise SimulationError.of_row(f"{what} at {step_label(state.t, dt)}", state,
+                                     None if single else m)
     return _state(grid, vh, state.t + dt)
 
 
 def taylor_green(grid: Grid) -> np.ndarray:
     """Steady 2-D Taylor-Green vortex ``(sin x cos y, -cos x sin y)``."""
     if grid.dim != 2:
-        raise EulerError("taylor_green needs a 2-D grid")
+        raise FieldError("taylor_green needs a 2-D grid")
     X, Y = grid.coordinates()
     return np.stack([np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y)])

@@ -43,14 +43,6 @@ from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vecto
 from .noise import coarsen, member_tables
 
 
-class RelativeEnergyError(ValueError):
-    """Invalid reference pair; ``member`` names the offending row of a batch."""
-
-    def __init__(self, message: str, member: int | None = None):
-        super().__init__(message if member is None else f"member {member}: {message}")
-        self.detail, self.member = message, member
-
-
 # --------------------------------------------------------------------------
 # the functional
 # --------------------------------------------------------------------------
@@ -70,7 +62,7 @@ def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
     """Relative energy of ``(ym, D)`` against the pair ``(r, U)``."""
     r = np.asarray(r, dtype=np.float64)
     if np.any(r <= 0):
-        raise RelativeEnergyError("reference density must be positive")
+        raise ValueError("reference density must be positive")
     if form == "regrouped":  # the atoms' Dirac densities, summed in atom order
         dens = relative_energy_density(grid, law, ym.rho_atoms, ym.mom_atoms, r, U)
         return float(np.sum(np.sum(dens, axis=0))) / ym.n_atoms * grid.cell_volume + D
@@ -82,7 +74,7 @@ def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
         t4 = -grid.integrate(b_rho * potential_delta_prime(law, r))
         t5 = grid.integrate(potential_delta_prime(law, r) * r - potential_delta(law, r))
         return t1 + t2 + t3 + t4 + t5
-    raise RelativeEnergyError(f"unknown form {form!r}")
+    raise ValueError(f"unknown form {form!r}")
 
 
 def relative_energy_state(grid: Grid, law: PressureLaw, state: State,
@@ -117,14 +109,14 @@ def reference_decomps(grid: Grid, model: ModelConfig, r: np.ndarray,
     The decompositions substitute the reference's own equations: the
     continuity drift for r, the primitive-variable momentum drift for U and
     the scaled noise coefficient for the diffusion of U.  A reference
-    density that is not positive raises, naming the member of a batch.
+    density that is not positive fails, naming the member of a batch.
     """
+    r_vec = r[grid.comp(None)]  # scales a vector field cell by cell
     bad = np.flatnonzero(np.any(r <= 0, axis=grid.axes))
     if bad.size:
-        raise RelativeEnergyError("reference density lost positivity",
-                                  int(bad[0]) if r.ndim > grid.dim else None)
+        raise SimulationError.of_row("reference density lost positivity", State(r, r_vec * U),
+                                     int(bad[0]) if r.ndim > grid.dim else None)
     law = model.law_eff
-    r_vec = r[grid.comp(None)]  # scales a vector field cell by cell
     ddr = -grid.divergence(r_vec * U)
     conv = np.sum(U[grid.comp(None, slice(None))] * grid.gradient_vector(U),
                   axis=-grid.dim - 1)  # (U . grad) U
@@ -346,7 +338,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     order after the join, so the report is the same for any ``threads``.  A
     failing step or a nonpositive reference names the member by its
     ensemble index, and the step and ``t`` (a fine step by its place in the
-    fine march).
+    fine march); it carries the state at the step's start or the pair.
     """
     grid_c = Grid(cfg.grid_sizes)
     grid_f = Grid(tuple(cfg.refine * n for n in cfg.grid_sizes))
@@ -397,10 +389,10 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
                     sampled = coarse.rows(rows)
                     try:
                         decomps = reference_decomps(grid_c, model, r_c, U_c)
-                    except RelativeEnergyError as exc:  # name the ensemble member
-                        raise RelativeEnergyError(
-                            f"restricted {exc.detail} at {step_label(times[sample_pos], dt_c)}",
-                            int(live[rows[exc.member]])) from exc
+                    except SimulationError as exc:  # name the ensemble member and the step
+                        exc.state.t = times[sample_pos]
+                        raise exc.renamed(int(live[rows[exc.member]]), "restricted ",
+                                          f" at {step_label(exc.state.t, dt_c)}") from exc
                     emv[live[rows], sample_pos] = relative_energy_state(
                         grid_c, law, sampled, r_c, U_c)
                     terms = remainder(grid_c, model, sampled.rho, sampled.mom, r_c, U_c,

@@ -40,7 +40,7 @@ import numpy as np
 
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
-                       StepStats, cfl_dt, step_em, step_label)
+                       StepStats, cfl_dt, step_em)
 from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
 from .euler import euler_cfl_dt, make_state, step_em_euler, taylor_green
 from .grid import Grid
@@ -157,9 +157,8 @@ def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.nd
     sup-norm over the samples up to its stop, and the largest ``dt`` over
     the advective bound of the march.  A member whose gradient crosses the
     threshold at a sample stops there: it is not sampled there (unless it is
-    the first sample) and never stepped again.  A step beyond the advective
-    bound raises, naming the member with the fastest flow and the step; a
-    step that makes the flow non-finite raises in ``step_em_euler``.
+    the first sample) and never stepped again.  A failing step is re-raised
+    naming the member by its ensemble index, prefixed ``reference``.
     """
     members, n_ref = table.shape[:2]
     dt = horizon / n_ref
@@ -171,7 +170,7 @@ def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.nd
     def march_range(lo, hi):
         eul = make_state(grid, np.broadcast_to(v0, (hi - lo, *v0.shape)))
         live = np.arange(lo, hi)  # ensemble index of each marched row
-        ratio = 0.0
+        stats = StepStats()
         for step in range(n_ref + 1):
             if step % stride == 0 and live.size:
                 i_s = step // stride
@@ -185,15 +184,12 @@ def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.nd
                     eul = eul.rows(~freeze)
                     live = live[~freeze]
             if step < n_ref and live.size:
-                bound = euler_cfl_dt(grid, eul, cfl)
-                if not dt <= bound * (1.0 + 1e-9):  # a non-finite flow fails here too
-                    m = int(np.argmax(eul.speed_inf))
-                    raise SimulationError(
-                        f"reference CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} "
-                        f"at {step_label(eul.t, dt)}", eul.rows(m), int(live[m]))
-                ratio = max(ratio, dt / bound)
-                eul = step_em_euler(grid, noise, eul, dt, table[live, step])
-        return ratio
+                try:
+                    eul = step_em_euler(grid, noise, eul, dt, table[live, step], cfl=cfl,
+                                        stats=stats)
+                except SimulationError as exc:  # name the member by its ensemble index
+                    raise exc.renamed(int(live[exc.member]), "reference ") from exc
+        return stats.cfl_ratio
 
     ratio = max(by_member_range(members, threads, march_range))
     return v_ref, stop, grad_max, ratio

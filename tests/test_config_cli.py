@@ -9,8 +9,6 @@ from torusgas import snapshots
 from torusgas.cli import main
 from torusgas.config import ConfigError, parse_text, resolve
 from torusgas.dynamics import SimulationError
-from torusgas.euler import EulerError
-from torusgas.relative import RelativeEnergyError
 from torusgas.sweep import SweepError
 
 
@@ -120,6 +118,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("simulate", "run.T = nan"),
     ("weak-strong", "run.T = 0"),
     ("simulate", "run.n_steps = -20"),
+    ("simulate", "run.n_steps = 25"),  # run.samples = 10 must divide it
     ("simulate", "stepper.dt = -0.01"),
     ("limit-sweep", "sweep.nu_coupling = zero"),
     ("limit-sweep", "sweep.nu_coupling = const\nsweep.const_nu = 0"),
@@ -141,12 +140,15 @@ def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
 
 @pytest.mark.parametrize("command,driver_fn,exc", [
     ("simulate", "run_simulate",
-     SimulationError("CFL violation: dt=2.000e-02 exceeds bound 1.959e-02", None, 31)),
+     SimulationError("CFL violation: dt=2.000e-02 exceeds bound 1.959e-02 "
+                     "at step 97 (t=1.9400)", None, 31)),
     ("weak-strong", "run_weak_strong",
-     RelativeEnergyError("reference density lost positivity", 4)),
+     SimulationError("restricted reference density lost positivity at step 16 (t=0.2500)",
+                     None, 4)),
     ("limit-sweep", "run_limit_sweep",
      SweepError("prepared density lost positivity; shrink eps or delta")),
-    ("limit-sweep", "run_limit_sweep", EulerError("divergence grew to 1.0e-07 at t=0.2500")),
+    ("limit-sweep", "run_limit_sweep",
+     SimulationError("reference non-finite flow at step 5 (t=0.1562)", None, 3)),
 ], ids=["simulation", "relative-energy", "sweep", "euler"])
 def test_run_failure_exits_3(tmp_path, capsys, monkeypatch, command, driver_fn, exc):
     # a failed run prints one line naming the command and exits 3; code 1
@@ -230,23 +232,29 @@ class TestSimulateCommand:
         d_col = [abs(float(r.split(",")[2])) for r in rows]
         assert max(d_col) < 1e-13
 
-    def test_cfl_failure_leaves_one_member_snapshot(self, tmp_path):
+    def test_cfl_failure_leaves_one_member_snapshot(self, tmp_path, monkeypatch):
         # 10 steps over T = 2 is far beyond the CFL bound: the first batched
-        # step fails, naming the member, and leaves that member's state
-        from torusgas import driver
+        # step fails, naming the member, and leaves that member's state, the
+        # same at any thread count
+        from torusgas import driver, ensemble
         from torusgas.dynamics import SimulationError
 
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
         text = (MINIMAL_1D.replace("run.T = 0.05", "run.T = 2.0")
                 .replace("run.n_steps = 20", "run.n_steps = 10"))
         cfg = config_mod.load(write_cfg(tmp_path, text))
-        out = str(tmp_path / "fail")
-        with pytest.raises(SimulationError, match="member 0: CFL violation"):
-            driver.run_simulate(cfg, out, threads=2)
-        values, t = snapshots.read_field(os.path.join(out, "diagnostic_failure.snap"))
-        assert values.shape == (1 + 1, 64) and t == 0.0
         state0 = driver.initial_state(driver.build_grid(cfg), cfg)
-        np.testing.assert_array_equal(values[0], state0.rho)
-        np.testing.assert_array_equal(values[1:], state0.mom)
+        messages = set()
+        for threads in (1, 2, 8):
+            out = str(tmp_path / f"fail{threads}")
+            with pytest.raises(SimulationError, match="member 0: CFL violation") as err:
+                driver.run_simulate(cfg, out, threads=threads)
+            messages.add(str(err.value))
+            values, t = snapshots.read_field(os.path.join(out, "diagnostic_failure.snap"))
+            assert values.shape == (1 + 1, 64) and t == 0.0
+            np.testing.assert_array_equal(values[0], state0.rho)
+            np.testing.assert_array_equal(values[1:], state0.mom)
+        assert len(messages) == 1
 
     def test_failure_in_later_chunk_names_ensemble_member(self, tmp_path, monkeypatch):
         # --threads 2 splits 3 members into chunks [0, 2) and [2, 3); a failure
@@ -270,8 +278,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_earliest_failure_at_any_thread_count(self, tmp_path, monkeypatch, threads):
         # member 7's path turns non-finite at step 1 and member 2's at step 6:
-        # one batch fails on member 7, and so does every split into ranges
+        # one batch fails on member 7, and so does every split into ranges;
+        # the snapshot is member 7's state at the start of step 1
         from torusgas import driver, ensemble
+        from torusgas.dynamics import step_em
 
         monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
         tables = driver.member_tables
@@ -294,8 +304,14 @@ class TestSimulateCommand:
         exc, (values, t) = failure(threads)
         dt = cfg["run.T"] / cfg["run.n_steps"]
         assert str(exc) == f"member 7: non-finite state after step 1 (t={dt:.4f})"
-        assert exc.member == 7 and t == exc.state.t == pytest.approx(2 * dt)
-        assert not np.isfinite(values).all()
+        assert exc.member == 7 and t == exc.state.t == pytest.approx(dt)
+        grid = driver.build_grid(cfg)
+        model, stepper = driver.build_model(cfg), driver.build_stepper(cfg)
+        row = poisoned(cfg["run.seed"], 10, model.modes, dt, cfg["run.n_steps"])[7]
+        start = step_em(grid, model, stepper, driver.initial_state(grid, cfg), dt, row[0])
+        np.testing.assert_array_equal(values, np.concatenate([start.rho[None], start.mom]))
+        with pytest.raises(SimulationError, match="non-finite state after step 1"):
+            step_em(grid, model, stepper, exc.state, dt, row[1])
         one_exc, (one_values, _) = failure(1)
         assert str(exc) == str(one_exc)
         np.testing.assert_array_equal(values, one_values)

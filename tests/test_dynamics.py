@@ -45,12 +45,18 @@ class TestRHS:
         _, dm2 = rhs_deterministic(grid1d, ModelConfig(law=LAW, eps=0.5), st)
         assert np.allclose(dm2, 4.0 * dm1, rtol=1e-12)
 
-    def test_nonfinite_density_rejected(self, grid1d):
+    def test_nonfinite_density_fails_the_step(self, grid1d):
+        # the drift does not check finiteness; the step checks its update
         model = ModelConfig(law=LAW)
         rho = np.ones(64)
-        rho[0] = np.inf
-        with pytest.raises(Exception):
-            rhs_deterministic(grid1d, model, make_state(grid1d, rho, np.zeros((1, 64))))
+        rho[0] = np.nan
+        st = make_state(grid1d, rho, np.zeros((1, 64)))
+        _, dmom = rhs_deterministic(grid1d, model, st)
+        assert not np.isfinite(dmom).all()
+        with pytest.raises(SimulationError) as err:
+            step_em(grid1d, model, StepperConfig(), st, 1e-3)
+        assert str(err.value) == "non-finite state after step 0 (t=0.0000)"
+        assert err.value.member is None and err.value.state is st
 
 
 class TestSoundSpeed:
@@ -282,19 +288,29 @@ class TestBatch:
         assert err.value.member == 2
         np.testing.assert_array_equal(err.value.state.mom, batch.mom[2])
 
-    def test_drift_failure_names_step_and_time(self, grid1d):
-        # the drift knows no step size; the step names its place in the march
+    @pytest.mark.parametrize("semi_implicit", [False, True], ids=["explicit", "imex"])
+    def test_nonfinite_density_update_fails(self, grid1d, semi_implicit):
+        # the unfloored update is checked once, in either scheme: a -inf
+        # density is not floored away; the failure names the member and the
+        # step, and carries the member's state at the start of the step
         batch = member_batch(grid1d)
         batch.t = 0.003
 
-        def fails(grid, model, state):
-            raise SimulationError("non-finite drift encountered", state.rows(1), 1)
+        def sinks(grid, model, state, *dt_implicit):
+            out = rhs_deterministic(grid, model, state, *dt_implicit)
+            if semi_implicit:  # member 2's momentum tendency, so its density update
+                out[2][2, 0, 3] = -np.inf
+            else:  # member 2's density tendency
+                out[0][2, 5] = -np.inf
+            return out
 
-        with pytest.raises(SimulationError) as err:
-            step_em(grid1d, BATCH_MODEL, StepperConfig(), batch, 1e-3, rhs_fn=fails)
-        assert str(err.value) == ("member 1: non-finite drift encountered "
-                                  "at step 3 (t=0.0030)")
-        np.testing.assert_array_equal(err.value.state.rho, batch.rho[1])
+        stepper = StepperConfig(semi_implicit=semi_implicit)
+        with pytest.raises(SimulationError) as err, np.errstate(invalid="ignore"):
+            step_em(grid1d, BATCH_MODEL, stepper, batch, 1e-3, rhs_fn=sinks)
+        assert str(err.value) == "member 2: non-finite state after step 3 (t=0.0030)"
+        assert err.value.member == 2 and err.value.state.t == batch.t
+        np.testing.assert_array_equal(err.value.state.rho, batch.rho[2])
+        np.testing.assert_array_equal(err.value.state.mom, batch.mom[2])
 
     def test_nonfinite_names_first_bad_member(self, grid1d):
         batch = member_batch(grid1d)
@@ -307,8 +323,7 @@ class TestBatch:
 
         with pytest.raises(SimulationError, match="member 2: non-finite") as err:
             step_em(grid1d, BATCH_MODEL, StepperConfig(), batch, 1e-3, rhs_fn=blow_up)
-        assert err.value.state.rho.shape == grid1d.sizes
-        assert np.isinf(err.value.state.rho[7])
+        np.testing.assert_array_equal(err.value.state.rho, batch.rho[2])  # the start state
 
 
 class TestFusedDrift:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from torusgas.euler import (DIV_TOL, EulerError, _divergence_bound, advection, euler_cfl_dt,
-                            make_state, pressure_from_projection, step_em_euler, taylor_green)
-from torusgas.grid import Grid, grad_inf_norm, random_smooth_vector, random_solenoidal
+from torusgas.dynamics import SimulationError, StepStats, step_label
+from torusgas.euler import (DIV_TOL, _divergence_bound, advection, euler_cfl_dt, make_state,
+                            pressure_from_projection, step_em_euler, taylor_green)
+from torusgas.grid import FieldError, Grid, grad_inf_norm, random_smooth_vector, random_solenoidal
 from torusgas.noise import NoiseModel, WienerPath
 
 
@@ -144,22 +145,47 @@ class TestStepping:
         state = make_state(grid2d, np.zeros((2, *grid2d.sizes)))
         state.vh[0] = grid2d.fwd(np.sin(X))
         monkeypatch.setattr(grid2d, "leray", lambda vh: vh)
-        with pytest.raises(EulerError, match="divergence grew"):
+        with pytest.raises(SimulationError, match="^divergence grew") as err:
             step_em_euler(grid2d, NoiseModel(), state, 1e-3)
+        assert err.value.member is None and err.value.state is state
 
     @pytest.mark.parametrize("members", [None, 3])
     def test_non_finite_increment_raises(self, members):
         # a NaN increment makes a NaN spectrum, which fails the audit as a
-        # non-finite flow, for one state and for a batch
+        # non-finite flow, for one state and for a batch, where it names the
+        # first non-finite member and carries its state at the step's start
         grid = Grid((16, 16))
         v = taylor_green(grid)
         if members is None:
             state, dW = make_state(grid, v, t=0.05), np.array([np.nan])
         else:
             state = make_state(grid, np.stack([v] * members), t=0.05)
-            dW = np.array([[0.01], [np.nan], [0.02]])
-        with pytest.raises(EulerError, match=r"^non-finite flow at step 5 \(t=0\.0500\)$"):
+            dW = np.array([[0.01], [np.nan], [np.nan]])
+        with pytest.raises(SimulationError) as err:
             step_em_euler(grid, NoiseModel(K=(0.1,), L=(0.05,)), state, 0.01, dW)
+        name = "" if members is None else "member 1: "
+        assert str(err.value) == name + "non-finite flow at step 5 (t=0.0500)"
+        if members is not None:
+            np.testing.assert_array_equal(err.value.state.vh, state.vh[1])
+            np.testing.assert_array_equal(err.value.state.fields, state.fields[:, 1])
+
+    def test_cfl_bound_checked_and_recorded(self, rng):
+        # the step checks its own advective bound and records dt over it;
+        # beyond it, it names the fastest member and carries its state
+        grid = Grid((16, 16))
+        state = make_state(grid, np.stack([random_solenoidal(grid, rng, kmax=3) * s
+                                           for s in (1.0, 3.0, 2.0)]), t=0.02)
+        bound = euler_cfl_dt(grid, state, cfl=0.5)
+        stats = StepStats()
+        step_em_euler(grid, NoiseModel(), state, 0.5 * bound, cfl=0.5, stats=stats)
+        assert stats.cfl_ratio == 0.5
+        dt = 2 * bound
+        with pytest.raises(SimulationError) as err:
+            step_em_euler(grid, NoiseModel(), state, dt, cfl=0.5)
+        assert err.value.member == 1
+        assert str(err.value) == (f"member 1: CFL violation: dt={dt:.3e} exceeds bound "
+                                  f"{bound:.3e} at {step_label(0.02, dt)}")
+        np.testing.assert_array_equal(err.value.state.vh, state.vh[1])
 
     def test_projection_order_agrees(self, grid2d, rng):
         # projecting the drift before stepping equals projecting after
@@ -238,5 +264,5 @@ class TestStoppingTime:
 
 
 def test_taylor_green_needs_2d(grid1d):
-    with pytest.raises(EulerError):
+    with pytest.raises(FieldError):
         taylor_green(grid1d)

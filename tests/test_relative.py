@@ -10,8 +10,7 @@ from torusgas.dynamics import ModelConfig, SimulationError, State
 from torusgas.ensemble import EmpiricalYoungMeasure
 from torusgas.grid import Grid
 from torusgas.noise import NoiseModel
-from torusgas.relative import (REMAINDER_TERMS, RefDecomps, RelativeEnergyError,
-                               WeakStrongConfig, fit_exponential, gronwall_check,
+from torusgas.relative import (REMAINDER_TERMS, RefDecomps, WeakStrongConfig, fit_exponential, gronwall_check,
                                reference_decomps, relative_energy,
                                relative_energy_state, remainder,
                                weak_strong_experiment)
@@ -71,7 +70,7 @@ class TestRelativeEnergy:
 
     def test_rejects_nonpositive_reference(self, grid1d, rng):
         ym = random_ym(grid1d, 2, rng)
-        with pytest.raises(RelativeEnergyError):
+        with pytest.raises(ValueError, match="reference density must be positive"):
             relative_energy(grid1d, LAW, ym, 0.0, np.zeros(grid1d.sizes),
                             np.zeros((1, *grid1d.sizes)))
 
@@ -253,9 +252,11 @@ class TestMemberBatch:
     def test_nonpositive_reference_names_member(self, rng):
         grid, model, _, _, r, U = self.inputs(rng, (16,))
         r[3, 5] = 0.0
-        with pytest.raises(RelativeEnergyError, match="member 3: reference density") as err:
+        with pytest.raises(SimulationError, match="member 3: reference density") as err:
             reference_decomps(grid, model, r, U)
         assert err.value.member == 3
+        np.testing.assert_array_equal(err.value.state.rho, r[3])  # the pair as (r, r U)
+        np.testing.assert_array_equal(err.value.state.mom, r[3][None] * U[3])
 
 
 class TestGronwall:
@@ -437,6 +438,7 @@ class TestBatchedMarch:
         dt_c = cfg.horizon / cfg.n_steps
         assert str(exc) == f"member 7: non-finite state after step 1 (t={dt_c:.4f})"
         assert exc.member == 7 and exc.state.rho.shape == cfg.grid_sizes
+        assert exc.state.t == dt_c and np.isfinite(exc.state.mom).all()  # the step's start
         one = failure(1)
         assert str(exc) == str(one)
         np.testing.assert_array_equal(exc.state.rho, one.state.rho)
@@ -462,11 +464,51 @@ class TestBatchedMarch:
 
         def second_range_fails(grid, model, r, U):
             if len(r) == 2:
-                raise RelativeEnergyError("reference density lost positivity", 1)
+                raise SimulationError("reference density lost positivity",
+                                      State(r[1], r[1] * U[1]), 1)
             return decomps(grid, model, r, U)
 
         monkeypatch.setattr(relative, "reference_decomps", second_range_fails)
-        with pytest.raises(RelativeEnergyError,
+        with pytest.raises(SimulationError,
                            match="member 4: restricted reference density") as err:
             weak_strong_experiment(self.config(5, np.inf), threads=2)
         assert err.value.member == 4
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_restricted_reference_failure_at_any_thread_count(self, monkeypatch, threads):
+        # member 7's fine reference loses positivity before sample 1 and
+        # member 2's before sample 2: one batch fails on member 7 at sample
+        # 1, and so does every split into ranges, with member 7's pair
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
+        mark = 0.0625  # an increment that tags the fine steps to poison
+        tables, step_em = relative.member_tables, relative.step_em
+
+        def tagged(*args):
+            out = tables(*args).copy()
+            out[7, 7] = out[2, 15] = mark  # the last fine steps before samples 1 and 2
+            return out
+
+        def sinks(grid, model, stepper, state, dt, dW):
+            out = step_em(grid, model, stepper, state, dt, dW)
+            if grid.sizes == (32,):  # the fine grid
+                out.rho[dW[:, 0] == mark] *= -1.0
+            return out
+
+        monkeypatch.setattr(relative, "member_tables", tagged)
+        monkeypatch.setattr(relative, "step_em", sinks)
+        cfg = self.config(10, np.inf)
+
+        def failure(threads):
+            with pytest.raises(SimulationError) as err:
+                weak_strong_experiment(cfg, threads)
+            return err.value
+
+        exc = failure(threads)
+        t = 4 * cfg.horizon / cfg.n_steps
+        assert str(exc) == ("member 7: restricted reference density lost positivity "
+                            f"at step 4 (t={t:.4f})")
+        assert exc.state.t == t and np.all(exc.state.rho < 0)
+        one = failure(1)
+        assert str(exc) == str(one)
+        np.testing.assert_array_equal(exc.state.rho, one.state.rho)
+        np.testing.assert_array_equal(exc.state.mom, one.state.mom)

@@ -207,9 +207,9 @@ class TestBatchedMarch:
         euler_rows, comp_rows = [], {}
         step_euler, step_comp = sweep.step_em_euler, sweep.step_em
 
-        def count_euler(grid, noise, state, dt, dW):
+        def count_euler(grid, noise, state, dt, dW, **kwargs):
             euler_rows.append(len(dW))
-            return step_euler(grid, noise, state, dt, dW)
+            return step_euler(grid, noise, state, dt, dW, **kwargs)
 
         def count_comp(grid, model, stepper, state, dt, dW, stats=None):
             comp_rows.setdefault(model.eps, []).append(len(dW))
@@ -237,7 +237,8 @@ class TestBatchedMarch:
             run_sweep(self.config(3, np.inf))
 
     def test_non_finite_step_names_member_eps_and_dt(self, monkeypatch):
-        # a non-finite state is reported as such, not as a CFL failure
+        # a non-finite state is reported as such, not as a CFL failure, with
+        # the member's state at the start of the step
         n_half = int(run_sweep(self.config(3, np.inf)).n_steps[1])
         step = sweep.step_em
 
@@ -254,9 +255,11 @@ class TestBatchedMarch:
             run_sweep(self.config(3, np.inf))
         message = str(err.value)
         assert message.startswith(f"member 2: eps=0.5, dt={0.25 / n_half:.3e}: non-finite")
-        assert "CFL" not in message
+        assert message.endswith("non-finite state after step 0 (t=0.0000)")
         assert err.value.member == 2
-        assert not np.isfinite(err.value.state.mom).any()
+        rho0, mom0 = well_prepared_data(Grid((16, 16)), 0.5, taylor_green(Grid((16, 16))), 0.5)
+        np.testing.assert_array_equal(err.value.state.rho, rho0)
+        np.testing.assert_array_equal(err.value.state.mom, mom0)
 
     def test_failure_in_later_range_names_ensemble_member(self, monkeypatch):
         # --threads 2 marches members [0, 3) and [3, 5); row 1 of the second
@@ -301,6 +304,7 @@ class TestBatchedMarch:
         exc = failure(threads)
         assert exc.member == 7
         assert str(exc).endswith("non-finite state after step 1 (t=0.0156)")
+        assert exc.state.t == 0.015625 and np.isfinite(exc.state.mom).all()  # the step's start
         one = failure(1)
         assert str(exc) == str(one)
         np.testing.assert_array_equal(exc.state.mom, one.state.mom)
@@ -309,35 +313,40 @@ class TestBatchedMarch:
     def test_reference_cfl_violation_names_member(self, monkeypatch, threads):
         # a large increment speeds up member 4's reference flow at step 0 and
         # member 1's at step 2: one batch exceeds its bound at step 1 on
-        # member 4, and so does every split into ranges
+        # member 4, and so does every split into ranges.  A NaN increment of
+        # member 4 at step 1 and member 1 at step 2 fails the same way as a
+        # non-finite flow.  Each failure carries member 4's state at step 1.
         monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
         calls = []
 
-        def kicked(table, n):
-            out = coarsen(table, n)
-            calls.append(n)
-            if len(calls) == 1:  # the first call coarsens the reference's table
-                out = out.copy()
-                out[4, 0] = out[1, 2] = 500.0
-            return out
+        def failure(threads, steps, value):
+            def kicked(table, n):
+                out = coarsen(table, n)
+                calls.append(n)
+                if len(calls) == 1:  # the first call coarsens the reference's table
+                    out = out.copy()
+                    out[4, steps[0]] = out[1, steps[1]] = value
+                return out
 
-        monkeypatch.setattr(sweep, "coarsen", kicked)
-
-        def failure(threads):
+            monkeypatch.setattr(sweep, "coarsen", kicked)
             calls.clear()
             with pytest.raises(SimulationError) as err:
                 run_sweep(self.config(5, np.inf), threads)
             return err.value
 
-        exc = failure(threads)
-        match = re.fullmatch(r"member 4: reference CFL violation: dt=(\S+) exceeds bound "
-                             r"(\S+) at step 1 \(t=(\S+)\)", str(exc))
-        dt, bound, t = map(float, match.groups())
-        assert bound < dt / 20 and t == pytest.approx(dt, abs=1e-4)
-        assert exc.member == 4
-        one = failure(1)
-        assert str(exc) == str(one)
-        np.testing.assert_array_equal(exc.state.fields, one.state.fields)
+        for steps, value in (((0, 2), 500.0), ((1, 2), np.nan)):
+            exc = failure(threads, steps, value)
+            if value == 500.0:
+                match = re.fullmatch(r"member 4: reference CFL violation: dt=(\S+) exceeds "
+                                     r"bound (\S+) at step 1 \(t=(\S+)\)", str(exc))
+                dt, bound, t = map(float, match.groups())
+                assert bound < dt / 20 and t == pytest.approx(dt, abs=1e-4)
+            else:
+                assert str(exc) == f"member 4: reference non-finite flow at step 1 (t={t:.4f})"
+            assert exc.member == 4 and exc.state.t == pytest.approx(t, abs=1e-4)
+            one = failure(1, steps, value)
+            assert str(exc) == str(one)
+            np.testing.assert_array_equal(exc.state.fields, one.state.fields)
 
     def test_reference_step_count_is_its_own(self):
         # the reference's step count comes from its own bound, whatever the
