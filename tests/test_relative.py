@@ -10,8 +10,8 @@ from torusgas.dynamics import ModelConfig, SimulationError, State
 from torusgas.ensemble import EmpiricalYoungMeasure
 from torusgas.grid import Grid
 from torusgas.noise import NoiseModel
-from torusgas.relative import (REMAINDER_TERMS, RefDecomps, WeakStrongConfig, fit_exponential, gronwall_check,
-                               reference_decomps, relative_energy,
+from torusgas.relative import (REMAINDER_TERMS, RefDecomps, WeakStrongConfig,
+                               fit_exponential, gronwall_check, reference_decomps, relative_energy,
                                relative_energy_state, remainder,
                                weak_strong_experiment)
 

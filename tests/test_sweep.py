@@ -341,7 +341,7 @@ class TestBatchedMarch:
                                      r"bound (\S+) at step 1 \(t=(\S+)\)", str(exc))
                 dt, bound, t = map(float, match.groups())
                 assert bound < dt / 20 and t == pytest.approx(dt, abs=1e-4)
-            else:
+            else:  # at the CFL case's step 1 and t
                 assert str(exc) == f"member 4: reference non-finite flow at step 1 (t={t:.4f})"
             assert exc.member == 4 and exc.state.t == pytest.approx(t, abs=1e-4)
             one = failure(1, steps, value)
