@@ -7,19 +7,33 @@ Every command marches member-batched states, the members along a leading
 axis (see :mod:`torusgas.dynamics`).  With ``--threads T`` each command
 splits the member axis into ``T`` contiguous ranges (at most one per CPU),
 marched on a thread pool by :func:`torusgas.ensemble.by_member_range`:
-``simulate`` a ledger march per range, ``weak-strong`` a coarse and a fine
-batch, ``limit-sweep`` the reference and then each eps.  Member sums are
-taken after the join, in member order, so outputs are byte-identical for
-any thread count.  A failed run reports the failure one batch of all
-members raises, replayed on one thread if the ranges failed; it names the
-member by its ensemble index and the step by its place in the march, and
-``simulate`` leaves the member's state at the step's start behind.
+``simulate`` a ledger march (:func:`torusgas.ledger.march`) per range and
+sample interval, ``weak-strong`` a coarse and a fine batch per range,
+``limit-sweep`` the reference per range and then each eps per range and
+sample interval.  Member sums are taken after the join, in member order,
+so outputs are byte-identical for any thread count.
+
+``simulate`` and each eps of ``limit-sweep`` advance one sample interval
+per :func:`~torusgas.ensemble.by_member_range` call and reduce each sample
+from the joined ``(M, ...)`` state as soon as the members reach it, so
+they keep one ensemble state, not one per sample: ``simulate`` keeps each
+sample's member energies, barycenter, defect and pooled energy, and the
+final state for the Young-measure export; ``limit-sweep`` keeps each
+member's last sampled state.
+
+A failed run reports the failure one batch of all members raises, replayed
+on one thread from the interval's start states if the ranges failed; it
+names the member by its ensemble index and the step by its place in the
+march.  Every command leaves the state the failure carries behind as
+``diagnostic_failure.snap``: the member's state at the step's start, the
+restricted reference pair, or the incompressible reference's velocity.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,9 +43,9 @@ from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt)
 from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
-from .euler import taylor_green
+from .euler import EulerState, taylor_green
 from .grid import Grid
-from .ledger import EnergyLedger, march, pooled_ledger
+from .ledger import EnergyLedger, LedgerAccumulator, march, pooled_ledger, pooled_sample
 from .noise import NoiseModel, member_tables
 from .relative import (REMAINDER_TERMS, RelativeEnergyReport, WeakStrongConfig,
                        weak_strong_experiment)
@@ -111,7 +125,8 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     n_steps = choose_steps(grid, model, stepper, state0, cfg)
     dt = cfg["run.T"] / n_steps
-    stride = n_steps // cfg["run.samples"]
+    samples = cfg["run.samples"]
+    stride = n_steps // samples
     members = cfg["ensemble.members"]
     seed = cfg["run.seed"]
     if cfg["ensemble.shared_paths"]:  # every member rides member 0's path
@@ -119,55 +134,55 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
                                 (members, n_steps, model.modes))
     else:
         table = member_tables(seed, members, model.modes, dt, n_steps)
+    law = model.law_eff
+    state = state0.batch(members)
+    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor,
+                            members=members)
+    stats = StepStats(np.zeros(members, dtype=np.int64), np.zeros(members))
 
-    def march_range(lo, hi):
-        stats = StepStats(np.zeros(hi - lo, dtype=np.int64), np.zeros(hi - lo))
+    def march_range(lo, hi):  # one sample interval; sums and stats add into their slices
+        part = slice(lo, hi)
         try:
-            return (*march(grid, model, stepper, state0, dt, table[lo:hi], stride, stats),
-                    stats)
+            return march(grid, model, stepper, state.rows(part), dt, steps[part],
+                         acc.rows(part),
+                         StepStats(stats.floored_cells[part], stats.mass_correction[part]))
         except SimulationError as exc:  # name the member by its ensemble index
             raise exc.renamed(lo + exc.member) from exc
 
-    try:
-        results = by_member_range(members, threads, march_range)
-    except SimulationError as exc:
-        if exc.state is not None:  # leave a diagnostic snapshot behind
-            snapshots.write_state(os.path.join(out_dir, "diagnostic_failure.snap"),
-                                  grid, exc.state)
-        raise
+    # each sample is reduced from the joined batch, in member order, and dropped
+    times, rows, pooled = [], [], []
+    with _failure_snapshot(out_dir, grid.dim):
+        for i in range(samples + 1):
+            times.append(state.t)
+            rows.append(acc.sample(state))
+            pooled.append(pooled_sample(grid, law,
+                                        EmpiricalYoungMeasure(grid, state.rho, state.mom)))
+            if i < samples:
+                steps = table[:, i * stride:(i + 1) * stride]
+                state = State.joined(by_member_range(members, threads, march_range))
 
-    ledgers = [r[0] for r in results]  # joined along the member axis
-    member_ledger = EnergyLedger(ledgers[0].times, *(
-        np.concatenate([getattr(l, name) for l in ledgers])
-        for name in ("energy", "defect", "diss_cum", "ito_cum", "martingale")))
-    times = member_ledger.times
-    yms = [EmpiricalYoungMeasure(grid,
-                                 np.concatenate([r[1][i].rho for r in results]),
-                                 np.concatenate([r[1][i].mom for r in results]))
-           for i in range(len(times))]
-    floored_total = sum(int(r[2].floored_cells.sum()) for r in results)
-    mass_corrections = sum(x for r in results for x in r[2].mass_correction.tolist())
-    law = model.law_eff
-    pooled = pooled_ledger(member_ledger, grid, law, model.visc, yms)
-
-    snapshots.write_csv(os.path.join(out_dir, "ledger.csv"), pooled.as_columns())
+    member_ledger = EnergyLedger.of_rows(times, rows)
+    barycenters, defect, energy = zip(*pooled)
+    ensemble_ledger = pooled_ledger(member_ledger, grid, model.visc, barycenters, defect,
+                                    energy)
+    snapshots.write_csv(os.path.join(out_dir, "ledger.csv"), ensemble_ledger.as_columns())
 
     snap_every = cfg["run.snapshot_every"]
     snap_indices = (list(range(0, len(times), snap_every)) if snap_every
                     else []) + [len(times) - 1]
     for i in sorted(set(snap_indices)):
-        b_rho, b_mom = yms[i].barycenter()
         snapshots.write_state(os.path.join(out_dir, f"state_{i:04d}.snap"), grid,
-                              State(b_rho, b_mom, times[i]))
-    snapshots.write_young_measure(out_dir, grid, yms[-1], times[-1])
+                              State(*barycenters[i], times[i]))
+    final = EmpiricalYoungMeasure(grid, state.rho, state.mom)
+    snapshots.write_young_measure(out_dir, grid, final, times[-1])
 
-    final_defect, final_D = dissipation_defect(yms[-1], law)
-    _write_observables(os.path.join(out_dir, "observables.csv"), grid, yms[-1],
+    final_defect, final_D = dissipation_defect(final, law)
+    _write_observables(os.path.join(out_dir, "observables.csv"), grid, final,
                        times[-1], final_defect)
 
     residuals = member_ledger.residual(0, -1)
     mass0 = grid.integrate(state0.rho)
-    mass_end = grid.integrate(yms[-1].rho_atoms).tolist()
+    mass_end = grid.integrate(state.rho).tolist()
     summary = {
         "command": "simulate",
         "n_steps": n_steps,
@@ -180,11 +195,30 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         "se_member_residual": float(member_se(residuals)),
         "final_defect_D": final_D,
         "max_rel_mass_drift": float(max(abs(m - mass0) for m in mass_end) / mass0),
-        "floored_cells_total": int(floored_total),
-        "floor_mass_correction": float(mass_corrections),
+        "floored_cells_total": int(stats.floored_cells.sum()),
+        "floor_mass_correction": float(sum(stats.mass_correction.tolist())),
     }
     _finalize(out_dir, cfg, summary)
     return summary
+
+
+@contextmanager
+def _failure_snapshot(out_dir: str, dim: int):
+    """Leave a failed run's state behind as ``diagnostic_failure.snap``.
+
+    The state a :class:`SimulationError` carries is written as density plus
+    momentum, or, for an incompressible reference, as its velocity.  Its own
+    trailing axes give the grid: a weak-strong failure may be on the fine one.
+    """
+    try:
+        yield
+    except SimulationError as exc:
+        path, state = os.path.join(out_dir, "diagnostic_failure.snap"), exc.state
+        if isinstance(state, EulerState):
+            snapshots.write_field(path, Grid(state.v.shape[-dim:]), state.v, state.t)
+        elif state is not None:
+            snapshots.write_state(path, Grid(state.rho.shape[-dim:]), state)
+        raise
 
 
 def _write_observables(path, grid, ym, time, defect_field):
@@ -229,7 +263,8 @@ def run_weak_strong(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         stepper=build_stepper(cfg),
         grad_threshold=cfg["model.grad_threshold"],
     )
-    report = weak_strong_experiment(ws, threads)
+    with _failure_snapshot(out_dir, len(ws.grid_sizes)):
+        report = weak_strong_experiment(ws, threads)
     _write_ws_report(out_dir, report)
     summary = {
         "command": "weak_strong",
@@ -290,7 +325,8 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         n_samples=cfg["sweep.samples"],
         v0_kind=v0,
     )
-    report = run_sweep(sweep_cfg, threads)
+    with _failure_snapshot(out_dir, len(sweep_cfg.grid_sizes)):
+        report = run_sweep(sweep_cfg, threads)
     _write_sweep_csv(out_dir, report)
     summary = {"command": "limit_sweep",
                "eps": report.eps, "final_emv": report.final_emv,

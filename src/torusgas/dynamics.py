@@ -19,7 +19,8 @@ of shape ``(N, *sizes)``) or a member batch with one leading member axis
 Young measure).  The drift, the step, the CFL bound and the energy accept
 either: a batch is marched as one array, each member's row bit-identical to
 stepping that member alone, under one CFL bound for the whole batch.
-:meth:`State.rows` takes a subset of a batch's members.  A failing batched
+:meth:`State.rows` takes a subset of a batch's members and
+:meth:`State.joined` puts batches back together.  A failing batched
 step names the offending member and carries its state at the start of the
 step.  A model without noise carries a zero-mode
 :class:`~torusgas.noise.NoiseModel`.
@@ -126,6 +127,12 @@ class State:
     def rows(self, keep) -> "State":
         """The members ``keep`` (an index, slice or mask) of a batch."""
         return State(self.rho[keep], self.mom[keep], self.t)
+
+    @staticmethod
+    def joined(parts) -> "State":
+        """The batches ``parts``, all at one time, as one batch, members in order."""
+        return State(np.concatenate([p.rho for p in parts]),
+                     np.concatenate([p.mom for p in parts]), parts[0].t)
 
     def velocity(self, grid: Grid, rho_floor: float = 1e-8) -> np.ndarray:
         return self.mom / np.maximum(self.rho, rho_floor)[grid.comp(None)]

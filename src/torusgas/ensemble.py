@@ -79,8 +79,9 @@ def by_member_range(members: int, threads: int, march: Callable) -> list:
 
     If a range fails, ``march(0, members)`` is replayed on the calling
     thread and its failure raised: the failure of one batch of all members,
-    the same at any thread count.  That costs one single-thread march up to
-    the failing step.  Should the replay pass (a failure that depends on
+    the same at any thread count.  That costs one single-thread call up to
+    the failing step; a caller that marches one sample interval per call
+    replays that interval only.  Should the replay pass (a failure that depends on
     the split), the lowest failing range's failure is raised.
     """
     count = min(threads, members, os.cpu_count() or 1)

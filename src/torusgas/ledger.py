@@ -9,8 +9,12 @@ Each ledger tracks, on one shared time axis,
 
 A ledger holds numpy columns with the samples on the last axis: ``(S,)``
 for one member or a pooled ensemble, ``(M, S)`` for a member batch.
-:func:`march` steps one member or a batch and keeps its ledger;
-:func:`pooled_ledger` turns a batch ledger into the ensemble's.
+:func:`march` steps one member or a batch over one sample interval and
+adds to its running sums, and :meth:`LedgerAccumulator.sample` reads a
+ledger row at the interval's end.  :func:`pooled_sample` reduces one
+sample of the ensemble's Young measure, so that no member state need be
+kept, and :func:`pooled_ledger` turns the batch ledger and those
+reductions into the ensemble's ledger.
 
 For a single realization the measure is a Dirac and D = 0; for a pooled
 ensemble the defect series carries the member spread.  The residual of the
@@ -24,7 +28,7 @@ tracked separately and lands in the residual's sign allowance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -46,6 +50,12 @@ class EnergyLedger:
     diss_cum: np.ndarray    # viscous dissipation integral
     ito_cum: np.ndarray     # Ito correction integral
     martingale: np.ndarray  # realized M^2_E path
+
+    @classmethod
+    def of_rows(cls, times, rows) -> "EnergyLedger":
+        """A member or batch ledger from its :meth:`LedgerAccumulator.sample` rows; D = 0."""
+        energy, diss, ito, mart = np.stack(rows, axis=-1)
+        return cls(np.asarray(times), energy, np.zeros_like(energy), diss, ito, mart)
 
     def _residual(self, i_tau, i_t):
         # i_t may be a slice when i_tau is a one-element list, as in as_columns
@@ -100,7 +110,8 @@ class LedgerAccumulator:
     """Ledger integration of one member or a batch, driven step by step.
 
     With ``members`` set, the state is a batch of that many members and the
-    three running sums are ``(members,)`` arrays, one entry per member.
+    three running sums start as ``(members,)`` zero arrays, one entry per
+    member.
     """
 
     grid: Grid
@@ -108,14 +119,24 @@ class LedgerAccumulator:
     visc: Viscosity | None
     noise: NoiseModel
     rho_floor: float = 1e-8
-    members: int | None = None
+    members: InitVar[int | None] = None
     diss_cum: float = 0.0
     ito_cum: float = 0.0
     mart: float = 0.0
 
-    def __post_init__(self):
-        if self.members is not None:
-            self.diss_cum, self.ito_cum, self.mart = np.zeros((3, self.members))
+    def __post_init__(self, members):
+        if members is not None:
+            self.diss_cum, self.ito_cum, self.mart = np.zeros((3, members))
+
+    def rows(self, keep: slice) -> "LedgerAccumulator":
+        """The members ``keep`` of a batch, whose steps add into this batch's sums."""
+        return replace(self, diss_cum=self.diss_cum[keep], ito_cum=self.ito_cum[keep],
+                       mart=self.mart[keep])  # views: += adds in place
+
+    def sample(self, state):
+        """The ledger row at ``state``: its energy and the three running sums."""
+        return np.stack([energy_total(self.grid, self.law, state), self.diss_cum,
+                         self.ito_cum, self.mart])
 
     def step_increments(self, state, dW: np.ndarray | None, dt: float):
         """Accumulate dissipation, Ito correction and martingale increments.
@@ -139,61 +160,51 @@ class LedgerAccumulator:
                                   * dW[..., mode])
 
 
-def march(grid: Grid, model, stepper, state0, dt: float, table: np.ndarray,
-          stride: int, stats: StepStats | None = None):
-    """March one member or a member batch and keep its ledger.
+def march(grid: Grid, model, stepper, state, dt: float, table: np.ndarray,
+          acc: LedgerAccumulator, stats: StepStats | None = None):
+    """March one member or a member batch over one sample interval.
 
-    ``table`` holds the Wiener increments: ``(n_steps, K)`` for one member,
-    or ``(M, n_steps, K)`` for a batch whose members all start from the one
-    state ``state0``.  A deterministic run passes an empty ``(n_steps, 0)``
-    table.  The state and its ledger are sampled every ``stride`` steps from
-    step 0; ``stats`` is handed to every step.  Returns the ledger, whose
-    defect column is zero, and the sampled states.
+    ``table`` holds the interval's Wiener increments: ``(n, K)`` for one
+    member, or ``(M, n, K)`` for a batch of M members; a deterministic run
+    passes an empty ``(n, 0)`` table.  Before each step, its ledger
+    increments are added to ``acc``; ``stats`` is handed to every step.
+    Returns the state after the interval's last step.
     """
-    n_steps = table.shape[-2]
-    members = len(table) if table.ndim == 3 else None
-    law = model.law_eff
-    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor,
-                            members=members)
-    state = state0 if members is None else state0.batch(members)
-    samples, rows = [], []
-    for step in range(n_steps + 1):
-        if step % stride == 0:
-            samples.append(state)  # steps build new arrays; no copy needed
-            # stacked here: a batch's running sums are updated in place
-            rows.append(np.stack([energy_total(grid, law, state), acc.diss_cum,
-                                  acc.ito_cum, acc.mart]))
-        if step < n_steps:
-            dW = table[..., step, :]
-            acc.step_increments(state, dW, dt)
-            state = step_em(grid, model, stepper, state, dt, dW, stats=stats)
-    energy, diss, ito, mart = np.stack(rows, axis=-1)
-    times = np.array([s.t for s in samples])
-    return EnergyLedger(times, energy, np.zeros_like(energy), diss, ito, mart), samples
+    for step in range(table.shape[-2]):
+        dW = table[..., step, :]
+        acc.step_increments(state, dW, dt)
+        state = step_em(grid, model, stepper, state, dt, dW, stats=stats)
+    return state
 
 
-def pooled_ledger(members: EnergyLedger, grid: Grid, law: PressureLaw, visc,
-                  snapshots) -> EnergyLedger:
+def pooled_sample(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure):
+    """One sample of the ensemble ledger, from the Young measure of all members.
+
+    Returns the barycenter ``(<rho>, <m>)``, the dissipation defect D and
+    the pooled energy including D.
+    """
+    _, D = dissipation_defect(ym, law)
+    return ym.barycenter(), D, total_energy(grid, ym, D, law)
+
+
+def pooled_ledger(members: EnergyLedger, grid: Grid, visc, barycenters, defect,
+                  energy) -> EnergyLedger:
     """Ensemble ledger: pooled Young-measure energy with the defect series.
 
-    ``members`` is the ensemble's batch ledger and ``snapshots`` maps sample
-    index -> EmpiricalYoungMeasure of all members.  Dissipation is
-    re-derived from the barycentric velocity (the form the measure-valued
-    inequality uses) by the trapezoid rule; Ito and martingale columns are
-    member means.
+    ``members`` is the ensemble's batch ledger; ``barycenters``, ``defect``
+    and ``energy`` hold :func:`pooled_sample`'s reductions, one per sample.
+    Dissipation is re-derived from the barycentric velocity (the form the
+    measure-valued inequality uses) by the trapezoid rule; Ito and
+    martingale columns are member means.
     """
     times = members.times
-    n = len(times)
-    rates = np.zeros(n)
+    rates = np.zeros(len(times))
     if visc is not None:  # all sample times as one batch
-        bary = [snapshots[i].barycenter() for i in range(n)]
-        u_bar = np.stack([b_mom / np.maximum(b_rho, 1e-300) for b_rho, b_mom in bary])
+        u_bar = np.stack([b_mom / np.maximum(b_rho, 1e-300) for b_rho, b_mom in barycenters])
         rates = dissipation_rate(grid, visc, u_bar)
     diss = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
-    defect = np.array([dissipation_defect(snapshots[i], law)[1] for i in range(n)])
-    energy = np.array([total_energy(grid, snapshots[i], D, law) for i, D in enumerate(defect)])
-    return EnergyLedger(times, energy, defect, diss, np.mean(members.ito_cum, axis=0),
-                        np.mean(members.martingale, axis=0))
+    return EnergyLedger(times, np.array(energy), np.array(defect), diss,
+                        np.mean(members.ito_cum, axis=0), np.mean(members.martingale, axis=0))
 
 
 # --------------------------------------------------------------------------

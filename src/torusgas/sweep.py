@@ -19,8 +19,10 @@ The incompressible reference does not depend on eps, so each member's
 reference is marched once, in Fourier space at its own advective step, and
 every eps compares against the same velocity at the common sample times.  A
 member's stopping time is set by that reference alone and shared by every
-eps.  Each eps marches contiguous member ranges, one compressible batch
-each, and a sample evaluates a range's sampled members in one call.
+eps.  Each eps marches its live members one sample interval at a time, in
+contiguous ranges of one compressible batch each, and reduces each sample
+from the joined batch: the relative energy in one call, and the pooled
+dissipation defect from one buffer of each member's last sampled state.
 
 The compressible step is IMEX (see :mod:`torusgas.dynamics`): viscosity
 semi-implicit and the linear acoustics about ``rho = 1`` Crank-Nicolson, so
@@ -218,14 +220,20 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
 
     Freezing is per member and set by the reference alone: a member whose
     reference gradient crosses the threshold at a sample stops at that
-    sample's time ``tau``, the same for every eps.  The reference and each
-    eps march ``threads`` contiguous member ranges, one batch ``(M_r, *sizes)``
-    each, which drops the member at ``tau`` and never steps it again; its
-    later samples repeat its last relative energy and last sampled state.
-    After the join those states give the pooled dissipation defect and its
-    contiguous standard-error groups, and every member's values are those of
+    sample's time ``tau``, the same for every eps.  The reference marches
+    ``threads`` contiguous member ranges, one batch ``(M_r, *sizes)`` each.
+    Each eps marches its live members one sample interval per
+    :func:`by_member_range` call, in up to ``threads`` contiguous ranges, and
+    joins them; a member is dropped at ``tau`` and never stepped again, and
+    its later samples repeat its last relative energy and last sampled
+    state.  Each sample is reduced from the joined batch, in member order:
+    the relative energies, and the pooled dissipation defect and its
+    contiguous standard-error groups from one ``(M, ...)`` buffer of every
+    member's last sampled state.  Every member's values are those of
     marching it alone.  A failing step is re-raised naming the member by its
     ensemble index, with eps and ``dt``; the step's message names the step.
+    A failed interval is replayed from its start as one batch (see
+    :func:`by_member_range`).
     """
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
@@ -262,9 +270,9 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     cfl_ratio = np.zeros(n_eps)
     ones = np.ones(grid.sizes)
     groups = np.array_split(np.arange(cfg.members), cfg.se_groups)  # contiguous SE groups
-    # each member's last sampled state at every sample, reused across eps
-    last_rho = np.zeros((cfg.n_samples + 1, cfg.members, *grid.sizes))
-    last_mom = np.zeros((cfg.n_samples + 1, cfg.members, grid.dim, *grid.sizes))
+    # each member's last sampled state, the atoms of the pooled measure
+    last_rho = np.zeros((cfg.members, *grid.sizes))
+    last_mom = np.zeros((cfg.members, grid.dim, *grid.sizes))
 
     for i_eps, eps in enumerate(eps_list):
         model, rho0, mom0 = models[i_eps]
@@ -273,48 +281,48 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
         dt = cfg.horizon / n
         stride = n // cfg.n_samples
         table = coarsen(base_table, n)
+        comp = State(rho0, mom0).batch(cfg.members)
+        live = np.arange(cfg.members)  # ensemble index of each row of comp
 
-        def march_range(lo, hi):
-            comp = State(rho0, mom0).batch(hi - lo)
-            live = np.arange(lo, hi)  # ensemble index of each marched row
-            ratio = 0.0
-            for step in range(n + 1):
-                if step % stride == 0:
-                    i_s = step // stride
-                    if i_s > 0:  # stopped members repeat their last sample
-                        emv[i_eps, lo:hi, i_s] = emv[i_eps, lo:hi, i_s - 1]
-                        last_rho[i_s, lo:hi] = last_rho[i_s - 1, lo:hi]
-                        last_mom[i_s, lo:hi] = last_mom[i_s - 1, lo:hi]
-                    if live.size:
-                        keep = stop[live] > i_s
-                        sampled = keep | (i_s == 0)  # stopped rows keep the last sample
-                        rows = live[sampled]
-                        emv[i_eps, rows, i_s] = relative_energy_state(
-                            grid, law_eff, comp.rows(sampled), ones, v_ref[rows, i_s])
-                        last_rho[i_s, rows] = comp.rho[sampled]
-                        last_mom[i_s, rows] = comp.mom[sampled]
-                        if not keep.all():
-                            comp = comp.rows(keep)
-                            live = live[keep]
-                if step < n and live.size:
-                    stats = StepStats()  # the batch shrinks as members stop: floors not kept
-                    try:
-                        comp = step_em(grid, model, stepper, comp, dt, table[live, step],
-                                       stats=stats)
-                    except SimulationError as exc:  # name the member by its ensemble index
-                        raise exc.renamed(int(live[exc.member]),
-                                          f"eps={eps}, dt={dt:.3e}: ") from exc
-                    ratio = max(ratio, stats.cfl_ratio)
-            return ratio
+        def march_range(lo, hi):  # rows [lo, hi) of comp over one sample interval
+            rows, ratio = comp.rows(slice(lo, hi)), 0.0
+            for k in range(stride):
+                stats = StepStats()  # the batch shrinks as members stop: floors not kept
+                try:
+                    rows = step_em(grid, model, stepper, rows, dt, steps[live[lo:hi], k],
+                                   stats=stats)
+                except SimulationError as exc:  # name the member by its ensemble index
+                    raise exc.renamed(int(live[lo + exc.member]),
+                                      f"eps={eps}, dt={dt:.3e}: ") from exc
+                ratio = max(ratio, stats.cfl_ratio)
+            return rows, ratio
 
-        cfl_ratio[i_eps] = max(by_member_range(cfg.members, threads, march_range))
-        # pooled dissipation defect across members, and per SE group
-        for i_s, (rho_s, mom_s) in enumerate(zip(last_rho, last_mom)):
+        for i_s in range(cfg.n_samples + 1):
+            if i_s > 0:  # stopped members repeat their last sample
+                emv[i_eps, :, i_s] = emv[i_eps, :, i_s - 1]
+            keep = stop[live] > i_s
+            sampled = keep | (i_s == 0)  # stopped rows keep the last sample
+            rows = live[sampled]
+            if rows.size:
+                emv[i_eps, rows, i_s] = relative_energy_state(
+                    grid, law_eff, comp.rows(sampled), ones, v_ref[rows, i_s])
+                # a fresh buffer: a Young measure shares its atoms by reference
+                last_rho, last_mom = last_rho.copy(), last_mom.copy()
+                last_rho[rows] = comp.rho[sampled]
+                last_mom[rows] = comp.mom[sampled]
+            if not keep.all():
+                comp, live = comp.rows(keep), live[keep]
+            # pooled dissipation defect across members, and per SE group
             _, d_series[i_eps, i_s] = dissipation_defect(
-                EmpiricalYoungMeasure(grid, rho_s, mom_s), law_eff)
+                EmpiricalYoungMeasure(grid, last_rho, last_mom), law_eff)
             for g, idx in enumerate(groups):
                 _, d_groups[i_eps, g, i_s] = dissipation_defect(
-                    EmpiricalYoungMeasure(grid, rho_s[idx], mom_s[idx]), law_eff)
+                    EmpiricalYoungMeasure(grid, last_rho[idx], last_mom[idx]), law_eff)
+            if i_s < cfg.n_samples and live.size:
+                steps = table[:, i_s * stride:(i_s + 1) * stride]
+                parts = by_member_range(live.size, threads, march_range)
+                comp = State.joined([p for p, _ in parts])
+                cfl_ratio[i_eps] = max(cfl_ratio[i_eps], *(r for _, r in parts))
 
     return RateReport(
         eps=np.asarray(eps_list),

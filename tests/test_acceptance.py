@@ -18,10 +18,12 @@ from torusgas.ensemble import (EmpiricalYoungMeasure,
                                defect_domination_audit, dissipation_defect,
                                expect, momentum_defect_total, Observable)
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
-from torusgas.ledger import SmoothItoProcess, cross_variation_audit, march
+from torusgas.ledger import SmoothItoProcess, cross_variation_audit
 from torusgas.noise import NoiseModel, member_tables
 from torusgas.relative import WeakStrongConfig, weak_strong_experiment
 from torusgas.sweep import SweepConfig, fit_rate, run_sweep
+
+from oracles import sampled_march
 
 LAW2 = PressureLaw(1.0, 2.0)
 
@@ -95,7 +97,8 @@ def test_criterion_3_conservation_and_energy():
     mass_ok = True
     energy_ok = True
     for dt, n in ((4e-3, 250), (2e-3, 500)):
-        ledger, _ = march(grid, model, StepperConfig(), state0, dt, np.zeros((n, 0)), 1)
+        ledger, _ = sampled_march(grid, model, StepperConfig(), state0, dt,
+                                  np.zeros((n, 0)), 1)
         drifts[dt] = abs(ledger.residual(0, -1))
         e = np.asarray(ledger.energy)
         tol_rate = 5.0 * dt * e[0]
@@ -126,8 +129,8 @@ def test_criterion_4_stochastic_energy_inequality():
     marts = None
     for dt, n in ((4e-3, 125), (2e-3, 250)):
         # all members marched as one batch, each on its own Wiener path
-        ledger, _ = march(grid, model, stepper, state0, dt,
-                          member_tables(11, members, noise.modes, dt, n), n // 25)
+        ledger, _ = sampled_march(grid, model, stepper, state0, dt,
+                                  member_tables(11, members, noise.modes, dt, n), n // 25)
         residuals = ledger.residual(0, -1)
         stats[dt] = (residuals.mean(), residuals.std(ddof=1) / np.sqrt(members))
         if dt == 4e-3:

@@ -473,10 +473,48 @@ ws.samples = 4
             driver.run_weak_strong(cfg, str(tmp_path / "fail"))
         assert err.value.member in range(3)
 
+    def test_fine_failure_leaves_member_snapshot(self, tmp_path, monkeypatch):
+        # a NaN fine increment of member 1 fails its fine march at fine step
+        # 3, while its coarse run sees the path without it; the snapshot is
+        # the member's state on the fine grid at the start of that step
+        from torusgas import driver, relative
+
+        tables, coarsen = relative.member_tables, relative.coarsen
+
+        def poisoned(*args):
+            out = tables(*args).copy()
+            out[1, 3] = np.nan
+            return out
+
+        monkeypatch.setattr(relative, "member_tables", poisoned)
+        monkeypatch.setattr(relative, "coarsen",
+                            lambda table, n: coarsen(np.nan_to_num(table), n))
+        text = """
+grid.sizes = 32
+run.T = 0.125
+model.nu = 0.01
+noise.modes = 1
+noise.K = 0.1
+noise.L = 0.05
+ws.n_steps = 16
+ws.members = 2
+ws.samples = 4
+"""
+        cfg = config_mod.load(write_cfg(tmp_path, text))
+        out = str(tmp_path / "fail")
+        with pytest.raises(SimulationError) as err:
+            driver.run_weak_strong(cfg, out)
+        dt_f = 0.125 / 32
+        assert str(err.value) == f"member 1: non-finite state after step 3 (t={3 * dt_f:.4f})"
+        values, t = snapshots.read_field(os.path.join(out, "diagnostic_failure.snap"))
+        state = err.value.state
+        assert values.shape == (1 + 1, 64) and t == state.t == pytest.approx(3 * dt_f)
+        np.testing.assert_array_equal(values, np.concatenate([state.rho[None], state.mom]))
+        assert np.isfinite(values).all()
+
 
 class TestLimitSweepCommand:
-    def test_three_point_sweep(self, tmp_path):
-        text = """
+    TEXT = """
 grid.sizes = 16,16
 run.T = 0.125
 sweep.eps = 1.0,0.5,0.25
@@ -486,7 +524,9 @@ noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 """
-        cfg = write_cfg(tmp_path, text)
+
+    def test_three_point_sweep(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.TEXT)
         out = str(tmp_path / "sweep")
         code = main(["limit-sweep", "--config", cfg, "--out", out])
         with open(os.path.join(out, "sweep.csv")) as fh:
@@ -500,6 +540,39 @@ noise.L = 0.05
             summary = json.load(fh)
         assert "slope" in summary and "monotone" in summary
         assert code in (0, 1)  # rate fit may fail at this tiny scale
+
+    @pytest.mark.parametrize("poisoned_call", [0, 1], ids=["reference", "compressible"])
+    def test_failure_leaves_member_snapshot(self, tmp_path, monkeypatch, poisoned_call):
+        # a NaN increment of member 1 at step 1 fails its reference flow (the
+        # first table coarsened) or its compressible step at eps = 1 (the
+        # second); the snapshot is the state at the start of that step: the
+        # reference's velocity, or density plus momentum
+        from torusgas import driver, sweep
+
+        coarsen, calls = sweep.coarsen, []
+
+        def poisoned(table, n):
+            out = coarsen(table, n)
+            if len(calls) == poisoned_call:
+                out = out.copy()
+                out[1, 1] = np.nan
+            calls.append(n)
+            return out
+
+        monkeypatch.setattr(sweep, "coarsen", poisoned)
+        cfg = config_mod.load(write_cfg(tmp_path, self.TEXT))
+        out = str(tmp_path / "fail")
+        with pytest.raises(SimulationError, match="member 1: .*non-finite") as err:
+            driver.run_limit_sweep(cfg, out)
+        values, t = snapshots.read_field(os.path.join(out, "diagnostic_failure.snap"))
+        state = err.value.state
+        if poisoned_call == 0:
+            assert values.shape == (2, 16, 16)
+            np.testing.assert_array_equal(values, state.v)
+        else:
+            assert values.shape == (1 + 2, 16, 16)
+            np.testing.assert_array_equal(values, np.concatenate([state.rho[None], state.mom]))
+        assert t == state.t > 0 and np.isfinite(values).all()
 
 
 def test_snapshot_loader_surfaces_cli_level(tmp_path, grid1d, rng):

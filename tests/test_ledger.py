@@ -6,18 +6,18 @@ from torusgas.dynamics import ModelConfig, State, StepperConfig, step_em
 from torusgas.ensemble import EmpiricalYoungMeasure
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
 from torusgas.ledger import (EnergyLedger, LedgerAccumulator, SmoothItoProcess,
-                             cross_variation_audit, march, poincare_ratio,
-                             total_energy)
+                             cross_variation_audit, poincare_ratio, total_energy)
 from torusgas.noise import NoiseModel, member_tables
 
-from oracles import build_ym
+from oracles import build_ym, sampled_march
 
 LAW = PressureLaw(1.0, 2.0)
 
 
 def deterministic_ledger(grid, model, state0, dt, n_steps):
     """The ledger of a noiseless march, sampled every step."""
-    return march(grid, model, StepperConfig(), state0, dt, np.zeros((n_steps, 0)), 1)[0]
+    return sampled_march(grid, model, StepperConfig(), state0, dt, np.zeros((n_steps, 0)),
+                         1)[0]
 
 
 @pytest.mark.parametrize("sizes", [(32,), (16, 16)])
@@ -58,11 +58,13 @@ def test_batched_march_matches_member_marches(sizes):
     state0 = State(1.0 + 0.1 * random_smooth_scalar(grid, rng),
                    0.1 * random_smooth_vector(grid, rng))
     table = member_tables(4, members, model.modes, dt, n_steps)
-    batch, batch_states = march(grid, model, StepperConfig(), state0, dt, table, stride)
+    batch, batch_states = sampled_march(grid, model, StepperConfig(), state0, dt, table,
+                                        stride)
     assert batch.energy.shape == (members, n_steps // stride + 1)
     assert np.all(np.diff(batch.martingale, axis=1) != 0)  # a row per sample
     for m in range(members):
-        one, states = march(grid, model, StepperConfig(), state0, dt, table[m], stride)
+        one, states = sampled_march(grid, model, StepperConfig(), state0, dt, table[m],
+                                    stride)
         np.testing.assert_array_equal(batch.times, one.times)
         for name in ("energy", "defect", "diss_cum", "ito_cum", "martingale"):
             np.testing.assert_array_equal(getattr(batch, name)[m], getattr(one, name))
@@ -132,7 +134,8 @@ class TestResidual:
         res = {}
         for dt, n in ((4e-3, 125), (2e-3, 250)):
             table = member_tables(5, members, noise.modes, dt, n)
-            vals = march(grid1d, model, StepperConfig(), st, dt, table, n)[0].residual(0, -1)
+            vals = sampled_march(grid1d, model, StepperConfig(), st, dt, table,
+                                 n)[0].residual(0, -1)
             res[dt] = (vals.mean(), vals.std(ddof=1) / np.sqrt(members))
         h = 4e-3
         bias_slope = (h * res[h][0] + (h / 2) * res[h / 2][0]) / (h * h + h * h / 4)
@@ -153,7 +156,8 @@ class TestMartingaleStatistics:
         st = State(1 + 0.1 * np.sin(x), (0.05 * np.cos(x))[None].copy())
         members = 64
         table = member_tables(9, members, noise.modes, 4e-3, 60)
-        marts = march(grid1d, model, StepperConfig(), st, 4e-3, table, 1)[0].martingale
+        marts = sampled_march(grid1d, model, StepperConfig(), st, 4e-3, table,
+                              1)[0].martingale
         mean = marts.mean(axis=0)
         se = marts.std(axis=0, ddof=1) / np.sqrt(members)
         live = se > 0
