@@ -190,7 +190,6 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         "members": members,
         "seed": seed,
         "noise_alpha_sum": model.noise.alpha_sum,
-        "noise_tail_alpha": 0.0,  # all configured modes are simulated
         "mean_member_residual": float(residuals.mean()),
         "se_member_residual": float(member_se(residuals)),
         "final_defect_D": final_D,

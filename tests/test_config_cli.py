@@ -325,7 +325,6 @@ class TestSimulateCommand:
         with open(os.path.join(out, "summary.json")) as fh:
             summary = json.load(fh)
         assert summary["floored_cells_total"] == 0
-        assert summary["noise_tail_alpha"] == 0.0
         assert summary["noise_alpha_sum"] == pytest.approx(0.15)
 
 
