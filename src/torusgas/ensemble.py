@@ -81,8 +81,8 @@ def by_member_range(members: int, threads: int, march: Callable) -> list:
     thread and its failure raised: the failure of one batch of all members,
     the same at any thread count.  That costs one single-thread call up to
     the failing step; a caller that marches one sample interval per call
-    replays that interval only.  Should the replay pass (a failure that depends on
-    the split), the lowest failing range's failure is raised.
+    replays that interval only.  Should the replay pass (a failure that
+    depends on the split), the lowest failing range's failure is raised.
     """
     count = min(threads, members, os.cpu_count() or 1)
     ranges = [(int(r[0]), int(r[-1]) + 1)

@@ -134,7 +134,10 @@ class LedgerAccumulator:
                        mart=self.mart[keep])  # views: += adds in place
 
     def sample(self, state):
-        """The ledger row at ``state``: its energy and the three running sums."""
+        """The ledger row at ``state``: its energy and the three running sums.
+
+        The row is a copy, since steps add to a batch's sums in place.
+        """
         return np.stack([energy_total(self.grid, self.law, state), self.diss_cum,
                          self.ito_cum, self.mart])
 

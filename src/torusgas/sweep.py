@@ -285,17 +285,17 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
         live = np.arange(cfg.members)  # ensemble index of each row of comp
 
         def march_range(lo, hi):  # rows [lo, hi) of comp over one sample interval
-            rows, ratio = comp.rows(slice(lo, hi)), 0.0
+            batch, ratio = comp.rows(slice(lo, hi)), 0.0
             for k in range(stride):
                 stats = StepStats()  # the batch shrinks as members stop: floors not kept
                 try:
-                    rows = step_em(grid, model, stepper, rows, dt, steps[live[lo:hi], k],
-                                   stats=stats)
+                    batch = step_em(grid, model, stepper, batch, dt, steps[live[lo:hi], k],
+                                    stats=stats)
                 except SimulationError as exc:  # name the member by its ensemble index
                     raise exc.renamed(int(live[lo + exc.member]),
                                       f"eps={eps}, dt={dt:.3e}: ") from exc
                 ratio = max(ratio, stats.cfl_ratio)
-            return rows, ratio
+            return batch, ratio
 
         for i_s in range(cfg.n_samples + 1):
             if i_s > 0:  # stopped members repeat their last sample
