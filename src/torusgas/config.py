@@ -179,6 +179,9 @@ def _cross_validate(cfg: dict):
     for key in ("ws.members", "ws.n_steps", "ws.samples"):
         if cfg[key] < 1:
             raise ConfigError(f"{key}: must be at least 1")
+    if cfg["ws.n_steps"] % cfg["ws.samples"]:
+        raise ConfigError(f"ws.n_steps: {cfg['ws.n_steps']} is not a multiple of "
+                          f"ws.samples = {cfg['ws.samples']}")
     if cfg["ws.eta"] < 0:
         raise ConfigError("ws.eta: must be nonnegative (0 = exact data)")
     refine = cfg["ws.refine"]

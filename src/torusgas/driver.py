@@ -8,18 +8,19 @@ axis (see :mod:`torusgas.dynamics`).  With ``--threads T`` each command
 splits the member axis into ``T`` contiguous ranges (at most one per CPU),
 marched on a thread pool by :func:`torusgas.ensemble.by_member_range`:
 ``simulate`` a ledger march (:func:`torusgas.ledger.march`) per range and
-sample interval, ``weak-strong`` a coarse and a fine batch per range,
-``limit-sweep`` the reference per range and then each eps per range and
-sample interval.  Member sums are taken after the join, in member order,
-so outputs are byte-identical for any thread count.
+sample interval, ``weak-strong`` a coarse and a fine batch per range and
+sample interval, ``limit-sweep`` the reference per range and then each eps
+per range and sample interval.  Member sums are taken after the join, in
+member order, so outputs are byte-identical for any thread count.
 
-``simulate`` and each eps of ``limit-sweep`` advance one sample interval
-per :func:`~torusgas.ensemble.by_member_range` call and reduce each sample
-from the joined ``(M, ...)`` state as soon as the members reach it, so
-they keep one ensemble state, not one per sample: ``simulate`` keeps each
-sample's member energies, barycenter, defect and pooled energy, and the
-final state for the Young-measure export; ``limit-sweep`` keeps each
-member's last sampled state.
+``simulate``, ``weak-strong`` and each eps of ``limit-sweep`` advance one
+sample interval per :func:`~torusgas.ensemble.by_member_range` call and
+reduce each sample from the joined ``(M, ...)`` state on the calling
+thread as soon as the members reach it, so they keep one ensemble state,
+not one per sample: ``simulate`` keeps each sample's member energies,
+barycenter, defect and pooled energy, and the final state for the
+Young-measure export; ``weak-strong`` each member's relative energies and
+the remainder sums; ``limit-sweep`` each member's last sampled state.
 
 A failed run reports the failure one batch of all members raises, replayed
 on one thread from the interval's start states if the ranges failed; it
@@ -258,7 +259,7 @@ def run_weak_strong(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         seed=cfg["run.seed"],
         eta=cfg["ws.eta"],
         refine=cfg["ws.refine"],
-        sample_every=max(1, n_steps // samples),
+        sample_every=n_steps // samples,
         stepper=build_stepper(cfg),
         grad_threshold=cfg["model.grad_threshold"],
     )

@@ -322,24 +322,28 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     Each member runs the coarse discretization and its own fine reference
     (refined grid and time step) on one Wiener path, drawn once at the fine
     step and coarsened for the coarse run; the relative energy of the coarse
-    state against the restricted reference is sampled on the coarse cadence
-    and frozen once the reference velocity gradient exceeds the configured
-    threshold.
+    state against the restricted reference is sampled every
+    ``sample_every`` coarse steps, which must divide ``n_steps``, and frozen
+    once the reference velocity gradient exceeds the configured threshold.
 
-    Each of ``threads`` contiguous member ranges marches as one coarse batch
-    ``(M_r, *sizes)`` and one fine batch ``(M_r, *refine * sizes)``, driven
-    by its rows of the fine tables ``(M, n_f, K)`` and their coarsening along
-    the step axis.  Freezing is per member: a member whose reference gradient
-    crosses the threshold at a sample leaves both batches and is never
-    stepped again, and its later samples repeat its last value.  At a sample
-    the relative energy, the reference decompositions and the remainder are
-    each one call on the range's sampled members.  Every member's values are
-    those of marching it alone, and the remainder's member sums run in member
-    order after the join, so the report is the same for any ``threads``.  A
+    The live members march as one coarse batch ``(M, *sizes)`` and one fine
+    batch ``(M, *refine * sizes)``, driven by their rows of the fine tables
+    ``(M, n_f, K)`` and their coarsening along the step axis, one sample
+    interval per :func:`by_member_range` call in up to ``threads`` ranges.
+    Each sample is taken from the joined batches on the calling thread: the
+    freeze test, then one call each of the relative energy, the reference
+    decompositions and the remainder on the sampled members, summed in
+    member order.  A member that freezes leaves both batches, and its later
+    samples repeat its last value.  Every member's values are those of
+    marching it alone, so the report is the same for any ``threads``.  A
     failing step or a nonpositive reference names the member by its
     ensemble index, and the step and ``t`` (a fine step by its place in the
-    fine march); it carries the state at the step's start or the pair.
+    fine march); it carries the state at the step's start or the pair.  A
+    failed interval is replayed from its start as one batch.
     """
+    if cfg.sample_every < 1 or cfg.n_steps % cfg.sample_every:
+        raise ValueError(f"sample_every = {cfg.sample_every} does not divide "
+                         f"n_steps = {cfg.n_steps}")
     grid_c = Grid(cfg.grid_sizes)
     grid_f = Grid(tuple(cfg.refine * n for n in cfg.grid_sizes))
     model = cfg.model
@@ -347,81 +351,71 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     n_f = cfg.refine * cfg.n_steps
     dt_c = cfg.horizon / cfg.n_steps
     dt_f = cfg.horizon / n_f
+    stride = cfg.sample_every
     rho_f0, mom_f0 = default_smooth_init(grid_f)
     rho_c0 = grid_f.restrict(rho_f0, grid_c)
     mom_c0 = grid_f.restrict(mom_f0, grid_c)
 
-    sample_idx = list(range(0, cfg.n_steps + 1, cfg.sample_every))
-    if sample_idx[-1] != cfg.n_steps:
-        sample_idx.append(cfg.n_steps)
-    times = np.array([i * dt_c for i in sample_idx])
-    n_samples = len(sample_idx)
-
+    times = np.array([i * dt_c for i in range(0, cfg.n_steps + 1, stride)])
+    n_samples = len(times)
     emv = np.zeros((cfg.members, n_samples))
     tau = np.full(cfg.members, cfg.horizon)
-    rem = np.zeros((cfg.members, n_samples, len(REMAINDER_TERMS)))
-    sampled_at = np.zeros((cfg.members, n_samples), dtype=bool)
+    rem_sum = np.zeros((n_samples, len(REMAINDER_TERMS)))
 
     fine_table = member_tables(cfg.seed, cfg.members, model.modes, dt_f, n_f)
     coarse_table = coarsen(fine_table, cfg.n_steps)
 
-    def march_range(lo, hi):
-        if cfg.eta > 0:
-            data = [_perturb(grid_c, law, rho_c0, mom_c0, cfg.eta,
-                             np.random.default_rng((cfg.seed, m, 0x7A)))
-                    for m in range(lo, hi)]
-            coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
-        else:
-            coarse = State(rho_c0, mom_c0).batch(hi - lo)
-        fine = State(rho_f0, mom_f0).batch(hi - lo)
-        live = np.arange(lo, hi)  # ensemble index of each marched row
-        sample_pos = 0
-        for i_step in range(cfg.n_steps + 1):
-            if i_step == sample_idx[sample_pos]:
-                if sample_pos > 0:  # frozen members repeat their last value
-                    emv[lo:hi, sample_pos] = emv[lo:hi, sample_pos - 1]
-                if live.size:
-                    u_fine = fine.mom / fine.rho[grid_f.comp(None)]
-                    freeze = grad_inf_norm(grid_f, u_fine) > cfg.grad_threshold
-                    rows = np.flatnonzero(~freeze | (sample_pos == 0))
-                    r_c = grid_f.restrict(fine.rho, grid_c)[rows]
-                    U_c = grid_f.restrict(u_fine, grid_c)[rows]
-                    sampled = coarse.rows(rows)
-                    try:
-                        decomps = reference_decomps(grid_c, model, r_c, U_c)
-                    except SimulationError as exc:  # name the ensemble member and the step
-                        exc.state.t = times[sample_pos]
-                        raise exc.renamed(int(live[rows[exc.member]]), "restricted ",
-                                          f" at {step_label(exc.state.t, dt_c)}") from exc
-                    emv[live[rows], sample_pos] = relative_energy_state(
-                        grid_c, law, sampled, r_c, U_c)
-                    terms = remainder(grid_c, model, sampled.rho, sampled.mom, r_c, U_c,
-                                      decomps)
-                    rem[live[rows], sample_pos] = np.stack(
-                        [terms[k] for k in REMAINDER_TERMS], axis=1)
-                    sampled_at[live[rows], sample_pos] = True
-                    if freeze.any():
-                        tau[live[freeze]] = i_step * dt_c
-                        keep = ~freeze
-                        coarse = coarse.rows(keep)
-                        fine = fine.rows(keep)
-                        live = live[keep]
-                sample_pos += 1
-                if sample_pos == n_samples:
-                    break
-            if i_step < cfg.n_steps and live.size:
-                try:
-                    coarse = step_em(grid_c, model, cfg.stepper, coarse, dt_c,
-                                     coarse_table[live, i_step])
-                    for j in range(cfg.refine):
-                        fine = step_em(grid_f, model, cfg.stepper, fine, dt_f,
-                                       fine_table[live, cfg.refine * i_step + j])
-                except SimulationError as exc:  # name the member by its ensemble index
-                    raise exc.renamed(int(live[exc.member])) from exc
+    if cfg.eta > 0:
+        data = [_perturb(grid_c, law, rho_c0, mom_c0, cfg.eta,
+                         np.random.default_rng((cfg.seed, m, 0x7A)))
+                for m in range(cfg.members)]
+        coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
+    else:
+        coarse = State(rho_c0, mom_c0).batch(cfg.members)
+    fine = State(rho_f0, mom_f0).batch(cfg.members)
+    live = np.arange(cfg.members)  # ensemble index of each row of both batches
 
-    by_member_range(cfg.members, threads, march_range)
-    # each sample's sampled members, (members, 9) summed over axis 0 in member order
-    rem_sum = np.stack([np.sum(rem[sampled_at[:, i], i], axis=0) for i in range(n_samples)])
+    def march_range(lo, hi):  # rows [lo, hi) of both batches over one sample interval
+        c, f, ids = coarse.rows(slice(lo, hi)), fine.rows(slice(lo, hi)), live[lo:hi]
+        for k in range(i_s * stride, (i_s + 1) * stride):
+            try:
+                c = step_em(grid_c, model, cfg.stepper, c, dt_c, coarse_table[ids, k])
+                for j in range(cfg.refine):
+                    f = step_em(grid_f, model, cfg.stepper, f, dt_f,
+                                fine_table[ids, cfg.refine * k + j])
+            except SimulationError as exc:  # name the member by its ensemble index
+                raise exc.renamed(int(ids[exc.member])) from exc
+        return c, f
+
+    for i_s in range(n_samples):
+        if i_s > 0:  # frozen members repeat their last value
+            emv[:, i_s] = emv[:, i_s - 1]
+        if live.size:
+            u_fine = fine.mom / fine.rho[grid_f.comp(None)]
+            freeze = grad_inf_norm(grid_f, u_fine) > cfg.grad_threshold
+            rows = np.flatnonzero(~freeze | (i_s == 0))
+            r_c = grid_f.restrict(fine.rho, grid_c)[rows]
+            U_c = grid_f.restrict(u_fine, grid_c)[rows]
+            sampled = coarse.rows(rows)
+            try:
+                decomps = reference_decomps(grid_c, model, r_c, U_c)
+            except SimulationError as exc:  # name the ensemble member and the step
+                exc.state.t = times[i_s]
+                raise exc.renamed(int(live[rows[exc.member]]), "restricted ",
+                                  f" at {step_label(exc.state.t, dt_c)}") from exc
+            emv[live[rows], i_s] = relative_energy_state(grid_c, law, sampled, r_c, U_c)
+            terms = remainder(grid_c, model, sampled.rho, sampled.mom, r_c, U_c, decomps)
+            # the sampled members' (members, 9) terms, summed in member order
+            rem_sum[i_s] = np.sum(np.stack([terms[k] for k in REMAINDER_TERMS], axis=1),
+                                  axis=0)
+            if freeze.any():
+                tau[live[freeze]] = times[i_s]
+                coarse, fine, live = coarse.rows(~freeze), fine.rows(~freeze), live[~freeze]
+        if i_s < n_samples - 1 and live.size:
+            parts = by_member_range(live.size, threads, march_range)
+            coarse = State.joined([c for c, _ in parts])
+            fine = State.joined([f for _, f in parts])
+
     c_fit, amp = fit_exponential(times, emv.mean(axis=0))
     bias = max(amp - emv.mean(axis=0)[0], 0.0)
     resid = gronwall_check(times, emv.mean(axis=0), c_fit, bias)

@@ -233,8 +233,11 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     marching it alone.  A failing step is re-raised naming the member by its
     ensemble index, with eps and ``dt``; the step's message names the step.
     A failed interval is replayed from its start as one batch (see
-    :func:`by_member_range`).
+    :func:`by_member_range`).  ``n_samples`` must be a power of two, so that
+    it divides every march's step count.
     """
+    if cfg.n_samples < 1 or cfg.n_samples & (cfg.n_samples - 1):
+        raise SweepError(f"n_samples = {cfg.n_samples}: must be a power of two")
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
     v0 = _initial_v0(grid, cfg.v0_kind)

@@ -104,6 +104,8 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("weak-strong", "ws.members = 0"),
     ("weak-strong", "ws.n_steps = 0"),
     ("weak-strong", "ws.samples = 0"),
+    ("weak-strong", "ws.n_steps = 16\nws.samples = 5"),  # ws.samples must divide ws.n_steps
+    ("weak-strong", "ws.samples = 40\nws.n_steps = 16"),
     ("weak-strong", "ws.refine = 0"),
     ("weak-strong", "ws.refine = 3"),
     ("limit-sweep", "sweep.members = 2"),

@@ -1,3 +1,6 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
@@ -340,6 +343,12 @@ class TestWeakStrong:
         assert np.all(report.emv[0] == report.emv[0, 0])
 
 
+    def test_sample_interval_must_divide_steps(self):
+        cfg = dataclasses.replace(TestBatchedMarch.config(1, np.inf), sample_every=5)
+        with pytest.raises(ValueError, match="sample_every = 5 does not divide n_steps = 32"):
+            weak_strong_experiment(cfg)
+
+
 class TestBatchedMarch:
     """The members march as one batch; freezing stays per member."""
 
@@ -459,20 +468,41 @@ class TestBatchedMarch:
             weak_strong_experiment(self.config(5, np.inf), threads=2)
         assert err.value.member == 4
 
-    def test_reference_failure_in_later_range_names_ensemble_member(self, monkeypatch):
+    def test_reference_failure_after_freezing_names_ensemble_member(self, monkeypatch):
+        # member 0 freezes at sample 1, so from there batch row 0 is member 1
+        threshold = self.mixed_threshold(monkeypatch)
+        tau = weak_strong_experiment(self.config(6, threshold)).tau
         decomps = relative.reference_decomps
 
-        def second_range_fails(grid, model, r, U):
-            if len(r) == 2:
+        def fails_once_shrunk(grid, model, r, U):
+            if len(r) < 6:
                 raise SimulationError("reference density lost positivity",
-                                      State(r[1], r[1] * U[1]), 1)
+                                      State(r[0], r[0] * U[0]), 0)
             return decomps(grid, model, r, U)
 
-        monkeypatch.setattr(relative, "reference_decomps", second_range_fails)
+        monkeypatch.setattr(relative, "reference_decomps", fails_once_shrunk)
+        first_live = int(np.flatnonzero(tau > tau.min())[0])
+        assert first_live > 0
         with pytest.raises(SimulationError,
-                           match="member 4: restricted reference density") as err:
-            weak_strong_experiment(self.config(5, np.inf), threads=2)
-        assert err.value.member == 4
+                           match=f"member {first_live}: restricted reference density") as err:
+            weak_strong_experiment(self.config(6, threshold), threads=2)
+        assert err.value.member == first_live
+
+    def test_samples_reduced_once_on_calling_thread(self, monkeypatch):
+        # --threads 2 steps two ranges per interval; each sample's reference
+        # decompositions and remainder are one call on all live members
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
+        calls = []
+        for name in ("reference_decomps", "remainder"):
+            def record(grid, model, field, *args, _name=name, _fn=getattr(relative, name)):
+                calls.append((_name, threading.get_ident(), len(field)))
+                return _fn(grid, model, field, *args)
+
+            monkeypatch.setattr(relative, name, record)
+        report = weak_strong_experiment(self.config(5, np.inf), threads=2)
+        caller = threading.get_ident()
+        assert calls == [(name, caller, 5) for _ in report.times
+                         for name in ("reference_decomps", "remainder")]
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_restricted_reference_failure_at_any_thread_count(self, monkeypatch, threads):

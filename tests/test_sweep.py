@@ -151,6 +151,19 @@ class TestRunSweep:
             report.n_steps[0] % report.n_steps[1] == 0
 
 
+    @pytest.mark.parametrize("n_samples", [0, 3])
+    def test_sample_count_not_a_power_of_two_is_rejected(self, monkeypatch, n_samples):
+        # a sample count that does not divide the power-of-two step counts
+        # is rejected before any march, as sweep.samples is in a config file
+        calls = []
+        monkeypatch.setattr(sweep, "by_member_range", lambda *args: calls.append(args))
+        cfg = SweepConfig(grid_sizes=(16, 16), horizon=0.25, members=4,
+                          n_samples=n_samples, se_groups=2)
+        with pytest.raises(SweepError, match=f"n_samples = {n_samples}"):
+            run_sweep(cfg)
+        assert not calls
+
+
 def test_semi_implicit_schedule_and_cfl_margin(tmp_path):
     # the limit-sweep-2d benchmark overrides: with the viscosity and the
     # acoustics implicit, eps = 1 no longer takes the diffusive bound's 256
