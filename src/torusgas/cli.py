@@ -14,9 +14,8 @@ import argparse
 import sys
 
 from . import config as config_mod
-from . import driver, verify
+from . import driver
 from .dynamics import SimulationError
-from .sweep import SweepError
 
 
 def _thread_count(text: str) -> int:
@@ -65,6 +64,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    failures = (SimulationError,)  # a sweep adds SweepError, imported only where it runs
     try:
         if args.command == "simulate":
             summary = driver.run_simulate(cfg, args.out, threads=args.threads)
@@ -72,6 +72,8 @@ def main(argv=None) -> int:
                   f"artifacts in {args.out}")
             return 0
         if args.command == "verify":
+            from . import verify
+
             results, ok = verify.run_all()
             width = max(len(name) for name, _, _ in results)
             for name, passed, detail in results:
@@ -85,6 +87,9 @@ def main(argv=None) -> int:
                   f"artifacts in {args.out}")
             return 0
         if args.command == "limit-sweep":
+            from .sweep import SweepError
+
+            failures += (SweepError,)
             summary = driver.run_limit_sweep(cfg, args.out, threads=args.threads)
             slope = summary.get("slope")
             eps_list = [float(e) for e in summary["eps"]]
@@ -97,7 +102,7 @@ def main(argv=None) -> int:
     except config_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, SweepError) as exc:
+    except failures as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 3
     raise AssertionError("unreachable")

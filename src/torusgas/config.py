@@ -195,6 +195,8 @@ def _cross_validate(cfg: dict):
     eps = cfg["sweep.eps"]
     if not eps or not all(e > 0 for e in eps):
         raise ConfigError("sweep.eps: need at least one value, all positive")
+    if len(set(eps)) != len(eps):  # the rate fit needs distinct eps values
+        raise ConfigError(f"sweep.eps: values must be distinct, got {eps}")
     for key, allowed in (("sweep.nu_coupling", "eps2 | eps | const"),  # the sweep needs nu > 0
                          ("sweep.lambda_coupling", "eps2 | eps | zero | const"),
                          ("sweep.delta_coupling", "eps | eps2 | zero")):

@@ -44,13 +44,11 @@ from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt)
 from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
-from .euler import EulerState, taylor_green
 from .grid import Grid
-from .ledger import EnergyLedger, LedgerAccumulator, march, pooled_ledger, pooled_sample
 from .noise import NoiseModel, member_tables
-from .relative import (REMAINDER_TERMS, RelativeEnergyReport, WeakStrongConfig,
-                       weak_strong_experiment)
-from .sweep import V0_KINDS, RateReport, SweepConfig, fit_rate, run_sweep
+
+# A command's own modules (ledger, relative, sweep, euler) are imported in the
+# function that runs it: each command loads, and keeps resident, only its code.
 
 
 def build_grid(cfg: dict) -> Grid:
@@ -89,6 +87,8 @@ def initial_state(grid: Grid, cfg: dict) -> State:
         if grid.dim != 2:
             raise config_mod.ConfigError(f"init.kind = taylor_green needs a 2-D grid, "
                                          f"grid.sizes has {grid.dim} dimension(s)")
+        from .euler import taylor_green
+
         mom = amp * taylor_green(grid)
     else:
         raise config_mod.ConfigError(f"init.kind: unknown kind {kind!r}")
@@ -119,6 +119,8 @@ def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
 
 
 def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
+    from .ledger import EnergyLedger, LedgerAccumulator, march, pooled_ledger, pooled_sample
+
     grid = build_grid(cfg)
     model = build_model(cfg)
     stepper = build_stepper(cfg)
@@ -214,10 +216,10 @@ def _failure_snapshot(out_dir: str, dim: int):
         yield
     except SimulationError as exc:
         path, state = os.path.join(out_dir, "diagnostic_failure.snap"), exc.state
-        if isinstance(state, EulerState):
-            snapshots.write_field(path, Grid(state.v.shape[-dim:]), state.v, state.t)
-        elif state is not None:
+        if isinstance(state, State):
             snapshots.write_state(path, Grid(state.rho.shape[-dim:]), state)
+        elif state is not None:  # an incompressible reference's EulerState
+            snapshots.write_field(path, Grid(state.v.shape[-dim:]), state.v, state.t)
         raise
 
 
@@ -246,6 +248,8 @@ def _finalize(out_dir, cfg, summary):
 
 
 def run_weak_strong(cfg: dict, out_dir: str, threads: int = 1) -> dict:
+    from .relative import WeakStrongConfig, weak_strong_experiment
+
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
     n_steps = cfg["ws.n_steps"]
@@ -282,11 +286,11 @@ def run_weak_strong(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     return summary
 
 
-def _write_ws_report(out_dir, report: RelativeEnergyReport):
+def _write_ws_report(out_dir, report):
     env = (report.emv_mean[0] + report.gronwall_bias) * np.exp(
         report.gronwall_c * (report.times - report.times[0]))
     cols = {"t": report.times, "Emv_mean": report.emv_mean, "Emv_se": report.emv_se}
-    for j in range(len(REMAINDER_TERMS)):
+    for j in range(report.remainder_terms.shape[1]):
         cols[f"remainder_term_{j + 1}"] = report.remainder_terms[:, j]
     cols["gronwall_residual"] = report.emv_mean - env
     snapshots.write_csv(os.path.join(out_dir, "weak_strong.csv"), cols)
@@ -298,6 +302,8 @@ def _write_ws_report(out_dir, report: RelativeEnergyReport):
 
 
 def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
+    from .sweep import V0_KINDS, SweepConfig, fit_rate, run_sweep
+
     v0, sizes = cfg["sweep.v0"], cfg["grid.sizes"]
     if v0 not in V0_KINDS:
         raise config_mod.ConfigError(f"sweep.v0: unknown kind {v0!r}, "
@@ -342,7 +348,7 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     return summary
 
 
-def _write_sweep_csv(out_dir, report: RateReport):
+def _write_sweep_csv(out_dir, report):
     n_t = len(report.times)  # one row per (eps, t), eps-major
     rows = {"eps": np.repeat(report.eps, n_t), "t": np.tile(report.times, len(report.eps)),
             "Emv_mean": report.emv_mean.ravel(), "Emv_se": report.emv_se.ravel(),

@@ -11,8 +11,8 @@ estimators carry the oscillation content only.
 
 from __future__ import annotations
 
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -68,6 +68,36 @@ def member_se(values: np.ndarray, axis: int = 0):
     return values.std(axis=axis, ddof=1) / np.sqrt(n)
 
 
+def fit_line(x, y):
+    """Least-squares line ``y = slope x + intercept``; returns ``(slope, intercept)``.
+
+    The closed form on centered data: unlike ``np.polyfit``, it calls no
+    LAPACK routine, whose first use in a process costs about 1 MB of
+    resident memory for a fit of a handful of points.  Raises
+    ``ValueError`` when ``x`` has fewer than two distinct values, where no
+    line is determined.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size < 2 or np.all(x == x[0]):  # not np.unique, which imports numpy.ma
+        raise ValueError(f"a line fit needs two distinct x values, got {x.tolist()}")
+    dx = x - np.mean(x)
+    slope = np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx)
+    return float(slope), float(np.mean(y) - slope * np.mean(x))
+
+
+@functools.cache
+def _pool(workers: int):
+    """The process's pool of ``workers`` threads, built on first use.
+
+    ``concurrent.futures`` is imported here, so a run with one range never
+    loads it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def by_member_range(members: int, threads: int, march: Callable) -> list:
     """``march(lo, hi)`` on contiguous member ranges, at most one per thread and CPU.
 
@@ -75,7 +105,10 @@ def by_member_range(members: int, threads: int, march: Callable) -> list:
     beyond the CPU count would only add per-batch overhead, and a member's
     arithmetic does not depend on its range.  One range runs on the calling
     thread; several run on a pool, which numpy shares by releasing the GIL,
-    and every range is joined.  Results come back in member order.
+    and every range is joined.  Results come back in member order.  The
+    pool for a range count is built once and kept for the process, so a
+    march of one call per sample interval starts no thread per call; a
+    range function must therefore not call ``by_member_range`` itself.
 
     If a range fails, ``march(0, members)`` is replayed on the calling
     thread and its failure raised: the failure of one batch of all members,
@@ -90,9 +123,9 @@ def by_member_range(members: int, threads: int, march: Callable) -> list:
               for r in np.array_split(np.arange(members), count)]
     if len(ranges) == 1:
         return [march(*ranges[0])]
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(march, *r) for r in ranges]
-    errors = [e for e in (f.exception() for f in futures) if e is not None]
+    pool = _pool(len(ranges))
+    futures = [pool.submit(march, *r) for r in ranges]
+    errors = [e for e in (f.exception() for f in futures) if e is not None]  # joins each
     if errors:
         march(0, members)  # one batch raises its own failure
         raise errors[0]
@@ -142,12 +175,12 @@ def energy_jensen_gap(rho_atoms: np.ndarray, mom_atoms: np.ndarray,
     return mean_e, mean_e - bary_e
 
 
-def dissipation_defect(ym: EmpiricalYoungMeasure, law: PressureLaw,
-                       tol: float = 1e-12):
-    """Oscillation part of the dissipation defect.
+def energy_defect(ym: EmpiricalYoungMeasure, law: PressureLaw, tol: float = 1e-12):
+    """Mean energy density and the oscillation part of the dissipation defect.
 
-    Returns the pointwise field ``<0.5|m|^2/rho + P(rho)> - (0.5|<m>|^2/<rho>
-    + P(<rho>))`` and its integral D.  Joint convexity makes the field
+    Returns ``(mean_energy, field, D)`` from one :func:`energy_jensen_gap`
+    evaluation: the field ``<0.5|m|^2/rho + P(rho)> - (0.5|<m>|^2/<rho> +
+    P(<rho>))`` and its integral D.  Joint convexity makes the field
     nonnegative; values below ``-tol`` (scaled) indicate a broken estimator
     and raise.
     """
@@ -155,12 +188,13 @@ def dissipation_defect(ym: EmpiricalYoungMeasure, law: PressureLaw,
     scale = max(1.0, float(np.max(np.abs(mean_e))))
     if float(np.min(field)) < -tol * scale:
         raise ConvexityError(f"negative energy defect {np.min(field):.3e}")
-    return field, ym.grid.integrate(field)
+    return mean_e, field, ym.grid.integrate(field)
 
 
-def mean_energy_density(ym: EmpiricalYoungMeasure, law: PressureLaw) -> np.ndarray:
-    """``<nu; 0.5 |m|^2 / rho + P_delta(rho)>`` as a field."""
-    return energy_jensen_gap(ym.rho_atoms, ym.mom_atoms, law)[0]
+def dissipation_defect(ym: EmpiricalYoungMeasure, law: PressureLaw,
+                       tol: float = 1e-12):
+    """The defect field and its integral D of :func:`energy_defect`."""
+    return energy_defect(ym, law, tol)[1:]
 
 
 def momentum_defect(ym: EmpiricalYoungMeasure, law: PressureLaw):

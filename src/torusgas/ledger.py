@@ -34,8 +34,8 @@ import numpy as np
 
 from .constitutive import PressureLaw, Viscosity, stress_contract
 from .dynamics import StepStats, energy_total, step_em
-from .ensemble import (EmpiricalYoungMeasure, dissipation_defect,
-                       mean_energy_density, velocity_oscillation_field)
+from .ensemble import (EmpiricalYoungMeasure, dissipation_defect, energy_defect,
+                       velocity_oscillation_field)
 from .grid import Grid
 from .noise import NoiseModel, member_tables
 
@@ -77,12 +77,6 @@ class EnergyLedger:
                 "dissipation_cum": self.diss_cum, "ito_cum": self.ito_cum,
                 "martingale": self.martingale,
                 "residual": self._residual([0], slice(None))}  # from the first sample
-
-
-def total_energy(grid: Grid, ym: EmpiricalYoungMeasure, D: float,
-                 law: PressureLaw) -> float:
-    """``int <nu; 0.5 |m|^2/rho + P_delta(rho)> dx + D``."""
-    return grid.integrate(mean_energy_density(ym, law)) + D
 
 
 def poincare_ratio(ym: EmpiricalYoungMeasure, law: PressureLaw) -> float:
@@ -184,10 +178,10 @@ def pooled_sample(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure):
     """One sample of the ensemble ledger, from the Young measure of all members.
 
     Returns the barycenter ``(<rho>, <m>)``, the dissipation defect D and
-    the pooled energy including D.
+    the pooled energy ``int <nu; 0.5 |m|^2/rho + P_delta(rho)> dx + D``.
     """
-    _, D = dissipation_defect(ym, law)
-    return ym.barycenter(), D, total_energy(grid, ym, D, law)
+    mean_e, _, D = energy_defect(ym, law)
+    return ym.barycenter(), D, grid.integrate(mean_e) + D
 
 
 def pooled_ledger(members: EnergyLedger, grid: Grid, visc, barycenters, defect,

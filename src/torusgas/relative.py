@@ -38,7 +38,8 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            stress)
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig, step_em,
                        step_label)
-from .ensemble import EmpiricalYoungMeasure, by_member_range, mean_energy_density, member_se
+from .ensemble import (EmpiricalYoungMeasure, by_member_range, energy_jensen_gap, fit_line,
+                       member_se)
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
 from .noise import coarsen, member_tables
 
@@ -68,7 +69,7 @@ def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
         return float(np.sum(np.sum(dens, axis=0))) / ym.n_atoms * grid.cell_volume + D
     if form == "five_term":
         b_rho, b_mom = ym.barycenter()
-        t1 = grid.integrate(mean_energy_density(ym, law)) + D
+        t1 = grid.integrate(energy_jensen_gap(ym.rho_atoms, ym.mom_atoms, law)[0]) + D
         t2 = -grid.integrate(np.sum(b_mom * U, axis=0))
         t3 = 0.5 * grid.integrate(b_rho * np.sum(U * U, axis=0))
         t4 = -grid.integrate(b_rho * potential_delta_prime(law, r))
@@ -249,8 +250,8 @@ def fit_exponential(times, values):
     keep = values > FIT_REL_FLOOR * np.max(values, initial=0.0)
     if np.count_nonzero(keep) < 2:
         return 0.0, 0.0
-    c, logA = np.polyfit(times[keep], np.log(values[keep]), 1)
-    return float(c), float(np.exp(logA))
+    c, logA = fit_line(times[keep], np.log(values[keep]))
+    return c, float(np.exp(logA))
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,8 @@ import numpy as np
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt, step_em)
-from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
+from .ensemble import (EmpiricalYoungMeasure, by_member_range, dissipation_defect, fit_line,
+                       member_se)
 from .euler import euler_cfl_dt, make_state, step_em_euler, taylor_green
 from .grid import Grid
 from .noise import NoiseModel, coarsen, member_tables
@@ -365,7 +366,7 @@ def fit_rate(report: RateReport, gamma: float = 2.0) -> dict:
     vals = np.asarray(report.final_emv, dtype=np.float64)
     if np.any(vals <= 0):
         raise SweepError("rate fit needs positive relative-energy values")
-    slope = float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
+    slope = fit_line(np.log(eps), np.log(vals))[0]
     envelope = theoretical_envelope_exponent(gamma)
     order = np.argsort(eps)[::-1]  # decreasing eps along the schedule
     monotone = bool(np.all(np.diff(vals[order]) < 0))

@@ -111,6 +111,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("limit-sweep", "sweep.members = 2"),
     ("limit-sweep", "sweep.eps = "),
     ("limit-sweep", "sweep.eps = 0.5,-0.25"),
+    ("limit-sweep", "sweep.eps = 0.5,0.5,0.5"),  # no rate slope from repeated eps
     ("limit-sweep", "sweep.v0 = vortex"),
     ("limit-sweep", "grid.sizes = 64"),
     ("limit-sweep", "grid.sizes = 16,16,16"),
@@ -261,17 +262,17 @@ class TestSimulateCommand:
     def test_failure_in_later_chunk_names_ensemble_member(self, tmp_path, monkeypatch):
         # --threads 2 splits 3 members into chunks [0, 2) and [2, 3); a failure
         # of the second chunk's first member is member 2 of the ensemble
-        from torusgas import driver
+        from torusgas import driver, ledger
         from torusgas.dynamics import SimulationError
 
-        march = driver.march
+        march = ledger.march
 
         def second_chunk_fails(*args):
             if len(args[5]) == 1:  # the chunk's increment table
                 raise SimulationError("boom", args[3], 0)
             return march(*args)
 
-        monkeypatch.setattr(driver, "march", second_chunk_fails)
+        monkeypatch.setattr(ledger, "march", second_chunk_fails)
         cfg = config_mod.load(write_cfg(tmp_path, MINIMAL_1D))
         with pytest.raises(SimulationError, match="member 2: boom") as err:
             driver.run_simulate(cfg, str(tmp_path / "fail"), threads=2)

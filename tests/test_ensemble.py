@@ -1,3 +1,4 @@
+import threading
 from concurrent.futures import Future
 
 import numpy as np
@@ -11,8 +12,8 @@ from torusgas.dynamics import SimulationError, State
 from torusgas.ensemble import (ConvexityError, EmpiricalYoungMeasure,
                                EnsembleError, Observable, by_member_range,
                                defect_domination_audit, dissipation_defect,
-                               expect, momentum_defect, momentum_defect_total,
-                               velocity_oscillation_field)
+                               expect, fit_line, momentum_defect,
+                               momentum_defect_total, velocity_oscillation_field)
 from torusgas.grid import Grid
 
 from oracles import build_ym
@@ -246,6 +247,24 @@ def test_velocity_oscillation_two_atoms(grid1d):
     assert np.allclose(osc, 1.0, atol=1e-14)
 
 
+class TestFitLine:
+    def test_matches_polyfit(self, rng):
+        for n in (2, 3, 5, 20):
+            x = rng.uniform(-3.0, 3.0, n)
+            y = rng.normal(0.0, 1.0, n) + 0.7 * x
+            slope, intercept = fit_line(x, y)
+            want_slope, want_intercept = np.polyfit(x, y, 1)
+            assert slope == pytest.approx(want_slope, rel=1e-12)
+            assert intercept == pytest.approx(want_intercept, rel=1e-12)
+
+    def test_repeated_x_is_rejected(self):
+        # np.polyfit returns an arbitrary slope here and only warns
+        with pytest.raises(ValueError, match="two distinct x values"):
+            fit_line(np.log([0.5, 0.5, 0.5]), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="two distinct x values"):
+            fit_line([1.0], [2.0])
+
+
 class TestByMemberRange:
     @staticmethod
     def bounds(lo, hi):
@@ -264,7 +283,7 @@ class TestByMemberRange:
         def no_pool(*args, **kwargs):
             raise AssertionError("a single range started a pool")
 
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble, "_pool", no_pool)
         assert by_member_range(5, 1, self.bounds) == [(0, 5)]
         self.cpus(monkeypatch, 1)
         assert by_member_range(5, 8, self.bounds) == [(0, 5)]
@@ -275,24 +294,32 @@ class TestByMemberRange:
         workers = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def submit(self, fn, *args):
                 future = Future()
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", SerialPool)
+        def serial_pool(max_workers):
+            workers.append(max_workers)
+            return SerialPool()
+
+        monkeypatch.setattr(ensemble, "_pool", serial_pool)
         self.cpus(monkeypatch, 2)
         assert by_member_range(1000, 100000, self.bounds) == [(0, 500), (500, 1000)]
         assert workers == [2]
+
+    def test_pool_kept_between_calls(self, monkeypatch):
+        # a march of one call per sample interval reuses one pool's threads
+        self.cpus(monkeypatch, 2)
+        names = set()
+
+        def march(lo, hi):
+            names.add(threading.current_thread().name)
+            return lo
+
+        for _ in range(6):
+            assert by_member_range(4, 2, march) == [0, 2]
+        assert len(names) <= 2
 
     def test_first_failing_range_raises(self, monkeypatch):
         # failures that the one batch does not repeat keep range order

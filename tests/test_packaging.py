@@ -1,6 +1,8 @@
 import ast
+import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -59,3 +61,47 @@ def test_no_unused_imports():
             if names:
                 unused[fname] = names
     assert unused == {}
+
+
+# Each command at toy size in a fresh interpreter, and the package modules it
+# must not load: a command imports only the code it runs.
+COMMAND_RUNS = {
+    "simulate": ("configs/simulate_1d.cfg",
+                 {"run.T": 0.5, "ensemble.members": 4, "run.snapshot_every": 1},
+                 {"relative", "sweep", "euler", "verify"}),
+    "weak-strong": ("configs/weak_strong.cfg",
+                    {"grid.sizes": [16], "ws.members": 2, "ws.n_steps": 16, "ws.samples": 4},
+                    {"sweep", "euler", "ledger", "verify"}),
+    "limit-sweep": ("configs/limit_sweep.cfg",
+                    {"grid.sizes": [16, 16], "sweep.eps": [1.0, 0.5, 0.25],
+                     "sweep.members": 8, "sweep.samples": 2, "run.T": 0.125},
+                    {"ledger", "verify"}),
+}
+
+RUN_AND_LIST_MODULES = """
+import json, sys
+from torusgas import cli, config, driver
+command, path, overrides, out, entry = sys.argv[1:]
+cfg = config.load(path, json.loads(overrides))
+if entry == "cli":
+    with open(out + ".cfg", "w") as fh:
+        fh.write(config.dumps(cfg))
+    assert cli.main([command, "--config", out + ".cfg", "--threads", "1", "--out", out]) == 0
+else:
+    getattr(driver, "run_" + command.replace("-", "_"))(cfg, out, threads=1)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("command,entry", [("simulate", "driver"), ("weak-strong", "driver"),
+                                           ("limit-sweep", "driver"), ("simulate", "cli")])
+def test_command_loads_only_its_modules(tmp_path, command, entry):
+    path, overrides, unused = COMMAND_RUNS[command]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_LIST_MODULES, command,
+                           os.path.join(ROOT, path), json.dumps(overrides),
+                           str(tmp_path / "out"), entry],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert "torusgas.driver" in loaded
+    assert loaded & ({f"torusgas.{name}" for name in unused} | {"concurrent.futures"}) == set()
