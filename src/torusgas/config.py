@@ -49,8 +49,8 @@ SCHEMA: dict[str, Key] = {
     "noise.L": Key("float_list", [], "momentum coupling per mode"),
     "ensemble.members": Key("int", 1, "Monte Carlo ensemble size"),
     "ensemble.shared_paths": Key("bool", False, "drive all members by one path"),
-    "init.kind": Key("str", "density_wave",
-                     "constant | density_wave | shear | bump | taylor_green"),
+    "init.kind": Key("str", "density_wave", "initial flow, a name in dynamics.FLOWS: "
+                     "constant | density_wave | shear | bump | taylor_green (2-D only)"),
     "init.amplitude": Key("float", 0.1, "initial perturbation amplitude"),
     "ws.n_steps": Key("int", 64, "coarse steps of the weak-strong run"),
     "ws.members": Key("int", 8, "weak-strong ensemble size"),
@@ -61,7 +61,8 @@ SCHEMA: dict[str, Key] = {
     "sweep.members": Key("int", 64, "sweep ensemble size"),
     "sweep.samples": Key("int", 8, "sweep sample count (power of two)"),
     "sweep.grad_threshold": Key("float", 2.0, "Euler gradient stopping threshold"),
-    "sweep.v0": Key("str", "taylor_green", "limit velocity data"),
+    "sweep.v0": Key("str", "taylor_green", "limit velocity data: the momentum of a flow "
+                    "in dynamics.FLOWS of density 1 (taylor_green, shear, constant or zero)"),
     "sweep.nu_coupling": Key("str", "eps2", "eps2 | eps | const"),
     "sweep.lambda_coupling": Key("str", "eps2", "eps2 | eps | zero | const"),
     "sweep.delta_coupling": Key("str", "eps", "data preparation rate: eps | eps2 | zero"),

@@ -32,7 +32,6 @@ restricted reference pair, or the incompressible reference's velocity.
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import contextmanager
 
@@ -42,9 +41,9 @@ from . import config as config_mod
 from . import snapshots
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
-                       StepStats, cfl_dt)
+                       StepStats, cfl_dt, initial_flow)
 from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
-from .grid import Grid
+from .grid import FieldError, Grid
 from .noise import NoiseModel, member_tables
 
 # A command's own modules (ledger, relative, sweep, euler) are imported in the
@@ -68,31 +67,17 @@ def build_stepper(cfg: dict) -> StepperConfig:
                          rho_floor=cfg["stepper.rho_floor"])
 
 
-def initial_state(grid: Grid, cfg: dict) -> State:
-    kind = cfg["init.kind"]
-    amp = cfg["init.amplitude"]
-    coords = grid.coordinates()
-    rho = np.ones(grid.sizes)
-    mom = np.zeros((grid.dim, *grid.sizes))
-    if kind == "constant":
-        pass
-    elif kind == "density_wave":
-        rho = 1.0 + amp * np.sin(coords[0])
-        mom[0] = amp * np.cos(coords[-1])
-    elif kind == "shear":
-        mom[0] = amp * np.sin(coords[-1])
-    elif kind == "bump":
-        rho = 1.0 + amp * np.exp(np.cos(coords[0])) / math.e
-    elif kind == "taylor_green":
-        if grid.dim != 2:
-            raise config_mod.ConfigError(f"init.kind = taylor_green needs a 2-D grid, "
-                                         f"grid.sizes has {grid.dim} dimension(s)")
-        from .euler import taylor_green
+def build_flow(cfg: dict, key: str, grid: Grid, amplitude: float = 1.0) -> State:
+    """The flow of :data:`torusgas.dynamics.FLOWS` that ``cfg[key]`` names, on ``grid``.
 
-        mom = amp * taylor_green(grid)
-    else:
-        raise config_mod.ConfigError(f"init.kind: unknown kind {kind!r}")
-    return State(rho, mom)
+    An unknown name, or a flow the grid cannot carry, is a ``ConfigError``
+    naming the key and ``grid.sizes``.
+    """
+    try:
+        return initial_flow(grid, cfg[key], amplitude)
+    except FieldError as exc:
+        raise config_mod.ConfigError(f"{key} = {cfg[key]} on grid.sizes = "
+                                     f"{list(grid.sizes)}: {exc}") from None
 
 
 def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
@@ -124,7 +109,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     grid = build_grid(cfg)
     model = build_model(cfg)
     stepper = build_stepper(cfg)
-    state0 = initial_state(grid, cfg).validate(grid)
+    state0 = build_flow(cfg, "init.kind", grid, cfg["init.amplitude"]).validate(grid)
     os.makedirs(out_dir, exist_ok=True)
     n_steps = choose_steps(grid, model, stepper, state0, cfg)
     dt = cfg["run.T"] / n_steps
@@ -302,15 +287,11 @@ def _write_ws_report(out_dir, report):
 
 
 def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
-    from .sweep import V0_KINDS, SweepConfig, fit_rate, run_sweep
+    from .sweep import SweepConfig, fit_rate, run_sweep
 
-    v0, sizes = cfg["sweep.v0"], cfg["grid.sizes"]
-    if v0 not in V0_KINDS:
-        raise config_mod.ConfigError(f"sweep.v0: unknown kind {v0!r}, "
-                                     f"expected one of {', '.join(V0_KINDS)}")
-    if v0 == "taylor_green" and len(sizes) != 2:
-        raise config_mod.ConfigError(f"sweep.v0 = taylor_green needs a 2-D grid, "
-                                     f"grid.sizes has {len(sizes)} dimension(s)")
+    if np.any(build_flow(cfg, "sweep.v0", build_grid(cfg)).rho != 1.0):  # v0 is a velocity
+        raise config_mod.ConfigError(f"sweep.v0 = {cfg['sweep.v0']}: the limit data needs "
+                                     f"a flow of density 1")
     os.makedirs(out_dir, exist_ok=True)
     sweep_cfg = SweepConfig(
         grid_sizes=tuple(cfg["grid.sizes"]),
@@ -329,7 +310,7 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         noise_L=tuple(cfg["noise.L"]),
         cfl=cfg["stepper.cfl"],
         n_samples=cfg["sweep.samples"],
-        v0_kind=v0,
+        v0_kind=cfg["sweep.v0"],
     )
     with _failure_snapshot(out_dir, len(sweep_cfg.grid_sizes)):
         report = run_sweep(sweep_cfg, threads)

@@ -23,7 +23,8 @@ stepping that member alone, under one CFL bound for the whole batch.
 :meth:`State.joined` puts batches back together.  A failing batched
 step names the offending member and carries its state at the start of the
 step.  A model without noise carries a zero-mode
-:class:`~torusgas.noise.NoiseModel`.
+:class:`~torusgas.noise.NoiseModel`.  Every command's initial data is a
+named flow of :data:`FLOWS`, built by :func:`initial_flow`.
 
 The step is explicit by default.  With ``StepperConfig.semi_implicit`` it is
 an IMEX step.  The viscous term gets a stabilized semi-implicit treatment
@@ -59,6 +60,7 @@ step, whose energy bookkeeping the ledger checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,7 +68,7 @@ import numpy as np
 
 from .constitutive import (PressureLaw, Viscosity, potential_delta,
                            pressure_delta, pressure_delta_prime)
-from .grid import Grid
+from .grid import FieldError, Grid
 from .noise import NoiseModel
 
 
@@ -373,3 +375,66 @@ def energy_total(grid: Grid, law: PressureLaw, state: State):
     """
     kinetic = 0.5 * np.sum(state.mom * state.mom, axis=-grid.dim - 1) / state.rho
     return grid.integrate(kinetic + potential_delta(law, state.rho))
+
+
+# --------------------------------------------------------------------------
+# initial flows
+# --------------------------------------------------------------------------
+
+
+def taylor_green(grid: Grid) -> np.ndarray:
+    """Steady 2-D Taylor-Green vortex ``(sin x cos y, -cos x sin y)``."""
+    if grid.dim != 2:
+        raise FieldError(f"taylor_green needs a 2-D grid, got {grid.dim} dimension(s)")
+    X, Y = grid.coordinates()
+    return np.stack([np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y)])
+
+
+def _rest(grid: Grid, amp: float):
+    return np.ones(grid.sizes), np.zeros((grid.dim, *grid.sizes))
+
+
+def _density_wave(grid: Grid, amp: float):
+    x = grid.coordinates()
+    mom = np.zeros((grid.dim, *grid.sizes))
+    mom[0] = amp * np.cos(x[-1])
+    return 1.0 + amp * np.sin(x[0]), mom
+
+
+def _shear(grid: Grid, amp: float):
+    rho, mom = _rest(grid, amp)
+    mom[0] = amp * np.sin(grid.coordinates()[-1])
+    return rho, mom
+
+
+def _bump(grid: Grid, amp: float):
+    rho = 1.0 + amp * np.exp(np.cos(grid.coordinates()[0])) / math.e
+    return rho, np.zeros((grid.dim, *grid.sizes))
+
+
+def _taylor_green(grid: Grid, amp: float):
+    return np.ones(grid.sizes), amp * taylor_green(grid)
+
+
+# name -> (grid, amplitude) -> (rho, mom); "zero" is the limit sweep's name for "constant"
+FLOWS: dict[str, Callable] = {
+    "constant": _rest,
+    "zero": _rest,
+    "density_wave": _density_wave,
+    "shear": _shear,
+    "bump": _bump,
+    "taylor_green": _taylor_green,
+}
+
+
+def initial_flow(grid: Grid, kind: str, amplitude: float = 1.0) -> State:
+    """The initial state of the flow ``kind`` of :data:`FLOWS` at ``amplitude``.
+
+    Every command's data comes from here: ``simulate``'s ``init.kind``, the
+    smooth data of ``weak-strong`` and the limit velocity ``sweep.v0``.  An
+    unknown name, or a flow the grid's dimension cannot carry, raises
+    :class:`~torusgas.grid.FieldError`.
+    """
+    if kind not in FLOWS:
+        raise FieldError(f"unknown flow {kind!r}, expected one of {', '.join(FLOWS)}")
+    return State(*FLOWS[kind](grid, amplitude))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimulationError, StepStats, step_label
-from .grid import FieldError, Grid
+from .grid import Grid
 from .noise import NoiseModel
 
 DIV_TOL = 1e-8
@@ -176,11 +176,3 @@ def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState, dt: float,
         raise SimulationError.of_row(f"{what} at {step_label(state.t, dt)}", state,
                                      None if single else m)
     return _state(grid, vh, state.t + dt)
-
-
-def taylor_green(grid: Grid) -> np.ndarray:
-    """Steady 2-D Taylor-Green vortex ``(sin x cos y, -cos x sin y)``."""
-    if grid.dim != 2:
-        raise FieldError("taylor_green needs a 2-D grid")
-    X, Y = grid.coordinates()
-    return np.stack([np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y)])

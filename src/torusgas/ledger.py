@@ -37,7 +37,7 @@ from .dynamics import StepStats, energy_total, step_em
 from .ensemble import (EmpiricalYoungMeasure, dissipation_defect, energy_defect,
                        velocity_oscillation_field)
 from .grid import Grid
-from .noise import NoiseModel, member_tables
+from .noise import NoiseModel
 
 
 @dataclass
@@ -203,77 +203,3 @@ def pooled_ledger(members: EnergyLedger, grid: Grid, visc, barycenters, defect,
     return EnergyLedger(times, np.array(energy), np.array(defect), diss,
                         np.mean(members.ito_cum, axis=0), np.mean(members.martingale, axis=0))
 
-
-# --------------------------------------------------------------------------
-# cross-variation audit (clause on test processes)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmoothItoProcess:
-    """Finite-mode Ito test process ``df = D^d f dt + sum_k ds[k] dW_k``.
-
-    ``ds`` are constant diffusion coefficients against the driving modes;
-    ``independent_seed`` instead drives f by a fresh Wiener path (its
-    cross-variation with the run's martingale must then vanish).
-    """
-
-    ds: tuple[float, ...]
-    independent_seed: int | None = None
-
-    def increments(self, run_table: np.ndarray, dt: float) -> np.ndarray:
-        """Per-step increments ``df_n = ds . dW_n`` along each run of a batch.
-
-        ``run_table`` holds the runs' own ``(M, n_steps, K)`` Wiener
-        increments; an independent process draws its own paths on the runs'
-        time lattice instead, member ``m`` from ``(independent_seed, m)``.
-        """
-        if self.independent_seed is not None:
-            members, n_steps, modes = run_table.shape
-            run_table = member_tables(self.independent_seed, members, modes, dt, n_steps)
-        return run_table @ np.asarray(self.ds, dtype=np.float64)
-
-    def ds_against_run(self, modes: int) -> np.ndarray:
-        """Diffusion coefficients against the run's own modes."""
-        if self.independent_seed is not None:
-            return np.zeros(modes)
-        return np.asarray(self.ds, dtype=np.float64)
-
-
-def cross_variation_audit(grid: Grid, model, stepper, init_state, horizon: float,
-                          n_steps: int, n_paths: int, process: SmoothItoProcess,
-                          seed: int = 0) -> dict:
-    """Monte Carlo check of the prescribed cross-variation structure.
-
-    Per path, the realized covariation ``sum_n df_n . dMbar_n`` of the test
-    process with the space-integrated momentum martingale
-    ``Mbar = sum_k int(int G_k dx) dW_k`` is compared against the predicted
-    ``sum_k int int <D^s f G_k> dx dt``; the audit passes when the mean
-    difference sits within five standard errors of zero, componentwise.
-    All paths are marched as one member batch.
-    """
-    dt = horizon / n_steps
-    noise = model.noise
-    dim = grid.dim
-    table = member_tables(seed, n_paths, noise.modes, dt, n_steps)
-    df_table = process.increments(table, dt)
-    ds_run = process.ds_against_run(noise.modes)
-    state = init_state.batch(n_paths)
-    realized = np.zeros((n_paths, dim))
-    predicted = np.zeros((n_paths, dim))
-    for step in range(n_steps):
-        dW = table[:, step]
-        g_int = np.empty((n_paths, noise.modes, dim))
-        for mode in range(noise.modes):
-            gk = noise.apply_mode(mode, grid, state.rho, state.mom)
-            for c in range(dim):
-                g_int[:, mode, c] = grid.integrate(gk[:, c])
-        realized += df_table[:, step, None] * (dW[:, None, :] @ g_int)[:, 0]
-        predicted += dt * (ds_run @ g_int)
-        state = step_em(grid, model, stepper, state, dt, dW)
-    diffs = realized - predicted
-    mean = diffs.mean(axis=0)
-    se = diffs.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    ok = bool(np.all(np.abs(mean) <= 5.0 * np.maximum(se, 1e-300)))
-    return {"mean_diff": mean, "se": se, "pass": ok,
-            "n_paths": n_paths}

@@ -37,14 +37,18 @@ needs more than the first block and is drawn by ``increments`` itself.
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-log = logging.getLogger(__name__)
+
+def _warn(message: str, *args):
+    """Log a warning as ``torusgas.noise``; ``logging`` is loaded only when one fires."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 class NoiseError(ValueError):
@@ -113,7 +117,7 @@ class NoiseModel:
         if np.any(vac):
             bad = int(np.count_nonzero(vac & (np.sum(np.abs(mom), axis=c) > 0)))
             if bad:
-                log.warning("ito correction: %d vacuum cells with nonzero momentum", bad)
+                _warn("ito correction: %d vacuum cells with nonzero momentum", bad)
         u = mom / np.maximum(rho, rho_floor)[grid.comp(None)]
         out = np.zeros_like(rho)
         u2 = np.sum(u * u, axis=c)
@@ -251,7 +255,7 @@ def _probe_ziggurat() -> tuple[np.ndarray, np.ndarray]:
     gen.bit_generator.state = _philox_state([0, 0, 0, 3], [_U64 - 2, 1 << 63])
     if not np.array_equal(gen.bit_generator.random_raw(4),
                           _philox_blocks(_U64 - 2, np.array([1 << 63], np.uint64), 4)[0, 3]):
-        log.warning("emulated Philox differs from numpy's: every row takes the per-step draw")
+        _warn("emulated Philox differs from numpy's: every row takes the per-step draw")
         ki[:] = 0
     return wi, ki
 

@@ -36,8 +36,8 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            potential_delta_second, potential_delta_third,
                            pressure_delta, pressure_delta_second, relative_h,
                            stress)
-from .dynamics import (ModelConfig, SimulationError, State, StepperConfig, step_em,
-                       step_label)
+from .dynamics import (ModelConfig, SimulationError, State, StepperConfig, initial_flow,
+                       step_em, step_label)
 from .ensemble import (EmpiricalYoungMeasure, by_member_range, energy_jensen_gap, fit_line,
                        member_se)
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
@@ -293,15 +293,6 @@ class RelativeEnergyReport:
         return member_se(self.emv)
 
 
-def default_smooth_init(grid: Grid):
-    """Smooth deterministic data: a density wave with a gentle shear."""
-    coords = grid.coordinates()
-    rho = 1.0 + 0.1 * np.sin(coords[0])
-    mom = np.zeros((grid.dim, *grid.sizes))
-    mom[0] = 0.1 * np.cos(coords[-1])
-    return rho, mom
-
-
 def _perturb(grid: Grid, law: PressureLaw, rho: np.ndarray, mom: np.ndarray,
              eta: float, rng: np.random.Generator):
     """Perturb data so the initial relative energy is about eta."""
@@ -353,9 +344,9 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     dt_c = cfg.horizon / cfg.n_steps
     dt_f = cfg.horizon / n_f
     stride = cfg.sample_every
-    rho_f0, mom_f0 = default_smooth_init(grid_f)
-    rho_c0 = grid_f.restrict(rho_f0, grid_c)
-    mom_c0 = grid_f.restrict(mom_f0, grid_c)
+    fine0 = initial_flow(grid_f, "density_wave", 0.1)  # a density wave, a gentle shear
+    rho_c0 = grid_f.restrict(fine0.rho, grid_c)
+    mom_c0 = grid_f.restrict(fine0.mom, grid_c)
 
     times = np.array([i * dt_c for i in range(0, cfg.n_steps + 1, stride)])
     n_samples = len(times)
@@ -373,7 +364,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
         coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
     else:
         coarse = State(rho_c0, mom_c0).batch(cfg.members)
-    fine = State(rho_f0, mom_f0).batch(cfg.members)
+    fine = fine0.batch(cfg.members)
     live = np.arange(cfg.members)  # ensemble index of each row of both batches
 
     def march_range(lo, hi):  # rows [lo, hi) of both batches over one sample interval

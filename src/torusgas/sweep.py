@@ -42,10 +42,10 @@ import numpy as np
 
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
-                       StepStats, cfl_dt, step_em)
+                       StepStats, cfl_dt, initial_flow, step_em)
 from .ensemble import (EmpiricalYoungMeasure, by_member_range, dissipation_defect, fit_line,
                        member_se)
-from .euler import euler_cfl_dt, make_state, step_em_euler, taylor_green
+from .euler import euler_cfl_dt, make_state, step_em_euler
 from .grid import Grid
 from .noise import NoiseModel, coarsen, member_tables
 from .relative import relative_energy_state
@@ -72,7 +72,7 @@ class SweepConfig:
     noise_L: tuple = (0.05,)
     cfl: float = 0.4
     n_samples: int = 8
-    v0_kind: str = "taylor_green"  # or "zero"
+    v0_kind: str = "taylor_green"  # a flow of dynamics.FLOWS, its momentum the velocity
     se_groups: int = 4
 
 
@@ -135,17 +135,6 @@ def _step_count(cfg: SweepConfig, dt_bound: float) -> int:
     The margin is generous because the bound tightens as the run goes on.
     """
     return _round_up_pow2(max(cfg.n_samples, int(np.ceil(cfg.horizon / (0.6 * dt_bound)))))
-
-
-V0_KINDS = ("taylor_green", "zero")  # taylor_green needs a 2-D grid
-
-
-def _initial_v0(grid: Grid, kind: str) -> np.ndarray:
-    if kind == "taylor_green":
-        return taylor_green(grid)
-    if kind == "zero":
-        return np.zeros((grid.dim, *grid.sizes))
-    raise SweepError(f"unknown v0 kind {kind!r}")
 
 
 def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.ndarray,
@@ -241,7 +230,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
         raise SweepError(f"n_samples = {cfg.n_samples}: must be a power of two")
     grid = Grid(cfg.grid_sizes)
     noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
-    v0 = _initial_v0(grid, cfg.v0_kind)
+    v0 = initial_flow(grid, cfg.v0_kind).mom
     eps_list = list(cfg.eps_schedule)
 
     # step counts from each march's own CFL bound at t = 0
@@ -310,8 +299,6 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
             if rows.size:
                 emv[i_eps, rows, i_s] = relative_energy_state(
                     grid, law_eff, comp.rows(sampled), ones, v_ref[rows, i_s])
-                # a fresh buffer: a Young measure shares its atoms by reference
-                last_rho, last_mom = last_rho.copy(), last_mom.copy()
                 last_rho[rows] = comp.rho[sampled]
                 last_mom[rows] = comp.mom[sampled]
             if not keep.all():

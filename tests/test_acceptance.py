@@ -18,12 +18,11 @@ from torusgas.ensemble import (EmpiricalYoungMeasure,
                                defect_domination_audit, dissipation_defect,
                                expect, momentum_defect_total, Observable)
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
-from torusgas.ledger import SmoothItoProcess, cross_variation_audit
 from torusgas.noise import NoiseModel, member_tables
 from torusgas.relative import WeakStrongConfig, weak_strong_experiment
 from torusgas.sweep import SweepConfig, fit_rate, run_sweep
 
-from oracles import sampled_march
+from oracles import SmoothItoProcess, cross_variation_audit, sampled_march
 
 LAW2 = PressureLaw(1.0, 2.0)
 

@@ -8,7 +8,7 @@ from torusgas import config as config_mod
 from torusgas import snapshots
 from torusgas.cli import main
 from torusgas.config import ConfigError, parse_text, resolve
-from torusgas.dynamics import SimulationError
+from torusgas.dynamics import SimulationError, initial_flow
 from torusgas.sweep import SweepError
 
 
@@ -113,6 +113,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("limit-sweep", "sweep.eps = 0.5,-0.25"),
     ("limit-sweep", "sweep.eps = 0.5,0.5,0.5"),  # no rate slope from repeated eps
     ("limit-sweep", "sweep.v0 = vortex"),
+    ("limit-sweep", "sweep.v0 = density_wave"),  # the limit data needs density 1
     ("limit-sweep", "grid.sizes = 64"),
     ("limit-sweep", "grid.sizes = 16,16,16"),
     ("simulate", "run.T = -0.5"),
@@ -131,6 +132,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("limit-sweep", "sweep.lambda_coupling = eps3"),
     ("limit-sweep", "sweep.delta_coupling = const"),
     ("simulate", "init.kind = taylor_green\ngrid.sizes = 16"),
+    ("simulate", "init.kind = vortex"),
     ("simulate", "run.snapshot_every = -2"),
     ("weak-strong", "ws.eta = -1"),
 ])
@@ -246,7 +248,7 @@ class TestSimulateCommand:
         text = (MINIMAL_1D.replace("run.T = 0.05", "run.T = 2.0")
                 .replace("run.n_steps = 20", "run.n_steps = 10"))
         cfg = config_mod.load(write_cfg(tmp_path, text))
-        state0 = driver.initial_state(driver.build_grid(cfg), cfg)
+        state0 = initial_flow(driver.build_grid(cfg), cfg["init.kind"], cfg["init.amplitude"])
         messages = set()
         for threads in (1, 2, 8):
             out = str(tmp_path / f"fail{threads}")
@@ -311,7 +313,8 @@ class TestSimulateCommand:
         grid = driver.build_grid(cfg)
         model, stepper = driver.build_model(cfg), driver.build_stepper(cfg)
         row = poisoned(cfg["run.seed"], 10, model.modes, dt, cfg["run.n_steps"])[7]
-        start = step_em(grid, model, stepper, driver.initial_state(grid, cfg), dt, row[0])
+        state0 = initial_flow(grid, cfg["init.kind"], cfg["init.amplitude"])
+        start = step_em(grid, model, stepper, state0, dt, row[0])
         np.testing.assert_array_equal(values, np.concatenate([start.rho[None], start.mom]))
         with pytest.raises(SimulationError, match="non-finite state after step 1"):
             step_em(grid, model, stepper, exc.state, dt, row[1])
@@ -542,6 +545,16 @@ noise.L = 0.05
             summary = json.load(fh)
         assert "slope" in summary and "monotone" in summary
         assert code in (0, 1)  # rate fit may fail at this tiny scale
+
+    def test_zero_and_constant_are_one_flow(self, tmp_path):
+        # "zero", the sweep's older name for the fluid at rest, still loads
+        outputs = []
+        for v0 in ("zero", "constant"):
+            cfg = write_cfg(tmp_path, self.TEXT + f"sweep.v0 = {v0}\n", f"{v0}.cfg")
+            assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path / v0)]) in (0, 1)
+            outputs.append([(tmp_path / v0 / name).read_bytes()
+                            for name in ("summary.json", "sweep.csv")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("poisoned_call", [0, 1], ids=["reference", "compressible"])
     def test_failure_leaves_member_snapshot(self, tmp_path, monkeypatch, poisoned_call):

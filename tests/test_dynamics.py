@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from torusgas.constitutive import PressureLaw, Viscosity
-from torusgas.dynamics import (ModelConfig, SimulationError, State,
+from torusgas.dynamics import (FLOWS, ModelConfig, SimulationError, State,
                                StepperConfig, StepStats, cfl_dt, energy_total,
-                               rhs_deterministic, step_em)
-from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
+                               initial_flow, rhs_deterministic, step_em, taylor_green)
+from torusgas.grid import FieldError, Grid, random_smooth_scalar, random_smooth_vector
 from torusgas.noise import NoiseModel, WienerPath
 
 from oracles import div_tensor
@@ -491,3 +491,39 @@ class TestSemiImplicit:
         assert g1 > g2 > g3 > 0
         assert 1.6 <= g1 / g2 <= 2.4
         assert 1.6 <= g2 / g3 <= 2.4
+
+
+class TestInitialFlow:
+    # every flow on a 1-D and a 2-D grid; taylor_green only on the 2-D one
+    @pytest.mark.parametrize("kind,sizes", [(kind, sizes) for kind in FLOWS
+                                            for sizes in ((16,), (16, 16))
+                                            if kind != "taylor_green" or len(sizes) == 2])
+    def test_every_flow_builds_a_state(self, kind, sizes):
+        grid = Grid(sizes)
+        state = initial_flow(grid, kind, 0.3).validate(grid)
+        assert state.rho.shape == grid.sizes and state.mom.shape == (grid.dim, *grid.sizes)
+        assert np.min(state.rho) > 0 and state.t == 0.0
+        # at amplitude 0 every flow is the fluid at rest
+        rest = initial_flow(grid, kind, 0.0)
+        assert np.all(rest.rho == 1.0) and np.all(rest.mom == 0.0)
+
+    def test_unknown_flow_lists_the_names(self, grid1d):
+        with pytest.raises(FieldError, match="unknown flow 'vortex'.*constant.*taylor_green"):
+            initial_flow(grid1d, "vortex")
+
+    def test_zero_is_constant(self, grid2d):
+        zero, constant = initial_flow(grid2d, "zero"), initial_flow(grid2d, "constant")
+        assert np.array_equal(zero.rho, constant.rho) and np.array_equal(zero.mom, constant.mom)
+
+    def test_taylor_green_flow_is_the_vortex(self, grid2d):
+        state = initial_flow(grid2d, "taylor_green", 0.5)
+        assert np.all(state.rho == 1.0)
+        assert np.array_equal(state.mom, 0.5 * taylor_green(grid2d))
+
+
+def test_taylor_green_needs_2d(grid1d):
+    for grid in (grid1d, Grid((8, 8, 8))):
+        with pytest.raises(FieldError, match="taylor_green needs a 2-D grid"):
+            taylor_green(grid)
+        with pytest.raises(FieldError, match="taylor_green needs a 2-D grid"):
+            initial_flow(grid, "taylor_green")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from torusgas.dynamics import SimulationError, StepStats, step_label
+from torusgas.dynamics import SimulationError, StepStats, step_label, taylor_green
 from torusgas.euler import (DIV_TOL, _divergence_bound, advection, euler_cfl_dt, make_state,
-                            pressure_from_projection, step_em_euler, taylor_green)
-from torusgas.grid import FieldError, Grid, grad_inf_norm, random_smooth_vector, random_solenoidal
+                            pressure_from_projection, step_em_euler)
+from torusgas.grid import Grid, grad_inf_norm, random_smooth_vector, random_solenoidal
 from torusgas.noise import NoiseModel, WienerPath
 
 
@@ -262,7 +262,3 @@ class TestStoppingTime:
         v = taylor_green(grid2d)
         assert grad_inf_norm(grid2d, v) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_taylor_green_needs_2d(grid1d):
-    with pytest.raises(FieldError):
-        taylor_green(grid1d)

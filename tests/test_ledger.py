@@ -5,11 +5,10 @@ from torusgas.constitutive import PressureLaw, Viscosity, potential_delta
 from torusgas.dynamics import ModelConfig, State, StepperConfig, step_em
 from torusgas.ensemble import EmpiricalYoungMeasure, dissipation_defect
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
-from torusgas.ledger import (EnergyLedger, LedgerAccumulator, SmoothItoProcess,
-                             cross_variation_audit, poincare_ratio, pooled_sample)
+from torusgas.ledger import EnergyLedger, LedgerAccumulator, poincare_ratio, pooled_sample
 from torusgas.noise import NoiseModel, member_tables
 
-from oracles import build_ym, sampled_march
+from oracles import SmoothItoProcess, build_ym, cross_variation_audit, sampled_march
 
 LAW = PressureLaw(1.0, 2.0)
 

@@ -104,4 +104,5 @@ def test_command_loads_only_its_modules(tmp_path, command, entry):
                           env=env, capture_output=True, text=True, check=True)
     loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
     assert "torusgas.driver" in loaded
-    assert loaded & ({f"torusgas.{name}" for name in unused} | {"concurrent.futures"}) == set()
+    never = {"concurrent.futures", "logging"}  # threads 1 builds no pool; no warning fires
+    assert loaded & ({f"torusgas.{name}" for name in unused} | never) == set()

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgas import config, driver, ensemble, sweep
-from torusgas.dynamics import SimulationError, rhs_deterministic
+from torusgas.dynamics import SimulationError, rhs_deterministic, taylor_green
 from torusgas.ensemble import member_se
-from torusgas.euler import taylor_green
 from torusgas.grid import Grid
 from torusgas.noise import coarsen
 from torusgas.sweep import (RateReport, SweepConfig, SweepError, fit_rate,
@@ -384,7 +383,7 @@ def test_se_groups_cover_every_member(monkeypatch):
     defect = sweep.dissipation_defect
 
     def record(ym, law):
-        calls.append((ym.rho_atoms, defect(ym, law)[1]))
+        calls.append((ym.rho_atoms.copy(), defect(ym, law)[1]))
         return None, calls[-1][1]
 
     monkeypatch.setattr(sweep, "dissipation_defect", record)
