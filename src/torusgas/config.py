@@ -61,8 +61,8 @@ SCHEMA: dict[str, Key] = {
     "sweep.members": Key("int", 64, "sweep ensemble size"),
     "sweep.samples": Key("int", 8, "sweep sample count (power of two)"),
     "sweep.grad_threshold": Key("float", 2.0, "Euler gradient stopping threshold"),
-    "sweep.v0": Key("str", "taylor_green", "limit velocity data: the momentum of a flow "
-                    "in dynamics.FLOWS of density 1 (taylor_green, shear, constant or zero)"),
+    "sweep.v0": Key("str", "taylor_green", "limit velocity: the momentum of a solenoidal "
+                    "density-1 flow of dynamics.FLOWS (taylor_green, non-1-D shear, zero)"),
     "sweep.nu_coupling": Key("str", "eps2", "eps2 | eps | const"),
     "sweep.lambda_coupling": Key("str", "eps2", "eps2 | eps | zero | const"),
     "sweep.delta_coupling": Key("str", "eps", "data preparation rate: eps | eps2 | zero"),

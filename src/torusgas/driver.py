@@ -287,11 +287,14 @@ def _write_ws_report(out_dir, report):
 
 
 def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
-    from .sweep import SweepConfig, fit_rate, run_sweep
+    from .sweep import SweepConfig, fit_rate, is_solenoidal, run_sweep
 
-    if np.any(build_flow(cfg, "sweep.v0", build_grid(cfg)).rho != 1.0):  # v0 is a velocity
-        raise config_mod.ConfigError(f"sweep.v0 = {cfg['sweep.v0']}: the limit data needs "
-                                     f"a flow of density 1")
+    grid = build_grid(cfg)
+    v0 = build_flow(cfg, "sweep.v0", grid)
+    if np.any(v0.rho != 1.0) or not is_solenoidal(grid, v0.mom):  # v0 is a velocity
+        raise config_mod.ConfigError(f"sweep.v0 = {cfg['sweep.v0']} on grid.sizes = "
+                                     f"{list(grid.sizes)}: the limit data needs a "
+                                     f"solenoidal flow of density 1")
     os.makedirs(out_dir, exist_ok=True)
     sweep_cfg = SweepConfig(
         grid_sizes=tuple(cfg["grid.sizes"]),

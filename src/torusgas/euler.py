@@ -8,9 +8,10 @@ the projected drift, so the stepper never needs the pressure.  The pressure
 is recoverable in closed form from ``pi = -invlap div[(v . grad) v]``
 (:func:`pressure_from_projection`); the affine noise adds no stochastic
 pressure, since constants and scalar multiples of solenoidal fields are
-already divergence-free.  The noise kick is the compressible momentum kick
-at unit density, driven by the increment row the caller passes in, so the
-reference and the compressible run share one Brownian path.
+already divergence-free.  The noise kick is
+:meth:`~torusgas.noise.NoiseModel.momentum_kick` at unit density on the
+spectra (``rho = 1`` has the cell count at the zero mode), so the reference
+and the compressible run share one Brownian path and one noise operator.
 
 A step makes two FFT calls: one inverse call on the stacked spectra of
 ``v`` and its derivatives ``d_j v``, and one forward call on the advection
@@ -108,22 +109,6 @@ def euler_cfl_dt(grid: Grid, state: EulerState, cfl: float = 0.4) -> float:
     return cfl * min(grid.spacings) / vmax
 
 
-def _kick(grid: Grid, noise: NoiseModel, vh: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Spectrum of ``sum_k (K_k e_{k mod N} + L_k v) dW_k``, the unit-density kick.
-
-    The ``K`` part is spatially constant: it lands on the zero mode, scaled
-    by the cell count of the unnormalized forward transform.
-    """
-    per_member = dW.shape[:-1] + (1,) * (grid.dim + 1)
-    ldw = sum(l * dW[..., k] for k, l in enumerate(noise.L))
-    out = np.reshape(ldw, per_member) * vh
-    zero_mode = (0,) * grid.dim
-    for mode, k in enumerate(noise.K):
-        if k != 0.0:
-            out[(Ellipsis, mode % grid.dim, *zero_mode)] += k * dW[..., mode] * grid.n_cells
-    return out
-
-
 def _divergence_bound(grid: Grid, vh: np.ndarray) -> np.ndarray:
     """``(1/n_cells) sum_k w_k |k . vh_k|``, at least ``sup |div v|``, per member.
 
@@ -166,7 +151,9 @@ def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState, dt: float,
     drift = -grid.leray(np.where(grid.dealias_mask, grid.fwd(adv), 0.0))
     vh = state.vh + dt * drift
     if noise.modes and dW is not None:
-        vh = vh + _kick(grid, noise, state.vh, dW)
+        one_h = np.zeros(grid.k2.shape)  # the spectrum of rho = 1
+        one_h[(0,) * grid.dim] = grid.n_cells
+        vh = vh + noise.momentum_kick(grid, one_h, state.vh, dW)
     vh = grid.leray(vh)
     div_norm = _divergence_bound(grid, vh)
     if not np.all(div_norm <= DIV_TOL):  # a non-finite spectrum fails too

@@ -5,7 +5,8 @@ Each ledger tracks, on one shared time axis,
 * ``E(t)``: Young-measure energy plus the dissipation defect D(t),
 * the cumulative viscous dissipation ``int S(grad <u>) : grad <u>``,
 * the cumulative Ito correction ``0.5 int sum_k <|G_k|^2 / rho>``,
-* the realized energy martingale ``sum_k int (int u . G_k dx) dW_k``.
+* the realized energy martingale ``int (int u . sum_k G_k dW_k dx)``, its
+  kick from the :meth:`~torusgas.noise.NoiseModel.momentum_kick` of the step.
 
 A ledger holds numpy columns with the samples on the last axis: ``(S,)``
 for one member or a pooled ensemble, ``(M, S)`` for a member batch.
@@ -151,10 +152,8 @@ class LedgerAccumulator:
                 self.noise.ito_correction_density(grid, state.rho, state.mom,
                                                   self.rho_floor))
             if dW is not None:
-                for mode in range(self.noise.modes):
-                    gk = self.noise.apply_mode(mode, grid, state.rho, state.mom)
-                    self.mart += (grid.integrate(np.sum(u * gk, axis=-grid.dim - 1))
-                                  * dW[..., mode])
+                kick = self.noise.momentum_kick(grid, state.rho, state.mom, dW)
+                self.mart += grid.integrate(np.sum(u * kick, axis=-grid.dim - 1))
 
 
 def march(grid: Grid, model, stepper, state, dt: float, table: np.ndarray,

@@ -88,6 +88,10 @@ class NoiseModel:
         """``sum_k G_k(rho, m) dW_k`` in closed form.
 
         ``dW`` is one step's ``(K,)`` increments, or ``(M, K)`` for a batch.
+        ``rho`` and ``mom`` may be fields or their spectra, since the kick is
+        linear in them.  Its callers: the explicit and IMEX steps of
+        :mod:`torusgas.dynamics`, :func:`torusgas.euler.step_em_euler` (at
+        unit density) and the ledger's martingale (``step_increments``).
         """
         if self.modes == 0:
             return np.zeros_like(mom)

@@ -224,8 +224,8 @@ def remainder(grid: Grid, model: ModelConfig, rho: np.ndarray, mom: np.ndarray,
 # --------------------------------------------------------------------------
 
 
-def gronwall_check(times, values, c: float, bias: float, tol: float = 1e-12) -> float:
-    """Max of ``E(t) - (E(0) + bias) exp(c t)``; passes when <= tol-ish zero."""
+def gronwall_check(times, values, c: float, bias: float) -> float:
+    """Max of ``E(t) - (E(0) + bias) exp(c t)``; the bound holds when it is <= 0."""
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     envelope = (values[0] + bias) * np.exp(c * (times - times[0]))

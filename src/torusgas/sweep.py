@@ -99,6 +99,11 @@ class RateReport:
         return self.emv_mean[:, -1]
 
 
+def is_solenoidal(grid: Grid, v: np.ndarray) -> bool:
+    """Whether ``sup |div v| <= 1e-8``, the divergence well-prepared data allow."""
+    return float(np.max(np.abs(grid.divergence(v)))) <= 1e-8
+
+
 def well_prepared_data(grid: Grid, eps: float, v0: np.ndarray, delta_data: float):
     """Initial pair ``rho0 = 1 + eps delta eta(x)``, ``m0 = v0 + delta zeta(x)``.
 
@@ -109,7 +114,7 @@ def well_prepared_data(grid: Grid, eps: float, v0: np.ndarray, delta_data: float
     shape would touch vacuum there).
     """
     v0 = grid.check_vector(v0)
-    if float(np.max(np.abs(grid.divergence(v0)))) > 1e-8:
+    if not is_solenoidal(grid, v0):
         raise SweepError("well-prepared data needs a solenoidal v0")
     coords = grid.coordinates()
     eta_shape = 0.5 * np.sin(coords[0])

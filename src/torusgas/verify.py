@@ -19,8 +19,8 @@ from .ensemble import (ConvexityError, EmpiricalYoungMeasure, Observable,
 from .euler import advection, make_state, pressure_from_projection, step_em_euler
 from .grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
 from .ledger import poincare_ratio
-from .noise import (NoiseModel, WienerPath, _philox_normals, coarsen, domination_audit,
-                    lipschitz_audit, member_tables)
+from .noise import (NoiseModel, WienerPath, coarsen, domination_audit, lipschitz_audit,
+                    member_tables)
 from .relative import gronwall_check, relative_energy
 
 
@@ -149,7 +149,7 @@ def check_noise_determinism():
     exact = True
     for table in (member_tables(11, 2, 4, 0.01, 8), member_tables(11, 1, 5, 0.01, 1)):
         members, n_steps, modes = table.shape
-        rows = [_philox_normals(11, m, s, modes) * np.sqrt(0.01)
+        rows = [WienerPath(11, m, modes, 0.01).increments(s)
                 for m in range(members) for s in range(n_steps)]
         exact &= table.tobytes() == np.concatenate(rows).tobytes()
     return same and differ and pairs and exact, (

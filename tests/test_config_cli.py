@@ -114,6 +114,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("limit-sweep", "sweep.eps = 0.5,0.5,0.5"),  # no rate slope from repeated eps
     ("limit-sweep", "sweep.v0 = vortex"),
     ("limit-sweep", "sweep.v0 = density_wave"),  # the limit data needs density 1
+    ("limit-sweep", "sweep.v0 = shear\ngrid.sizes = 16"),  # not solenoidal in 1-D
     ("limit-sweep", "grid.sizes = 64"),
     ("limit-sweep", "grid.sizes = 16,16,16"),
     ("simulate", "run.T = -0.5"),

@@ -46,6 +46,29 @@ def test_batched_accumulator_matches_member_loop(sizes):
 
 
 @pytest.mark.parametrize("sizes", [(32,), (16, 16)], ids=["1-D", "2-D"])
+def test_martingale_matches_mode_sum(sizes):
+    # one step's martingale increment against its per-mode form
+    # sum_k (int u . G_k dx) dW_k; in 2-D mode 1's density term acts on axis 1
+    grid = Grid(sizes)
+    rng = np.random.default_rng(5)
+    members = 3
+    noise = NoiseModel(K=(0.1, 0.2), L=(0.05, -0.1))
+    batch = State(np.stack([1.0 + 0.1 * random_smooth_scalar(grid, rng)
+                            for _ in range(members)]),
+                  np.stack([0.1 * random_smooth_vector(grid, rng)
+                            for _ in range(members)]))
+    dW = rng.normal(0.0, 0.03, (members, noise.modes))
+    acc = LedgerAccumulator(grid, LAW, None, noise, members=members)
+    acc.step_increments(batch, dW, 1e-3)
+    u = batch.velocity(grid)
+    oracle = sum(grid.integrate(np.sum(u * noise.apply_mode(k, grid, batch.rho, batch.mom),
+                                       axis=1)) * dW[:, k]
+                 for k in range(noise.modes))
+    assert np.all(oracle != 0)
+    np.testing.assert_allclose(acc.mart, oracle, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 16)], ids=["1-D", "2-D"])
 def test_batched_march_matches_member_marches(sizes):
     # every member of a batch march keeps the ledger and the sampled states
     # of its own single-member march, at every sample and to the last bit
