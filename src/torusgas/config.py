@@ -42,10 +42,8 @@ SCHEMA: dict[str, Key] = {
     "stepper.dt": Key("float", 0.0, "time step; 0 = auto from CFL"),
     "stepper.cfl": Key("float", 0.4, "CFL number in (0, 1]"),
     "stepper.rho_floor": Key("float", 1e-8, "density positivity floor"),
-    "noise.kind": Key("str", "affine", "noise coefficient family; only 'affine' exists, "
-                      "the key stays so earlier resolved configs load"),
-    "noise.modes": Key("int", 0, "number of Wiener modes"),
-    "noise.K": Key("float_list", [], "density coupling per mode"),
+    "noise.K": Key("float_list", [], "density coupling per mode; its length is the "
+                   "number of Wiener modes"),
     "noise.L": Key("float_list", [], "momentum coupling per mode"),
     "ensemble.members": Key("int", 1, "Monte Carlo ensemble size"),
     "ensemble.shared_paths": Key("bool", False, "drive all members by one path"),
@@ -57,16 +55,13 @@ SCHEMA: dict[str, Key] = {
     "ws.eta": Key("float", 0.0, "initial relative energy of the perturbed run"),
     "ws.refine": Key("int", 2, "reference refinement factor (1 = self comparison)"),
     "ws.samples": Key("int", 8, "weak-strong sample count"),
-    "sweep.eps": Key("float_list", [1.0, 0.5, 0.25, 0.125], "Mach schedule"),
+    "sweep.eps": Key("float_list", [1.0, 0.5, 0.25, 0.125], "Mach schedule; each eps "
+                     "runs at nu = lambda = eps^2 on data prepared at rate eps"),
     "sweep.members": Key("int", 64, "sweep ensemble size"),
     "sweep.samples": Key("int", 8, "sweep sample count (power of two)"),
     "sweep.grad_threshold": Key("float", 2.0, "Euler gradient stopping threshold"),
     "sweep.v0": Key("str", "taylor_green", "limit velocity: the momentum of a solenoidal "
                     "density-1 flow of dynamics.FLOWS (taylor_green, non-1-D shear, zero)"),
-    "sweep.nu_coupling": Key("str", "eps2", "eps2 | eps | const"),
-    "sweep.lambda_coupling": Key("str", "eps2", "eps2 | eps | zero | const"),
-    "sweep.delta_coupling": Key("str", "eps", "data preparation rate: eps | eps2 | zero"),
-    "sweep.const_nu": Key("float", 1e-2, "viscosity when coupling = const"),
 }
 
 
@@ -160,14 +155,9 @@ def _cross_validate(cfg: dict):
         raise ConfigError("stepper.cfl: must lie in (0, 1]")
     if cfg["stepper.rho_floor"] <= 0:
         raise ConfigError("stepper.rho_floor: must be positive")
-    if cfg["noise.kind"] != "affine":
-        raise ConfigError("noise.kind: only 'affine' is configurable from files")
-    modes = cfg["noise.modes"]
-    if modes:
-        if len(cfg["noise.K"]) != modes or len(cfg["noise.L"]) != modes:
-            raise ConfigError("noise.K/noise.L: need exactly noise.modes entries")
-    elif cfg["noise.K"] or cfg["noise.L"]:
-        raise ConfigError("noise.modes: set the mode count to use noise.K/noise.L")
+    if len(cfg["noise.K"]) != len(cfg["noise.L"]):
+        raise ConfigError("noise.K/noise.L: need one entry each per mode, got "
+                          f"{len(cfg['noise.K'])} and {len(cfg['noise.L'])}")
     if cfg["ensemble.members"] < 1:
         raise ConfigError("ensemble.members: need at least one member")
     if cfg["run.samples"] < 1:
@@ -198,16 +188,6 @@ def _cross_validate(cfg: dict):
         raise ConfigError("sweep.eps: need at least one value, all positive")
     if len(set(eps)) != len(eps):  # the rate fit needs distinct eps values
         raise ConfigError(f"sweep.eps: values must be distinct, got {eps}")
-    for key, allowed in (("sweep.nu_coupling", "eps2 | eps | const"),  # the sweep needs nu > 0
-                         ("sweep.lambda_coupling", "eps2 | eps | zero | const"),
-                         ("sweep.delta_coupling", "eps | eps2 | zero")):
-        if cfg[key] not in allowed.split(" | "):
-            raise ConfigError(f"{key}: must be one of {allowed}, got {cfg[key]!r}")
-    if cfg["sweep.nu_coupling"] == "const" and cfg["sweep.const_nu"] <= 0:
-        raise ConfigError("sweep.const_nu: must be positive when sweep.nu_coupling = const")
-    if cfg["sweep.lambda_coupling"] == "const" and cfg["sweep.const_nu"] < 0:
-        raise ConfigError("sweep.const_nu: must be nonnegative when "
-                          "sweep.lambda_coupling = const")
 
 
 def load(path, overrides: Optional[dict] = None) -> dict:
@@ -230,16 +210,3 @@ def dumps(cfg: dict) -> str:
             text = str(value)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
-
-
-def coupling(name: str, const: float = 0.0):
-    """Map a coupling keyword to the eps -> value rule."""
-    if name == "eps2":
-        return lambda e: e * e
-    if name == "eps":
-        return lambda e: e
-    if name == "zero":
-        return lambda e: 0.0
-    if name == "const":
-        return lambda e: const
-    raise ConfigError(f"unknown coupling {name!r}")

@@ -109,7 +109,13 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     grid = build_grid(cfg)
     model = build_model(cfg)
     stepper = build_stepper(cfg)
-    state0 = build_flow(cfg, "init.kind", grid, cfg["init.amplitude"]).validate(grid)
+    state0 = build_flow(cfg, "init.kind", grid, cfg["init.amplitude"])
+    if not np.min(state0.rho) > stepper.rho_floor:  # the march would fail at step 0
+        raise config_mod.ConfigError(
+            f"init.kind = {cfg['init.kind']} at init.amplitude = {cfg['init.amplitude']} on "
+            f"grid.sizes = {list(grid.sizes)}: density {np.min(state0.rho)} is not above "
+            f"stepper.rho_floor = {stepper.rho_floor}")
+    state0.validate(grid)
     os.makedirs(out_dir, exist_ok=True)
     n_steps = choose_steps(grid, model, stepper, state0, cfg)
     dt = cfg["run.T"] / n_steps
@@ -296,22 +302,17 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
                                      f"{list(grid.sizes)}: the limit data needs a "
                                      f"solenoidal flow of density 1")
     os.makedirs(out_dir, exist_ok=True)
+    model = build_model(cfg)
     sweep_cfg = SweepConfig(
         grid_sizes=tuple(cfg["grid.sizes"]),
         eps_schedule=tuple(cfg["sweep.eps"]),
-        gamma=cfg["model.gamma"],
-        a=cfg["model.a"],
-        nu_of_eps=config_mod.coupling(cfg["sweep.nu_coupling"], cfg["sweep.const_nu"]),
-        lambda_of_eps=config_mod.coupling(cfg["sweep.lambda_coupling"],
-                                          cfg["sweep.const_nu"]),
-        delta_data_of_eps=config_mod.coupling(cfg["sweep.delta_coupling"]),
+        law=model.law,
+        noise=model.noise,
+        stepper=build_stepper(cfg),
         horizon=cfg["run.T"],
         grad_threshold=cfg["sweep.grad_threshold"],
         members=cfg["sweep.members"],
         seed=cfg["run.seed"],
-        noise_K=tuple(cfg["noise.K"]),
-        noise_L=tuple(cfg["noise.L"]),
-        cfl=cfg["stepper.cfl"],
         n_samples=cfg["sweep.samples"],
         v0_kind=cfg["sweep.v0"],
     )
@@ -325,7 +326,7 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
                "reference_n_steps": report.n_ref,
                "reference_cfl_ratio_max": report.ref_cfl_ratio}
     if report.eps.size >= 3:
-        summary.update(fit_rate(report, sweep_cfg.gamma))
+        summary.update(fit_rate(report, sweep_cfg.law.gamma))
     else:
         summary.update({"slope": None, "monotone": None, "pass": None})
     _finalize(out_dir, cfg, summary)

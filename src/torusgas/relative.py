@@ -41,7 +41,7 @@ from .dynamics import (ModelConfig, SimulationError, State, StepperConfig, initi
 from .ensemble import (EmpiricalYoungMeasure, by_member_range, energy_jensen_gap, fit_line,
                        member_se)
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
-from .noise import coarsen, member_tables
+from .noise import _U64, coarsen, member_tables
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
 
     if cfg.eta > 0:
         data = [_perturb(grid_c, law, rho_c0, mom_c0, cfg.eta,
-                         np.random.default_rng((cfg.seed, m, 0x7A)))
+                         np.random.default_rng((cfg.seed & _U64, m, 0x7A)))
                 for m in range(cfg.members)]
         coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
     else:

@@ -7,9 +7,9 @@ relative energy against the pair ``(1, v)``,
 
     int <0.5 rho |m/rho - v|^2 + (P(rho) - P'(1)(rho - 1) - P(1)) / eps^2>,
 
-is sampled up to the reference's gradient stopping time.  Along the default
-coupling ``nu_eps = lambda_eps = eps^2`` and data preparation
-``delta(eps) = eps``, the theoretical envelope decays like
+is sampled up to the reference's gradient stopping time.  The sweep runs
+one scaling, viscosities ``nu_eps = lambda_eps = eps^2`` and data prepared
+at rate ``delta(eps) = eps``; along it the theoretical envelope decays like
 ``eps^min(2/gamma_*, 1)`` with ``gamma_* = min(gamma, 2)``; the sweep
 asserts monotone decay and at least half the envelope slope, since the
 unknown Gronwall constant and the fixed-grid discretization bias pollute
@@ -35,8 +35,8 @@ relative energy upward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -57,20 +57,18 @@ class SweepError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One limit sweep: ``law`` is unscaled (each eps stiffens it by ``1/eps^2``),
+    and every eps steps semi-implicitly at ``stepper``'s CFL number and floor."""
+
     grid_sizes: tuple = (64, 64)
     eps_schedule: tuple = tuple(0.5**j for j in range(6))
-    gamma: float = 2.0
-    a: float = 1.0
-    nu_of_eps: Callable[[float], float] = lambda e: e * e
-    lambda_of_eps: Callable[[float], float] = lambda e: e * e
-    delta_data_of_eps: Callable[[float], float] = lambda e: e
+    law: PressureLaw = PressureLaw(1.0, 2.0)
+    noise: NoiseModel = NoiseModel(K=(0.1,), L=(0.05,))
+    stepper: StepperConfig = StepperConfig()
     horizon: float = 0.5
     grad_threshold: float = 2.0
     members: int = 64
     seed: int = 0
-    noise_K: tuple = (0.1,)
-    noise_L: tuple = (0.05,)
-    cfl: float = 0.4
     n_samples: int = 8
     v0_kind: str = "taylor_green"  # a flow of dynamics.FLOWS, its momentum the velocity
     se_groups: int = 4
@@ -234,29 +232,26 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     if cfg.n_samples < 1 or cfg.n_samples & (cfg.n_samples - 1):
         raise SweepError(f"n_samples = {cfg.n_samples}: must be a power of two")
     grid = Grid(cfg.grid_sizes)
-    noise = NoiseModel(K=cfg.noise_K, L=cfg.noise_L)
     v0 = initial_flow(grid, cfg.v0_kind).mom
     eps_list = list(cfg.eps_schedule)
 
     # step counts from each march's own CFL bound at t = 0
-    n_ref = _step_count(cfg, euler_cfl_dt(grid, make_state(grid, v0), cfg.cfl))
+    stepper = replace(cfg.stepper, semi_implicit=True)
+    n_ref = _step_count(cfg, euler_cfl_dt(grid, make_state(grid, v0), stepper.cfl))
     n_steps = []
     models = []
-    stepper = StepperConfig(cfl=cfg.cfl, semi_implicit=True)
-    for eps in eps_list:
-        law = PressureLaw(cfg.a, cfg.gamma)
-        visc = Viscosity(cfg.nu_of_eps(eps), cfg.lambda_of_eps(eps))
-        model = ModelConfig(law=law, visc=visc, noise=noise, eps=eps)
-        delta_data = cfg.delta_data_of_eps(eps)
-        rho0, mom0 = well_prepared_data(grid, eps, v0, delta_data)
+    for eps in eps_list:  # nu = lambda = eps^2, data prepared at rate eps
+        model = ModelConfig(law=cfg.law, visc=Viscosity(eps * eps, eps * eps),
+                            noise=cfg.noise, eps=eps)
+        rho0, mom0 = well_prepared_data(grid, eps, v0, eps)
         n_steps.append(_step_count(cfg, cfl_dt(grid, model, State(rho0, mom0), stepper)))
         models.append((model, rho0, mom0))
     n_base = max(n_steps + [n_ref])
-    base_table = member_tables(cfg.seed, cfg.members, noise.modes, cfg.horizon / n_base,
+    base_table = member_tables(cfg.seed, cfg.members, cfg.noise.modes, cfg.horizon / n_base,
                                n_base)
     v_ref, stop, grad_max, ref_cfl_ratio = _march_reference(
-        grid, noise, v0, coarsen(base_table, n_ref), cfg.horizon, cfg.n_samples,
-        cfg.grad_threshold, cfg.cfl, threads)
+        grid, cfg.noise, v0, coarsen(base_table, n_ref), cfg.horizon, cfg.n_samples,
+        cfg.grad_threshold, stepper.cfl, threads)
 
     times = np.linspace(0.0, cfg.horizon, cfg.n_samples + 1)
     tau = times[np.minimum(stop, cfg.n_samples)]
@@ -340,7 +335,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
 
 
 def theoretical_envelope_exponent(gamma: float) -> float:
-    """Envelope exponent ``min(2/gamma_*, 1)`` for the default couplings."""
+    """Envelope exponent ``min(2/gamma_*, 1)`` along the sweep's scaling."""
     gamma_star = min(gamma, 2.0)
     return min(2.0 / gamma_star, 1.0)
 

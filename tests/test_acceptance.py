@@ -243,11 +243,11 @@ def test_criterion_7_weak_strong_stability():
 def test_criterion_8_incompressible_inviscid_limit():
     t0 = time.perf_counter()
     cfg = SweepConfig(grid_sizes=(64, 64), eps_schedule=(1.0, 0.5, 0.25, 0.125),
-                      gamma=2.0, a=1.0, horizon=0.5, grad_threshold=2.0,
-                      members=64, seed=8, noise_K=(0.1,), noise_L=(0.05,),
+                      law=PressureLaw(1.0, 2.0), horizon=0.5, grad_threshold=2.0,
+                      members=64, seed=8, noise=NoiseModel(K=(0.1,), L=(0.05,)),
                       n_samples=8, v0_kind="taylor_green", se_groups=4)
     rep = run_sweep(cfg)
-    fit = fit_rate(rep, gamma=2.0)
+    fit = fit_rate(rep, gamma=cfg.law.gamma)
     elapsed = time.perf_counter() - t0
     ok = (fit["monotone"] and fit["slope"] >= 0.5 and fit["d_sup_nonincreasing"]
           and elapsed < 900.0)
@@ -264,7 +264,6 @@ run.T = 0.05
 run.n_steps = 20
 run.samples = 10
 model.nu = 0.01
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 ensemble.members = 8

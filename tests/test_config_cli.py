@@ -19,7 +19,6 @@ run.T = 0.05
 run.n_steps = 20
 run.samples = 10
 model.nu = 0.01
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 ensemble.members = 3
@@ -52,13 +51,45 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="gamma"):
             resolve(parse_text("model.gamma = 0.9"))
         with pytest.raises(ConfigError, match="noise"):
-            resolve(parse_text("noise.modes = 2\nnoise.K = 0.1\nnoise.L = 0.1,0.2"))
+            resolve(parse_text("noise.K = 0.1\nnoise.L = 0.1,0.2"))
         with pytest.raises(ConfigError, match="sizes"):
             resolve(parse_text("grid.sizes = 48"))
 
     def test_comments_and_blanks(self):
         raw = parse_text("# comment only\n\nrun.T = 2.0  # trailing\n")
         assert raw == {"run.T": "2.0"}
+
+
+class ReadKeys(dict):
+    """A resolved configuration that records every key read from it."""
+
+    def __init__(self, cfg, seen):
+        super().__init__(cfg)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_schema_key_is_read(tmp_path, monkeypatch):
+    # a key that no command reads is an option with no effect; the resolved
+    # config is not written, since writing it reads every key
+    from torusgas import driver
+
+    monkeypatch.setattr(driver, "_finalize", lambda out_dir, cfg, summary: None)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = [(driver.run_simulate, "simulate_1d.cfg", {"ensemble.members": 4}),
+            (driver.run_weak_strong, "weak_strong.cfg",
+             {"grid.sizes": [16], "ws.members": 2, "ws.n_steps": 16, "ws.samples": 4}),
+            (driver.run_limit_sweep, "limit_sweep.cfg",
+             {"grid.sizes": [16, 16], "sweep.eps": [1.0, 0.5, 0.25], "sweep.members": 4,
+              "sweep.samples": 2, "run.T": 0.125})]
+    seen = set()
+    for run, name, overrides in runs:
+        cfg = config_mod.load(os.path.join(root, "configs", name), overrides)
+        run(ReadKeys(cfg, seen), str(tmp_path / name))
+    assert set(config_mod.SCHEMA) - seen == set()
 
 
 class TestSnapshots:
@@ -125,13 +156,8 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("simulate", "run.n_steps = -20"),
     ("simulate", "run.n_steps = 25"),  # run.samples = 10 must divide it
     ("simulate", "stepper.dt = -0.01"),
-    ("limit-sweep", "sweep.nu_coupling = zero"),
-    ("limit-sweep", "sweep.nu_coupling = const\nsweep.const_nu = 0"),
-    ("limit-sweep", "sweep.nu_coupling = const\nsweep.const_nu = -0.01"),
-    ("limit-sweep", "sweep.lambda_coupling = const\nsweep.const_nu = -0.01"),
-    ("limit-sweep", "sweep.nu_coupling = eps3"),
-    ("limit-sweep", "sweep.lambda_coupling = eps3"),
-    ("limit-sweep", "sweep.delta_coupling = const"),
+    ("simulate", "init.amplitude = 1.5"),  # density below zero
+    ("simulate", "init.amplitude = 1.0"),  # density touches zero, at or below the floor
     ("simulate", "init.kind = taylor_green\ngrid.sizes = 16"),
     ("simulate", "init.kind = vortex"),
     ("simulate", "run.snapshot_every = -2"),
@@ -380,7 +406,6 @@ grid.sizes = 16
 run.T = 0.5
 model.nu = 0.01
 model.grad_threshold = 0.12
-noise.modes = 1
 noise.K = 0.1
 noise.L = 1.0
 ws.n_steps = 32
@@ -397,7 +422,6 @@ sweep.eps = 1.0,0.5,0.25
 sweep.members = 10
 sweep.samples = 4
 sweep.grad_threshold = 1.15
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.5
 """
@@ -439,7 +463,6 @@ class TestWeakStrongCommand:
 grid.sizes = 32
 run.T = 0.125
 model.nu = 0.01
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 ws.n_steps = 16
@@ -458,6 +481,29 @@ ws.samples = 4
         emv = [float(r.split(",")[1]) for r in rows]
         assert max(emv) < 1e-12
 
+    def test_negative_seed_keys_like_its_64_bit_mask(self, tmp_path):
+        # the perturbed data are keyed by the seed masked to 64 bits, as the
+        # Philox tables are, so seed -1 is seed 2^64 - 1 throughout
+        text = """
+grid.sizes = 16
+run.T = 0.125
+model.nu = 0.01
+noise.K = 0.1
+noise.L = 0.05
+ws.n_steps = 16
+ws.members = 2
+ws.samples = 4
+ws.eta = 1e-4
+"""
+        cfg = write_cfg(tmp_path, text)
+        blobs = []
+        for seed in ("-1", str(2**64 - 1)):
+            out = tmp_path / f"s{seed}"
+            assert main(["weak-strong", "--config", cfg, "--out", str(out),
+                         "--seed", seed]) == 0
+            blobs.append((out / "weak_strong.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_cfl_failure_names_member(self, tmp_path):
         # 4 steps over T = 2 is far beyond the CFL bound of the coarse grid
         from torusgas import driver
@@ -467,7 +513,6 @@ ws.samples = 4
 grid.sizes = 32
 run.T = 2.0
 model.nu = 0.01
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 ws.n_steps = 4
@@ -499,7 +544,6 @@ ws.samples = 4
 grid.sizes = 32
 run.T = 0.125
 model.nu = 0.01
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 ws.n_steps = 16
@@ -526,7 +570,6 @@ run.T = 0.125
 sweep.eps = 1.0,0.5,0.25
 sweep.members = 4
 sweep.samples = 2
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 """

@@ -20,7 +20,6 @@ grid.sizes = 64
 run.T = 0.05
 run.n_steps = 32
 model.nu = 0.01
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 ensemble.members = 128
@@ -34,7 +33,6 @@ run.T = 1.5
 sweep.eps = 1.0,0.5
 sweep.members = 32
 sweep.grad_threshold = 1e9
-noise.modes = 1
 noise.K = 0.1
 noise.L = 0.05
 """

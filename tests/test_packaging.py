@@ -37,6 +37,17 @@ def test_declared_dependencies_match_imports():
     assert third_party_imports() == names
 
 
+def test_readme_example_config_resolves():
+    # the README's example configuration names only keys the schema has
+    from torusgas import config
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+    assert blocks
+    for block in blocks:
+        config.resolve(config.parse_text(block))
+
+
 def unused_imports(path: str) -> list[str]:
     """Names bound by a module's top-level imports that the module never reads."""
     with open(path, encoding="utf-8") as fh:

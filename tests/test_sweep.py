@@ -10,7 +10,7 @@ from torusgas import config, driver, ensemble, sweep
 from torusgas.dynamics import SimulationError, rhs_deterministic, taylor_green
 from torusgas.ensemble import member_se
 from torusgas.grid import Grid
-from torusgas.noise import coarsen
+from torusgas.noise import NoiseModel, coarsen
 from torusgas.sweep import (RateReport, SweepConfig, SweepError, fit_rate,
                             run_sweep, theoretical_envelope_exponent,
                             well_prepared_data)
@@ -99,13 +99,12 @@ class TestFitRate:
 
 
 class TestRunSweep:
-    def test_exact_quiescent_data_gives_zero(self):
+    def test_exact_quiescent_data_gives_zero(self, monkeypatch):
         # eps = 1, v0 = 0, no noise, exact data (1, 0): nothing moves
-        cfg = SweepConfig(grid_sizes=(16, 16), eps_schedule=(1.0,),
-                          nu_of_eps=lambda e: 1e-2, lambda_of_eps=lambda e: 0.0,
-                          delta_data_of_eps=lambda e: 0.0,
-                          horizon=0.1, members=1, noise_K=(), noise_L=(),
-                          n_samples=2, v0_kind="zero", se_groups=1)
+        monkeypatch.setattr(sweep, "well_prepared_data",
+                            lambda grid, eps, v0, delta: (np.ones(grid.sizes), v0.copy()))
+        cfg = SweepConfig(grid_sizes=(16, 16), eps_schedule=(1.0,), noise=NoiseModel(),
+                          horizon=0.1, members=1, n_samples=2, v0_kind="zero", se_groups=1)
         report = run_sweep(cfg)
         assert np.max(np.abs(report.emv_mean)) < 1e-24
         assert np.max(report.d_sup) == 0.0
@@ -117,7 +116,7 @@ class TestRunSweep:
         def run(members):
             cfg = SweepConfig(grid_sizes=(16,), eps_schedule=(1.0,),
                               horizon=0.1, members=members,
-                              noise_K=(0.1,), noise_L=(0.05,),
+                              noise=NoiseModel(K=(0.1,), L=(0.05,)),
                               n_samples=2, v0_kind="zero", grad_threshold=1e9,
                               se_groups=2, seed=3)
             return run_sweep(cfg).emv_se[0, -1]
@@ -129,8 +128,8 @@ class TestRunSweep:
         # small version of the limit experiment: relative energy decreases
         # along the eps schedule
         cfg = SweepConfig(grid_sizes=(16, 16), eps_schedule=(1.0, 0.5, 0.25),
-                          horizon=0.125, members=4, noise_K=(0.1,),
-                          noise_L=(0.05,), n_samples=2, grad_threshold=2.0,
+                          horizon=0.125, members=4,
+                          noise=NoiseModel(K=(0.1,), L=(0.05,)), n_samples=2, grad_threshold=2.0,
                           se_groups=2, seed=1)
         report = run_sweep(cfg)
         finals = report.final_emv
@@ -142,7 +141,7 @@ class TestRunSweep:
         # the same member key drives every eps: step counts divide a common
         # base so coarse increments aggregate fine ones exactly
         cfg = SweepConfig(grid_sizes=(16,), eps_schedule=(1.0, 0.5),
-                          horizon=0.1, members=2, noise_K=(0.1,), noise_L=(0.0,),
+                          horizon=0.1, members=2, noise=NoiseModel(K=(0.1,), L=(0.0,)),
                           n_samples=2, v0_kind="zero", grad_threshold=1e9,
                           se_groups=2, seed=7)
         report = run_sweep(cfg)
@@ -388,7 +387,7 @@ def test_se_groups_cover_every_member(monkeypatch):
 
     monkeypatch.setattr(sweep, "dissipation_defect", record)
     cfg = SweepConfig(grid_sizes=(16,), eps_schedule=(1.0,), horizon=0.1, members=10,
-                      noise_K=(0.1,), noise_L=(0.05,), n_samples=2, v0_kind="zero",
+                      noise=NoiseModel(K=(0.1,), L=(0.05,)), n_samples=2, v0_kind="zero",
                       grad_threshold=1e9, seed=3)
     report = run_sweep(cfg)
     assert len(calls) == (cfg.n_samples + 1) * (1 + cfg.se_groups)
