@@ -130,6 +130,8 @@ def resolve(raw: dict, overrides: Optional[dict] = None) -> dict:
 def _cross_validate(cfg: dict):
     if not (math.isfinite(cfg["run.T"]) and cfg["run.T"] > 0):
         raise ConfigError("run.T: must be finite and positive")
+    if not math.isfinite(cfg["init.amplitude"]):
+        raise ConfigError("init.amplitude: must be finite")
     if cfg["run.n_steps"] < 0:
         raise ConfigError("run.n_steps: must be nonnegative (0 picks from the CFL bound)")
     sizes = cfg["grid.sizes"]

@@ -90,7 +90,12 @@ def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
     if cfg["stepper.dt"] > 0:
         n = int(np.ceil(cfg["run.T"] / cfg["stepper.dt"]))
     else:
-        bound = cfl_dt(grid, model, state, stepper)
+        with np.errstate(over="ignore"):  # a speed past the float range is infinite
+            bound = cfl_dt(grid, model, state, stepper)
+        if not bound > 0:  # the data move too fast for any step
+            raise config_mod.ConfigError(
+                f"init.kind = {cfg['init.kind']} at init.amplitude = {cfg['init.amplitude']}: "
+                f"the CFL bound of the initial data is {bound}")
         n = int(np.ceil(cfg["run.T"] / (0.8 * bound)))
     n = max(n, samples)
     if n % samples:

@@ -143,18 +143,23 @@ def check_noise_determinism():
     same = np.array_equal(a, WienerPath(11, 3, 4, 0.01).table(8))
     differ = not np.array_equal(a[0], WienerPath(11, 4, 4, 0.01).table(1)[0])
     pairs = np.array_equal(coarsen(a, 4), a[0::2] + a[1::2])
-    # tables against their rows drawn one at a time: seed 11's first two
-    # 4-mode paths hold rows the ziggurat decodes and rows with layer 0 or 1
-    # words, left to the per-step draw, as is every 5-mode row
+    # tables against their rows drawn one at a time, and those against
+    # numpy's own Philox generator: seed 11's first two 4-mode paths hold
+    # rows decoded from their first Philox block and three rows with a word
+    # the ziggurat does not accept at once, which the per-step draw walks,
+    # as it does every 5-mode row
     exact = True
     for table in (member_tables(11, 2, 4, 0.01, 8), member_tables(11, 1, 5, 0.01, 1)):
         members, n_steps, modes = table.shape
-        rows = [WienerPath(11, m, modes, 0.01).increments(s)
-                for m in range(members) for s in range(n_steps)]
-        exact &= table.tobytes() == np.concatenate(rows).tobytes()
+        keys = [(m, s) for m in range(members) for s in range(n_steps)]
+        rows = [WienerPath(11, m, modes, 0.01).increments(s) for m, s in keys]
+        drawn = [np.random.Generator(np.random.Philox(key=[11, m], counter=[0, 0, 0, s]))
+                 .standard_normal(modes) * np.sqrt(0.01) for m, s in keys]
+        exact &= (table.tobytes() == np.concatenate(rows).tobytes()
+                  == np.concatenate(drawn).tobytes())
     return same and differ and pairs and exact, (
-        "keyed tables reproducible, member-distinct and equal to their per-step draws, "
-        "coarsening sums consecutive steps")
+        "keyed tables reproducible, member-distinct and equal to their per-step draws "
+        "and numpy's, coarsening sums consecutive steps")
 
 
 def check_equilibrium_and_mass():

@@ -7,11 +7,14 @@ They are kept here, as plain functions of a grid, to serve as oracles.
 does, for tests of one member or one batch.  :func:`cross_variation_audit`
 checks the momentum martingale's cross-variation with a test process, the
 clause on test processes of the paper's solution concept.
+:func:`probe_ziggurat` reads numpy's ziggurat tables off its generator, to
+check the copies that :mod:`torusgas.noise` embeds.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from torusgas.dynamics import step_em
 from torusgas.ensemble import EmpiricalYoungMeasure, EnsembleError
@@ -138,3 +141,71 @@ def cross_variation_audit(grid, model, stepper, init_state, horizon: float,
     ok = bool(np.all(np.abs(mean) <= 5.0 * np.maximum(se, 1e-300)))
     return {"mean_diff": mean, "se": se, "pass": ok,
             "n_paths": n_paths}
+
+
+# --------------------------------------------------------------------------
+# numpy's ziggurat, probed through its generator
+# --------------------------------------------------------------------------
+
+
+def _feed(gen: Generator, words: list[int]) -> tuple[np.ndarray, bool]:
+    """One normal per word from a Philox generator whose buffer holds ``words``.
+
+    The flag says whether numpy took no further word, which its ziggurat
+    does only if it accepted every word at once.
+    """
+    buffer = np.zeros(4, dtype=np.uint64)
+    buffer[:len(words)] = words
+    zero = np.zeros(4, dtype=np.uint64)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": zero, "key": zero[:2]},
+        "buffer": buffer, "buffer_pos": 0, "has_uint32": 0, "uinteger": 0}
+    normals = gen.standard_normal(len(words))
+    state = gen.bit_generator.state
+    return normals, state["buffer_pos"] == len(words) and not state["state"]["counter"].any()
+
+
+def accepted_normals(gen: Generator, words: list[int]) -> np.ndarray:
+    """numpy's normal of each word that its ziggurat accepts at once, NaN elsewhere.
+
+    Words go four to a buffer; a buffer that took a further word is fed
+    again word by word.
+    """
+    out = np.full(len(words), np.nan)
+    for i in range(0, len(words), 4):
+        chunk = words[i:i + 4]
+        normals, once = _feed(gen, chunk)
+        if once:
+            out[i:i + len(chunk)] = normals
+        elif len(chunk) > 1:
+            out[i:i + len(chunk)] = [accepted_normals(gen, [w])[0] for w in chunk]
+    return out
+
+
+def probe_ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat layer widths ``wi`` and proven acceptance bounds ``ki``.
+
+    numpy's normal from a word ``r`` is ``rabs * wi[idx]``, negated if bit 8
+    is set, with ``idx = r & 0xff`` and ``rabs`` the 52 bits above bit 8.  It
+    accepts the word at once iff ``rabs`` is below numpy's own ``ki[idx]``.
+    Both tables are read off the running numpy: ``wi[idx]`` as the normal
+    of ``rabs = 1``, and ``ki[idx]`` as ``floor(2**52 wi[idx-1] / wi[idx]) - 1``,
+    kept only if a negative word at ``rabs = ki[idx] - 1`` is accepted at
+    once with the value above.  Where nothing is proven ``ki`` is 0, and so
+    always for the tail layer 0 and for layer 1, whose numpy bound is 0.
+    """
+    gen = Generator(Philox())
+    wi = np.zeros(256)
+    wi[2:] = accepted_normals(gen, [(1 << 9) | i for i in range(2, 256)])
+    # layer 1's word passes the wedge test on the zero word behind it; its
+    # width only enters layer 2's estimate, which the probe then proves
+    wi[1] = _feed(gen, [(1 << 9) | 1])[0][0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.floor(wi[1:-1] / wi[2:] * 2.0 ** 52) - 1.0
+    ok = np.isfinite(est) & (est >= 1.0) & (est <= 2.0 ** 52)
+    ki = np.zeros(256, dtype=np.uint64)
+    ki[2:] = np.where(ok, est, 1.0).astype(np.uint64)
+    rabs = ki[2:] - np.uint64(1)
+    probed = accepted_normals(gen, [(int(r) << 9) | 0x100 | i for i, r in enumerate(rabs, 2)])
+    ki[2:][~ok | (probed != -(rabs * wi[2:]))] = 0
+    return wi, ki

@@ -158,6 +158,9 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("simulate", "stepper.dt = -0.01"),
     ("simulate", "init.amplitude = 1.5"),  # density below zero
     ("simulate", "init.amplitude = 1.0"),  # density touches zero, at or below the floor
+    ("simulate", "init.amplitude = inf\ninit.kind = shear"),
+    ("simulate", "init.amplitude = nan\ninit.kind = shear"),
+    ("simulate", "init.amplitude = 1e200\ninit.kind = shear"),  # CFL bound 0
     ("simulate", "init.kind = taylor_green\ngrid.sizes = 16"),
     ("simulate", "init.kind = vortex"),
     ("simulate", "run.snapshot_every = -2"),

@@ -1,3 +1,4 @@
+import binascii
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from oracles import accepted_normals, probe_ziggurat
 from torusgas import noise, verify
 from torusgas.grid import Grid
 from torusgas.noise import (NoiseError, NoiseModel, WienerPath, _philox_normals,
@@ -71,6 +73,13 @@ class TestPhiloxDraw:
             np.testing.assert_allclose(_philox_normals(seed, 5, step, count), expected,
                                        rtol=0, atol=0)
 
+    @pytest.mark.parametrize("count", [129, 70_001])
+    def test_long_row_matches_fresh_generator(self, count):
+        # past 32 blocks a row's Philox words are computed by numpy, and past
+        # 2**14 blocks in more than one batch
+        assert (_philox_normals(3, 2**64 - 1, 2**63, count).tobytes()
+                == self.fresh(3, 2**64 - 1, 2**63, count).tobytes())
+
     def test_threads_draw_same_tables(self):
         paths = [WienerPath(4, m, 3, 0.01) for m in range(8)]
         serial = [p.table(200) for p in paths]
@@ -100,11 +109,12 @@ class TestTable:
 
     @staticmethod
     def oracle(seed, members, modes, dt, n_steps):
-        """Row ``(m, s)`` drawn on its own from the ``(seed, m)`` stream at step ``s``."""
+        """Row ``(m, s)`` drawn by numpy from the ``(seed, m)`` stream at step ``s``."""
         out = np.zeros((len(members), n_steps, modes))
         for i, member in enumerate(members):
             for step in range(n_steps):
-                out[i, step] = _philox_normals(seed, member, step, modes) * np.sqrt(dt)
+                out[i, step] = (TestPhiloxDraw.fresh(seed & noise._U64, member, step, modes)
+                                * np.sqrt(dt))
         return out
 
     @staticmethod
@@ -123,7 +133,7 @@ class TestTable:
     @pytest.mark.parametrize("modes", [0, 1, 3, 4, 5])
     def test_equals_per_row_draws(self, seed, modes, monkeypatch):
         slow = self.count_slow_rows(monkeypatch)
-        members, dt, n_steps = [0, 5, 2**63], 0.03, 64
+        members, dt, n_steps = [0, 5, 2**63], 0.03, 128
         expected = self.oracle(seed, members, modes, dt, n_steps)
         for m, member in enumerate(members):
             table = WienerPath(seed, member, modes, dt).table(n_steps)
@@ -135,7 +145,7 @@ class TestTable:
             assert 0 < len(slow) < len(members) * n_steps
 
     def test_ensemble_equals_per_row_draws(self, monkeypatch):
-        # seed 1 at 48 x 256 leaves 244 of its 12,288 rows to the per-step draw
+        # seed 1 at 48 x 256 leaves 194 of its 12,288 rows to the per-step draw
         slow = self.count_slow_rows(monkeypatch)
         table = member_tables(1, 48, 1, 0.01, 256)
         expected = self.oracle(1, range(48), 1, 0.01, 256)
@@ -147,19 +157,25 @@ class TestTable:
     def test_verify_guards_the_decoded_rows(self, monkeypatch):
         slow = self.count_slow_rows(monkeypatch)
         assert verify.check_noise_determinism()[0]
-        # its key set holds 4-mode rows of members 0 and 1 left to the
-        # per-step draw, and a 5-mode row
-        assert any(member < 2 and modes == 4 for member, modes, _ in slow)
-        assert any(modes == 5 for _, modes, _ in slow)
-        wi, ki = noise._ZIGGURAT
-        monkeypatch.setattr(noise, "_ZIGGURAT", (wi * (1.0 + 2.0**-52), ki))
+        # verify draws every row of its key set one at a time, so a row that
+        # its table also left to the per-step draw is counted twice: the key
+        # set holds 4-mode rows of members 0 and 1 walked past a rejected
+        # word, and a 5-mode row
+        walked = {row for row in slow if slow.count(row) > 1}
+        assert any(member < 2 and modes == 4 for member, modes, _ in walked)
+        assert any(modes == 5 for _, modes, _ in walked)
+        ki, wi, fi = noise._TABLES
+        monkeypatch.setattr(noise, "_TABLES", (ki, wi * (1.0 + 2.0**-52), fi))
         assert not verify.check_noise_determinism()[0]
 
     def test_threads_set_up_tables_alike(self, monkeypatch):
         serial = member_tables(4, 8, 3, 0.01, 200)
-        monkeypatch.setattr(noise, "_ZIGGURAT", None)
-        # threads racing through the first draw's probe may each probe, but
-        # every one must draw the serial tables
+        # tables decoded afresh from the embedded constant draw the serial
+        # tables in every thread, and no thread can write to them
+        raw = binascii.a2b_base64(noise._TABLES_BASE64)
+        dtypes = ("<u8", "<f8", "<f8")
+        monkeypatch.setattr(noise, "_TABLES", tuple(np.frombuffer(raw, dtype, 256, 2048 * i)
+                                                    for i, dtype in enumerate(dtypes)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -168,9 +184,38 @@ class TestTable:
                                          range(8), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert noise._ZIGGURAT is not None
+        assert not any(table.flags.writeable for table in noise._TABLES)
         for m, table in enumerate(threaded):
             assert table.tobytes() == serial[m].tobytes()
+
+    def test_rows_equal_numpy_draws(self, monkeypatch):
+        # 10^5 keyed rows of 1 to 8 modes, each against numpy's own generator
+        slow = self.count_slow_rows(monkeypatch)
+        tails = 0
+        for modes in range(1, 9):
+            table = member_tables(2**64 - modes, 50, modes, 1.0, 250)
+            expected = self.oracle(2**64 - modes, range(50), modes, 1.0, 250)
+            assert table.tobytes() == expected.tobytes()
+            tails += np.count_nonzero(np.abs(table) > noise._R)
+        # rows of up to 4 modes walked past words rejected in their first
+        # 4-word block, rows of more modes walked across a block boundary,
+        # and draws from the tail beyond the base layer
+        assert sum(modes <= 4 for _, modes, _ in slow) > 100
+        assert sum(modes > 4 for _, modes, _ in slow) == 4 * 50 * 250
+        assert tails > 0
+
+
+def test_embedded_ziggurat_tables_are_numpys():
+    ki, wi, _ = noise._TABLES
+    probed_wi, proven_ki = probe_ziggurat()
+    assert probed_wi[1:].tobytes() == wi[1:].tobytes()
+    assert np.all(proven_ki <= ki)
+    # numpy accepts a word at once just below each bound and not at it
+    layers = np.flatnonzero(ki)
+    gen = Generator(Philox())
+    below = accepted_normals(gen, [(int(ki[i] - 1) << 9) | int(i) for i in layers])
+    at = accepted_normals(gen, [(int(ki[i]) << 9) | int(i) for i in layers])
+    assert np.all(np.isfinite(below)) and np.all(np.isnan(at))
 
 
 class TestCoarsen:

@@ -74,6 +74,46 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def import_time_nodes(tree: ast.Module):
+    """Every node a module evaluates when it is imported, function bodies left out."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list + node.args.defaults
+                         + [d for d in node.args.kw_defaults if d is not None])
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_numpy_random_is_not_loaded_on_import():
+    # numpy.random adds about 6 MB to every command; the package reaches it
+    # only inside the functions that draw from numpy's generators, and reads
+    # no generator's state
+    found = []
+    for fname in sorted(os.listdir(PACKAGE)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=fname)
+        for node in import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                loads = any(a.name.startswith("numpy.random") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                loads = (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names))
+            else:  # np.random evaluated at import
+                loads = isinstance(node, ast.Attribute) and node.attr == "random"
+            if loads:
+                found.append(f"{fname}:{node.lineno} loads numpy.random on import")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+                    or isinstance(node, ast.Name) and node.id == "bit_generator"):
+                found.append(f"{fname}:{node.lineno} names bit_generator")
+    assert found == []
+
+
 # Each command at toy size in a fresh interpreter, and the package modules it
 # must not load: a command imports only the code it runs.
 COMMAND_RUNS = {
@@ -115,5 +155,7 @@ def test_command_loads_only_its_modules(tmp_path, command, entry):
                           env=env, capture_output=True, text=True, check=True)
     loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
     assert "torusgas.driver" in loaded
-    never = {"concurrent.futures", "logging"}  # threads 1 builds no pool; no warning fires
+    # threads 1 builds no pool, no warning fires, and the Wiener rows are
+    # computed without numpy's generators
+    never = {"concurrent.futures", "logging", "numpy.random"}
     assert loaded & ({f"torusgas.{name}" for name in unused} | never) == set()
