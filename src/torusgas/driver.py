@@ -83,24 +83,44 @@ def build_flow(cfg: dict, key: str, grid: Grid, amplitude: float = 1.0) -> State
 def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
                  state: State, cfg: dict) -> int:
     """run.n_steps (which run.samples divides), or a count from stepper.dt or
-    the CFL bound, rounded up to a multiple of run.samples."""
+    the CFL bound, rounded up to a multiple of run.samples.
+
+    A count whose increment table (``members x n_steps x modes`` floats)
+    would exceed physical memory is a ``ConfigError`` naming the key that
+    set it, raised before anything is allocated.
+    """
     samples = cfg["run.samples"]
     if cfg["run.n_steps"]:
-        return cfg["run.n_steps"]
-    if cfg["stepper.dt"] > 0:
-        n = int(np.ceil(cfg["run.T"] / cfg["stepper.dt"]))
+        source, steps = f"run.n_steps = {cfg['run.n_steps']}", cfg["run.n_steps"]
+    elif cfg["stepper.dt"] > 0:
+        source, steps = f"stepper.dt = {cfg['stepper.dt']}", cfg["run.T"] / cfg["stepper.dt"]
     else:
+        source = f"init.kind = {cfg['init.kind']} at init.amplitude = {cfg['init.amplitude']}"
         with np.errstate(over="ignore"):  # a speed past the float range is infinite
             bound = cfl_dt(grid, model, state, stepper)
         if not bound > 0:  # the data move too fast for any step
-            raise config_mod.ConfigError(
-                f"init.kind = {cfg['init.kind']} at init.amplitude = {cfg['init.amplitude']}: "
-                f"the CFL bound of the initial data is {bound}")
-        n = int(np.ceil(cfg["run.T"] / (0.8 * bound)))
-    n = max(n, samples)
+            raise config_mod.ConfigError(f"{source}: the CFL bound of the initial data is {bound}")
+        steps = cfg["run.T"] / (0.8 * bound)
+    if not np.isfinite(steps):
+        raise config_mod.ConfigError(f"{source}: the run needs {steps} steps")
+    n = max(int(np.ceil(steps)), samples)
     if n % samples:
         n += samples - (n % samples)
+    members = 1 if cfg["ensemble.shared_paths"] else cfg["ensemble.members"]
+    table_bytes, memory = members * n * model.modes * 8, _physical_memory()
+    if table_bytes > memory:
+        raise config_mod.ConfigError(
+            f"{source}: {n} steps need an increment table of {table_bytes / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory")
     return n
+
+
+def _physical_memory() -> float:
+    """This machine's physical memory in bytes, or inf where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
 
 
 # --------------------------------------------------------------------------
@@ -135,8 +155,7 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         table = member_tables(seed, members, model.modes, dt, n_steps)
     law = model.law_eff
     state = state0.batch(members)
-    acc = LedgerAccumulator(grid, law, model.visc, model.noise, stepper.rho_floor,
-                            members=members)
+    acc = LedgerAccumulator(grid, law, model.visc, model.noise, members=members)
     stats = StepStats(np.zeros(members, dtype=np.int64), np.zeros(members))
 
     def march_range(lo, hi):  # one sample interval; sums and stats add into their slices

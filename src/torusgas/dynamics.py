@@ -207,7 +207,7 @@ def _check_finite(grid: Grid, state: "State", rho, mom, dt: float):
 
 
 def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
-                      dt_implicit: float = 0.0):
+                      dt_implicit: float = 0.0, velocity: bool = False):
     """Drift of the semi-discrete system, ``(d rho, d mom)``.
 
     Nonlinear products are formed pointwise; both tendencies are then built
@@ -217,7 +217,9 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
     as diagonal multipliers, and one inverse transform per tendency.  That
     is 4 forward and 2 inverse FFT calls in any dimension, 3 + 1 without
     viscosity.  The drift does not check finiteness: :func:`step_em` checks
-    the update it makes.
+    the update it makes.  With ``velocity`` the explicit drift returns
+    ``(d rho, d mom, u, u_h)``: also the velocity ``u = m / rho`` and, with
+    viscosity, its spectrum (else None), which the energy ledger reuses.
 
     With ``dt_implicit > 0`` it returns instead the spectra that the
     semi-implicit step of size ``dt_implicit`` needs (see the module
@@ -269,6 +271,8 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
             dmom_h[comp(i)] = (dmom_h[comp(i)] + ik[i] * long_h) * c_t
     if implicit:
         return rho_h, mh, dmom_h
+    if velocity:
+        return drho, grid.bwd(dmom_h), u, (u_h if model.visc is not None else None)
     return drho, grid.bwd(dmom_h)
 
 
@@ -307,7 +311,7 @@ def cfl_dt(grid: Grid, model: ModelConfig, state: State,
 def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State,
             dt: float, dW: Optional[np.ndarray] = None,
             rhs_fn: Callable = rhs_deterministic,
-            stats: Optional[StepStats] = None) -> State:
+            stats: Optional[StepStats] = None, ledger=None) -> State:
     """One Euler-Maruyama step of size ``dt``.
 
     The drift uses the current state; the noise kick ``sum_k G_k dW_k`` with
@@ -317,11 +321,15 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     explicit unless ``stepper.semi_implicit`` asks ``rhs_fn`` for the
     spectra of the IMEX step (see the module docstring), whose kick and
     Crank-Nicolson acoustics are formed here.  ``stats``, if given, records
-    floor activations and ``dt`` over the CFL bound.  The step checks its
-    CFL bound, then its unfloored update once, in either scheme.  A failure
-    names the step by :func:`step_label`, as a march of steps ``dt`` from
-    t = 0 counts it, and the fastest or first non-finite member of a batch,
-    whose state at the start of the step and increment row reproduce it.
+    floor activations and ``dt`` over the CFL bound.  ``ledger``, if given
+    (a :class:`~torusgas.ledger.LedgerAccumulator`), gets the step's
+    increments from the velocity and its spectrum that the explicit drift
+    forms and from the step's kick; the IMEX step takes no ledger.  The
+    step checks its CFL bound, then its unfloored update once, in either
+    scheme.  A failure names the step by :func:`step_label`, as a march of
+    steps ``dt`` from t = 0 counts it, and the fastest or first non-finite
+    member of a batch, whose state at the start of the step and increment
+    row reproduce it.
     """
     bound = cfl_dt(grid, model, state, stepper)
     if dt > bound * (1.0 + 1e-9):
@@ -335,6 +343,8 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
         stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
 
     if stepper.semi_implicit:
+        if ledger is not None:
+            raise ValueError("the energy ledger follows the explicit step only")
         rho_h, mom_h, dmom_h = rhs_fn(grid, model, state, dt)
         dm_h = dt * dmom_h  # m* - m, the explicit update, in Fourier space
         if model.noise.modes and dW is not None:  # the kick is linear in (rho, m)
@@ -349,11 +359,20 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
         rho_new = state.rho + grid.bwd(r_h)
         mom_new = state.mom + grid.bwd(dm_h)
     else:
-        drho, dmom = rhs_fn(grid, model, state)
+        if ledger is None:
+            drho, dmom = rhs_fn(grid, model, state)
+            u = u_h = None
+        else:
+            drho, dmom, u, u_h = rhs_fn(grid, model, state, velocity=True)
         rho_new = state.rho + dt * drho
         mom_new = state.mom + dt * dmom
+        kick = None
         if model.noise.modes and dW is not None:
-            mom_new += model.noise.momentum_kick(grid, state.rho, state.mom, dW)
+            kick = model.noise.momentum_kick(grid, state.rho, state.mom, dW)
+            mom_new += kick
+        if ledger is not None:
+            ledger.step_increments(state, dt, u, u_h, kick)
+        del u, u_h, kick  # released before the update is checked
 
     _check_finite(grid, state, rho_new, mom_new, dt)  # before the floor hides a -inf
     low = rho_new < stepper.rho_floor

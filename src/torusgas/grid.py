@@ -81,7 +81,8 @@ class Grid:
         symbol of ``-div grad``, ``|k|^2`` from the Nyquist-zeroed ``ik``.
         ``dealias_mask``: the 2/3 rule.  ``rfft_weight``: each real-FFT
         column's multiplicity in the full spectrum, 2 except for the zero and
-        Nyquist columns.
+        Nyquist columns; ``parseval_weight``: that times ``cell_volume /
+        n_cells``, the weight of :meth:`modal_integrate`.
         """
         # integer wavenumbers; rfft layout on the last axis
         axes_k = []
@@ -118,6 +119,7 @@ class Grid:
             self.dealias_mask &= np.abs(axes_k[ax]) <= cut
         self.rfft_weight = np.full(self.sizes[-1] // 2 + 1, 2.0)
         self.rfft_weight[0] = self.rfft_weight[-1] = 1.0
+        self.parseval_weight = self.rfft_weight * (self.cell_volume / self.n_cells)
 
     # -- coordinates -------------------------------------------------------
 
@@ -240,10 +242,23 @@ class Grid:
         """Apply the 2/3-rule mask to a scalar field."""
         return self.bwd(np.where(self.dealias_mask, self.fwd(f), 0.0))
 
+    def modal_integrate(self, density: np.ndarray):
+        """``int f g dx`` from the modal density ``Re(f^ conj(g^))`` over the real-FFT columns.
+
+        Parseval with each column weighted by :attr:`parseval_weight`; for
+        ``density = |f^|^2`` it is ``int f^2 dx``.  A float for a single
+        density; for a batch, one value per member, each summed over its
+        contiguous row exactly as a single density would be.
+        """
+        weighted = density * self.parseval_weight
+        lead = density.shape[:-self.dim]
+        if not lead:
+            return float(np.sum(weighted))
+        return np.sum(np.reshape(weighted, (*lead, -1)), axis=-1)
+
     def modal_norm_sq(self, f: np.ndarray) -> float:
         """Squared L2 norm of a single field from its Fourier coefficients (Parseval)."""
-        total = np.sum(self.rfft_weight * np.abs(self.fwd(f)) ** 2)
-        return float(total) * self.cell_volume / self.n_cells
+        return self.modal_integrate(np.abs(self.fwd(f)) ** 2)
 
     # -- inter-grid transfer ------------------------------------------------
 

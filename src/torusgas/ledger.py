@@ -5,17 +5,20 @@ Each ledger tracks, on one shared time axis,
 * ``E(t)``: Young-measure energy plus the dissipation defect D(t),
 * the cumulative viscous dissipation ``int S(grad <u>) : grad <u>``,
 * the cumulative Ito correction ``0.5 int sum_k <|G_k|^2 / rho>``,
-* the realized energy martingale ``int (int u . sum_k G_k dW_k dx)``, its
-  kick from the :meth:`~torusgas.noise.NoiseModel.momentum_kick` of the step.
+* the realized energy martingale ``int (int u . sum_k G_k dW_k dx)``.
 
 A ledger holds numpy columns with the samples on the last axis: ``(S,)``
 for one member or a pooled ensemble, ``(M, S)`` for a member batch.
-:func:`march` steps one member or a batch over one sample interval and
-adds to its running sums, and :meth:`LedgerAccumulator.sample` reads a
-ledger row at the interval's end.  :func:`pooled_sample` reduces one
-sample of the ensemble's Young measure, so that no member state need be
-kept, and :func:`pooled_ledger` turns the batch ledger and those
-reductions into the ensemble's ledger.
+:func:`march` steps one member or a batch over one sample interval, and
+each step adds its increments to the running sums in the same pass: it
+hands :meth:`LedgerAccumulator.step_increments` the velocity and the
+velocity spectrum its drift formed and the kick it adds, so the ledger
+makes no transform and no second kick.  The dissipation comes from that
+spectrum by Parseval (:func:`dissipation_rate`).
+:meth:`LedgerAccumulator.sample` reads a ledger row at the interval's end.
+:func:`pooled_sample` reduces one sample of the ensemble's Young measure,
+so that no member state need be kept, and :func:`pooled_ledger` turns the
+batch ledger and those reductions into the ensemble's ledger.
 
 For a single realization the measure is a Dirac and D = 0; for a pooled
 ensemble the defect series carries the member spread.  The residual of the
@@ -33,7 +36,7 @@ from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
-from .constitutive import PressureLaw, Viscosity, stress_contract
+from .constitutive import PressureLaw, Viscosity
 from .dynamics import StepStats, energy_total, step_em
 from .ensemble import (EmpiricalYoungMeasure, dissipation_defect, energy_defect,
                        velocity_oscillation_field)
@@ -93,11 +96,28 @@ def poincare_ratio(ym: EmpiricalYoungMeasure, law: PressureLaw) -> float:
     return osc / D
 
 
-def dissipation_rate(grid: Grid, visc: Viscosity, u: np.ndarray):
-    """``int S(grad u) : grad u dx`` of a velocity field or of a batch of them."""
-    c = -grid.dim - 1  # the component axis; stress_contract reads the tensor axes first
-    grad_u = np.moveaxis(grid.gradient_vector(u), (c - 1, c), (0, 1))
-    return grid.integrate(stress_contract(visc, grad_u))
+def dissipation_rate(grid: Grid, visc: Viscosity, u_h: np.ndarray):
+    """``int S(grad u) : grad u dx`` from the spectrum ``u_h = grid.fwd(u)``.
+
+    ``u_h`` is the spectrum of one velocity field or of a batch of them.
+    With ``A = grad u``, ``int A : A = sum_k w |k|^2 |u^|^2`` and
+    ``int A^T : A = int (div u)^2 = sum_k w |ik . u^|^2`` by Parseval, so
+
+        int S(A) : A = sum_k w [nu |k|^2 |u^|^2 + (nu + lambda - 2 nu / N) |ik . u^|^2]
+
+    with ``w`` the grid's ``parseval_weight`` and ``|k|^2`` from the
+    Nyquist-zeroed ``ik`` of :meth:`~torusgas.grid.Grid.gradient_vector`
+    (``grid.k2_odd``).  It equals ``grid.integrate(stress_contract(visc,
+    grad_u))`` to roundoff without forming the gradient tensor or making a
+    transform; ``verify``'s ``ledger.dissipation`` checks that.
+    """
+    comp, ik = grid.comp, grid.ik
+    power = np.sum(np.abs(u_h) ** 2, axis=-grid.dim - 1)
+    div_h = sum(ik[j] * u_h[comp(j)] for j in range(grid.dim))
+    nu = visc.nu
+    density = (nu * grid.k2_odd * power
+               + (nu + visc.lam - 2.0 * nu / grid.dim) * np.abs(div_h) ** 2)
+    return grid.modal_integrate(density)
 
 
 @dataclass
@@ -113,7 +133,6 @@ class LedgerAccumulator:
     law: PressureLaw
     visc: Viscosity | None
     noise: NoiseModel
-    rho_floor: float = 1e-8
     members: InitVar[int | None] = None
     diss_cum: float = 0.0
     ito_cum: float = 0.0
@@ -136,23 +155,25 @@ class LedgerAccumulator:
         return np.stack([energy_total(self.grid, self.law, state), self.diss_cum,
                          self.ito_cum, self.mart])
 
-    def step_increments(self, state, dW: np.ndarray | None, dt: float):
-        """Accumulate dissipation, Ito correction and martingale increments.
+    def step_increments(self, state, dt: float, u: np.ndarray, u_h: np.ndarray | None,
+                        kick: np.ndarray | None):
+        """Accumulate one step's dissipation, Ito correction and martingale increments.
 
-        Called with the pre-step state and that step's Wiener increments
-        (``(M, K)`` for a batch), matching the explicit Euler-Maruyama
-        quadrature of the run itself.
+        :func:`~torusgas.dynamics.step_em` calls it with the pre-step state
+        and what the step formed from it: the drift's velocity ``u = m /
+        rho``, its spectrum ``u_h`` (None without viscosity) and the kick
+        ``sum_k G_k dW_k`` (None without increments), matching the explicit
+        Euler-Maruyama quadrature of the run itself.  Every state a march
+        steps has ``rho >= rho_floor`` (the initial data are checked, each
+        step floors its update), so ``u`` equals the floored velocity ``m /
+        max(rho, rho_floor)`` bit for bit.
         """
         grid = self.grid
-        u = state.velocity(grid, self.rho_floor)
         if self.visc is not None:
-            self.diss_cum += dt * dissipation_rate(grid, self.visc, u)
+            self.diss_cum += dt * dissipation_rate(grid, self.visc, u_h)
         if self.noise.modes:
-            self.ito_cum += dt * 0.5 * grid.integrate(
-                self.noise.ito_correction_density(grid, state.rho, state.mom,
-                                                  self.rho_floor))
-            if dW is not None:
-                kick = self.noise.momentum_kick(grid, state.rho, state.mom, dW)
+            self.ito_cum += dt * 0.5 * grid.integrate(self.noise.ito_density(grid, state.rho, u))
+            if kick is not None:
                 self.mart += grid.integrate(np.sum(u * kick, axis=-grid.dim - 1))
 
 
@@ -162,14 +183,13 @@ def march(grid: Grid, model, stepper, state, dt: float, table: np.ndarray,
 
     ``table`` holds the interval's Wiener increments: ``(n, K)`` for one
     member, or ``(M, n, K)`` for a batch of M members; a deterministic run
-    passes an empty ``(n, 0)`` table.  Before each step, its ledger
-    increments are added to ``acc``; ``stats`` is handed to every step.
-    Returns the state after the interval's last step.
+    passes an empty ``(n, 0)`` table.  Each explicit step adds its ledger
+    increments to ``acc``; ``stats`` is handed to every step.  Returns the
+    state after the interval's last step.
     """
     for step in range(table.shape[-2]):
-        dW = table[..., step, :]
-        acc.step_increments(state, dW, dt)
-        state = step_em(grid, model, stepper, state, dt, dW, stats=stats)
+        state = step_em(grid, model, stepper, state, dt, table[..., step, :], stats=stats,
+                        ledger=acc)
     return state
 
 
@@ -197,7 +217,7 @@ def pooled_ledger(members: EnergyLedger, grid: Grid, visc, barycenters, defect,
     rates = np.zeros(len(times))
     if visc is not None:  # all sample times as one batch
         u_bar = np.stack([b_mom / np.maximum(b_rho, 1e-300) for b_rho, b_mom in barycenters])
-        rates = dissipation_rate(grid, visc, u_bar)
+        rates = dissipation_rate(grid, visc, grid.fwd(u_bar))
     diss = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
     return EnergyLedger(times, np.array(energy), np.array(defect), diss,
                         np.mean(members.ito_cum, axis=0), np.mean(members.martingale, axis=0))

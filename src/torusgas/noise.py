@@ -89,8 +89,9 @@ class NoiseModel:
         ``dW`` is one step's ``(K,)`` increments, or ``(M, K)`` for a batch.
         ``rho`` and ``mom`` may be fields or their spectra, since the kick is
         linear in them.  Its callers: the explicit and IMEX steps of
-        :mod:`torusgas.dynamics`, :func:`torusgas.euler.step_em_euler` (at
-        unit density) and the ledger's martingale (``step_increments``).
+        :mod:`torusgas.dynamics` and :func:`torusgas.euler.step_em_euler`
+        (at unit density).  The explicit step forms the kick once and hands
+        it to the energy ledger's martingale as well.
         """
         if self.modes == 0:
             return np.zeros_like(mom)
@@ -108,20 +109,26 @@ class NoiseModel:
                                rho_floor: float = 1e-8) -> np.ndarray:
         """Pointwise ``sum_k |G_k(rho, m)|^2 / rho``.
 
-        Evaluated in the velocity form ``rho |K_k e + L_k u|^2`` with
+        Evaluated in the velocity form of :meth:`ito_density` with
         ``u = m / max(rho, rho_floor)``, which stays finite toward vacuum.
         Vacuum cells carrying momentum are reported through the module
         logger.
         """
         if self.modes == 0:
             return np.zeros_like(rho)
-        c = -grid.dim - 1  # the component axis
         vac = rho < rho_floor
         if np.any(vac):
-            bad = int(np.count_nonzero(vac & (np.sum(np.abs(mom), axis=c) > 0)))
+            bad = int(np.count_nonzero(vac & (np.sum(np.abs(mom), axis=-grid.dim - 1) > 0)))
             if bad:
                 _warn("ito correction: %d vacuum cells with nonzero momentum", bad)
-        u = mom / np.maximum(rho, rho_floor)[grid.comp(None)]
+        return self.ito_density(grid, rho, mom / np.maximum(rho, rho_floor)[grid.comp(None)])
+
+    def ito_density(self, grid, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Pointwise ``sum_k rho |K_k e_{k mod N} + L_k u|^2`` of a density and velocity.
+
+        The energy ledger passes the velocity its step's drift formed.
+        """
+        c = -grid.dim - 1  # the component axis
         out = np.zeros_like(rho)
         u2 = np.sum(u * u, axis=c)
         for mode in range(self.modes):

@@ -18,7 +18,7 @@ from .ensemble import (ConvexityError, EmpiricalYoungMeasure, Observable,
                        energy_jensen_gap, expect, momentum_defect)
 from .euler import advection, make_state, pressure_from_projection, step_em_euler
 from .grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
-from .ledger import poincare_ratio
+from .ledger import dissipation_rate, poincare_ratio
 from .noise import (NoiseModel, WienerPath, coarsen, domination_audit, lipschitz_audit,
                     member_tables)
 from .relative import gronwall_check, relative_energy
@@ -333,6 +333,19 @@ def check_gronwall():
     return ok, f"zero {zero:.1e}, exact {exact:.1e}, breach {breach:.3f}"
 
 
+def check_dissipation():
+    # the ledger's Parseval form against the real-space stress contraction
+    rng = _rng(14)
+    visc = Viscosity(0.7, 0.3)
+    worst = 0.0
+    for sizes in ((64,), (32, 16), (8, 8, 8)):
+        grid = Grid(sizes)
+        u = random_smooth_vector(grid, rng, kmax=4)
+        direct = grid.integrate(stress_contract(visc, grid.gradient_vector(u)))
+        worst = max(worst, abs(dissipation_rate(grid, visc, grid.fwd(u)) - direct) / direct)
+    return worst < 1e-12, f"max relative gap to int S(grad u) : grad u {worst:.2e}"
+
+
 CHECKS = [
     ("grid.parseval", check_parseval),
     ("grid.helmholtz", check_helmholtz),
@@ -350,6 +363,7 @@ CHECKS = [
     ("ensemble.trace_identity", check_trace_identity),
     ("ensemble.defect_domination", check_defect_domination),
     ("ledger.poincare", check_poincare),
+    ("ledger.dissipation", check_dissipation),
     ("relative.forms_agree", check_relative_energy_forms),
     ("relative.scaling", check_relative_energy_scaling),
     ("euler.structure", check_euler_structure),

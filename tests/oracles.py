@@ -57,8 +57,7 @@ def sampled_march(grid, model, stepper, state0, dt, table, stride):
     column is zero, and the sampled states.
     """
     members = len(table) if table.ndim == 3 else None
-    acc = LedgerAccumulator(grid, model.law_eff, model.visc, model.noise, stepper.rho_floor,
-                            members=members)
+    acc = LedgerAccumulator(grid, model.law_eff, model.visc, model.noise, members=members)
     state = state0 if members is None else state0.batch(members)
     states, rows = [state], [acc.sample(state)]
     for start in range(0, table.shape[-2], stride):

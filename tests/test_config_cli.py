@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 
 import numpy as np
@@ -171,6 +172,29 @@ def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
     cfg = write_cfg(tmp_path, line + "\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert line.split("=")[0].strip() in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines,key", [
+    ("init.kind = shear\ninit.amplitude = 1e12", "init.amplitude"),
+    ("init.kind = density_wave\ninit.amplitude = 0.1\nstepper.dt = 1e-15", "stepper.dt"),
+], ids=["amplitude", "dt"])
+def test_march_past_memory_is_config_error(tmp_path, capsys, monkeypatch, lines, key):
+    # the shipped config asking for ~1e13 steps: their increment table would
+    # exceed physical memory, so the run exits 2 before drawing it
+    from torusgas import driver
+
+    def no_table(*args):
+        raise AssertionError("the increment table was drawn")
+
+    monkeypatch.setattr(driver, "member_tables", no_table)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "simulate_1d.cfg"), encoding="utf-8") as fh:
+        kept = [line for line in fh if not line.startswith("init.")]
+    cfg = write_cfg(tmp_path, "".join(kept) + lines + "\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert int(re.search(r": (\d+) steps need", err).group(1)) > 1e13
 
 
 @pytest.mark.parametrize("command,driver_fn,exc", [

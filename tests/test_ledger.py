@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from torusgas.constitutive import PressureLaw, Viscosity, potential_delta
+from torusgas.constitutive import PressureLaw, Viscosity, potential_delta, stress_contract
 from torusgas.dynamics import ModelConfig, State, StepperConfig, step_em
 from torusgas.ensemble import EmpiricalYoungMeasure, dissipation_defect
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
-from torusgas.ledger import EnergyLedger, LedgerAccumulator, poincare_ratio, pooled_sample
+from torusgas.ledger import (EnergyLedger, LedgerAccumulator, dissipation_rate, march,
+                             poincare_ratio, pooled_sample)
 from torusgas.noise import NoiseModel, member_tables
 
 from oracles import SmoothItoProcess, build_ym, cross_variation_audit, sampled_march
@@ -35,10 +36,9 @@ def test_batched_accumulator_matches_member_loop(sizes):
     singles = [LedgerAccumulator(grid, LAW, model.visc, model.noise)
                for _ in range(members)]
     for step in range(n_steps):
-        acc.step_increments(batch, table[:, step], dt)
         for m, one in enumerate(singles):
-            one.step_increments(batch.rows(m), table[m, step], dt)
-        batch = step_em(grid, model, StepperConfig(), batch, dt, table[:, step])
+            step_em(grid, model, StepperConfig(), batch.rows(m), dt, table[m, step], ledger=one)
+        batch = step_em(grid, model, StepperConfig(), batch, dt, table[:, step], ledger=acc)
     for m, one in enumerate(singles):
         assert (acc.diss_cum[m], acc.ito_cum[m], acc.mart[m]) == (
             one.diss_cum, one.ito_cum, one.mart)
@@ -59,13 +59,70 @@ def test_martingale_matches_mode_sum(sizes):
                             for _ in range(members)]))
     dW = rng.normal(0.0, 0.03, (members, noise.modes))
     acc = LedgerAccumulator(grid, LAW, None, noise, members=members)
-    acc.step_increments(batch, dW, 1e-3)
+    step_em(grid, ModelConfig(law=LAW, noise=noise), StepperConfig(), batch, 1e-3, dW,
+            ledger=acc)
     u = batch.velocity(grid)
     oracle = sum(grid.integrate(np.sum(u * noise.apply_mode(k, grid, batch.rho, batch.mom),
                                        axis=1)) * dW[:, k]
                  for k in range(noise.modes))
     assert np.all(oracle != 0)
     np.testing.assert_allclose(acc.mart, oracle, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 8), (8, 8, 8)], ids=["1-D", "2-D", "3-D"])
+@pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch"])
+def test_dissipation_rate_matches_stress_contraction(sizes, batch):
+    # Parseval on the velocity spectrum against the real-space integral of
+    # S(grad u) : grad u, on white noise, so the Nyquist modes are populated
+    grid = Grid(sizes)
+    rng = np.random.default_rng(12)
+    visc = Viscosity(0.7, 0.3)
+    lead = () if batch is None else (batch,)
+    u = rng.standard_normal((*lead, grid.dim, *sizes))
+    grad_u = grid.gradient_vector(u)
+    c = -grid.dim - 1  # stress_contract reads the tensor axes first
+    direct = grid.integrate(stress_contract(visc, np.moveaxis(grad_u, (c - 1, c), (0, 1))))
+    rate = dissipation_rate(grid, visc, grid.fwd(u))
+    assert np.shape(rate) == lead
+    assert np.all(np.asarray(direct) > 0)
+    np.testing.assert_allclose(rate, direct, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 16)], ids=["1-D", "2-D"])
+def test_ledger_step_makes_only_the_drift_transforms(sizes, monkeypatch):
+    # the ledger reuses the drift's velocity spectrum: a viscous, noisy march
+    # step makes the drift's 4 forward and 2 inverse FFT calls, no more
+    grid = Grid(sizes)
+    rng = np.random.default_rng(3)
+    model = ModelConfig(law=LAW, visc=Viscosity(1e-2, 5e-3),
+                        noise=NoiseModel(K=(0.1, 0.0), L=(0.05, 0.1)))
+    state = State(1.0 + 0.1 * random_smooth_scalar(grid, rng),
+                  0.1 * random_smooth_vector(grid, rng)).batch(2)
+    table = member_tables(6, 2, model.modes, 1e-3, 1)
+    acc = LedgerAccumulator(grid, LAW, model.visc, model.noise, members=2)
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    march(grid, model, StepperConfig(), state, 1e-3, table, acc)
+    assert len(calls) == 6
+    assert sum(name.startswith("irfft") for name in calls) == 2
+    assert np.all(acc.diss_cum > 0) and np.all(acc.ito_cum > 0) and np.all(acc.mart != 0)
+
+
+def test_ledger_refuses_the_imex_step():
+    grid = Grid((16,))
+    state = State(np.ones(16), np.zeros((1, 16)))
+    acc = LedgerAccumulator(grid, LAW, None, NoiseModel())
+    with pytest.raises(ValueError, match="explicit step"):
+        step_em(grid, ModelConfig(law=LAW), StepperConfig(semi_implicit=True), state, 1e-3,
+                ledger=acc)
 
 
 @pytest.mark.parametrize("sizes", [(32,), (16, 16)], ids=["1-D", "2-D"])
