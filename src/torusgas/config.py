@@ -39,7 +39,6 @@ SCHEMA: dict[str, Key] = {
     "model.lambda": Key("float", 0.0, "bulk viscosity"),
     "model.eps": Key("float", 1.0, "Mach parameter; 1 disables rescaling"),
     "model.grad_threshold": Key("float", math.inf, "weak-strong reference gradient cutoff"),
-    "stepper.dt": Key("float", 0.0, "time step; 0 = auto from CFL"),
     "stepper.cfl": Key("float", 0.4, "CFL number in (0, 1]"),
     "stepper.rho_floor": Key("float", 1e-8, "density positivity floor"),
     "noise.K": Key("float_list", [], "density coupling per mode; its length is the "
@@ -151,8 +150,6 @@ def _cross_validate(cfg: dict):
         raise ConfigError("model.nu/model.lambda: must be nonnegative")
     if cfg["model.eps"] <= 0:
         raise ConfigError("model.eps: must be positive")
-    if cfg["stepper.dt"] < 0:
-        raise ConfigError("stepper.dt: must be nonnegative (0 picks from the CFL bound)")
     if not 0 < cfg["stepper.cfl"] <= 1:
         raise ConfigError("stepper.cfl: must lie in (0, 1]")
     if cfg["stepper.rho_floor"] <= 0:

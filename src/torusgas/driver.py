@@ -80,10 +80,23 @@ def build_flow(cfg: dict, key: str, grid: Grid, amplitude: float = 1.0) -> State
                                      f"{list(grid.sizes)}: {exc}") from None
 
 
+def check_floor(rho: np.ndarray, stepper: StepperConfig, source: str):
+    """Raise a ``ConfigError`` unless every density of ``rho`` lies above the floor.
+
+    Every command checks its initial data here before any march, so every
+    state :func:`~torusgas.dynamics.step_em` is given lies above
+    ``stepper.rho_floor``.  ``source`` names the keys that made the data.
+    """
+    low = np.min(rho)
+    if not low > stepper.rho_floor:
+        raise config_mod.ConfigError(f"{source}: density {low} is not above "
+                                     f"stepper.rho_floor = {stepper.rho_floor}")
+
+
 def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
                  state: State, cfg: dict) -> int:
-    """run.n_steps (which run.samples divides), or a count from stepper.dt or
-    the CFL bound, rounded up to a multiple of run.samples.
+    """run.n_steps (which run.samples divides), or a count from the CFL bound
+    rounded up to a multiple of run.samples.
 
     A count whose increment table (``members x n_steps x modes`` floats)
     would exceed physical memory is a ``ConfigError`` naming the key that
@@ -92,8 +105,6 @@ def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
     samples = cfg["run.samples"]
     if cfg["run.n_steps"]:
         source, steps = f"run.n_steps = {cfg['run.n_steps']}", cfg["run.n_steps"]
-    elif cfg["stepper.dt"] > 0:
-        source, steps = f"stepper.dt = {cfg['stepper.dt']}", cfg["run.T"] / cfg["stepper.dt"]
     else:
         source = f"init.kind = {cfg['init.kind']} at init.amplitude = {cfg['init.amplitude']}"
         with np.errstate(over="ignore"):  # a speed past the float range is infinite
@@ -135,11 +146,8 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     model = build_model(cfg)
     stepper = build_stepper(cfg)
     state0 = build_flow(cfg, "init.kind", grid, cfg["init.amplitude"])
-    if not np.min(state0.rho) > stepper.rho_floor:  # the march would fail at step 0
-        raise config_mod.ConfigError(
-            f"init.kind = {cfg['init.kind']} at init.amplitude = {cfg['init.amplitude']} on "
-            f"grid.sizes = {list(grid.sizes)}: density {np.min(state0.rho)} is not above "
-            f"stepper.rho_floor = {stepper.rho_floor}")
+    check_floor(state0.rho, stepper, f"init.kind = {cfg['init.kind']} at init.amplitude = "
+                f"{cfg['init.amplitude']} on grid.sizes = {list(grid.sizes)}")
     state0.validate(grid)
     os.makedirs(out_dir, exist_ok=True)
     n_steps = choose_steps(grid, model, stepper, state0, cfg)
@@ -263,9 +271,8 @@ def _finalize(out_dir, cfg, summary):
 
 
 def run_weak_strong(cfg: dict, out_dir: str, threads: int = 1) -> dict:
-    from .relative import WeakStrongConfig, weak_strong_experiment
+    from .relative import WeakStrongConfig, weak_strong_data, weak_strong_experiment
 
-    os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
     n_steps = cfg["ws.n_steps"]
     samples = cfg["ws.samples"]
@@ -282,6 +289,12 @@ def run_weak_strong(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         stepper=build_stepper(cfg),
         grad_threshold=cfg["model.grad_threshold"],
     )
+    coarse, fine = weak_strong_data(ws)  # the experiment builds them again from ws
+    where = f"on grid.sizes = {list(ws.grid_sizes)}"
+    check_floor(fine.rho, ws.stepper, f"the fine data at ws.refine = {ws.refine} {where}")
+    check_floor(coarse.rho, ws.stepper, f"the coarse data at ws.eta = {ws.eta} {where}")
+    del coarse, fine
+    os.makedirs(out_dir, exist_ok=True)
     with _failure_snapshot(out_dir, len(ws.grid_sizes)):
         report = weak_strong_experiment(ws, threads)
     _write_ws_report(out_dir, report)
@@ -317,7 +330,7 @@ def _write_ws_report(out_dir, report):
 
 
 def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
-    from .sweep import SweepConfig, fit_rate, is_solenoidal, run_sweep
+    from .sweep import SweepConfig, fit_rate, is_solenoidal, run_sweep, well_prepared_data
 
     grid = build_grid(cfg)
     v0 = build_flow(cfg, "sweep.v0", grid)
@@ -325,6 +338,10 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         raise config_mod.ConfigError(f"sweep.v0 = {cfg['sweep.v0']} on grid.sizes = "
                                      f"{list(grid.sizes)}: the limit data needs a "
                                      f"solenoidal flow of density 1")
+    stepper = build_stepper(cfg)
+    for eps in cfg["sweep.eps"]:  # each eps's data, prepared at rate eps
+        check_floor(well_prepared_data(grid, eps, v0.mom, eps)[0], stepper,
+                    f"sweep.eps = {eps} on grid.sizes = {list(grid.sizes)}")
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
     sweep_cfg = SweepConfig(
@@ -332,7 +349,7 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
         eps_schedule=tuple(cfg["sweep.eps"]),
         law=model.law,
         noise=model.noise,
-        stepper=build_stepper(cfg),
+        stepper=stepper,
         horizon=cfg["run.T"],
         grad_threshold=cfg["sweep.grad_threshold"],
         members=cfg["sweep.members"],

@@ -11,7 +11,10 @@ where ``p_eff`` carries the low-Mach factor ``1/eps^2`` absorbed into the
 pressure-law coefficients and ``eta = lambda + (N-2) nu / N``.  Noise enters
 the momentum only; the density equation is noise-free.  Density positivity
 is enforced by flooring, with floor activations surfaced in the step stats
-rather than hidden.
+rather than hidden.  The floor ``StepperConfig.rho_floor`` is the one
+density decision: every command checks its initial data against it on
+entry and :func:`step_em` floors each update, so no formula clamps a
+density it divides by.
 
 A :class:`State` holds one realization (``rho`` of shape ``sizes``, ``mom``
 of shape ``(N, *sizes)``) or a member batch with one leading member axis
@@ -109,13 +112,10 @@ class State:
     mom: np.ndarray
     t: float = 0.0
 
-    def validate(self, grid: Grid, rho_floor: float = 0.0) -> "State":
+    def validate(self, grid: Grid) -> "State":
+        """This state, its fields checked for ``grid``'s shapes and for finite entries."""
         self.rho = grid.check_scalar(self.rho)
         self.mom = grid.check_vector(self.mom)
-        if np.min(self.rho) < rho_floor:
-            raise SimulationError(
-                f"density below floor {rho_floor}: min={np.min(self.rho)}", self
-            )
         return self
 
     def copy(self) -> "State":
@@ -135,9 +135,6 @@ class State:
         """The batches ``parts``, all at one time, as one batch, members in order."""
         return State(np.concatenate([p.rho for p in parts]),
                      np.concatenate([p.mom for p in parts]), parts[0].t)
-
-    def velocity(self, grid: Grid, rho_floor: float = 1e-8) -> np.ndarray:
-        return self.mom / np.maximum(self.rho, rho_floor)[grid.comp(None)]
 
 
 @dataclass(frozen=True)
@@ -206,20 +203,21 @@ def _check_finite(grid: Grid, state: "State", rho, mom, dt: float):
     raise SimulationError.of_row(f"non-finite state after {step_label(state.t, dt)}", state, m)
 
 
-def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
-                      dt_implicit: float = 0.0, velocity: bool = False):
-    """Drift of the semi-discrete system, ``(d rho, d mom)``.
+def rhs_deterministic(grid: Grid, model: ModelConfig, state: State, u: np.ndarray,
+                      dt_implicit: float = 0.0):
+    """Drift of the semi-discrete system, ``(d rho, d mom, u_h)``.
 
-    Nonlinear products are formed pointwise; both tendencies are then built
-    in Fourier space from one transform each of ``m``, the distinct flux
-    entries ``m_i u_j`` (``i <= j``, the flux being symmetric), ``p`` and
-    ``u``, with ``i k``, ``-nu k^2``, ``eta i k (i k .)`` and the 2/3 mask
-    as diagonal multipliers, and one inverse transform per tendency.  That
-    is 4 forward and 2 inverse FFT calls in any dimension, 3 + 1 without
-    viscosity.  The drift does not check finiteness: :func:`step_em` checks
-    the update it makes.  With ``velocity`` the explicit drift returns
-    ``(d rho, d mom, u, u_h)``: also the velocity ``u = m / rho`` and, with
-    viscosity, its spectrum (else None), which the energy ledger reuses.
+    ``u`` is the state's velocity ``m / rho``, which :func:`step_em` forms
+    once per step for its CFL bound and the drift.  Nonlinear products are
+    formed pointwise; both tendencies are then built in Fourier space from
+    one transform each of ``m``, the distinct flux entries ``m_i u_j``
+    (``i <= j``, the flux being symmetric), ``p`` and ``u``, with ``i k``,
+    ``-nu k^2``, ``eta i k (i k .)`` and the 2/3 mask as diagonal
+    multipliers, and one inverse transform per tendency.  That is 4 forward
+    and 2 inverse FFT calls in any dimension, 3 + 1 without viscosity.  The
+    drift does not check finiteness: :func:`step_em` checks the update it
+    makes.  ``u_h`` is the velocity's spectrum with viscosity (else None),
+    which the energy ledger reuses.
 
     With ``dt_implicit > 0`` it returns instead the spectra that the
     semi-implicit step of size ``dt_implicit`` needs (see the module
@@ -236,7 +234,6 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
     if not implicit:
         drho = grid.bwd(-sum(ik[j] * mh[comp(j)] for j in range(dim)))
 
-    u = mom / rho[comp(None)]
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     flux_h = grid.fwd(mom[comp([i for i, _ in pairs])] * u[comp([j for _, j in pairs])])
     entry = {}
@@ -271,24 +268,32 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State,
             dmom_h[comp(i)] = (dmom_h[comp(i)] + ik[i] * long_h) * c_t
     if implicit:
         return rho_h, mh, dmom_h
-    if velocity:
-        return drho, grid.bwd(dmom_h), u, (u_h if model.visc is not None else None)
-    return drho, grid.bwd(dmom_h)
+    return drho, grid.bwd(dmom_h), (u_h if model.visc is not None else None)
 
 
-def _signal_speed(grid: Grid, model: ModelConfig, state: State,
+def _signal_speed(grid: Grid, model: ModelConfig, rho: np.ndarray, u: np.ndarray,
                   stepper: StepperConfig) -> np.ndarray:
-    """Pointwise signal speed of the step's explicit part.
+    """Pointwise signal speed of the step's explicit part at density ``rho`` and velocity ``u``.
 
     ``|u| + c`` for the explicit step.  The semi-implicit step treats the
     acoustics about ``rho = 1`` implicitly, so it keeps the remainder's
     ``|u| + sqrt|p_eff'(rho) - c0^2|`` with ``c0^2 = p_eff'(1)``.
     """
-    u_mag = np.sqrt(np.sum(state.velocity(grid, stepper.rho_floor) ** 2, axis=-grid.dim - 1))
-    c2 = pressure_delta_prime(model.law_eff, np.maximum(state.rho, stepper.rho_floor))
+    u_mag = np.sqrt(np.sum(u ** 2, axis=-grid.dim - 1))
+    c2 = pressure_delta_prime(model.law_eff, rho)
     if stepper.semi_implicit:
         c2 = np.abs(c2 - pressure_delta_prime(model.law_eff, 1.0))
     return u_mag + np.sqrt(c2)
+
+
+def _bound(grid: Grid, model: ModelConfig, stepper: StepperConfig, speed: np.ndarray) -> float:
+    """The CFL bound of signal speeds ``speed``, plus a diffusion bound if viscous."""
+    h = min(grid.spacings)
+    top = float(np.max(speed))
+    dt = stepper.cfl * h / top if top > 0 else np.inf
+    if model.visc is not None and not stepper.semi_implicit:
+        dt = min(dt, stepper.cfl * h * h / (4.0 * model.visc.nu))
+    return dt
 
 
 def cfl_dt(grid: Grid, model: ModelConfig, state: State,
@@ -298,14 +303,10 @@ def cfl_dt(grid: Grid, model: ModelConfig, state: State,
     The semi-implicit step (``stepper.semi_implicit``) has no diffusion
     bound, and its acoustic bound is that of the explicit remainder (see
     :func:`_signal_speed`).  A batch gets one bound, set by its fastest
-    member.
+    member.  :func:`step_em` applies the same bound to the velocity it forms.
     """
-    h = min(grid.spacings)
-    speed = float(np.max(_signal_speed(grid, model, state, stepper)))
-    dt = stepper.cfl * h / speed if speed > 0 else np.inf
-    if model.visc is not None and not stepper.semi_implicit:
-        dt = min(dt, stepper.cfl * h * h / (4.0 * model.visc.nu))
-    return dt
+    u = state.mom / state.rho[grid.comp(None)]
+    return _bound(grid, model, stepper, _signal_speed(grid, model, state.rho, u, stepper))
 
 
 def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State,
@@ -323,20 +324,23 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     Crank-Nicolson acoustics are formed here.  ``stats``, if given, records
     floor activations and ``dt`` over the CFL bound.  ``ledger``, if given
     (a :class:`~torusgas.ledger.LedgerAccumulator`), gets the step's
-    increments from the velocity and its spectrum that the explicit drift
-    forms and from the step's kick; the IMEX step takes no ledger.  The
-    step checks its CFL bound, then its unfloored update once, in either
+    increments from the velocity, the velocity spectrum the explicit drift
+    forms and the step's kick; the IMEX step takes no ledger.  The step
+    forms the velocity ``u = m / rho`` once, for its CFL bound and the
+    drift; every state it is given has ``rho >= stepper.rho_floor`` (each
+    command checks its initial data, each step floors its update).  It
+    checks its CFL bound, then its unfloored update once, in either
     scheme.  A failure names the step by :func:`step_label`, as a march of
     steps ``dt`` from t = 0 counts it, and the fastest or first non-finite
     member of a batch, whose state at the start of the step and increment
     row reproduce it.
     """
-    bound = cfl_dt(grid, model, state, stepper)
+    u = state.mom / state.rho[grid.comp(None)]
+    fastest = np.max(_signal_speed(grid, model, state.rho, u, stepper), axis=grid.axes)
+    bound = _bound(grid, model, stepper, fastest)
     if dt > bound * (1.0 + 1e-9):
-        m = None
-        if state.rho.ndim > grid.dim:  # the member with the fastest signal sets the bound
-            speed = _signal_speed(grid, model, state, stepper)
-            m = int(np.unravel_index(np.argmax(speed), speed.shape)[0])
+        # the member with the fastest signal sets the bound
+        m = int(np.argmax(fastest)) if state.rho.ndim > grid.dim else None
         raise SimulationError.of_row(f"CFL violation: dt={dt:.3e} exceeds bound {bound:.3e} "
                                      f"at {step_label(state.t, dt)}", state, m)
     if stats is not None:
@@ -345,7 +349,7 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     if stepper.semi_implicit:
         if ledger is not None:
             raise ValueError("the energy ledger follows the explicit step only")
-        rho_h, mom_h, dmom_h = rhs_fn(grid, model, state, dt)
+        rho_h, mom_h, dmom_h = rhs_fn(grid, model, state, u, dt)
         dm_h = dt * dmom_h  # m* - m, the explicit update, in Fourier space
         if model.noise.modes and dW is not None:  # the kick is linear in (rho, m)
             dm_h += model.noise.momentum_kick(grid, rho_h, mom_h, dW)
@@ -359,11 +363,7 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
         rho_new = state.rho + grid.bwd(r_h)
         mom_new = state.mom + grid.bwd(dm_h)
     else:
-        if ledger is None:
-            drho, dmom = rhs_fn(grid, model, state)
-            u = u_h = None
-        else:
-            drho, dmom, u, u_h = rhs_fn(grid, model, state, velocity=True)
+        drho, dmom, u_h = rhs_fn(grid, model, state, u)
         rho_new = state.rho + dt * drho
         mom_new = state.mom + dt * dmom
         kick = None

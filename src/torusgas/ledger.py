@@ -11,8 +11,8 @@ A ledger holds numpy columns with the samples on the last axis: ``(S,)``
 for one member or a pooled ensemble, ``(M, S)`` for a member batch.
 :func:`march` steps one member or a batch over one sample interval, and
 each step adds its increments to the running sums in the same pass: it
-hands :meth:`LedgerAccumulator.step_increments` the velocity and the
-velocity spectrum its drift formed and the kick it adds, so the ledger
+hands :meth:`LedgerAccumulator.step_increments` the velocity it formed,
+the velocity spectrum its drift formed and the kick it adds, so the ledger
 makes no transform and no second kick.  The dissipation comes from that
 spectrum by Parseval (:func:`dissipation_rate`).
 :meth:`LedgerAccumulator.sample` reads a ledger row at the interval's end.
@@ -160,13 +160,10 @@ class LedgerAccumulator:
         """Accumulate one step's dissipation, Ito correction and martingale increments.
 
         :func:`~torusgas.dynamics.step_em` calls it with the pre-step state
-        and what the step formed from it: the drift's velocity ``u = m /
-        rho``, its spectrum ``u_h`` (None without viscosity) and the kick
+        and what the step formed from it: the velocity ``u = m / rho``, the
+        drift's spectrum of it ``u_h`` (None without viscosity) and the kick
         ``sum_k G_k dW_k`` (None without increments), matching the explicit
-        Euler-Maruyama quadrature of the run itself.  Every state a march
-        steps has ``rho >= rho_floor`` (the initial data are checked, each
-        step floors its update), so ``u`` equals the floored velocity ``m /
-        max(rho, rho_floor)`` bit for bit.
+        Euler-Maruyama quadrature of the run itself.
         """
         grid = self.grid
         if self.visc is not None:
@@ -216,7 +213,7 @@ def pooled_ledger(members: EnergyLedger, grid: Grid, visc, barycenters, defect,
     times = members.times
     rates = np.zeros(len(times))
     if visc is not None:  # all sample times as one batch
-        u_bar = np.stack([b_mom / np.maximum(b_rho, 1e-300) for b_rho, b_mom in barycenters])
+        u_bar = np.stack([b_mom / b_rho for b_rho, b_mom in barycenters])
         rates = dissipation_rate(grid, visc, grid.fwd(u_bar))
     diss = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
     return EnergyLedger(times, np.array(energy), np.array(defect), diss,

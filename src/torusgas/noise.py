@@ -43,13 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _warn(message: str, *args):
-    """Log a warning as ``torusgas.noise``; ``logging`` is loaded only when one fires."""
-    import logging
-
-    logging.getLogger(__name__).warning(message, *args)
-
-
 class NoiseError(ValueError):
     pass
 
@@ -105,28 +98,10 @@ class NoiseModel:
                     np.reshape(self.K[mode] * dW[..., mode], per_cell) * rho)
         return out
 
-    def ito_correction_density(self, grid, rho: np.ndarray, mom: np.ndarray,
-                               rho_floor: float = 1e-8) -> np.ndarray:
-        """Pointwise ``sum_k |G_k(rho, m)|^2 / rho``.
-
-        Evaluated in the velocity form of :meth:`ito_density` with
-        ``u = m / max(rho, rho_floor)``, which stays finite toward vacuum.
-        Vacuum cells carrying momentum are reported through the module
-        logger.
-        """
-        if self.modes == 0:
-            return np.zeros_like(rho)
-        vac = rho < rho_floor
-        if np.any(vac):
-            bad = int(np.count_nonzero(vac & (np.sum(np.abs(mom), axis=-grid.dim - 1) > 0)))
-            if bad:
-                _warn("ito correction: %d vacuum cells with nonzero momentum", bad)
-        return self.ito_density(grid, rho, mom / np.maximum(rho, rho_floor)[grid.comp(None)])
-
     def ito_density(self, grid, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Pointwise ``sum_k rho |K_k e_{k mod N} + L_k u|^2`` of a density and velocity.
 
-        The energy ledger passes the velocity its step's drift formed.
+        The energy ledger passes the velocity its step formed.
         """
         c = -grid.dim - 1  # the component axis
         out = np.zeros_like(rho)
@@ -509,7 +484,7 @@ def domination_audit(model: NoiseModel, grid, n_states: int = 32, seed: int = 0)
     for _ in range(n_states):
         rho = rng.uniform(0.05, 3.0, grid.sizes)
         mom = rng.normal(0.0, 1.5, (grid.dim, *grid.sizes))
-        lhs = model.ito_correction_density(grid, rho, mom, rho_floor=1e-300)
+        lhs = model.ito_density(grid, rho, mom / rho)
         rhs = c * (rho + np.sum(mom * mom, axis=0) / rho)
         with np.errstate(invalid="ignore"):
             ratio = np.where(rhs > 0, lhs / rhs, 0.0)

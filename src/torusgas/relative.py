@@ -308,6 +308,28 @@ def _perturb(grid: Grid, law: PressureLaw, rho: np.ndarray, mom: np.ndarray,
     return rho + amp * d_rho, mom + amp * d_mom
 
 
+def weak_strong_data(cfg: WeakStrongConfig) -> tuple[State, State]:
+    """The experiment's coarse and fine member batches at t = 0.
+
+    The fine data is a density wave of amplitude 0.1 (a gentle shear) on the
+    refined grid; the coarse data is its restriction, each member perturbed
+    to an initial relative energy of about ``cfg.eta``.
+    """
+    grid_c = Grid(cfg.grid_sizes)
+    grid_f = Grid(tuple(cfg.refine * n for n in cfg.grid_sizes))
+    fine0 = initial_flow(grid_f, "density_wave", 0.1)
+    rho_c0 = grid_f.restrict(fine0.rho, grid_c)
+    mom_c0 = grid_f.restrict(fine0.mom, grid_c)
+    if cfg.eta > 0:
+        data = [_perturb(grid_c, cfg.model.law_eff, rho_c0, mom_c0, cfg.eta,
+                         np.random.default_rng((cfg.seed & _U64, m, 0x7A)))
+                for m in range(cfg.members)]
+        coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
+    else:
+        coarse = State(rho_c0, mom_c0).batch(cfg.members)
+    return coarse, fine0.batch(cfg.members)
+
+
 def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeEnergyReport:
     """Pathwise coarse-vs-fine comparison under shared Brownian increments.
 
@@ -344,9 +366,6 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     dt_c = cfg.horizon / cfg.n_steps
     dt_f = cfg.horizon / n_f
     stride = cfg.sample_every
-    fine0 = initial_flow(grid_f, "density_wave", 0.1)  # a density wave, a gentle shear
-    rho_c0 = grid_f.restrict(fine0.rho, grid_c)
-    mom_c0 = grid_f.restrict(fine0.mom, grid_c)
 
     times = np.array([i * dt_c for i in range(0, cfg.n_steps + 1, stride)])
     n_samples = len(times)
@@ -357,14 +376,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     fine_table = member_tables(cfg.seed, cfg.members, model.modes, dt_f, n_f)
     coarse_table = coarsen(fine_table, cfg.n_steps)
 
-    if cfg.eta > 0:
-        data = [_perturb(grid_c, law, rho_c0, mom_c0, cfg.eta,
-                         np.random.default_rng((cfg.seed & _U64, m, 0x7A)))
-                for m in range(cfg.members)]
-        coarse = State(np.stack([d[0] for d in data]), np.stack([d[1] for d in data]))
-    else:
-        coarse = State(rho_c0, mom_c0).batch(cfg.members)
-    fine = fine0.batch(cfg.members)
+    coarse, fine = weak_strong_data(cfg)
     live = np.arange(cfg.members)  # ensemble index of each row of both batches
 
     def march_range(lo, hi):  # rows [lo, hi) of both batches over one sample interval

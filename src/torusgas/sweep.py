@@ -108,8 +108,9 @@ def well_prepared_data(grid: Grid, eps: float, v0: np.ndarray, delta_data: float
     ``v0`` must be solenoidal.  The preparation bounds are one-sided, so the
     shapes are half-amplitude low Fourier modes: they satisfy
     ``|rho0 - 1|/eps <= delta`` and ``|m0 - v0| <= delta`` while keeping the
-    density strictly positive even at ``eps * delta = 1`` (a sup-norm-one
-    shape would touch vacuum there).
+    density strictly positive for ``eps * delta < 2`` (a sup-norm-one shape
+    would touch vacuum at ``eps * delta = 1``).  ``limit-sweep`` checks each
+    eps's density against ``stepper.rho_floor`` before it marches.
     """
     v0 = grid.check_vector(v0)
     if not is_solenoidal(grid, v0):
@@ -119,8 +120,6 @@ def well_prepared_data(grid: Grid, eps: float, v0: np.ndarray, delta_data: float
     zeta_shape = np.zeros((grid.dim, *grid.sizes))
     zeta_shape[0] = 0.5 * np.sin(coords[-1])
     rho0 = 1.0 + eps * delta_data * eta_shape
-    if np.min(rho0) <= 0:
-        raise SweepError("prepared density lost positivity; shrink eps or delta")
     mom0 = v0 + delta_data * zeta_shape
     return rho0, mom0
 

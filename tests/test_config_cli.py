@@ -156,7 +156,6 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("weak-strong", "run.T = 0"),
     ("simulate", "run.n_steps = -20"),
     ("simulate", "run.n_steps = 25"),  # run.samples = 10 must divide it
-    ("simulate", "stepper.dt = -0.01"),
     ("simulate", "init.amplitude = 1.5"),  # density below zero
     ("simulate", "init.amplitude = 1.0"),  # density touches zero, at or below the floor
     ("simulate", "init.amplitude = inf\ninit.kind = shear"),
@@ -166,6 +165,10 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("simulate", "init.kind = vortex"),
     ("simulate", "run.snapshot_every = -2"),
     ("weak-strong", "ws.eta = -1"),
+    ("weak-strong", "ws.eta = 10"),  # perturbed density below zero
+    ("weak-strong", "stepper.rho_floor = 0.95"),  # above the data's minimum of 0.9
+    ("limit-sweep", "sweep.eps = 2.0,1.0,0.5\ngrid.sizes = 16,16"),  # density below zero
+    ("limit-sweep", "stepper.rho_floor = 0.6\ngrid.sizes = 16,16"),  # eps = 1 dips to 0.5
 ])
 def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
     # rejected up front with the key named, not as a crash mid-run (exit 1)
@@ -176,8 +179,9 @@ def test_bad_experiment_value_is_config_error(tmp_path, capsys, command, line):
 
 @pytest.mark.parametrize("lines,key", [
     ("init.kind = shear\ninit.amplitude = 1e12", "init.amplitude"),
-    ("init.kind = density_wave\ninit.amplitude = 0.1\nstepper.dt = 1e-15", "stepper.dt"),
-], ids=["amplitude", "dt"])
+    ("init.kind = density_wave\ninit.amplitude = 0.1\nrun.n_steps = 1000000000000000",
+     "run.n_steps"),
+], ids=["amplitude", "n_steps"])
 def test_march_past_memory_is_config_error(tmp_path, capsys, monkeypatch, lines, key):
     # the shipped config asking for ~1e13 steps: their increment table would
     # exceed physical memory, so the run exits 2 before drawing it
@@ -205,7 +209,7 @@ def test_march_past_memory_is_config_error(tmp_path, capsys, monkeypatch, lines,
      SimulationError("restricted reference density lost positivity at step 16 (t=0.2500)",
                      None, 4)),
     ("limit-sweep", "run_limit_sweep",
-     SweepError("prepared density lost positivity; shrink eps or delta")),
+     SweepError("n_samples = 3: must be a power of two")),
     ("limit-sweep", "run_limit_sweep",
      SimulationError("reference non-finite flow at step 5 (t=0.1562)", None, 3)),
 ], ids=["simulation", "relative-energy", "sweep", "euler"])

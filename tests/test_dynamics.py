@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusgas import dynamics
 from torusgas.constitutive import PressureLaw, Viscosity
 from torusgas.dynamics import (FLOWS, ModelConfig, SimulationError, State,
                                StepperConfig, StepStats, cfl_dt, energy_total,
@@ -18,11 +19,17 @@ def make_state(grid, rho, mom):
     return State(np.asarray(rho, dtype=float), np.asarray(mom, dtype=float))
 
 
+def drift(grid, model, state, *dt_implicit):
+    """The drift of ``state`` at its velocity ``m / rho``, as :func:`step_em` calls it."""
+    return rhs_deterministic(grid, model, state, state.mom / state.rho[grid.comp(None)],
+                             *dt_implicit)
+
+
 class TestRHS:
     def test_equilibrium_is_fixed_point(self, grid1d):
         model = ModelConfig(law=LAW, visc=Viscosity(1e-2))
         st = make_state(grid1d, np.ones(64), np.zeros((1, 64)))
-        drho, dmom = rhs_deterministic(grid1d, model, st)
+        drho, dmom, _ = drift(grid1d, model, st)
         assert np.max(np.abs(drho)) == 0.0
         assert np.max(np.abs(dmom)) < 1e-14
 
@@ -32,7 +39,7 @@ class TestRHS:
         x = grid1d.coordinates()[0]
         rho = 1.0 + 0.2 * np.exp(np.cos(x)) / np.e
         st = make_state(grid1d, rho, np.zeros((1, 64)))
-        drho, dmom = rhs_deterministic(grid1d, model, st)
+        drho, dmom, _ = drift(grid1d, model, st)
         assert np.max(np.abs(drho)) == 0.0
         expected = -grid1d.gradient(grid1d.dealias(LAW.a * rho**2))
         assert np.max(np.abs(dmom - expected)) < 1e-12
@@ -41,8 +48,8 @@ class TestRHS:
         x = grid1d.coordinates()[0]
         rho = 1.0 + 0.1 * np.sin(x)
         st = make_state(grid1d, rho, np.zeros((1, 64)))
-        _, dm1 = rhs_deterministic(grid1d, ModelConfig(law=LAW, eps=1.0), st)
-        _, dm2 = rhs_deterministic(grid1d, ModelConfig(law=LAW, eps=0.5), st)
+        _, dm1, _ = drift(grid1d, ModelConfig(law=LAW, eps=1.0), st)
+        _, dm2, _ = drift(grid1d, ModelConfig(law=LAW, eps=0.5), st)
         assert np.allclose(dm2, 4.0 * dm1, rtol=1e-12)
 
     def test_nonfinite_density_fails_the_step(self, grid1d):
@@ -51,7 +58,7 @@ class TestRHS:
         rho = np.ones(64)
         rho[0] = np.nan
         st = make_state(grid1d, rho, np.zeros((1, 64)))
-        _, dmom = rhs_deterministic(grid1d, model, st)
+        _, dmom, _ = drift(grid1d, model, st)
         assert not np.isfinite(dmom).all()
         with pytest.raises(SimulationError) as err:
             step_em(grid1d, model, StepperConfig(), st, 1e-3)
@@ -134,7 +141,7 @@ class TestStepEM:
         noise = NoiseModel(K=(0.5,), L=(0.0,))
         model = ModelConfig(law=LAW, noise=noise)
         st = make_state(grid1d, np.ones(64), np.zeros((1, 64)))
-        frozen = lambda g, m, s: (np.zeros(g.sizes), np.zeros((g.dim, *g.sizes)))
+        frozen = lambda g, m, s, u: (np.zeros(g.sizes), np.zeros((g.dim, *g.sizes)), None)
         out = step_em(grid1d, model, StepperConfig(), st, 1e-2,
                       WienerPath(1, 0, 1, 1e-2).increments(0), rhs_fn=frozen)
         assert np.array_equal(out.rho, st.rho)
@@ -145,7 +152,7 @@ class TestStepEM:
         # Gaussian random walk with ensemble variance n dt |G|^2
         noise = NoiseModel(K=(1.0,), L=(0.0,))
         model = ModelConfig(law=LAW, noise=noise)
-        frozen = lambda g, m, s: (np.zeros(g.sizes), np.zeros((g.dim, *g.sizes)))
+        frozen = lambda g, m, s, u: (np.zeros(g.sizes), np.zeros((g.dim, *g.sizes)), None)
         n_steps, dt, members = 10, 0.01, 4000
         finals = np.empty(members)
         for member in range(members):
@@ -162,7 +169,7 @@ class TestStepEM:
     def test_floor_activation_counted(self, grid1d):
         model = ModelConfig(law=LAW)
         st = make_state(grid1d, np.ones(64), np.zeros((1, 64)))
-        crash = lambda g, m, s: (np.full(g.sizes, -1e5), np.zeros((g.dim, *g.sizes)))
+        crash = lambda g, m, s, u: (np.full(g.sizes, -1e5), np.zeros((g.dim, *g.sizes)), None)
         stats = StepStats()
         out = step_em(grid1d, model, StepperConfig(), st, 1e-4,
                       rhs_fn=crash, stats=stats)
@@ -206,10 +213,13 @@ class TestEnergyBehavior:
 
 
 def test_state_validation(grid1d):
+    # shapes and finite entries; the density floor is each command's entry check
     st = State(np.ones(64), np.zeros((1, 64)))
-    st.validate(grid1d, rho_floor=0.5)
-    with pytest.raises(SimulationError):
-        State(np.full(64, 0.1), np.zeros((1, 64))).validate(grid1d, rho_floor=0.5)
+    assert st.validate(grid1d) is st
+    with pytest.raises(FieldError, match="scalar shape"):
+        State(np.ones(32), np.zeros((1, 64))).validate(grid1d)
+    with pytest.raises(FieldError, match="non-finite"):
+        State(np.ones(64), np.full((1, 64), np.inf)).validate(grid1d)
 
 
 def test_stepper_config_validation():
@@ -246,12 +256,12 @@ class TestBatch:
         dW = np.stack([WienerPath(5, m, BATCH_MODEL.modes, dt).increments(0)
                        for m in range(members)])
 
-        drho, dmom = rhs_deterministic(grid, BATCH_MODEL, batch)
+        drho, dmom, _ = drift(grid, BATCH_MODEL, batch)
         stats = StepStats(np.zeros(members, dtype=np.int64), np.zeros(members))
         out = step_em(grid, BATCH_MODEL, stepper, batch, dt, dW, stats=stats)
         for m in range(members):
             single = batch.rows(m)
-            d1, d2 = rhs_deterministic(grid, BATCH_MODEL, single)
+            d1, d2, _ = drift(grid, BATCH_MODEL, single)
             np.testing.assert_array_equal(drho[m], d1)
             np.testing.assert_array_equal(dmom[m], d2)
             one = StepStats()
@@ -296,8 +306,8 @@ class TestBatch:
         batch = member_batch(grid1d)
         batch.t = 0.003
 
-        def sinks(grid, model, state, *dt_implicit):
-            out = rhs_deterministic(grid, model, state, *dt_implicit)
+        def sinks(grid, model, state, u, *dt_implicit):
+            out = rhs_deterministic(grid, model, state, u, *dt_implicit)
             if semi_implicit:  # member 2's momentum tendency, so its density update
                 out[2][2, 0, 3] = -np.inf
             else:  # member 2's density tendency
@@ -315,11 +325,11 @@ class TestBatch:
     def test_nonfinite_names_first_bad_member(self, grid1d):
         batch = member_batch(grid1d)
 
-        def blow_up(grid, model, state):
+        def blow_up(grid, model, state, u):
             drho = np.zeros_like(state.rho)
             drho[3, 5] = np.nan
             drho[2, 7] = np.inf
-            return drho, np.zeros_like(state.mom)
+            return drho, np.zeros_like(state.mom), None
 
         with pytest.raises(SimulationError, match="member 2: non-finite") as err:
             step_em(grid1d, BATCH_MODEL, StepperConfig(), batch, 1e-3, rhs_fn=blow_up)
@@ -339,7 +349,7 @@ class TestFusedDrift:
         p = LAW.a * st.rho ** LAW.gamma
         expected = (-div_tensor(grid, flux, dealias=True) - grid.gradient(grid.dealias(p))
                     + grid.viscous_operator(grid.dealias(u), visc.nu, visc.eta(grid.dim)))
-        drho, dmom = rhs_deterministic(grid, BATCH_MODEL, st)
+        drho, dmom, _ = drift(grid, BATCH_MODEL, st)
         np.testing.assert_allclose(drho, -grid.divergence(st.mom), rtol=0, atol=1e-13)
         np.testing.assert_allclose(dmom, expected, rtol=0,
                                    atol=1e-12 * np.max(np.abs(expected)))
@@ -354,7 +364,7 @@ class TestFusedDrift:
                 calls.append(f.shape)
                 return _orig(self, f)
             monkeypatch.setattr(Grid, name, counted)
-        rhs_deterministic(grid, BATCH_MODEL, batch)
+        drift(grid, BATCH_MODEL, batch)
         explicit = len(calls)
         # the semi-implicit step, viscous filter, kick and acoustics included,
         # makes no transform beyond the explicit drift's
@@ -364,6 +374,29 @@ class TestFusedDrift:
         if grid.dim == 1:
             assert explicit == len(calls) == most
         assert explicit <= most and len(calls) <= most
+
+    @pytest.mark.parametrize("dt,violates", [(1e-4, False), (0.02, True)],
+                             ids=["passes", "cfl-violation"])
+    def test_one_signal_speed_per_step(self, dt, violates, monkeypatch):
+        # the step forms m / rho and its signal speed once: the CFL bound and
+        # a failure's fastest member come from the same array
+        grid = Grid((32,))
+        batch = member_batch(grid)
+        batch.mom[2] *= 40.0
+        assert (dt > cfl_dt(grid, BATCH_MODEL, batch)) == violates
+        calls = []
+
+        def counted(*args, _orig=dynamics._signal_speed):
+            calls.append(args)
+            return _orig(*args)
+
+        monkeypatch.setattr(dynamics, "_signal_speed", counted)
+        if violates:
+            with pytest.raises(SimulationError, match="member 2: CFL violation"):
+                step_em(grid, BATCH_MODEL, StepperConfig(), batch, dt)
+        else:
+            step_em(grid, BATCH_MODEL, StepperConfig(), batch, dt)
+        assert len(calls) == 1
 
 
 class TestSemiImplicit:
@@ -394,7 +427,7 @@ class TestSemiImplicit:
         model = ModelConfig(law=LAW, eps=0.1)
         c2 = LAW.a * LAW.gamma / model.eps**2
 
-        def linear(grid, model, state, dt):
+        def linear(grid, model, state, u, dt):
             rho_h, mom_h = grid.fwd(state.rho), grid.fwd(state.mom)
             return rho_h, mom_h, np.stack([-c2 * ik * rho_h for ik in grid.ik])
 
@@ -430,8 +463,8 @@ class TestSemiImplicit:
         grid = Grid(sizes)
         batch = member_batch(grid)
         visc, dt = BATCH_MODEL.visc, 0.05
-        _, explicit = rhs_deterministic(grid, BATCH_MODEL, batch)
-        semi = grid.bwd(rhs_deterministic(grid, BATCH_MODEL, batch, dt)[2])
+        _, explicit, _ = drift(grid, BATCH_MODEL, batch)
+        semi = grid.bwd(drift(grid, BATCH_MODEL, batch, dt)[2])
         for m in range(len(batch.rho)):
             inv_rho = 1.0 / np.min(batch.rho[m])
             implicit = grid.viscous_operator(semi[m], visc.nu * inv_rho,
@@ -458,7 +491,7 @@ class TestSemiImplicit:
         assert cfl_dt(grid, model, st, self.SEMI) == pytest.approx(advective, rel=1e-12)
         with pytest.raises(SimulationError, match="CFL"):
             step_em(grid, model, StepperConfig(), st, dt)
-        _, dmom = rhs_deterministic(grid, model, st)
+        _, dmom, _ = drift(grid, model, st)
         assert np.max(np.abs(st.mom + dt * dmom)) > 2 * amp
         sizes, ratios, stats = [np.max(np.abs(st.mom))], [], StepStats()
         for _ in range(10):

@@ -61,7 +61,7 @@ def test_martingale_matches_mode_sum(sizes):
     acc = LedgerAccumulator(grid, LAW, None, noise, members=members)
     step_em(grid, ModelConfig(law=LAW, noise=noise), StepperConfig(), batch, 1e-3, dW,
             ledger=acc)
-    u = batch.velocity(grid)
+    u = batch.mom / batch.rho[grid.comp(None)]
     oracle = sum(grid.integrate(np.sum(u * noise.apply_mode(k, grid, batch.rho, batch.mom),
                                        axis=1)) * dW[:, k]
                  for k in range(noise.modes))

@@ -287,22 +287,23 @@ class TestApplyG:
 class TestItoCorrection:
     def test_zero_state(self, model):
         grid = Grid((16,))
-        out = model.ito_correction_density(grid, np.zeros(16), np.zeros((1, 16)))
+        out = model.ito_density(grid, np.zeros(16), np.zeros((1, 16)))
         assert np.max(np.abs(out)) == 0.0
 
     def test_single_mode_density_coupling(self):
         # rho |K|^2 = 2 for K = 1 at rho = 2
         grid = Grid((16,))
         model = NoiseModel(K=(1.0,), L=(0.0,))
-        out = model.ito_correction_density(grid, np.full(16, 2.0), np.zeros((1, 16)))
+        out = model.ito_density(grid, np.full(16, 2.0), np.zeros((1, 16)))
         assert np.allclose(out, 2.0)
 
     def test_matches_definition(self, model):
+        # sum_k |G_k(rho, m)|^2 / rho at the velocity u = m / rho
         grid = Grid((16,))
         rng = np.random.default_rng(2)
         rho = rng.uniform(0.5, 2.0, grid.sizes)
         mom = rng.normal(size=(1, *grid.sizes))
-        direct = model.ito_correction_density(grid, rho, mom, rho_floor=1e-300)
+        direct = model.ito_density(grid, rho, mom / rho)
         manual = sum(
             np.sum(model.apply_mode(k, grid, rho, mom) ** 2, axis=0) / rho
             for k in range(model.modes)
@@ -315,14 +316,6 @@ class TestItoCorrection:
         assert audit["pass"]
         assert audit["constant"] == pytest.approx(
             2 * sum(k * k + l * l for k, l in zip(model.K, model.L)))
-
-    def test_vacuum_with_momentum_logged(self, model, caplog):
-        grid = Grid((16,))
-        rho = np.full(16, 1e-12)
-        mom = np.ones((1, 16))
-        with caplog.at_level("WARNING", logger="torusgas.noise"):
-            model.ito_correction_density(grid, rho, mom, rho_floor=1e-8)
-        assert any("vacuum" in rec.message for rec in caplog.records)
 
 
 class TestGeneralKind:

@@ -114,6 +114,27 @@ def test_numpy_random_is_not_loaded_on_import():
     assert found == []
 
 
+def test_no_module_imports_logging():
+    # logging adds about 0.6 MB to every command that loads it; the package
+    # has nothing to log, at import time or inside any function
+    found = []
+    for fname in sorted(os.listdir(PACKAGE)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=fname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "logging" or n.startswith("logging.") for n in names):
+                found.append(f"{fname}:{node.lineno} imports logging")
+    assert found == []
+
+
 # Each command at toy size in a fresh interpreter, and the package modules it
 # must not load: a command imports only the code it runs.
 COMMAND_RUNS = {
