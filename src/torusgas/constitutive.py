@@ -4,7 +4,8 @@ The gas is barotropic with ``p(rho) = a rho^gamma``; the optional stabilizer
 ``delta (rho + rho^Gam)`` augments both the pressure and its potential so the
 pair always satisfies ``rho P' - P = p``.  The potential is closed form, no
 quadrature.  Each formula is written once and takes a scalar or an array
-density alike; ``delta = 0`` gives the bare power law.
+density alike; ``delta = 0`` gives the bare power law.  No formula scans
+its density, which the floor keeps positive (see :mod:`torusgas.dynamics`).
 """
 
 from __future__ import annotations
@@ -52,13 +53,6 @@ class PressureLaw:
         return PressureLaw(self.a / eps**2, self.gamma, self.delta / eps**2, self.Gam)
 
 
-def _check_rho(rho):
-    arr = np.asarray(rho, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ConstitutiveError("density must be nonnegative")
-    return arr
-
-
 def _xlogx(x):
     out = np.zeros_like(x)
     pos = x > 0.0
@@ -68,7 +62,7 @@ def _xlogx(x):
 
 def pressure_delta(law: PressureLaw, rho):
     """Full pressure ``p_delta(rho) = a rho^gamma + delta (rho + rho^Gam)``."""
-    rho = _check_rho(rho)
+    rho = np.asarray(rho, dtype=np.float64)
     p = law.a * rho**law.gamma
     if law.delta:
         p = p + law.delta * (rho + rho**law.Gam)
@@ -95,7 +89,7 @@ def pressure_delta_second(law: PressureLaw, rho):
 
 def potential_delta(law: PressureLaw, rho):
     """Full potential; the ``rho log rho`` term extends by 0 at vacuum."""
-    rho = _check_rho(rho)
+    rho = np.asarray(rho, dtype=np.float64)
     P = law.a * (rho**law.gamma - rho) / (law.gamma - 1.0)
     if law.delta:
         P = P + law.delta * (_xlogx(rho) + rho**law.Gam / (law.Gam - 1.0))
@@ -133,7 +127,7 @@ def relative_h(law: PressureLaw, rho, r):
     Nonnegative by convexity; evaluated in a cancellation-safe Taylor form
     when ``|rho - r| < 1e-6 r``.
     """
-    rho = _check_rho(rho)
+    rho = np.asarray(rho, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if np.any(r <= 0):
         raise ConstitutiveError("reference density r must be positive")

@@ -17,10 +17,11 @@ member order, so outputs are byte-identical for any thread count.
 sample interval per :func:`~torusgas.ensemble.by_member_range` call and
 reduce each sample from the joined ``(M, ...)`` state on the calling
 thread as soon as the members reach it, so they keep one ensemble state,
-not one per sample: ``simulate`` keeps each sample's member energies,
-barycenter, defect and pooled energy, and the final state for the
+not one per sample: ``simulate`` keeps each sample's member energies and
+:func:`~torusgas.ensemble.member_sums`, and the final state for the
 Young-measure export; ``weak-strong`` each member's relative energies and
-the remainder sums; ``limit-sweep`` each member's last sampled state.
+the remainder sums; ``limit-sweep`` each member's relative energies and
+each standard-error group's sums of its stopped members.
 
 A failed run reports the failure one batch of all members raises, replayed
 on one thread from the interval's start states if the ranges failed; it
@@ -42,7 +43,8 @@ from . import snapshots
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt, initial_flow)
-from .ensemble import EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se
+from .ensemble import (EmpiricalYoungMeasure, by_member_range, dissipation_defect, member_se,
+                       member_sums)
 from .grid import FieldError, Grid
 from .noise import NoiseModel, member_tables
 
@@ -78,19 +80,6 @@ def build_flow(cfg: dict, key: str, grid: Grid, amplitude: float = 1.0) -> State
     except FieldError as exc:
         raise config_mod.ConfigError(f"{key} = {cfg[key]} on grid.sizes = "
                                      f"{list(grid.sizes)}: {exc}") from None
-
-
-def check_floor(rho: np.ndarray, stepper: StepperConfig, source: str):
-    """Raise a ``ConfigError`` unless every density of ``rho`` lies above the floor.
-
-    Every command checks its initial data here before any march, so every
-    state :func:`~torusgas.dynamics.step_em` is given lies above
-    ``stepper.rho_floor``.  ``source`` names the keys that made the data.
-    """
-    low = np.min(rho)
-    if not low > stepper.rho_floor:
-        raise config_mod.ConfigError(f"{source}: density {low} is not above "
-                                     f"stepper.rho_floor = {stepper.rho_floor}")
 
 
 def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
@@ -140,14 +129,15 @@ def _physical_memory() -> float:
 
 
 def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
-    from .ledger import EnergyLedger, LedgerAccumulator, march, pooled_ledger, pooled_sample
+    from .ledger import EnergyLedger, LedgerAccumulator, march, pooled_ledger
 
     grid = build_grid(cfg)
     model = build_model(cfg)
     stepper = build_stepper(cfg)
     state0 = build_flow(cfg, "init.kind", grid, cfg["init.amplitude"])
-    check_floor(state0.rho, stepper, f"init.kind = {cfg['init.kind']} at init.amplitude = "
-                f"{cfg['init.amplitude']} on grid.sizes = {list(grid.sizes)}")
+    stepper.check_floor(state0.rho, f"init.kind = {cfg['init.kind']} at init.amplitude = "
+                        f"{cfg['init.amplitude']} on grid.sizes = {list(grid.sizes)}",
+                        config_mod.ConfigError)
     state0.validate(grid)
     os.makedirs(out_dir, exist_ok=True)
     n_steps = choose_steps(grid, model, stepper, state0, cfg)
@@ -176,21 +166,18 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
             raise exc.renamed(lo + exc.member) from exc
 
     # each sample is reduced from the joined batch, in member order, and dropped
-    times, rows, pooled = [], [], []
+    times, rows, sums = [], [], []
     with _failure_snapshot(out_dir, grid.dim):
         for i in range(samples + 1):
             times.append(state.t)
             rows.append(acc.sample(state))
-            pooled.append(pooled_sample(grid, law,
-                                        EmpiricalYoungMeasure(grid, state.rho, state.mom)))
+            sums.append(member_sums(law, state.rho, state.mom))
             if i < samples:
                 steps = table[:, i * stride:(i + 1) * stride]
                 state = State.joined(by_member_range(members, threads, march_range))
 
     member_ledger = EnergyLedger.of_rows(times, rows)
-    barycenters, defect, energy = zip(*pooled)
-    ensemble_ledger = pooled_ledger(member_ledger, grid, model.visc, barycenters, defect,
-                                    energy)
+    ensemble_ledger = pooled_ledger(member_ledger, grid, law, model.visc, sums, members)
     snapshots.write_csv(os.path.join(out_dir, "ledger.csv"), ensemble_ledger.as_columns())
 
     snap_every = cfg["run.snapshot_every"]
@@ -198,12 +185,12 @@ def run_simulate(cfg: dict, out_dir: str, threads: int = 1) -> dict:
                     else []) + [len(times) - 1]
     for i in sorted(set(snap_indices)):
         snapshots.write_state(os.path.join(out_dir, f"state_{i:04d}.snap"), grid,
-                              State(*barycenters[i], times[i]))
-    final = EmpiricalYoungMeasure(grid, state.rho, state.mom)
-    snapshots.write_young_measure(out_dir, grid, final, times[-1])
+                              State(sums[i][0] / members, sums[i][1:-1] / members, times[i]))
+    snapshots.write_young_measure(out_dir, grid, EmpiricalYoungMeasure(grid, state.rho, state.mom),
+                                  times[-1])
 
-    final_defect, final_D = dissipation_defect(final, law)
-    _write_observables(os.path.join(out_dir, "observables.csv"), grid, final,
+    final_defect, final_D = dissipation_defect(grid, sums[-1], members, law)
+    _write_observables(os.path.join(out_dir, "observables.csv"), grid, sums[-1] / members,
                        times[-1], final_defect)
 
     residuals = member_ledger.residual(0, -1)
@@ -246,13 +233,12 @@ def _failure_snapshot(out_dir: str, dim: int):
         raise
 
 
-def _write_observables(path, grid, ym, time, defect_field):
-    b_rho, b_mom = ym.barycenter()
+def _write_observables(path, grid, means, time, defect_field):
     n = grid.n_cells
     cols = {"t": [time] * n, "cell": list(range(n)),
-            "rho_mean": b_rho.reshape(-1)}
+            "rho_mean": means[0].reshape(-1)}
     for c in range(grid.dim):
-        cols[f"mom_mean_{c}"] = b_mom[c].reshape(-1)
+        cols[f"mom_mean_{c}"] = means[1 + c].reshape(-1)
     cols["energy_defect"] = defect_field.reshape(-1)
     snapshots.write_csv(path, cols)
 
@@ -291,8 +277,10 @@ def run_weak_strong(cfg: dict, out_dir: str, threads: int = 1) -> dict:
     )
     coarse, fine = weak_strong_data(ws)  # the experiment builds them again from ws
     where = f"on grid.sizes = {list(ws.grid_sizes)}"
-    check_floor(fine.rho, ws.stepper, f"the fine data at ws.refine = {ws.refine} {where}")
-    check_floor(coarse.rho, ws.stepper, f"the coarse data at ws.eta = {ws.eta} {where}")
+    ws.stepper.check_floor(fine.rho, f"the fine data at ws.refine = {ws.refine} {where}",
+                           config_mod.ConfigError)
+    ws.stepper.check_floor(coarse.rho, f"the coarse data at ws.eta = {ws.eta} {where}",
+                           config_mod.ConfigError)
     del coarse, fine
     os.makedirs(out_dir, exist_ok=True)
     with _failure_snapshot(out_dir, len(ws.grid_sizes)):
@@ -340,8 +328,9 @@ def run_limit_sweep(cfg: dict, out_dir: str, threads: int = 1) -> dict:
                                      f"solenoidal flow of density 1")
     stepper = build_stepper(cfg)
     for eps in cfg["sweep.eps"]:  # each eps's data, prepared at rate eps
-        check_floor(well_prepared_data(grid, eps, v0.mom, eps)[0], stepper,
-                    f"sweep.eps = {eps} on grid.sizes = {list(grid.sizes)}")
+        stepper.check_floor(well_prepared_data(grid, eps, v0.mom, eps)[0],
+                            f"sweep.eps = {eps} on grid.sizes = {list(grid.sizes)}",
+                            config_mod.ConfigError)
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
     sweep_cfg = SweepConfig(

@@ -12,9 +12,9 @@ pressure-law coefficients and ``eta = lambda + (N-2) nu / N``.  Noise enters
 the momentum only; the density equation is noise-free.  Density positivity
 is enforced by flooring, with floor activations surfaced in the step stats
 rather than hidden.  The floor ``StepperConfig.rho_floor`` is the one
-density decision: every command checks its initial data against it on
-entry and :func:`step_em` floors each update, so no formula clamps a
-density it divides by.
+density decision: every march checks its initial data against it on
+entry (:meth:`StepperConfig.check_floor`) and :func:`step_em` floors each
+update, so no formula clamps or scans a density.
 
 A :class:`State` holds one realization (``rho`` of shape ``sizes``, ``mom``
 of shape ``(N, *sizes)``) or a member batch with one leading member axis
@@ -171,6 +171,13 @@ class StepperConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if not self.rho_floor > 0:
             raise ValueError("rho_floor must be positive")
+
+    def check_floor(self, rho: np.ndarray, source: str, error: type = ValueError):
+        """Raise ``error`` naming the data ``source`` unless ``rho`` lies above the floor."""
+        low = np.min(rho)
+        if not low > self.rho_floor:
+            raise error(f"{source}: density {low} is not above "
+                        f"stepper.rho_floor = {self.rho_floor}")
 
 
 @dataclass

@@ -4,9 +4,11 @@ An ensemble of M realizations induces, cell by cell, a uniform atomic
 probability measure on state space: the empirical Young measure.  Pairings
 ``<nu; F>`` are atom averages; the Jensen gaps of the energy and momentum
 nonlinearities at the atom barycenter estimate the dissipation defect and
-the tensor-valued momentum defect.  Concentration parts are identically
-zero at finite resolution (atoms cannot escape to infinity), so the defect
-estimators carry the oscillation content only.
+the tensor-valued momentum defect.  The energy's Jensen gap needs only
+the per-cell sums of :func:`member_sums`, which add over disjoint member
+blocks (Chan, Golub & LeVeque 1983; Pebay 2008).  Concentration parts are
+identically zero at finite resolution (atoms cannot escape to infinity), so
+the defect estimators carry the oscillation content only.
 """
 
 from __future__ import annotations
@@ -48,16 +50,10 @@ class EmpiricalYoungMeasure:
             raise EnsembleError("atom density shape mismatch")
         if self.mom_atoms.shape != (self.n_atoms, self.grid.dim, *self.grid.sizes):
             raise EnsembleError("atom momentum shape mismatch")
-        if np.any(self.rho_atoms < 0):
-            raise EnsembleError("atoms must have nonnegative density")
 
     @property
     def n_atoms(self) -> int:
         return self.rho_atoms.shape[0]
-
-    def barycenter(self):
-        """Mean density and momentum fields ``(<rho>, <m>)``."""
-        return np.mean(self.rho_atoms, axis=0), np.mean(self.mom_atoms, axis=0)
 
 
 def member_se(values: np.ndarray, axis: int = 0):
@@ -156,45 +152,50 @@ def expect(ym: EmpiricalYoungMeasure, obs: Observable) -> np.ndarray:
     return out
 
 
-def energy_jensen_gap(rho_atoms: np.ndarray, mom_atoms: np.ndarray,
-                      law: PressureLaw):
-    """Mean energy density and its Jensen gap at the atom barycenter.
+def member_sums(law: PressureLaw, rho: np.ndarray, mom: np.ndarray) -> np.ndarray:
+    """Per-cell member sums of ``rho``, ``m`` and ``e``, stacked as ``(N + 2, *sizes)``.
 
-    Atoms are ``(M, *sizes)`` densities and ``(M, N, *sizes)`` momenta.
-    Returns ``(mean_energy, gap)`` per cell where ``mean_energy =
-    <0.5|m|^2/rho + P(rho)>`` and ``gap = mean_energy - (0.5|<m>|^2/<rho> +
-    P(<rho>))``.
+    ``rho`` is ``(M, *sizes)`` and ``mom`` ``(M, N, *sizes)``; ``e = 0.5
+    |m|^2/rho + P(rho)`` is the energy density.  Each sum runs over the
+    members in order.
     """
-    mean_e = np.mean(
-        0.5 * np.sum(mom_atoms**2, axis=1) / rho_atoms + potential_delta(law, rho_atoms),
-        axis=0,
-    )
-    b_rho = np.mean(rho_atoms, axis=0)
-    b_mom = np.mean(mom_atoms, axis=0)
+    e = 0.5 * np.sum(mom**2, axis=1) / rho + potential_delta(law, rho)
+    return np.concatenate([np.sum(rho, axis=0)[None], np.sum(mom, axis=0),
+                           np.sum(e, axis=0)[None]])
+
+
+def energy_jensen_gap(sums: np.ndarray, n: int, law: PressureLaw):
+    """Mean energy density and its Jensen gap at the barycenter of ``n`` members.
+
+    ``sums`` are the members' :func:`member_sums`.  Returns ``(mean_energy,
+    gap)`` per cell where ``mean_energy = <0.5|m|^2/rho + P(rho)>`` and
+    ``gap = mean_energy - (0.5|<m>|^2/<rho> + P(<rho>))``.
+    """
+    mean = sums / n
+    b_rho, b_mom, mean_e = mean[0], mean[1:-1], mean[-1]
     bary_e = 0.5 * np.sum(b_mom**2, axis=0) / b_rho + potential_delta(law, b_rho)
     return mean_e, mean_e - bary_e
 
 
-def energy_defect(ym: EmpiricalYoungMeasure, law: PressureLaw, tol: float = 1e-12):
+def energy_defect(grid: Grid, sums: np.ndarray, n: int, law: PressureLaw):
     """Mean energy density and the oscillation part of the dissipation defect.
 
-    Returns ``(mean_energy, field, D)`` from one :func:`energy_jensen_gap`
-    evaluation: the field ``<0.5|m|^2/rho + P(rho)> - (0.5|<m>|^2/<rho> +
-    P(<rho>))`` and its integral D.  Joint convexity makes the field
-    nonnegative; values below ``-tol`` (scaled) indicate a broken estimator
-    and raise.
+    Returns ``(mean_energy, field, D)`` of ``n`` members from their
+    :func:`member_sums` ``sums`` and one :func:`energy_jensen_gap`: the field
+    ``<0.5|m|^2/rho + P(rho)> - (0.5|<m>|^2/<rho> + P(<rho>))`` and its
+    integral D.  Joint convexity makes the field nonnegative; values below
+    ``-1e-12`` (scaled) indicate a broken estimator and raise.
     """
-    mean_e, field = energy_jensen_gap(ym.rho_atoms, ym.mom_atoms, law)
+    mean_e, field = energy_jensen_gap(sums, n, law)
     scale = max(1.0, float(np.max(np.abs(mean_e))))
-    if float(np.min(field)) < -tol * scale:
+    if float(np.min(field)) < -1e-12 * scale:
         raise ConvexityError(f"negative energy defect {np.min(field):.3e}")
-    return mean_e, field, ym.grid.integrate(field)
+    return mean_e, field, grid.integrate(field)
 
 
-def dissipation_defect(ym: EmpiricalYoungMeasure, law: PressureLaw,
-                       tol: float = 1e-12):
+def dissipation_defect(grid: Grid, sums: np.ndarray, n: int, law: PressureLaw):
     """The defect field and its integral D of :func:`energy_defect`."""
-    return energy_defect(ym, law, tol)[1:]
+    return energy_defect(grid, sums, n, law)[1:]
 
 
 def momentum_defect(ym: EmpiricalYoungMeasure, law: PressureLaw):
@@ -235,7 +236,8 @@ def defect_domination_audit(ym: EmpiricalYoungMeasure, law: PressureLaw,
         c = max(2.0, dim * (law.gamma - 1.0))
     total = momentum_defect_total(ym, law)
     norm = np.sqrt(np.sum(total * total, axis=(0, 1)))
-    defect, _ = dissipation_defect(ym, law)
+    defect, _ = dissipation_defect(ym.grid, member_sums(law, ym.rho_atoms, ym.mom_atoms),
+                                   ym.n_atoms, law)
     defect = np.maximum(defect, 0.0)
     tiny = 1e-14 * max(1.0, float(np.max(norm)))
     live = (norm > tiny) | (defect > tiny)

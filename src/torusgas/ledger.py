@@ -16,9 +16,9 @@ the velocity spectrum its drift formed and the kick it adds, so the ledger
 makes no transform and no second kick.  The dissipation comes from that
 spectrum by Parseval (:func:`dissipation_rate`).
 :meth:`LedgerAccumulator.sample` reads a ledger row at the interval's end.
-:func:`pooled_sample` reduces one sample of the ensemble's Young measure,
-so that no member state need be kept, and :func:`pooled_ledger` turns the
-batch ledger and those reductions into the ensemble's ledger.
+:func:`pooled_ledger` turns the batch ledger and each sample's
+:func:`~torusgas.ensemble.member_sums` into the ensemble's ledger, so that
+no member state need be kept.
 
 For a single realization the measure is a Dirac and D = 0; for a pooled
 ensemble the defect series carries the member spread.  The residual of the
@@ -38,7 +38,7 @@ import numpy as np
 
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import StepStats, energy_total, step_em
-from .ensemble import (EmpiricalYoungMeasure, dissipation_defect, energy_defect,
+from .ensemble import (EmpiricalYoungMeasure, dissipation_defect, energy_defect, member_sums,
                        velocity_oscillation_field)
 from .grid import Grid
 from .noise import NoiseModel
@@ -90,7 +90,8 @@ def poincare_ratio(ym: EmpiricalYoungMeasure, law: PressureLaw) -> float:
     """
     grid = ym.grid
     osc = grid.integrate(velocity_oscillation_field(ym))
-    _, D = dissipation_defect(ym, law)
+    _, D = dissipation_defect(grid, member_sums(law, ym.rho_atoms, ym.mom_atoms), ym.n_atoms,
+                              law)
     if D <= 0.0:
         return 0.0 if osc <= 1e-12 * max(1.0, abs(osc)) else np.inf
     return osc / D
@@ -190,32 +191,25 @@ def march(grid: Grid, model, stepper, state, dt: float, table: np.ndarray,
     return state
 
 
-def pooled_sample(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure):
-    """One sample of the ensemble ledger, from the Young measure of all members.
-
-    Returns the barycenter ``(<rho>, <m>)``, the dissipation defect D and
-    the pooled energy ``int <nu; 0.5 |m|^2/rho + P_delta(rho)> dx + D``.
-    """
-    mean_e, _, D = energy_defect(ym, law)
-    return ym.barycenter(), D, grid.integrate(mean_e) + D
-
-
-def pooled_ledger(members: EnergyLedger, grid: Grid, visc, barycenters, defect,
-                  energy) -> EnergyLedger:
+def pooled_ledger(members: EnergyLedger, grid: Grid, law: PressureLaw, visc, sums,
+                  n: int) -> EnergyLedger:
     """Ensemble ledger: pooled Young-measure energy with the defect series.
 
-    ``members`` is the ensemble's batch ledger; ``barycenters``, ``defect``
-    and ``energy`` hold :func:`pooled_sample`'s reductions, one per sample.
+    ``members`` is the ensemble's batch ledger and ``sums`` the
+    :func:`~torusgas.ensemble.member_sums` of its ``n`` members, one per
+    sample.  The energy is ``int <nu; 0.5 |m|^2/rho + P_delta(rho)> dx + D``.
     Dissipation is re-derived from the barycentric velocity (the form the
     measure-valued inequality uses) by the trapezoid rule; Ito and
     martingale columns are member means.
     """
     times = members.times
+    pooled = [energy_defect(grid, s, n, law) for s in sums]
+    defect = np.array([D for *_, D in pooled])
+    energy = np.array([grid.integrate(mean_e) for mean_e, *_ in pooled]) + defect
     rates = np.zeros(len(times))
     if visc is not None:  # all sample times as one batch
-        u_bar = np.stack([b_mom / b_rho for b_rho, b_mom in barycenters])
-        rates = dissipation_rate(grid, visc, grid.fwd(u_bar))
+        means = np.asarray(sums) / n
+        rates = dissipation_rate(grid, visc, grid.fwd(means[:, 1:-1] / means[:, :1]))
     diss = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
-    return EnergyLedger(times, np.array(energy), np.array(defect), diss,
+    return EnergyLedger(times, energy, defect, diss,
                         np.mean(members.ito_cum, axis=0), np.mean(members.martingale, axis=0))
-

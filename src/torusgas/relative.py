@@ -38,8 +38,7 @@ from .constitutive import (PressureLaw, potential_delta, potential_delta_prime,
                            stress)
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig, initial_flow,
                        step_em, step_label)
-from .ensemble import (EmpiricalYoungMeasure, by_member_range, energy_jensen_gap, fit_line,
-                       member_se)
+from .ensemble import EmpiricalYoungMeasure, by_member_range, fit_line, member_se, member_sums
 from .grid import Grid, grad_inf_norm, random_smooth_scalar, random_smooth_vector
 from .noise import _U64, coarsen, member_tables
 
@@ -68,8 +67,9 @@ def relative_energy(grid: Grid, law: PressureLaw, ym: EmpiricalYoungMeasure,
         dens = relative_energy_density(grid, law, ym.rho_atoms, ym.mom_atoms, r, U)
         return float(np.sum(np.sum(dens, axis=0))) / ym.n_atoms * grid.cell_volume + D
     if form == "five_term":
-        b_rho, b_mom = ym.barycenter()
-        t1 = grid.integrate(energy_jensen_gap(ym.rho_atoms, ym.mom_atoms, law)[0]) + D
+        means = member_sums(law, ym.rho_atoms, ym.mom_atoms) / ym.n_atoms
+        b_rho, b_mom = means[0], means[1:-1]
+        t1 = grid.integrate(means[-1]) + D
         t2 = -grid.integrate(np.sum(b_mom * U, axis=0))
         t3 = 0.5 * grid.integrate(b_rho * np.sum(U * U, axis=0))
         t4 = -grid.integrate(b_rho * potential_delta_prime(law, r))
@@ -353,7 +353,8 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     failing step or a nonpositive reference names the member by its
     ensemble index, and the step and ``t`` (a fine step by its place in the
     fine march); it carries the state at the step's start or the pair.  A
-    failed interval is replayed from its start as one batch.
+    failed interval is replayed from its start as one batch.  Data not above
+    ``cfg.stepper.rho_floor`` raises a ``ValueError`` before any table is drawn.
     """
     if cfg.sample_every < 1 or cfg.n_steps % cfg.sample_every:
         raise ValueError(f"sample_every = {cfg.sample_every} does not divide "
@@ -373,10 +374,11 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
     tau = np.full(cfg.members, cfg.horizon)
     rem_sum = np.zeros((n_samples, len(REMAINDER_TERMS)))
 
+    coarse, fine = weak_strong_data(cfg)
+    cfg.stepper.check_floor(fine.rho, "the fine data")
+    cfg.stepper.check_floor(coarse.rho, "the coarse data")
     fine_table = member_tables(cfg.seed, cfg.members, model.modes, dt_f, n_f)
     coarse_table = coarsen(fine_table, cfg.n_steps)
-
-    coarse, fine = weak_strong_data(cfg)
     live = np.arange(cfg.members)  # ensemble index of each row of both batches
 
     def march_range(lo, hi):  # rows [lo, hi) of both batches over one sample interval

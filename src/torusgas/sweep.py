@@ -22,7 +22,8 @@ member's stopping time is set by that reference alone and shared by every
 eps.  Each eps marches its live members one sample interval at a time, in
 contiguous ranges of one compressible batch each, and reduces each sample
 from the joined batch: the relative energy in one call, and the pooled
-dissipation defect from one buffer of each member's last sampled state.
+dissipation defect from per-cell member sums, each stopped member's frozen
+at its last sample.
 
 The compressible step is IMEX (see :mod:`torusgas.dynamics`): viscosity
 semi-implicit and the linear acoustics about ``rho = 1`` Crank-Nicolson, so
@@ -43,8 +44,7 @@ import numpy as np
 from .constitutive import PressureLaw, Viscosity
 from .dynamics import (ModelConfig, SimulationError, State, StepperConfig,
                        StepStats, cfl_dt, initial_flow, step_em)
-from .ensemble import (EmpiricalYoungMeasure, by_member_range, dissipation_defect, fit_line,
-                       member_se)
+from .ensemble import by_member_range, dissipation_defect, fit_line, member_se, member_sums
 from .euler import euler_cfl_dt, make_state, step_em_euler
 from .grid import Grid
 from .noise import NoiseModel, coarsen, member_tables
@@ -219,14 +219,16 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     joins them; a member is dropped at ``tau`` and never stepped again, and
     its later samples repeat its last relative energy and last sampled
     state.  Each sample is reduced from the joined batch, in member order:
-    the relative energies, and the pooled dissipation defect and its
-    contiguous standard-error groups from one ``(M, ...)`` buffer of every
-    member's last sampled state.  Every member's values are those of
+    the relative energies, and the :func:`~torusgas.ensemble.member_sums`
+    of each contiguous standard-error group, to which ``frozen`` adds those
+    its stopped members had at their last sample; the pooled defect reads
+    the group sums added in group order.  Every member's values are those of
     marching it alone.  A failing step is re-raised naming the member by its
     ensemble index, with eps and ``dt``; the step's message names the step.
     A failed interval is replayed from its start as one batch (see
     :func:`by_member_range`).  ``n_samples`` must be a power of two, so that
-    it divides every march's step count.
+    it divides every march's step count.  An eps whose data is not above
+    ``stepper.rho_floor`` raises a ``SweepError`` naming it, before any march.
     """
     if cfg.n_samples < 1 or cfg.n_samples & (cfg.n_samples - 1):
         raise SweepError(f"n_samples = {cfg.n_samples}: must be a power of two")
@@ -243,6 +245,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
         model = ModelConfig(law=cfg.law, visc=Viscosity(eps * eps, eps * eps),
                             noise=cfg.noise, eps=eps)
         rho0, mom0 = well_prepared_data(grid, eps, v0, eps)
+        stepper.check_floor(rho0, f"the data prepared at eps = {eps}", SweepError)
         n_steps.append(_step_count(cfg, cfl_dt(grid, model, State(rho0, mom0), stepper)))
         models.append((model, rho0, mom0))
     n_base = max(n_steps + [n_ref])
@@ -261,10 +264,9 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     d_groups = np.zeros((n_eps, cfg.se_groups, cfg.n_samples + 1))
     cfl_ratio = np.zeros(n_eps)
     ones = np.ones(grid.sizes)
-    groups = np.array_split(np.arange(cfg.members), cfg.se_groups)  # contiguous SE groups
-    # each member's last sampled state, the atoms of the pooled measure
-    last_rho = np.zeros((cfg.members, *grid.sizes))
-    last_mom = np.zeros((cfg.members, grid.dim, *grid.sizes))
+    group_n = [idx.size for idx in np.array_split(np.arange(cfg.members), cfg.se_groups)]
+    edges = np.cumsum([0] + group_n)  # contiguous standard-error groups
+    last = np.maximum(stop - 1, 0)  # each member's last sample
 
     for i_eps, eps in enumerate(eps_list):
         model, rho0, mom0 = models[i_eps]
@@ -275,6 +277,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
         table = coarsen(base_table, n)
         comp = State(rho0, mom0).batch(cfg.members)
         live = np.arange(cfg.members)  # ensemble index of each row of comp
+        frozen = np.zeros((cfg.se_groups, grid.dim + 2, *grid.sizes))  # stopped members' sums
 
         def march_range(lo, hi):  # rows [lo, hi) of comp over one sample interval
             batch, ratio = comp.rows(slice(lo, hi)), 0.0
@@ -294,20 +297,25 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
                 emv[i_eps, :, i_s] = emv[i_eps, :, i_s - 1]
             keep = stop[live] > i_s
             sampled = keep | (i_s == 0)  # stopped rows keep the last sample
-            rows = live[sampled]
+            rows, batch = live[sampled], comp.rows(sampled)
             if rows.size:
                 emv[i_eps, rows, i_s] = relative_energy_state(
-                    grid, law_eff, comp.rows(sampled), ones, v_ref[rows, i_s])
-                last_rho[rows] = comp.rho[sampled]
-                last_mom[rows] = comp.mom[sampled]
+                    grid, law_eff, batch, ones, v_ref[rows, i_s])
             if not keep.all():
                 comp, live = comp.rows(keep), live[keep]
-            # pooled dissipation defect across members, and per SE group
-            _, d_series[i_eps, i_s] = dissipation_defect(
-                EmpiricalYoungMeasure(grid, last_rho, last_mom), law_eff)
-            for g, idx in enumerate(groups):
-                _, d_groups[i_eps, g, i_s] = dissipation_defect(
-                    EmpiricalYoungMeasure(grid, last_rho[idx], last_mom[idx]), law_eff)
+            # each SE group's sampled rows are contiguous, counted (a first np.searchsorted call
+            # adds 0.1 MB of resident memory); a row's sums freeze at its last sample
+            bounds = [np.count_nonzero(rows < e) for e in edges]
+            blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            ends = last[rows] == i_s
+            sums = frozen + [member_sums(law_eff, batch.rho[b], batch.mom[b]) for b in blocks]
+            frozen += [member_sums(law_eff, batch.rho[b][ends[b]], batch.mom[b][ends[b]])
+                       for b in blocks]
+            d_groups[i_eps, :, i_s] = [dissipation_defect(grid, s, n, law_eff)[1]
+                                       for s, n in zip(sums, group_n)]
+            d_series[i_eps, i_s] = dissipation_defect(grid, np.sum(sums, axis=0), cfg.members,
+                                                      law_eff)[1]
+            del batch  # not kept through the march
             if i_s < cfg.n_samples and live.size:
                 steps = table[:, i_s * stride:(i_s + 1) * stride]
                 parts = by_member_range(live.size, threads, march_range)

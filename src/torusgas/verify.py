@@ -15,7 +15,7 @@ from .constitutive import (PressureLaw, Viscosity, potential_delta,
 from .dynamics import ModelConfig, State, StepperConfig, energy_total, step_em
 from .ensemble import (ConvexityError, EmpiricalYoungMeasure, Observable,
                        defect_domination_audit, dissipation_defect,
-                       energy_jensen_gap, expect, momentum_defect)
+                       energy_jensen_gap, expect, member_sums, momentum_defect)
 from .euler import advection, make_state, pressure_from_projection, step_em_euler
 from .grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
 from .ledger import dissipation_rate, poincare_ratio
@@ -197,7 +197,9 @@ def check_jensen_defect():
     rng = _rng(6)
     try:
         for members in (2, 5, 16):
-            field, D = dissipation_defect(_random_ym(grid, members, rng), law)
+            ym = _random_ym(grid, members, rng)
+            field, D = dissipation_defect(grid, member_sums(law, ym.rho_atoms, ym.mom_atoms),
+                                          members, law)
             if np.min(field) < -1e-12 or D < 0:
                 return False, f"negative defect {np.min(field):.2e}"
     except ConvexityError as exc:
@@ -229,7 +231,8 @@ def check_trace_identity():
     for members in (2, 9):
         ym = _random_ym(grid, members, rng)
         kin, press = momentum_defect(ym, law)
-        _, defect = energy_jensen_gap(ym.rho_atoms, ym.mom_atoms, law)
+        _, defect = energy_jensen_gap(member_sums(law, ym.rho_atoms, ym.mom_atoms), members,
+                                      law)
         kin_energy_defect = _kinetic_defect(ym)
         pot_defect = defect - kin_energy_defect
         lhs = np.trace(kin, axis1=0, axis2=1) + grid.dim * press

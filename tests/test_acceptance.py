@@ -15,7 +15,7 @@ from torusgas.constitutive import (PressureLaw, Viscosity, potential_delta,
                                    pressure_delta, relative_h)
 from torusgas.dynamics import ModelConfig, State, StepperConfig, step_em
 from torusgas.ensemble import (EmpiricalYoungMeasure,
-                               defect_domination_audit, dissipation_defect,
+                               defect_domination_audit, dissipation_defect, member_sums,
                                expect, momentum_defect_total, Observable)
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector, random_solenoidal
 from torusgas.noise import NoiseModel, member_tables
@@ -164,7 +164,7 @@ def test_criterion_5_young_measure_layer():
         ym = EmpiricalYoungMeasure(grid, rho, mom)
         ones = expect(ym, Observable(lambda r, m: np.ones_like(r)))
         unit_ok &= bool(np.all(ones == 1.0))
-        field, _ = dissipation_defect(ym, LAW2)
+        field, _ = dissipation_defect(grid, member_sums(LAW2, rho, mom), 2, LAW2)
         jensen_violations += int(np.count_nonzero(field < -1e-12))
 
     grid_big = Grid((1024,))

@@ -37,12 +37,6 @@ class TestPressure:
         assert pressure_delta(PressureLaw(3.0, 1.7), 0.0) == 0.0
         assert pressure_delta(PressureLaw(1.0, 1.4), 1.0) == pytest.approx(1.0)
 
-    def test_negative_density_rejected(self):
-        with pytest.raises(ConstitutiveError):
-            pressure_delta(PressureLaw(), -0.1)
-        with pytest.raises(ConstitutiveError):
-            pressure_delta(PressureLaw(), np.array([0.5, -0.5]))
-
 
 class TestPotential:
     def test_examples(self):

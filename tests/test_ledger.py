@@ -3,10 +3,10 @@ import pytest
 
 from torusgas.constitutive import PressureLaw, Viscosity, potential_delta, stress_contract
 from torusgas.dynamics import ModelConfig, State, StepperConfig, step_em
-from torusgas.ensemble import EmpiricalYoungMeasure, dissipation_defect
+from torusgas.ensemble import EmpiricalYoungMeasure, dissipation_defect, member_sums
 from torusgas.grid import Grid, random_smooth_scalar, random_smooth_vector
 from torusgas.ledger import (EnergyLedger, LedgerAccumulator, dissipation_rate, march,
-                             poincare_ratio, pooled_sample)
+                             poincare_ratio, pooled_ledger)
 from torusgas.noise import NoiseModel, member_tables
 
 from oracles import SmoothItoProcess, build_ym, cross_variation_audit, sampled_march
@@ -154,10 +154,13 @@ def test_batched_march_matches_member_marches(sizes):
 
 
 class TestTotalEnergy:
-    # the pooled energy of pooled_sample: int <nu; 0.5|m|^2/rho + P(rho)> dx + D
+    # the pooled ledger's energy: int <nu; 0.5|m|^2/rho + P(rho)> dx + D, from
+    # the atoms' member sums at one sample
     @staticmethod
     def total_energy(grid, ym):
-        return pooled_sample(grid, LAW, ym)[2]
+        members = EnergyLedger.of_rows([0.0], [np.zeros((4, ym.n_atoms))])
+        sums = member_sums(LAW, ym.rho_atoms, ym.mom_atoms)
+        return pooled_ledger(members, grid, LAW, None, [sums], ym.n_atoms).energy[0]
 
     def test_dirac_at_unit_rest(self, grid1d):
         ym = build_ym(grid1d, [State(np.ones(64), np.zeros((1, 64)))])
@@ -177,7 +180,8 @@ class TestTotalEnergy:
             for i in range(5):
                 acc += (0.5 * mom[i, 0, c] ** 2 / rho[i, c]
                         + potential_delta(LAW, rho[i, c]))
-        expected = acc / 5 * grid1d.cell_volume + dissipation_defect(ym, LAW)[1]
+        expected = (acc / 5 * grid1d.cell_volume
+                    + dissipation_defect(grid1d, member_sums(LAW, rho, mom), 5, LAW)[1])
         assert self.total_energy(grid1d, ym) == pytest.approx(expected, rel=1e-12)
 
 

@@ -9,7 +9,7 @@ from torusgas.constitutive import (PressureLaw, Viscosity,
                                    potential_delta_third, pressure_delta,
                                    pressure_delta_second, stress)
 from torusgas import ensemble, relative
-from torusgas.dynamics import ModelConfig, SimulationError, State
+from torusgas.dynamics import ModelConfig, SimulationError, State, StepperConfig
 from torusgas.ensemble import EmpiricalYoungMeasure
 from torusgas.grid import Grid
 from torusgas.noise import NoiseModel
@@ -346,6 +346,20 @@ class TestWeakStrong:
     def test_sample_interval_must_divide_steps(self):
         cfg = dataclasses.replace(TestBatchedMarch.config(1, np.inf), sample_every=5)
         with pytest.raises(ValueError, match="sample_every = 5 does not divide n_steps = 32"):
+            weak_strong_experiment(cfg)
+
+    @pytest.mark.parametrize("change,data", [
+        ({"stepper": StepperConfig(rho_floor=0.95)}, "fine"),  # the data's minimum is 0.9
+        ({"eta": 10.0}, "coarse"),  # the perturbed density dips below zero
+    ])
+    def test_data_below_the_floor_raises_before_any_step(self, monkeypatch, change, data):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(relative, "step_em", no_step)
+        cfg = dataclasses.replace(TestBatchedMarch.config(2, np.inf), **change)
+        with pytest.raises(ValueError, match=f"the {data} data: density .* is not above "
+                                             r"stepper\.rho_floor"):
             weak_strong_experiment(cfg)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from torusgas import config, driver, ensemble, sweep
 from torusgas.dynamics import SimulationError, rhs_deterministic, taylor_green
-from torusgas.ensemble import member_se
+from torusgas.ensemble import dissipation_defect, member_se, member_sums
 from torusgas.grid import Grid
 from torusgas.noise import NoiseModel, coarsen
 from torusgas.sweep import (RateReport, SweepConfig, SweepError, fit_rate,
@@ -210,6 +210,53 @@ class TestBatchedMarch:
         assert np.array_equal(small.emv, report.emv[:, :4])
         assert np.array_equal(small.tau, report.tau[:4])
 
+    def test_defects_match_the_last_sampled_states(self, monkeypatch):
+        # members stop mid-run: the pooled and group D formed from the frozen
+        # and sampled member sums equal the defect of every member's last
+        # sampled state taken as one batch, relative to the energy (D is
+        # roundoff at t = 0, where all members start alike)
+        cfg = self.config(6, self.mixed_threshold())
+        stops, samples, got = [], [], []
+        reference, sample, defect = (sweep._march_reference, sweep.relative_energy_state,
+                                     sweep.dissipation_defect)
+
+        def record_reference(*args):
+            out = reference(*args)
+            stops.append(out[1])
+            return out
+
+        def record_sample(grid, law, state, r, U):
+            samples.append((law, state.rho.copy(), state.mom.copy()))
+            return sample(grid, law, state, r, U)
+
+        def record_defect(grid, sums, n, law):
+            got.append(defect(grid, sums, n, law)[1])
+            return None, got[-1]
+
+        monkeypatch.setattr(sweep, "_march_reference", record_reference)
+        monkeypatch.setattr(sweep, "relative_energy_state", record_sample)
+        monkeypatch.setattr(sweep, "dissipation_defect", record_defect)
+        run_sweep(cfg)
+        (stop,) = stops
+        assert (stop < cfg.n_samples).any() and (stop > cfg.n_samples).any()
+        grid = Grid(cfg.grid_sizes)
+        blocks = np.array_split(np.arange(cfg.members), cfg.se_groups) + [np.arange(cfg.members)]
+        last_rho = np.zeros((cfg.members, *grid.sizes))
+        last_mom = np.zeros((cfg.members, grid.dim, *grid.sizes))
+        sampled, k = iter(samples), 0
+        for _ in cfg.eps_schedule:
+            for i_s in range(cfg.n_samples + 1):
+                rows = np.flatnonzero(stop > i_s) if i_s else np.arange(cfg.members)
+                if rows.size:
+                    law, last_rho[rows], last_mom[rows] = next(sampled)
+                for idx in blocks:
+                    sums = member_sums(law, last_rho[idx], last_mom[idx])
+                    want = dissipation_defect(grid, sums, idx.size, law)[1]
+                    scale = grid.integrate(sums[-1]) / idx.size
+                    assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+                    k += 1
+        assert k == len(got)
+
     def test_reference_marched_once_and_shared(self, monkeypatch):
         # one Euler march at its own step, whose stopping times every eps's
         # compressible batch obeys
@@ -375,15 +422,29 @@ class TestBatchedMarch:
         assert 0.0 < fine.ref_cfl_ratio <= 0.6
 
 
+def test_data_below_the_floor_raises_before_any_step(monkeypatch):
+    # eps * delta = 4 at eps = 2: the prepared density 1 + 2 sin x dips below zero
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(sweep, "step_em", no_step)
+    monkeypatch.setattr(sweep, "step_em_euler", no_step)
+    cfg = SweepConfig(grid_sizes=(16,), eps_schedule=(1.0, 2.0), horizon=0.05, members=2,
+                      n_samples=1, v0_kind="zero", se_groups=2)
+    with pytest.raises(SweepError, match=r"eps = 2\.0: density -\S+ is not above "
+                                         r"stepper\.rho_floor = 1e-08"):
+        run_sweep(cfg)
+
+
 def test_se_groups_cover_every_member(monkeypatch):
     # 10 members in 4 standard-error groups: contiguous groups of 3, 3, 2
-    # and 2 members, which together are the pooled measure's atoms
+    # and 2 members, whose sums, added in group order, are the pooled sums
     calls = []
     defect = sweep.dissipation_defect
 
-    def record(ym, law):
-        calls.append((ym.rho_atoms.copy(), defect(ym, law)[1]))
-        return None, calls[-1][1]
+    def record(grid, sums, n, law):
+        calls.append((n, sums.copy(), defect(grid, sums, n, law)[1]))
+        return None, calls[-1][2]
 
     monkeypatch.setattr(sweep, "dissipation_defect", record)
     cfg = SweepConfig(grid_sizes=(16,), eps_schedule=(1.0,), horizon=0.1, members=10,
@@ -393,8 +454,8 @@ def test_se_groups_cover_every_member(monkeypatch):
     assert len(calls) == (cfg.n_samples + 1) * (1 + cfg.se_groups)
     group_d = []
     for i in range(0, len(calls), 1 + cfg.se_groups):
-        (pooled, _), *groups = calls[i:i + 1 + cfg.se_groups]
-        assert [len(atoms) for atoms, _ in groups] == [3, 3, 2, 2]
-        assert np.array_equal(np.concatenate([atoms for atoms, _ in groups]), pooled)
-        group_d.append([d for _, d in groups])
+        *groups, (n, pooled, _) = calls[i:i + 1 + cfg.se_groups]
+        assert [m for m, _, _ in groups] == [3, 3, 2, 2] and n == cfg.members
+        assert np.array_equal(sum(sums for _, sums, _ in groups), pooled)
+        group_d.append([d for _, _, d in groups])
     assert report.d_sup_se[0] == member_se(np.max(group_d, axis=0))
