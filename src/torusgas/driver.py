@@ -7,21 +7,22 @@ Every command marches member-batched states, the members along a leading
 axis (see :mod:`torusgas.dynamics`).  With ``--threads T`` each command
 splits the member axis into ``T`` contiguous ranges (at most one per CPU),
 marched on a thread pool by :func:`torusgas.ensemble.by_member_range`:
-``simulate`` a ledger march (:func:`torusgas.ledger.march`) per range and
-sample interval, ``weak-strong`` a coarse and a fine batch per range and
-sample interval, ``limit-sweep`` the reference per range and then each eps
-per range and sample interval.  Member sums are taken after the join, in
-member order, so outputs are byte-identical for any thread count.
+``simulate`` a ledger march (:func:`torusgas.ledger.march`), ``weak-strong``
+a coarse and a fine batch, and ``limit-sweep`` the incompressible reference
+and then each eps, each per range and sample interval.  Member sums are
+taken after the join, in member order, so outputs are byte-identical for
+any thread count.
 
-``simulate``, ``weak-strong`` and each eps of ``limit-sweep`` advance one
-sample interval per :func:`~torusgas.ensemble.by_member_range` call and
-reduce each sample from the joined ``(M, ...)`` state on the calling
-thread as soon as the members reach it, so they keep one ensemble state,
-not one per sample: ``simulate`` keeps each sample's member energies and
-:func:`~torusgas.ensemble.member_sums`, and the final state for the
-Young-measure export; ``weak-strong`` each member's relative energies and
-the remainder sums; ``limit-sweep`` each member's relative energies and
-each standard-error group's sums of its stopped members.
+Every march advances one sample interval per
+:func:`~torusgas.ensemble.by_member_range` call, and each command reduces
+each sample from the joined ``(M, ...)`` state on the calling thread as
+soon as the members reach it, so it keeps one ensemble state (the sweep one
+per eps, and the reference's), not one per sample: ``simulate`` keeps each
+sample's member energies and :func:`~torusgas.ensemble.member_sums`, and
+the final state for the Young-measure export; ``weak-strong`` each member's
+relative energies and the remainder sums; ``limit-sweep`` each member's
+relative energies and each standard-error group's sums of its stopped
+members.
 
 A failed run reports the failure one batch of all members raises, replayed
 on one thread from the interval's start states if the ranges failed; it

@@ -132,7 +132,9 @@ class State:
 
     @staticmethod
     def joined(parts) -> "State":
-        """The batches ``parts``, all at one time, as one batch, members in order."""
+        """The batches ``parts``, all at one time, as one batch in member order; one part as is."""
+        if len(parts) == 1:
+            return parts[0]
         return State(np.concatenate([p.rho for p in parts]),
                      np.concatenate([p.mom for p in parts]), parts[0].t)
 

@@ -109,10 +109,9 @@ def by_member_range(members: int, threads: int, march: Callable) -> list:
     If a range fails, ``march(0, members)`` is replayed on the calling
     thread and its failure raised: the failure of one batch of all members,
     the same at any thread count.  That costs one single-thread call up to
-    the failing step: every march but the sweep's reference advances one
-    sample interval per call and so replays that interval only.  Should the
-    replay pass (a failure that depends on the split), the lowest failing
-    range's failure is raised.
+    the failing step: every march advances one sample interval per call and
+    so replays that interval only.  Should the replay pass (a failure that
+    depends on the split), the lowest failing range's failure is raised.
     """
     count = min(threads, members, os.cpu_count() or 1)
     ranges = [(int(r[0]), int(r[-1]) + 1)

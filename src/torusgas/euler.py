@@ -75,6 +75,14 @@ class EulerState:
         """The members ``keep`` (an index, slice or mask) of a batch."""
         return EulerState(self.vh[keep], self.fields[:, keep], self.t)
 
+    @staticmethod
+    def joined(parts) -> "EulerState":
+        """The batches ``parts``, all at one time, as one batch in member order; one part as is."""
+        if len(parts) == 1:
+            return parts[0]
+        return EulerState(np.concatenate([p.vh for p in parts]),
+                          np.concatenate([p.fields for p in parts], axis=1), parts[0].t)
+
 
 def advection(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Dealiased convective term ``(v . grad) v`` of a physical velocity."""
@@ -150,6 +158,7 @@ def step_em_euler(grid: Grid, noise: NoiseModel, state: EulerState, dt: float,
     adv = sum(v[comp(j)][comp(None)] * grads[j] for j in range(grid.dim))
     drift = -grid.leray(np.where(grid.dealias_mask, grid.fwd(adv), 0.0))
     vh = state.vh + dt * drift
+    del adv, drift  # not held through the new state's transform, the step's largest
     if noise.modes and dW is not None:
         one_h = np.zeros(grid.k2.shape)  # the spectrum of rho = 1
         one_h[(0,) * grid.dim] = grid.n_cells

@@ -15,15 +15,13 @@ asserts monotone decay and at least half the envelope slope, since the
 unknown Gronwall constant and the fixed-grid discretization bias pollute
 the small-eps end.
 
-The incompressible reference does not depend on eps, so each member's
-reference is marched once, in Fourier space at its own advective step, and
-every eps compares against the same velocity at the common sample times.  A
-member's stopping time is set by that reference alone and shared by every
-eps.  Each eps marches its live members one sample interval at a time, in
-contiguous ranges of one compressible batch each, and reduces each sample
-from the joined batch: the relative energy in one call, and the pooled
-dissipation defect from per-cell member sums, each stopped member's frozen
-at its last sample.
+The incompressible reference does not depend on eps: it is one Euler
+batch in Fourier space at its own advective step, and it sets each
+member's stopping time, shared by every eps.  One loop over the sample
+intervals advances the reference and then each eps by one interval, in
+contiguous member ranges, and reduces each sample from the joined batches:
+the relative energy in one call, and the pooled dissipation defect from
+per-cell member sums, each stopped member's frozen at its last sample.
 
 The compressible step is IMEX (see :mod:`torusgas.dynamics`): viscosity
 semi-implicit and the linear acoustics about ``rho = 1`` Crank-Nicolson, so
@@ -37,6 +35,7 @@ relative energy upward.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -139,191 +138,177 @@ def _step_count(cfg: SweepConfig, dt_bound: float) -> int:
     return _round_up_pow2(max(cfg.n_samples, int(np.ceil(cfg.horizon / (0.6 * dt_bound)))))
 
 
-def _march_reference(grid: Grid, noise: NoiseModel, v0: np.ndarray, table: np.ndarray,
-                     horizon: float, n_samples: int, threshold: float, cfl: float,
-                     threads: int = 1):
-    """March every member's Euler reference once on its own table, in member ranges.
+def _interval(step, state, live, steps: np.ndarray, dt: float, prefix: str, threads: int):
+    """Advance ``state``, a batch of the members ``live``, over the steps ``(M, stride, K)``.
 
-    ``table`` is ``(M, n_ref, K)``, the members' paths at the reference's
-    own step.  Returns the velocity at the ``n_samples + 1`` common sample
-    times ``(M, n_samples + 1, N, *sizes)``, each member's stopping sample
-    (``n_samples + 1`` if it never stops), each member's largest gradient
-    sup-norm over the samples up to its stop, and the largest ``dt`` over
-    the advective bound of the march.  A member whose gradient crosses the
-    threshold at a sample stops there: it is not sampled there (unless it is
-    the first sample) and never stepped again.  A failing step is re-raised
-    naming the member by its ensemble index, prefixed ``reference``.
+    ``step(batch, dt, dW, stats=...)`` is one step.  The rows march in one
+    :func:`by_member_range` call and are joined in member order.  Returns the
+    joined state and the largest ``dt`` over the CFL bound met.  A failing
+    step is re-raised naming the member by its ensemble index, its detail
+    prefixed by ``prefix``.
     """
-    members, n_ref = table.shape[:2]
-    dt = horizon / n_ref
-    stride = n_ref // n_samples
-    v_ref = np.zeros((members, n_samples + 1, grid.dim, *grid.sizes))
-    stop = np.full(members, n_samples + 1)
-    grad_max = np.zeros(members)
+    def march_range(lo, hi):  # rows [lo, hi) of state
+        batch, stats = state.rows(slice(lo, hi)), StepStats()
+        for k in range(steps.shape[1]):
+            try:
+                batch = step(batch, dt, steps[live[lo:hi], k], stats=stats)
+            except SimulationError as exc:  # name the member by its ensemble index
+                raise exc.renamed(int(live[lo + exc.member]), prefix) from exc
+        return batch, stats.cfl_ratio
 
-    def march_range(lo, hi):
-        eul = make_state(grid, np.broadcast_to(v0, (hi - lo, *v0.shape)))
-        live = np.arange(lo, hi)  # ensemble index of each marched row
-        stats = StepStats()
-        for step in range(n_ref + 1):
-            if step % stride == 0 and live.size:
-                i_s = step // stride
-                grad = eul.grad_inf
-                freeze = grad > threshold
-                sampled = ~freeze | (i_s == 0)
-                v_ref[live[sampled], i_s] = eul.v[sampled]
-                grad_max[live] = np.maximum(grad_max[live], grad)
-                if freeze.any():
-                    stop[live[freeze]] = i_s
-                    eul = eul.rows(~freeze)
-                    live = live[~freeze]
-            if step < n_ref and live.size:
-                try:
-                    eul = step_em_euler(grid, noise, eul, dt, table[live, step], cfl=cfl,
-                                        stats=stats)
-                except SimulationError as exc:  # name the member by its ensemble index
-                    raise exc.renamed(int(live[exc.member]), "reference ") from exc
-        return stats.cfl_ratio
-
-    ratio = max(by_member_range(members, threads, march_range))
-    return v_ref, stop, grad_max, ratio
+    parts = by_member_range(live.size, threads, march_range)
+    return type(state).joined([p for p, _ in parts]), max(r for _, r in parts)
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
     """Execute the eps schedule and collect the rate data.
 
     Each member's Brownian path is drawn once, as an increment table at the
-    finest step, before the eps loop.  The incompressible reference does not
-    depend on eps: it is marched once per member, as one Euler batch in
-    Fourier space at its own step, and its velocity is kept at the common
-    sample times.  The reference and every eps coarsen the stacked
-    ``(M, n_base, K)`` tables to their own step counts (powers of two
-    dividing the common base), so each batch runs on the same path.
-    Sharing the path across eps variance-reduces the cross-eps comparison.
+    finest step; the reference's table and then each eps's are coarsened
+    from it to their own step counts (powers of two dividing the common
+    base), so each batch runs on the same path.  Sharing the path across eps
+    variance-reduces the cross-eps comparison.  Each march's step count is
+    ``horizon / (0.6 dt)`` rounded up to a power of two, where ``dt`` is its
+    own CFL bound at the initial state: the advective bound for the
+    reference, the compressible step's bound (no diffusive bound, no
+    ``1/eps`` sound speed) for an eps.  The bounds tighten as the run goes
+    on; ``RateReport.cfl_ratio`` records, per eps, and
+    ``RateReport.ref_cfl_ratio`` for the reference, the largest ``dt`` over
+    the bound met, which the 0.6 margin keeps below 1; beyond 1 a march
+    raises.
 
-    Each march's step count is ``horizon / (0.6 dt)`` rounded up to a power
-    of two, where ``dt`` is its own CFL bound at the initial state: the
-    advective bound for the reference, the compressible step's bound for an
-    eps.  The compressible step has no diffusive bound and no ``1/eps``
-    sound speed in its bound.  The bounds tighten as the run goes on;
-    ``RateReport.cfl_ratio`` records, per eps, and ``RateReport.ref_cfl_ratio``
-    for the reference, the largest ``dt`` over the bound met during the
-    march, which the 0.6 margin keeps below 1; beyond 1 a march raises.
-
-    Freezing is per member and set by the reference alone: a member whose
+    One loop runs over the sample intervals.  In each, the reference (one
+    Euler batch in Fourier space, which does not depend on eps) advances its
+    live members to the next sample and tests their gradients there; then
+    every eps is sampled against the reference's velocity at the interval's
+    start; then each eps advances its live members.  A member whose
     reference gradient crosses the threshold at a sample stops at that
-    sample's time ``tau``, the same for every eps.  The reference marches
-    ``threads`` contiguous member ranges, one batch ``(M_r, *sizes)`` each.
-    Each eps marches its live members one sample interval per
-    :func:`by_member_range` call, in up to ``threads`` contiguous ranges, and
-    joins them; a member is dropped at ``tau`` and never stepped again, and
-    its later samples repeat its last relative energy and last sampled
-    state.  Each sample is reduced from the joined batch, in member order:
-    the relative energies, and the :func:`~torusgas.ensemble.member_sums`
-    of each contiguous standard-error group, to which ``frozen`` adds those
-    its stopped members had at their last sample; the pooled defect reads
-    the group sums added in group order.  Every member's values are those of
-    marching it alone.  A failing step is re-raised naming the member by its
-    ensemble index, with eps and ``dt``; the step's message names the step.
-    A failed interval is replayed from its start as one batch (see
-    :func:`by_member_range`).  ``n_samples`` must be a power of two, so that
-    it divides every march's step count.  An eps whose data is not above
+    sample's time ``tau``, the same for every eps: it is dropped there,
+    unsampled unless it is the first sample, never stepped again, and its
+    later samples repeat its last relative energy and last sampled state.
+    Each march advances one interval per :func:`by_member_range` call, in up
+    to ``threads`` contiguous ranges, joined in member order.  Each sample
+    is reduced from the joined batch: the relative energies, and the
+    :func:`~torusgas.ensemble.member_sums` of each contiguous standard-error
+    group, to which ``frozen`` adds those its stopped members had at their
+    last sample; the pooled defect reads the group sums added in group
+    order.  Every member's values are those of marching it alone.
+
+    A failing step is re-raised naming the member by its ensemble index,
+    with eps and ``dt`` for an eps and prefixed ``reference`` for the
+    reference; the step's message names the step.  The failure raised is
+    the first in interval order, the reference's before the eps's in
+    schedule order within an interval.  A failed interval is replayed from
+    its start as one batch (see :func:`by_member_range`).  ``n_samples``
+    must be a power of two, so that it divides every march's step count,
+    and ``members`` at least ``se_groups``; an eps whose data is not above
     ``stepper.rho_floor`` raises a ``SweepError`` naming it, before any march.
     """
     if cfg.n_samples < 1 or cfg.n_samples & (cfg.n_samples - 1):
         raise SweepError(f"n_samples = {cfg.n_samples}: must be a power of two")
+    if cfg.members < cfg.se_groups:
+        raise SweepError(f"members = {cfg.members} < se_groups = {cfg.se_groups}: "
+                         f"a standard-error group would be empty")
     grid = Grid(cfg.grid_sizes)
     v0 = initial_flow(grid, cfg.v0_kind).mom
-    eps_list = list(cfg.eps_schedule)
+    members, samples = cfg.members, cfg.n_samples
 
     # step counts from each march's own CFL bound at t = 0
     stepper = replace(cfg.stepper, semi_implicit=True)
-    n_ref = _step_count(cfg, euler_cfl_dt(grid, make_state(grid, v0), stepper.cfl))
-    n_steps = []
-    models = []
-    for eps in eps_list:  # nu = lambda = eps^2, data prepared at rate eps
+    ref = make_state(grid, np.broadcast_to(v0, (members, *v0.shape)))
+    n_ref = _step_count(cfg, euler_cfl_dt(grid, ref, stepper.cfl))
+    models, comps, n_steps = [], [], []
+    for eps in cfg.eps_schedule:  # nu = lambda = eps^2, data prepared at rate eps
         model = ModelConfig(law=cfg.law, visc=Viscosity(eps * eps, eps * eps),
                             noise=cfg.noise, eps=eps)
         rho0, mom0 = well_prepared_data(grid, eps, v0, eps)
         stepper.check_floor(rho0, f"the data prepared at eps = {eps}", SweepError)
         n_steps.append(_step_count(cfg, cfl_dt(grid, model, State(rho0, mom0), stepper)))
-        models.append((model, rho0, mom0))
+        models.append(model)
+        comps.append(State(rho0, mom0).batch(members))
     n_base = max(n_steps + [n_ref])
-    base_table = member_tables(cfg.seed, cfg.members, cfg.noise.modes, cfg.horizon / n_base,
-                               n_base)
-    v_ref, stop, grad_max, ref_cfl_ratio = _march_reference(
-        grid, cfg.noise, v0, coarsen(base_table, n_ref), cfg.horizon, cfg.n_samples,
-        cfg.grad_threshold, stepper.cfl, threads)
+    base_table = member_tables(cfg.seed, members, cfg.noise.modes, cfg.horizon / n_base, n_base)
+    # each march's table by sample interval, (M, samples, stride, K)
+    ref_table, *tables = [coarsen(base_table, n).reshape(members, samples, n // samples,
+                                                         cfg.noise.modes)
+                          for n in [n_ref] + n_steps]
+    del base_table
 
-    times = np.linspace(0.0, cfg.horizon, cfg.n_samples + 1)
-    tau = times[np.minimum(stop, cfg.n_samples)]
-
-    n_eps = len(eps_list)
-    emv = np.zeros((n_eps, cfg.members, cfg.n_samples + 1))
-    d_series = np.zeros((n_eps, cfg.n_samples + 1))
-    d_groups = np.zeros((n_eps, cfg.se_groups, cfg.n_samples + 1))
+    times = np.linspace(0.0, cfg.horizon, samples + 1)
+    n_eps = len(models)
+    emv = np.zeros((n_eps, members, samples + 1))
+    d_series = np.zeros((n_eps, samples + 1))
+    d_groups = np.zeros((n_eps, cfg.se_groups, samples + 1))
     cfl_ratio = np.zeros(n_eps)
     ones = np.ones(grid.sizes)
-    group_n = [idx.size for idx in np.array_split(np.arange(cfg.members), cfg.se_groups)]
+    group_n = [idx.size for idx in np.array_split(np.arange(members), cfg.se_groups)]
     edges = np.cumsum([0] + group_n)  # contiguous standard-error groups
-    last = np.maximum(stop - 1, 0)  # each member's last sample
+    lives = [np.arange(members) for _ in models]  # ensemble index of each row of comps
+    frozen = np.zeros((n_eps, cfg.se_groups, grid.dim + 2, *grid.sizes))  # stopped sums
+    grad_max = ref.grad_inf
+    stop = np.where(grad_max > cfg.grad_threshold, 0, samples + 1)  # samples + 1: never stops
+    # ensemble index of each stepped row of ref: the members start alike, so none or all
+    # stop at t = 0
+    ref_live = np.flatnonzero(stop > 0)
+    ref_cfl_ratio = 0.0
 
-    for i_eps, eps in enumerate(eps_list):
-        model, rho0, mom0 = models[i_eps]
-        law_eff = model.law_eff
-        n = n_steps[i_eps]
-        dt = cfg.horizon / n
-        stride = n // cfg.n_samples
-        table = coarsen(base_table, n)
-        comp = State(rho0, mom0).batch(cfg.members)
-        live = np.arange(cfg.members)  # ensemble index of each row of comp
-        frozen = np.zeros((cfg.se_groups, grid.dim + 2, *grid.sizes))  # stopped members' sums
+    for i_s in range(samples + 1):
+        # (a) ref_i, the reference at i_s, has the sampled members as rows; the live
+        # members advance to i_s + 1, which settles every stop <= i_s + 1
+        ref_i = ref
+        if i_s < samples and ref_live.size:
+            ref, ratio = _interval(partial(step_em_euler, grid, cfg.noise, cfl=stepper.cfl),
+                                   ref, ref_live, ref_table[:, i_s], cfg.horizon / n_ref,
+                                   "reference ", threads)
+            ref_cfl_ratio = max(ref_cfl_ratio, ratio)
+            grad = ref.grad_inf
+            grad_max[ref_live] = np.maximum(grad_max[ref_live], grad)
+            freeze = grad > cfg.grad_threshold
+            if freeze.any():
+                stop[ref_live[freeze]] = i_s + 1
+                ref, ref_live = ref.rows(~freeze), ref_live[~freeze]
 
-        def march_range(lo, hi):  # rows [lo, hi) of comp over one sample interval
-            batch, ratio = comp.rows(slice(lo, hi)), 0.0
-            for k in range(stride):
-                stats = StepStats()  # the batch shrinks as members stop: floors not kept
-                try:
-                    batch = step_em(grid, model, stepper, batch, dt, steps[live[lo:hi], k],
-                                    stats=stats)
-                except SimulationError as exc:  # name the member by its ensemble index
-                    raise exc.renamed(int(live[lo + exc.member]),
-                                      f"eps={eps}, dt={dt:.3e}: ") from exc
-                ratio = max(ratio, stats.cfl_ratio)
-            return batch, ratio
-
-        for i_s in range(cfg.n_samples + 1):
+        # (b) every eps at i_s, against ref_i
+        for i_eps, model in enumerate(models):
+            law_eff, comp, live = model.law_eff, comps[i_eps], lives[i_eps]
             if i_s > 0:  # stopped members repeat their last sample
                 emv[i_eps, :, i_s] = emv[i_eps, :, i_s - 1]
             keep = stop[live] > i_s
             sampled = keep | (i_s == 0)  # stopped rows keep the last sample
             rows, batch = live[sampled], comp.rows(sampled)
             if rows.size:
-                emv[i_eps, rows, i_s] = relative_energy_state(
-                    grid, law_eff, batch, ones, v_ref[rows, i_s])
+                emv[i_eps, rows, i_s] = relative_energy_state(grid, law_eff, batch, ones,
+                                                              ref_i.v)
             if not keep.all():
-                comp, live = comp.rows(keep), live[keep]
+                comps[i_eps], lives[i_eps] = comp.rows(keep), live[keep]
             # each SE group's sampled rows are contiguous, counted (a first np.searchsorted call
             # adds 0.1 MB of resident memory); a row's sums freeze at its last sample
             bounds = [np.count_nonzero(rows < e) for e in edges]
             blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-            ends = last[rows] == i_s
-            sums = frozen + [member_sums(law_eff, batch.rho[b], batch.mom[b]) for b in blocks]
-            frozen += [member_sums(law_eff, batch.rho[b][ends[b]], batch.mom[b][ends[b]])
-                       for b in blocks]
+            ends = stop[rows] <= i_s + 1
+            sums = frozen[i_eps] + [member_sums(law_eff, batch.rho[b], batch.mom[b])
+                                    for b in blocks]
+            frozen[i_eps] += [member_sums(law_eff, batch.rho[b][ends[b]], batch.mom[b][ends[b]])
+                              for b in blocks]
             d_groups[i_eps, :, i_s] = [dissipation_defect(grid, s, n, law_eff)[1]
                                        for s, n in zip(sums, group_n)]
-            d_series[i_eps, i_s] = dissipation_defect(grid, np.sum(sums, axis=0), cfg.members,
+            d_series[i_eps, i_s] = dissipation_defect(grid, np.sum(sums, axis=0), members,
                                                       law_eff)[1]
-            del batch  # not kept through the march
-            if i_s < cfg.n_samples and live.size:
-                steps = table[:, i_s * stride:(i_s + 1) * stride]
-                parts = by_member_range(live.size, threads, march_range)
-                comp = State.joined([p for p, _ in parts])
-                cfl_ratio[i_eps] = max(cfl_ratio[i_eps], *(r for _, r in parts))
+            del batch, comp  # not kept through the marches
+        del ref_i
 
+        # (c) each eps's live members advance to i_s + 1
+        for i_eps, model in enumerate(models):
+            if i_s < samples and lives[i_eps].size:
+                dt = cfg.horizon / n_steps[i_eps]
+                comps[i_eps], ratio = _interval(
+                    partial(step_em, grid, model, stepper), comps[i_eps], lives[i_eps],
+                    tables[i_eps][:, i_s], dt, f"eps={model.eps}, dt={dt:.3e}: ", threads)
+                cfl_ratio[i_eps] = max(cfl_ratio[i_eps], ratio)
+
+    tau = times[np.minimum(stop, samples)]
     return RateReport(
-        eps=np.asarray(eps_list),
+        eps=np.asarray(cfg.eps_schedule),
         times=times,
         emv_mean=emv.mean(axis=1),
         emv_se=member_se(emv, axis=1),

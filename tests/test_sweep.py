@@ -216,14 +216,8 @@ class TestBatchedMarch:
         # sampled state taken as one batch, relative to the energy (D is
         # roundoff at t = 0, where all members start alike)
         cfg = self.config(6, self.mixed_threshold())
-        stops, samples, got = [], [], []
-        reference, sample, defect = (sweep._march_reference, sweep.relative_energy_state,
-                                     sweep.dissipation_defect)
-
-        def record_reference(*args):
-            out = reference(*args)
-            stops.append(out[1])
-            return out
+        samples, got = [], []
+        sample, defect = sweep.relative_energy_state, sweep.dissipation_defect
 
         def record_sample(grid, law, state, r, U):
             samples.append((law, state.rho.copy(), state.mom.copy()))
@@ -233,22 +227,26 @@ class TestBatchedMarch:
             got.append(defect(grid, sums, n, law)[1])
             return None, got[-1]
 
-        monkeypatch.setattr(sweep, "_march_reference", record_reference)
         monkeypatch.setattr(sweep, "relative_energy_state", record_sample)
         monkeypatch.setattr(sweep, "dissipation_defect", record_defect)
-        run_sweep(cfg)
-        (stop,) = stops
+        report = run_sweep(cfg)
+        # each member's stopping sample, n_samples + 1 if it never stops
+        stop = np.where(report.tau < cfg.horizon, np.searchsorted(report.times, report.tau),
+                        cfg.n_samples + 1)
         assert (stop < cfg.n_samples).any() and (stop > cfg.n_samples).any()
         grid = Grid(cfg.grid_sizes)
         blocks = np.array_split(np.arange(cfg.members), cfg.se_groups) + [np.arange(cfg.members)]
-        last_rho = np.zeros((cfg.members, *grid.sizes))
-        last_mom = np.zeros((cfg.members, grid.dim, *grid.sizes))
-        sampled, k = iter(samples), 0
-        for _ in cfg.eps_schedule:
-            for i_s in range(cfg.n_samples + 1):
+        last = {eps: (np.zeros((cfg.members, *grid.sizes)),
+                      np.zeros((cfg.members, grid.dim, *grid.sizes)))
+                for eps in cfg.eps_schedule}
+        laws, sampled, k = {}, iter(samples), 0
+        for i_s in range(cfg.n_samples + 1):  # every eps is sampled at i_s before any at i_s + 1
+            for eps in cfg.eps_schedule:
+                last_rho, last_mom = last[eps]
                 rows = np.flatnonzero(stop > i_s) if i_s else np.arange(cfg.members)
                 if rows.size:
-                    law, last_rho[rows], last_mom[rows] = next(sampled)
+                    laws[eps], last_rho[rows], last_mom[rows] = next(sampled)
+                law = laws[eps]
                 for idx in blocks:
                     sums = member_sums(law, last_rho[idx], last_mom[idx])
                     want = dissipation_defect(grid, sums, idx.size, law)[1]
@@ -368,6 +366,48 @@ class TestBatchedMarch:
         np.testing.assert_array_equal(exc.state.mom, one.state.mom)
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_first_failure_in_interval_order(self, monkeypatch, threads):
+        # the reference and every eps advance interval by interval, the
+        # reference first and then each eps in schedule order, so the failure
+        # raised is the first in that order: eps 1.0's at interval 1 before
+        # the reference's at interval 2, and eps 0.5's at interval 0 before
+        # eps 1.0's at interval 1
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
+        cfg = self.config(5, np.inf)
+        n_steps = run_sweep(cfg).n_steps
+        calls = []
+
+        def failure(threads, poison):  # {march: (member, interval)}, march 0 the reference
+            def poisoned(table, n):
+                out = coarsen(table, n)
+                calls.append(n)  # the reference's table first, then each eps's
+                if len(calls) - 1 in poison:
+                    member, interval = poison[len(calls) - 1]
+                    out = out.copy()
+                    out[member, interval * n // cfg.n_samples] = np.nan
+                return out
+
+            monkeypatch.setattr(sweep, "coarsen", poisoned)
+            calls.clear()
+            with pytest.raises(SimulationError) as err:
+                run_sweep(cfg, threads)
+            return err.value
+
+        exc = failure(threads, {0: (3, 2)})
+        assert str(exc).startswith("member 3: reference non-finite flow at step")
+        for poison, member, eps, march, interval in (({0: (3, 2), 1: (1, 1)}, 1, 1.0, 0, 1),
+                                                     ({1: (1, 1), 2: (4, 0)}, 4, 0.5, 1, 0)):
+            exc = failure(threads, poison)
+            n = n_steps[march]
+            step = interval * n // cfg.n_samples
+            assert str(exc) == (f"member {member}: eps={eps}, dt={0.25 / n:.3e}: non-finite "
+                                f"state after step {step} (t={step * 0.25 / n:.4f})")
+            assert exc.member == member and np.isfinite(exc.state.mom).all()
+            one = failure(1, poison)
+            assert str(exc) == str(one)
+            np.testing.assert_array_equal(exc.state.mom, one.state.mom)
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_reference_cfl_violation_names_member(self, monkeypatch, threads):
         # a large increment speeds up member 4's reference flow at step 0 and
         # member 1's at step 2: one batch exceeds its bound at step 1 on
@@ -434,6 +474,18 @@ def test_data_below_the_floor_raises_before_any_step(monkeypatch):
     with pytest.raises(SweepError, match=r"eps = 2\.0: density -\S+ is not above "
                                          r"stepper\.rho_floor = 1e-08"):
         run_sweep(cfg)
+
+
+def test_fewer_members_than_se_groups_is_rejected(monkeypatch):
+    # 3 members in 4 standard-error groups would leave one group empty and
+    # its defect NaN, failing the fit whatever the data
+    calls = []
+    monkeypatch.setattr(sweep, "member_tables", lambda *args: calls.append(args))
+    cfg = SweepConfig(grid_sizes=(16,), eps_schedule=(1.0,), horizon=0.1, members=3,
+                      n_samples=2, v0_kind="zero", se_groups=4)
+    with pytest.raises(SweepError, match="members = 3 < se_groups = 4"):
+        run_sweep(cfg)
+    assert not calls
 
 
 def test_se_groups_cover_every_member(monkeypatch):
