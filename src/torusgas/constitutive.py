@@ -63,7 +63,8 @@ def _xlogx(x):
 def pressure_delta(law: PressureLaw, rho):
     """Full pressure ``p_delta(rho) = a rho^gamma + delta (rho + rho^Gam)``."""
     rho = np.asarray(rho, dtype=np.float64)
-    p = law.a * rho**law.gamma
+    p = rho**law.gamma
+    p *= law.a
     if law.delta:
         p = p + law.delta * (rho + rho**law.Gam)
     return p
@@ -72,7 +73,8 @@ def pressure_delta(law: PressureLaw, rho):
 def pressure_delta_prime(law: PressureLaw, rho):
     """d/drho of the full pressure (sound speed squared is this value)."""
     rho = np.asarray(rho, dtype=np.float64)
-    dp = law.a * law.gamma * rho ** (law.gamma - 1.0)
+    dp = rho ** (law.gamma - 1.0)
+    dp *= law.a * law.gamma
     if law.delta:
         dp = dp + law.delta * (1.0 + law.Gam * rho ** (law.Gam - 1.0))
     return dp

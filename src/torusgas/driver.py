@@ -88,9 +88,11 @@ def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
     """run.n_steps (which run.samples divides), or a count from the CFL bound
     rounded up to a multiple of run.samples.
 
-    A count whose increment table (``members x n_steps x modes`` floats)
-    would exceed physical memory is a ``ConfigError`` naming the key that
-    set it, raised before anything is allocated.
+    A count no array can index (above ``np.iinfo(np.intp).max``), or whose
+    increment table (``members x n_steps x modes`` floats) would exceed
+    physical memory, is a ``ConfigError`` naming the key that set it,
+    raised before anything is allocated.  A noise-free table has no bytes,
+    so only the first check stops it.
     """
     samples = cfg["run.samples"]
     if cfg["run.n_steps"]:
@@ -107,6 +109,9 @@ def choose_steps(grid: Grid, model: ModelConfig, stepper: StepperConfig,
     n = max(int(np.ceil(steps)), samples)
     if n % samples:
         n += samples - (n % samples)
+    if n > np.iinfo(np.intp).max:
+        raise config_mod.ConfigError(
+            f"{source}: the run needs {n:.3g} steps, more than an increment table can index")
     members = 1 if cfg["ensemble.shared_paths"] else cfg["ensemble.members"]
     table_bytes, memory = members * n * model.modes * 8, _physical_memory()
     if table_bytes > memory:

@@ -29,6 +29,13 @@ step.  A model without noise carries a zero-mode
 :class:`~torusgas.noise.NoiseModel`.  Every command's initial data is a
 named flow of :data:`FLOWS`, built by :func:`initial_flow`.
 
+The explicit step touches each member-batch array as few times as it can.
+The drift's diagonal multipliers (``i k``, the viscous symbols, the 2/3
+mask and their scalars) are folded, once per grid and viscosity, into
+arrays of the spectral shape with no member axis (:func:`_drift_symbols`);
+each tendency is accumulated in place from them, and :func:`step_em` forms
+``x + dt dx`` in place on the inverse transforms' outputs.
+
 The step is explicit by default.  With ``StepperConfig.semi_implicit`` it is
 an IMEX step.  The viscous term gets a stabilized semi-implicit treatment
 (Zhu, Chen, Shen & Tikare 1999, within the IMEX framework of Ascher, Ruuth
@@ -63,6 +70,7 @@ step, whose energy bookkeeping the ledger checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -212,21 +220,62 @@ def _check_finite(grid: Grid, state: "State", rho, mom, dt: float):
     raise SimulationError.of_row(f"non-finite state after {step_label(state.t, dt)}", state, m)
 
 
+@functools.lru_cache(maxsize=8)
+def _drift_symbols(grid: Grid, visc: Optional[Viscosity]) -> tuple:
+    """The explicit drift's multipliers ``(div, flux, viscous)``, each of spectral shape.
+
+    ``div[j] = -i k_j`` forms ``d rho^ = sum_j div[j] m_j^``.  ``flux[j]`` is
+    ``-i k_j`` times the 2/3 mask: ``sum_j flux[j] F_ij^`` is the masked
+    ``-div(m x m / rho) - grad p`` with the pressure on the flux's diagonal.
+    ``viscous[i][j]`` is the mask times ``-nu |k|^2 delta_ij + eta (i k_i)
+    (i k_j)``, so ``sum_j viscous[i][j] u_j^`` is the masked ``nu lap(u) +
+    eta grad div(u)``; None without viscosity.  The symbols have no member
+    axis, so the scalars and the mask are applied before they meet a batch.
+    Every caller shares them, so they are read-only.
+    """
+    ik, mask = grid.ik, grid.dealias_mask
+    div = [-k for k in ik]
+    flux = [mask * -k for k in ik]
+    viscous = None
+    if visc is not None:
+        eta = visc.eta(grid.dim)
+        viscous = [[mask * (eta * ik[i] * ik[j] - (visc.nu * grid.k2 if i == j else 0.0))
+                    for j in range(grid.dim)] for i in range(grid.dim)]
+    for symbol in div + flux + [s for row in viscous or [] for s in row]:
+        symbol.flags.writeable = False
+    return div, flux, viscous
+
+
+def _accumulate(out: np.ndarray, terms) -> np.ndarray:
+    """``out = sum_k s_k x_k`` over ``terms = [(s_k, x_k), ...]`` in order, in place."""
+    (s, x), *rest = terms
+    np.multiply(s, x, out=out)
+    tmp = np.empty_like(out) if rest else None
+    for s, x in rest:
+        out += np.multiply(s, x, out=tmp)
+    return out
+
+
 def rhs_deterministic(grid: Grid, model: ModelConfig, state: State, u: np.ndarray,
                       dt_implicit: float = 0.0):
     """Drift of the semi-discrete system, ``(d rho, d mom, u_h)``.
 
     ``u`` is the state's velocity ``m / rho``, which :func:`step_em` forms
     once per step for its CFL bound and the drift.  Nonlinear products are
-    formed pointwise; both tendencies are then built in Fourier space from
-    one transform each of ``m``, the distinct flux entries ``m_i u_j``
-    (``i <= j``, the flux being symmetric), ``p`` and ``u``, with ``i k``,
-    ``-nu k^2``, ``eta i k (i k .)`` and the 2/3 mask as diagonal
-    multipliers, and one inverse transform per tendency.  That is 4 forward
-    and 2 inverse FFT calls in any dimension, 3 + 1 without viscosity.  The
-    drift does not check finiteness: :func:`step_em` checks the update it
-    makes.  ``u_h`` is the velocity's spectrum with viscosity (else None),
-    which the energy ledger reuses.
+    formed pointwise, the distinct flux entries ``m_i u_j`` (``i <= j``,
+    the flux being symmetric) into one array; both tendencies are then
+    built in Fourier space from one transform each of ``m``, the flux,
+    ``p`` and ``u``, and one inverse transform per tendency.  That is 4
+    forward and 2 inverse FFT calls in any dimension, 3 + 2 without
+    viscosity.  The explicit tendencies are sums of diagonal multipliers
+    (:func:`_drift_symbols`: ``i k``, ``-nu k^2`` and ``eta i k (i k .)``
+    with the 2/3 mask and every scalar folded in) times those spectra,
+    each accumulated in place; the pressure joins the flux's diagonal and
+    the momentum tendency reuses the buffer of ``m``'s spectrum.  The drift
+    does not check finiteness: :func:`step_em` checks the update it makes,
+    which it forms in place on the two arrays returned here.  ``u_h`` is
+    the velocity's spectrum with viscosity (else None), which the energy
+    ledger reuses.
 
     With ``dt_implicit > 0`` it returns instead the spectra that the
     semi-implicit step of size ``dt_implicit`` needs (see the module
@@ -237,32 +286,50 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State, u: np.ndarra
     part by ``1 + dt (A + B) |k|^2``, one filter on the spectrum.
     """
     rho, mom = state.rho, state.mom
-    dim, comp, ik = grid.dim, grid.comp, grid.ik
+    dim, comp = grid.dim, grid.comp
     implicit = dt_implicit > 0
     mh = grid.fwd(mom)
     if not implicit:
-        drho = grid.bwd(-sum(ik[j] * mh[comp(j)] for j in range(dim)))
+        div_s, flux_s, visc_s = _drift_symbols(grid, model.visc)
+        drho = grid.bwd(_accumulate(np.empty_like(mh[comp(0)]),
+                                    [(div_s[j], mh[comp(j)]) for j in range(dim)]))
 
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    flux_h = grid.fwd(mom[comp([i for i, _ in pairs])] * u[comp([j for _, j in pairs])])
+    flux = np.empty((*mom.shape[:-dim - 1], len(pairs), *grid.sizes))
     entry = {}
     for n, (i, j) in enumerate(pairs):
+        np.multiply(mom[comp(i)], u[comp(j)], out=flux[comp(n)])
         entry[i, j] = entry[j, i] = n
+    flux_h = grid.fwd(flux)
+    del flux
     if implicit:
         p_h, rho_h = grid.fwd(np.stack([pressure_delta(model.law_eff, rho), rho]))
     else:
         p_h = grid.fwd(pressure_delta(model.law_eff, rho))
-    filtered = implicit and model.visc is not None
-    if model.visc is not None:
-        u_h = grid.fwd(u)
+    u_h = grid.fwd(u) if model.visc is not None else None
+
+    if not implicit:
+        for i in range(dim):  # -grad p = -div(p I)
+            flux_h[comp(entry[i, i])] += p_h
+        del p_h
+        dmom_h = mh  # m^ is not read again
+        for i in range(dim):
+            terms = [(flux_s[j], flux_h[comp(entry[i, j])]) for j in range(dim)]
+            if u_h is not None:
+                terms += [(visc_s[i][j], u_h[comp(j)]) for j in range(dim)]
+            _accumulate(dmom_h[comp(i)], terms)
+        return drho, grid.bwd(dmom_h), u_h
+
+    ik = grid.ik
+    filtered = model.visc is not None
+    if filtered:
         div_u_h = sum(ik[j] * u_h[comp(j)] for j in range(dim))
         nu_k2 = -model.visc.nu * grid.k2
         eta = model.visc.eta(dim)
-
     dmom_h = np.empty_like(mh)
     for i in range(dim):
         acc = -ik[i] * p_h - sum(ik[j] * flux_h[comp(entry[i, j])] for j in range(dim))
-        if model.visc is not None:
+        if filtered:
             acc += nu_k2 * u_h[comp(i)] + eta * ik[i] * div_u_h
         dmom_h[comp(i)] = acc if filtered else np.where(grid.dealias_mask, acc, 0.0)
     if filtered:
@@ -275,9 +342,7 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State, u: np.ndarra
         long_h = c_l * sum(ik[j] * dmom_h[comp(j)] for j in range(dim))
         for i in range(dim):
             dmom_h[comp(i)] = (dmom_h[comp(i)] + ik[i] * long_h) * c_t
-    if implicit:
-        return rho_h, mh, dmom_h
-    return drho, grid.bwd(dmom_h), (u_h if model.visc is not None else None)
+    return rho_h, mh, dmom_h
 
 
 def _signal_speed(grid: Grid, model: ModelConfig, rho: np.ndarray, u: np.ndarray,
@@ -288,11 +353,21 @@ def _signal_speed(grid: Grid, model: ModelConfig, rho: np.ndarray, u: np.ndarray
     acoustics about ``rho = 1`` implicitly, so it keeps the remainder's
     ``|u| + sqrt|p_eff'(rho) - c0^2|`` with ``c0^2 = p_eff'(1)``.
     """
-    u_mag = np.sqrt(np.sum(u ** 2, axis=-grid.dim - 1))
+    comp = grid.comp
+    if grid.dim == 1:
+        speed = np.abs(u[comp(0)])
+    else:
+        speed = np.square(u[comp(0)])
+        tmp = np.empty_like(speed)
+        for j in range(1, grid.dim):
+            speed += np.square(u[comp(j)], out=tmp)
+        np.sqrt(speed, out=speed)
     c2 = pressure_delta_prime(model.law_eff, rho)
     if stepper.semi_implicit:
-        c2 = np.abs(c2 - pressure_delta_prime(model.law_eff, 1.0))
-    return u_mag + np.sqrt(c2)
+        c2 -= pressure_delta_prime(model.law_eff, 1.0)
+        np.abs(c2, out=c2)
+    speed += np.sqrt(c2, out=c2)
+    return speed
 
 
 def _bound(grid: Grid, model: ModelConfig, stepper: StepperConfig, speed: np.ndarray) -> float:
@@ -334,9 +409,11 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     floor activations and ``dt`` over the CFL bound.  ``ledger``, if given
     (a :class:`~torusgas.ledger.LedgerAccumulator`), gets the step's
     increments from the velocity, the velocity spectrum the explicit drift
-    forms and the step's kick; the IMEX step takes no ledger.  The step
-    forms the velocity ``u = m / rho`` once, for its CFL bound and the
-    drift; every state it is given has ``rho >= stepper.rho_floor`` (each
+    forms and ``dW``; the IMEX step takes no ledger.  The explicit step
+    scales and adds its update in place on the two tendencies ``rhs_fn``
+    returns, so those must be arrays of its own.  The step forms the
+    velocity ``u = m / rho`` once, for its CFL bound and the drift; every
+    state it is given has ``rho >= stepper.rho_floor`` (each
     command checks its initial data, each step floors its update).  It
     checks its CFL bound, then its unfloored update once, in either
     scheme.  A failure names the step by :func:`step_label`, as a march of
@@ -372,16 +449,16 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
         rho_new = state.rho + grid.bwd(r_h)
         mom_new = state.mom + grid.bwd(dm_h)
     else:
-        drho, dmom, u_h = rhs_fn(grid, model, state, u)
-        rho_new = state.rho + dt * drho
-        mom_new = state.mom + dt * dmom
-        kick = None
+        rho_new, mom_new, u_h = rhs_fn(grid, model, state, u)  # the tendencies
+        rho_new *= dt
+        rho_new += state.rho
+        mom_new *= dt
+        mom_new += state.mom
         if model.noise.modes and dW is not None:
-            kick = model.noise.momentum_kick(grid, state.rho, state.mom, dW)
-            mom_new += kick
+            mom_new += model.noise.momentum_kick(grid, state.rho, state.mom, dW)
         if ledger is not None:
-            ledger.step_increments(state, dt, u, u_h, kick)
-        del u, u_h, kick  # released before the update is checked
+            ledger.step_increments(state, dt, u, u_h, dW)
+        del u, u_h  # released before the update is checked
 
     _check_finite(grid, state, rho_new, mom_new, dt)  # before the floor hides a -inf
     low = rho_new < stepper.rho_floor

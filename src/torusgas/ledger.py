@@ -12,9 +12,11 @@ for one member or a pooled ensemble, ``(M, S)`` for a member batch.
 :func:`march` steps one member or a batch over one sample interval, and
 each step adds its increments to the running sums in the same pass: it
 hands :meth:`LedgerAccumulator.step_increments` the velocity it formed,
-the velocity spectrum its drift formed and the kick it adds, so the ledger
-makes no transform and no second kick.  The dissipation comes from that
-spectrum by Parseval (:func:`dissipation_rate`).
+the velocity spectrum its drift formed and its Wiener increments, so the
+ledger makes no transform and forms no kick.  The dissipation comes from
+that spectrum by Parseval (:func:`dissipation_rate`), the Ito and
+martingale increments from per-member integrals of ``rho``, ``m`` and
+``m . u``.
 :meth:`LedgerAccumulator.sample` reads a ledger row at the interval's end.
 :func:`pooled_ledger` turns the batch ledger and each sample's
 :func:`~torusgas.ensemble.member_sums` into the ensemble's ledger, so that
@@ -157,22 +159,40 @@ class LedgerAccumulator:
                          self.ito_cum, self.mart])
 
     def step_increments(self, state, dt: float, u: np.ndarray, u_h: np.ndarray | None,
-                        kick: np.ndarray | None):
+                        dW: np.ndarray | None):
         """Accumulate one step's dissipation, Ito correction and martingale increments.
 
         :func:`~torusgas.dynamics.step_em` calls it with the pre-step state
-        and what the step formed from it: the velocity ``u = m / rho``, the
-        drift's spectrum of it ``u_h`` (None without viscosity) and the kick
-        ``sum_k G_k dW_k`` (None without increments), matching the explicit
-        Euler-Maruyama quadrature of the run itself.
+        and what the step formed from it: the velocity ``u = m / rho`` and
+        the drift's spectrum of it ``u_h`` (None without viscosity), and the
+        step's increments ``dW`` (None without increments), matching the
+        explicit Euler-Maruyama quadrature of the run itself.  Since ``rho u
+        = m``, the noise terms need only ``int m . u``, ``int rho`` and the
+        ``int m_i`` of each member:
+
+            0.5 int sum_k rho |K_k e_(k mod N) + L_k u|^2
+                = 0.5 [sum_k K_k^2 int rho + sum_k 2 K_k L_k int m_(k mod N)
+                       + sum_k L_k^2 int m . u]
+            int u . sum_k G_k dW_k = (sum_k L_k dW_k) int m . u
+                                     + sum_k K_k dW_k int m_(k mod N)
         """
         grid = self.grid
         if self.visc is not None:
             self.diss_cum += dt * dissipation_rate(grid, self.visc, u_h)
-        if self.noise.modes:
-            self.ito_cum += dt * 0.5 * grid.integrate(self.noise.ito_density(grid, state.rho, u))
-            if kick is not None:
-                self.mart += grid.integrate(np.sum(u * kick, axis=-grid.dim - 1))
+        if not self.noise.modes:
+            return
+        K, L, dim = self.noise.K, self.noise.L, grid.dim
+        mom_int = grid.integrate(state.mom)  # (..., N)
+        mu = np.sum(grid.integrate(state.mom * u), axis=-1)  # int m . u = int rho |u|^2
+        ito = (sum(k * k for k in K) * grid.integrate(state.rho)
+               + sum(2.0 * k * l * mom_int[..., mode % dim]
+                     for mode, (k, l) in enumerate(zip(K, L)))
+               + sum(l * l for l in L) * mu)
+        self.ito_cum += dt * 0.5 * ito
+        if dW is not None:
+            ldw = sum(l * dW[..., k] for k, l in enumerate(L))  # in mode order, as the kick
+            self.mart += ldw * mu + sum(k * dW[..., mode] * mom_int[..., mode % dim]
+                                        for mode, k in enumerate(K))
 
 
 def march(grid: Grid, model, stepper, state, dt: float, table: np.ndarray,

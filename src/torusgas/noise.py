@@ -83,8 +83,9 @@ class NoiseModel:
         ``rho`` and ``mom`` may be fields or their spectra, since the kick is
         linear in them.  Its callers: the explicit and IMEX steps of
         :mod:`torusgas.dynamics` and :func:`torusgas.euler.step_em_euler`
-        (at unit density).  The explicit step forms the kick once and hands
-        it to the energy ledger's martingale as well.
+        (at unit density).  The energy ledger's martingale ``int u . kick``
+        reduces the same sum without forming the kick (see
+        :meth:`torusgas.ledger.LedgerAccumulator.step_increments`).
         """
         if self.modes == 0:
             return np.zeros_like(mom)
@@ -101,7 +102,9 @@ class NoiseModel:
     def ito_density(self, grid, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Pointwise ``sum_k rho |K_k e_{k mod N} + L_k u|^2`` of a density and velocity.
 
-        The energy ledger passes the velocity its step formed.
+        ``verify``'s domination audit reads it.  The energy ledger
+        integrates the same density from reductions of ``rho``, ``m`` and
+        ``m . u`` instead, without forming it.
         """
         c = -grid.dim - 1  # the component axis
         out = np.zeros_like(rho)

@@ -161,6 +161,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     ("simulate", "init.amplitude = inf\ninit.kind = shear"),
     ("simulate", "init.amplitude = nan\ninit.kind = shear"),
     ("simulate", "init.amplitude = 1e200\ninit.kind = shear"),  # CFL bound 0
+    ("simulate", "init.amplitude = 1e100\ninit.kind = shear"),  # more steps than an index
     ("simulate", "init.kind = taylor_green\ngrid.sizes = 16"),
     ("simulate", "init.kind = vortex"),
     ("simulate", "run.snapshot_every = -2"),

@@ -337,22 +337,26 @@ class TestBatch:
 
 
 class TestFusedDrift:
-    @pytest.mark.parametrize("sizes", [(32,), (16, 16)])
+    @pytest.mark.parametrize("sizes", [(32,), (16, 16), (8, 8, 8)])
     def test_matches_composed_operators(self, sizes):
-        # oracle: the drift assembled from the grid's calculus operators
+        # oracle: the drift assembled from the grid's calculus operators, for
+        # the viscous model and an inviscid one
         grid = Grid(sizes)
         st = member_batch(grid)
-        visc = BATCH_MODEL.visc
         c = -grid.dim - 1
         u = st.mom / np.expand_dims(st.rho, c)
         flux = np.expand_dims(st.mom, c) * np.expand_dims(u, c - 1)
         p = LAW.a * st.rho ** LAW.gamma
-        expected = (-div_tensor(grid, flux, dealias=True) - grid.gradient(grid.dealias(p))
-                    + grid.viscous_operator(grid.dealias(u), visc.nu, visc.eta(grid.dim)))
-        drho, dmom, _ = drift(grid, BATCH_MODEL, st)
-        np.testing.assert_allclose(drho, -grid.divergence(st.mom), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(dmom, expected, rtol=0,
-                                   atol=1e-12 * np.max(np.abs(expected)))
+        inviscid = -div_tensor(grid, flux, dealias=True) - grid.gradient(grid.dealias(p))
+        visc = BATCH_MODEL.visc
+        viscous = inviscid + grid.viscous_operator(grid.dealias(u), visc.nu, visc.eta(grid.dim))
+        for model, expected in ((BATCH_MODEL, viscous),
+                                (ModelConfig(law=LAW, noise=BATCH_MODEL.noise), inviscid)):
+            drho, dmom, u_h = drift(grid, model, st)
+            assert (u_h is None) == (model.visc is None)
+            np.testing.assert_allclose(drho, -grid.divergence(st.mom), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(dmom, expected, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("sizes, most", [((32,), 6), ((16, 16), 12)])
     def test_transform_count(self, sizes, most, monkeypatch):

@@ -70,6 +70,27 @@ def test_martingale_matches_mode_sum(sizes):
 
 
 @pytest.mark.parametrize("sizes", [(32,), (16, 8), (8, 8, 8)], ids=["1-D", "2-D", "3-D"])
+def test_ito_increment_matches_ito_density(sizes):
+    # the reductions of rho, m and m . u against the pointwise Ito density;
+    # four modes, so in 2-D and 3-D the density terms act on several axes
+    grid = Grid(sizes)
+    rng = np.random.default_rng(6)
+    members, dt = 3, 1e-3
+    noise = NoiseModel(K=(0.1, 0.2, -0.3, 0.15), L=(0.05, -0.1, 0.0, 0.2))
+    batch = State(np.stack([1.0 + 0.1 * random_smooth_scalar(grid, rng)
+                            for _ in range(members)]),
+                  np.stack([0.1 * random_smooth_vector(grid, rng)
+                            for _ in range(members)]))
+    acc = LedgerAccumulator(grid, LAW, None, noise, members=members)
+    step_em(grid, ModelConfig(law=LAW, noise=noise), StepperConfig(), batch, dt,
+            np.zeros((members, noise.modes)), ledger=acc)
+    u = batch.mom / batch.rho[grid.comp(None)]
+    oracle = 0.5 * dt * grid.integrate(noise.ito_density(grid, batch.rho, u))
+    np.testing.assert_allclose(acc.ito_cum, oracle, rtol=1e-13, atol=0)
+    assert np.all(acc.mart == 0)
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 8), (8, 8, 8)], ids=["1-D", "2-D", "3-D"])
 @pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch"])
 def test_dissipation_rate_matches_stress_contraction(sizes, batch):
     # Parseval on the velocity spectrum against the real-space integral of
