@@ -35,8 +35,8 @@ SCHEMA: dict[str, Key] = {
     "model.a": Key("float", 1.0, "pressure coefficient"),
     "model.delta": Key("float", 0.0, "artificial-pressure strength"),
     "model.Gamma": Key("float", 6.0, "artificial-pressure exponent"),
-    "model.nu": Key("float", 1e-2, "shear viscosity (0 = inviscid)"),
-    "model.lambda": Key("float", 0.0, "bulk viscosity"),
+    "model.nu": Key("float", 1e-2, "shear viscosity (no effect in 1-D)"),
+    "model.lambda": Key("float", 0.0, "bulk viscosity (the 1-D viscosity)"),
     "model.eps": Key("float", 1.0, "Mach parameter; 1 disables rescaling"),
     "model.grad_threshold": Key("float", math.inf, "weak-strong reference gradient cutoff"),
     "stepper.cfl": Key("float", 0.4, "CFL number in (0, 1]"),

@@ -29,12 +29,20 @@ step.  A model without noise carries a zero-mode
 :class:`~torusgas.noise.NoiseModel`.  Every command's initial data is a
 named flow of :data:`FLOWS`, built by :func:`initial_flow`.
 
-The explicit step touches each member-batch array as few times as it can.
-The drift's diagonal multipliers (``i k``, the viscous symbols, the 2/3
-mask and their scalars) are folded, once per grid and viscosity, into
-arrays of the spectral shape with no member axis (:func:`_drift_symbols`);
-each tendency is accumulated in place from them, and :func:`step_em` forms
-``x + dt dx`` in place on the inverse transforms' outputs.
+Inside a march each state carries its spectra ``(rho^, m^)``
+(:attr:`State.spectra`), and each step forms the new state in Fourier space:
+the first step of a march forms the spectra with one forward call each,
+every step returns the spectra its update was formed in, and each new field
+comes from one inverse call of them.  A step forward-transforms only what it
+forms itself, the flux (with the pressure on its diagonal) and, with
+viscosity, the velocity, so a later step makes 2 forward and 2 inverse FFT
+calls, 1 + 2 without viscosity.  The drift's diagonal multipliers (``i k``,
+the viscous symbols, the 2/3 mask and their scalars) are folded, once per
+grid and viscosity, into arrays of the spectral shape with no member axis
+(:func:`_drift_symbols`), and each tendency is accumulated in place from
+them.  No spectra outlive a march: every march loop hands back its state
+without them, and :meth:`State.copy`, :meth:`State.batch`,
+:meth:`State.rows` and :meth:`State.joined` drop them.
 
 The step is explicit by default.  With ``StepperConfig.semi_implicit`` it is
 an IMEX step.  The viscous term gets a stabilized semi-implicit treatment
@@ -54,13 +62,14 @@ Degond & Tang 2011, Haack, Jin & Liu 2012):
     m+   = m* - theta dt c0^2 grad r
 
 The advection and the pressure remainder ``p_eff(rho) - c0^2 rho`` stay
-explicit.  Every implicit part is diagonal in Fourier space: ``rho`` joins
-the forward transform of ``p``, the kick is formed from the spectra, and
-``rho+`` and ``m+`` come from the two inverse transforms the explicit drift
-makes, so the step makes no extra transform.  The zero mode of ``r`` is 0,
-so mass is conserved, and theta = 1/2 keeps the linear acoustic energy
-``|m^|^2 + c0^2 |rho^|^2`` of each mode, which the relative energy
-contains.  ``cfl_dt`` keeps only the explicit remainder's bound
+explicit, in the explicit drift's tendency.  Every implicit part is
+diagonal in Fourier space: the viscous filter acts on that tendency's
+spectrum, the kick is formed from the carried spectra, and the
+Crank-Nicolson coefficients are cached per grid, ``dt`` and ``c0^2``
+(:func:`_acoustic_symbols`), so the step makes the explicit step's
+transforms.  The zero mode of ``r`` is 0, so mass is conserved, and theta =
+1/2 keeps the linear acoustic energy ``|m^|^2 + c0^2 |rho^|^2`` of each
+mode, which the relative energy contains.  ``cfl_dt`` keeps only the explicit remainder's bound
 ``|u| + sqrt|p_eff'(rho) - c0^2|``: no diffusive bound and no ``1/eps``
 sound speed.  The limit sweep uses this step: its viscosities grow to
 ``nu = 1`` at eps = 1, where the diffusive bound is the tightest, and its
@@ -72,7 +81,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,11 +123,19 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class State:
-    """One realization or a member batch: density, momentum and time."""
+    """One realization or a member batch: density, momentum and time.
+
+    ``spectra`` is ``(rho^, m^)``, the spectra the fields were formed from
+    (``grid.fwd`` of them to roundoff), on a state that :func:`step_em`
+    returned inside a march, else None.  Every march loop hands back its
+    state without them, so no state kept between sample intervals holds
+    them.
+    """
 
     rho: np.ndarray
     mom: np.ndarray
     t: float = 0.0
+    spectra: Optional[tuple] = None
 
     def validate(self, grid: Grid) -> "State":
         """This state, its fields checked for ``grid``'s shapes and for finite entries."""
@@ -246,6 +263,24 @@ def _drift_symbols(grid: Grid, visc: Optional[Viscosity]) -> tuple:
     return div, flux, viscous
 
 
+@functools.lru_cache(maxsize=8)
+def _acoustic_symbols(grid: Grid, dt: float, c2: float) -> tuple:
+    """The Crank-Nicolson multipliers ``(to_r, half_to_r, back)`` of a step ``dt`` at ``c0^2 = c2``.
+
+    ``r^ = sum_j to_r[j] m_j^ + half_to_r[j] (m* - m)_j^``, with ``to_r[j] =
+    -dt i k_j / (1 + dt^2 c0^2 |k|^2 / 4)`` and ``half_to_r = to_r / 2``,
+    and ``back[j] = dt c0^2 i k_j / 2`` forms the momentum's correction
+    ``back[j] r^``.  Shared by every caller, so read-only.
+    """
+    den = 1.0 + 0.25 * dt * dt * c2 * grid.k2_odd
+    to_r = [-dt * k / den for k in grid.ik]
+    half_to_r = [0.5 * s for s in to_r]
+    back = [0.5 * dt * c2 * k for k in grid.ik]
+    for symbol in to_r + half_to_r + back:
+        symbol.flags.writeable = False
+    return to_r, half_to_r, back
+
+
 def _accumulate(out: np.ndarray, terms) -> np.ndarray:
     """``out = sum_k s_k x_k`` over ``terms = [(s_k, x_k), ...]`` in order, in place."""
     (s, x), *rest = terms
@@ -258,41 +293,37 @@ def _accumulate(out: np.ndarray, terms) -> np.ndarray:
 
 def rhs_deterministic(grid: Grid, model: ModelConfig, state: State, u: np.ndarray,
                       dt_implicit: float = 0.0):
-    """Drift of the semi-discrete system, ``(d rho, d mom, u_h)``.
+    """Drift of the semi-discrete system in Fourier space, ``(d rho^, d mom^, u_h)``.
 
     ``u`` is the state's velocity ``m / rho``, which :func:`step_em` forms
-    once per step for its CFL bound and the drift.  Nonlinear products are
-    formed pointwise, the distinct flux entries ``m_i u_j`` (``i <= j``,
-    the flux being symmetric) into one array; both tendencies are then
-    built in Fourier space from one transform each of ``m``, the flux,
-    ``p`` and ``u``, and one inverse transform per tendency.  That is 4
-    forward and 2 inverse FFT calls in any dimension, 3 + 2 without
-    viscosity.  The explicit tendencies are sums of diagonal multipliers
-    (:func:`_drift_symbols`: ``i k``, ``-nu k^2`` and ``eta i k (i k .)``
-    with the 2/3 mask and every scalar folded in) times those spectra,
-    each accumulated in place; the pressure joins the flux's diagonal and
-    the momentum tendency reuses the buffer of ``m``'s spectrum.  The drift
-    does not check finiteness: :func:`step_em` checks the update it makes,
-    which it forms in place on the two arrays returned here.  ``u_h`` is
-    the velocity's spectrum with viscosity (else None), which the energy
-    ledger reuses.
+    once per step for its CFL bound and the drift, and ``state.spectra``
+    holds ``(rho^, m^)``, which :func:`step_em` carries from step to step
+    (formed here, one forward call each, on a state without them).
+    Nonlinear products are formed pointwise, the distinct flux entries
+    ``m_i u_j`` (``i <= j``, the flux being symmetric) into one array with
+    the pressure added to its diagonal (``-grad p = -div(p I)``); the
+    tendencies are then built in Fourier space from ``m^`` and one forward
+    call each on the flux and, with viscosity, on ``u``: 2 forward calls,
+    1 without viscosity, and no inverse call.  The tendencies are sums of
+    diagonal multipliers (:func:`_drift_symbols`: ``i k``, ``-nu k^2`` and
+    ``eta i k (i k .)`` with the 2/3 mask and every scalar folded in) times
+    those spectra, each accumulated in place into an array of its own,
+    which :func:`step_em` forms its update in.  The drift does not check
+    finiteness: :func:`step_em` checks the update it makes.  ``u_h`` is the
+    velocity's spectrum with viscosity (else None), which the energy ledger
+    reuses.
 
-    With ``dt_implicit > 0`` it returns instead the spectra that the
-    semi-implicit step of size ``dt_implicit`` needs (see the module
-    docstring): ``(rho_h, mom_h, dmom_h)``, the density, the momentum and
-    the explicit momentum tendency.  ``rho`` joins the forward call of
-    ``p``, and no inverse call is made.  With viscosity the tendency's
-    transverse part is divided by ``1 + dt A |k|^2`` and its longitudinal
-    part by ``1 + dt (A + B) |k|^2``, one filter on the spectrum.
+    With ``dt_implicit > 0`` it returns instead what the semi-implicit step
+    of size ``dt_implicit`` needs (see the module docstring): ``(rho^, m^,
+    dmom_h)``, the state's spectra and the momentum tendency.  With
+    viscosity the tendency's transverse part is divided by ``1 + dt A
+    |k|^2`` and its longitudinal part by ``1 + dt (A + B) |k|^2``, one
+    filter on the spectrum.
     """
     rho, mom = state.rho, state.mom
     dim, comp = grid.dim, grid.comp
-    implicit = dt_implicit > 0
-    mh = grid.fwd(mom)
-    if not implicit:
-        div_s, flux_s, visc_s = _drift_symbols(grid, model.visc)
-        drho = grid.bwd(_accumulate(np.empty_like(mh[comp(0)]),
-                                    [(div_s[j], mh[comp(j)]) for j in range(dim)]))
+    rho_h, mom_h = state.spectra or (grid.fwd(rho), grid.fwd(mom))
+    div_s, flux_s, visc_s = _drift_symbols(grid, model.visc)
 
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     flux = np.empty((*mom.shape[:-dim - 1], len(pairs), *grid.sizes))
@@ -300,49 +331,38 @@ def rhs_deterministic(grid: Grid, model: ModelConfig, state: State, u: np.ndarra
     for n, (i, j) in enumerate(pairs):
         np.multiply(mom[comp(i)], u[comp(j)], out=flux[comp(n)])
         entry[i, j] = entry[j, i] = n
+    p = pressure_delta(model.law_eff, rho)
+    for i in range(dim):
+        flux[comp(entry[i, i])] += p
+    del p
     flux_h = grid.fwd(flux)
     del flux
-    if implicit:
-        p_h, rho_h = grid.fwd(np.stack([pressure_delta(model.law_eff, rho), rho]))
-    else:
-        p_h = grid.fwd(pressure_delta(model.law_eff, rho))
     u_h = grid.fwd(u) if model.visc is not None else None
 
-    if not implicit:
-        for i in range(dim):  # -grad p = -div(p I)
-            flux_h[comp(entry[i, i])] += p_h
-        del p_h
-        dmom_h = mh  # m^ is not read again
-        for i in range(dim):
-            terms = [(flux_s[j], flux_h[comp(entry[i, j])]) for j in range(dim)]
-            if u_h is not None:
-                terms += [(visc_s[i][j], u_h[comp(j)]) for j in range(dim)]
-            _accumulate(dmom_h[comp(i)], terms)
-        return drho, grid.bwd(dmom_h), u_h
-
-    ik = grid.ik
-    filtered = model.visc is not None
-    if filtered:
-        div_u_h = sum(ik[j] * u_h[comp(j)] for j in range(dim))
-        nu_k2 = -model.visc.nu * grid.k2
-        eta = model.visc.eta(dim)
-    dmom_h = np.empty_like(mh)
+    dmom_h = np.empty_like(mom_h)
     for i in range(dim):
-        acc = -ik[i] * p_h - sum(ik[j] * flux_h[comp(entry[i, j])] for j in range(dim))
-        if filtered:
-            acc += nu_k2 * u_h[comp(i)] + eta * ik[i] * div_u_h
-        dmom_h[comp(i)] = acc if filtered else np.where(grid.dealias_mask, acc, 0.0)
-    if filtered:
+        terms = [(flux_s[j], flux_h[comp(entry[i, j])]) for j in range(dim)]
+        if u_h is not None:
+            terms += [(visc_s[i][j], u_h[comp(j)]) for j in range(dim)]
+        _accumulate(dmom_h[comp(i)], terms)
+    if not dt_implicit > 0:
+        drho_h = _accumulate(np.empty_like(rho_h), [(div_s[j], mom_h[comp(j)])
+                                                    for j in range(dim)])
+        return drho_h, dmom_h, u_h
+
+    if model.visc is not None:
         # (I + dt A |k|^2 + dt B k k.)^-1 d = (d + ik (ik . d) c_l) / (1 + dt A |k|^2)
-        # with c_l = dt B / (1 + dt (A + B) |k|^2); the mask folds into c_t
+        # with c_l = dt B / (1 + dt (A + B) |k|^2); d is masked already
+        ik, nu, eta = grid.ik, model.visc.nu, model.visc.eta(dim)
         dt_rho = dt_implicit / np.min(rho, axis=grid.axes, keepdims=True)  # dt max 1/rho
         k2 = dt_rho * grid.k2
-        c_t = grid.dealias_mask / (1.0 + model.visc.nu * k2)
-        c_l = eta * dt_rho / (1.0 + (model.visc.nu + eta) * k2)
+        c_t = 1.0 / (1.0 + nu * k2)
+        c_l = eta * dt_rho / (1.0 + (nu + eta) * k2)
         long_h = c_l * sum(ik[j] * dmom_h[comp(j)] for j in range(dim))
         for i in range(dim):
-            dmom_h[comp(i)] = (dmom_h[comp(i)] + ik[i] * long_h) * c_t
-    return rho_h, mh, dmom_h
+            dmom_h[comp(i)] += ik[i] * long_h
+            dmom_h[comp(i)] *= c_t
+    return rho_h, mom_h, dmom_h
 
 
 def _signal_speed(grid: Grid, model: ModelConfig, rho: np.ndarray, u: np.ndarray,
@@ -409,17 +429,26 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     floor activations and ``dt`` over the CFL bound.  ``ledger``, if given
     (a :class:`~torusgas.ledger.LedgerAccumulator`), gets the step's
     increments from the velocity, the velocity spectrum the explicit drift
-    forms and ``dW``; the IMEX step takes no ledger.  The explicit step
-    scales and adds its update in place on the two tendencies ``rhs_fn``
-    returns, so those must be arrays of its own.  The step forms the
-    velocity ``u = m / rho`` once, for its CFL bound and the drift; every
-    state it is given has ``rho >= stepper.rho_floor`` (each
-    command checks its initial data, each step floors its update).  It
-    checks its CFL bound, then its unfloored update once, in either
-    scheme.  A failure names the step by :func:`step_label`, as a march of
-    steps ``dt`` from t = 0 counts it, and the fastest or first non-finite
-    member of a batch, whose state at the start of the step and increment
-    row reproduce it.
+    forms and ``dW``; the IMEX step takes no ledger.
+
+    The step works on the state's spectra ``(rho^, m^)``: those it carries
+    (:attr:`State.spectra`), or, on a march's first step, one forward call
+    each.  It forms the new spectra, ``rho^ + dt drho^`` (explicit) or
+    ``rho^ + r^`` (IMEX) and ``m^ + dm^`` with the kick formed from the
+    spectra, in place on the arrays ``rhs_fn`` returns, so those must be
+    arrays of its own; each new field is one inverse call of its spectrum,
+    and the new state carries the spectra.  That is 2 forward and 2
+    inverse FFT calls a step with viscosity, 2 more forward calls on a
+    march's first step.  The step forms the velocity ``u = m / rho`` once,
+    for its CFL bound and the drift; every state it is given has ``rho >=
+    stepper.rho_floor`` (each command checks its initial data, each step
+    floors its update).  It checks its CFL bound, then its unfloored update
+    once, in either scheme.  A floored member's ``rho^`` row is formed
+    again from its floored field, and only that row, so each member's
+    values are those of stepping it alone.  A failure names the step by
+    :func:`step_label`, as a march of steps ``dt`` from t = 0 counts it,
+    and the fastest or first non-finite member of a batch, whose state at
+    the start of the step and increment row reproduce it.
     """
     u = state.mom / state.rho[grid.comp(None)]
     fastest = np.max(_signal_speed(grid, model, state.rho, u, stepper), axis=grid.axes)
@@ -432,45 +461,63 @@ def step_em(grid: Grid, model: ModelConfig, stepper: StepperConfig, state: State
     if stats is not None:
         stats.cfl_ratio = max(stats.cfl_ratio, dt / bound)
 
+    start = state
+    if state.spectra is None:  # a march's first step
+        state = replace(state, spectra=(grid.fwd(state.rho), grid.fwd(state.mom)))
+    comp = grid.comp
+    kicked = bool(model.noise.modes) and dW is not None
     if stepper.semi_implicit:
         if ledger is not None:
             raise ValueError("the energy ledger follows the explicit step only")
-        rho_h, mom_h, dmom_h = rhs_fn(grid, model, state, u, dt)
-        dm_h = dt * dmom_h  # m* - m, the explicit update, in Fourier space
-        if model.noise.modes and dW is not None:  # the kick is linear in (rho, m)
+        rho_h, mom_h, dm_h = rhs_fn(grid, model, state, u, dt)
+        del u
+        dm_h *= dt  # m* - m, the explicit update
+        if kicked:  # the kick is linear in (rho, m)
             dm_h += model.noise.momentum_kick(grid, rho_h, mom_h, dW)
         # Crank-Nicolson (theta = 1/2) acoustics about rho = 1
-        c2 = pressure_delta_prime(model.law_eff, 1.0)
-        comp, ik = grid.comp, grid.ik
-        r_h = -dt * sum(ik[j] * (mom_h[comp(j)] + 0.5 * dm_h[comp(j)])
-                        for j in range(grid.dim)) / (1.0 + 0.25 * dt * dt * c2 * grid.k2_odd)
+        to_r, half_to_r, back = _acoustic_symbols(grid, dt,
+                                                  pressure_delta_prime(model.law_eff, 1.0))
+        new_rho_h = _accumulate(np.empty_like(rho_h),
+                                [(to_r[j], mom_h[comp(j)]) for j in range(grid.dim)]
+                                + [(half_to_r[j], dm_h[comp(j)]) for j in range(grid.dim)])
+        tmp = np.empty_like(new_rho_h)
         for j in range(grid.dim):
-            dm_h[comp(j)] -= 0.5 * dt * c2 * ik[j] * r_h
-        rho_new = state.rho + grid.bwd(r_h)
-        mom_new = state.mom + grid.bwd(dm_h)
+            dm_h[comp(j)] -= np.multiply(back[j], new_rho_h, out=tmp)
+        del tmp
+        new_rho_h += rho_h
+        new_mom_h = dm_h
+        new_mom_h += mom_h
     else:
-        rho_new, mom_new, u_h = rhs_fn(grid, model, state, u)  # the tendencies
-        rho_new *= dt
-        rho_new += state.rho
-        mom_new *= dt
-        mom_new += state.mom
-        if model.noise.modes and dW is not None:
-            mom_new += model.noise.momentum_kick(grid, state.rho, state.mom, dW)
+        rho_h, mom_h = state.spectra
+        new_rho_h, new_mom_h, u_h = rhs_fn(grid, model, state, u)  # the tendencies
         if ledger is not None:
             ledger.step_increments(state, dt, u, u_h, dW)
-        del u, u_h  # released before the update is checked
+        del u, u_h  # released before the kick is formed
+        new_rho_h *= dt
+        new_rho_h += rho_h
+        new_mom_h *= dt
+        new_mom_h += mom_h
+        if kicked:
+            new_mom_h += model.noise.momentum_kick(grid, rho_h, mom_h, dW)
+    del rho_h, mom_h, state  # released before the new fields are formed
+    rho_new, mom_new = grid.bwd(new_rho_h), grid.bwd(new_mom_h)
 
-    _check_finite(grid, state, rho_new, mom_new, dt)  # before the floor hides a -inf
+    _check_finite(grid, start, rho_new, mom_new, dt)  # before the floor hides a -inf
     low = rho_new < stepper.rho_floor
     if np.any(low):
         n_low = np.count_nonzero(low, axis=grid.axes)
         before = grid.integrate(rho_new)
         rho_new = np.maximum(rho_new, stepper.rho_floor)
+        if rho_new.ndim == grid.dim:
+            new_rho_h = grid.fwd(rho_new)
+        else:  # the floored rows only: the others keep the spectra they were formed in
+            floored = np.flatnonzero(n_low)
+            new_rho_h[floored] = grid.fwd(rho_new[floored])
         if stats is not None:
             stats.floored_cells += n_low
             stats.mass_correction += grid.integrate(rho_new) - before
 
-    return State(rho_new, mom_new, state.t + dt)
+    return State(rho_new, mom_new, start.t + dt, (new_rho_h, new_mom_h))
 
 
 def energy_total(grid: Grid, law: PressureLaw, state: State):

@@ -105,8 +105,13 @@ def _state(grid: Grid, vh: np.ndarray, t: float) -> EulerState:
 
 
 def make_state(grid: Grid, v: np.ndarray, t: float = 0.0) -> EulerState:
-    """The state of the Leray projection of a physical velocity."""
-    return _state(grid, grid.leray(grid.fwd(grid.check_vector(v))), t)
+    """The state of the Leray projection of a physical velocity.
+
+    ``v`` is copied to C order first: the transforms keep their input's
+    layout, so a broadcast velocity would leave every later spectrum and
+    field of the march strided.
+    """
+    return _state(grid, grid.leray(grid.fwd(np.ascontiguousarray(grid.check_vector(v)))), t)
 
 
 def euler_cfl_dt(grid: Grid, state: EulerState, cfl: float = 0.4) -> float:

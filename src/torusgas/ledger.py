@@ -34,6 +34,7 @@ tracked separately and lands in the residual's sign allowance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
@@ -99,6 +100,28 @@ def poincare_ratio(ym: EmpiricalYoungMeasure, law: PressureLaw) -> float:
     return osc / D
 
 
+@functools.lru_cache(maxsize=8)
+def _dissipation_symbols(grid: Grid, visc: Viscosity) -> tuple:
+    """``(k, power, div)`` of :func:`dissipation_rate`, on the float view of a spectrum.
+
+    ``k[j]`` is the Nyquist-zeroed wavenumber of ``grid.ik[j]``; ``power =
+    w nu |k|^2`` and ``div = w (nu + lambda - 2 nu / N)`` carry the
+    ``parseval_weight`` ``w``.  Each mode's value is repeated for its real
+    and imaginary part, the layout of ``u_h.view(np.float64)``.  Shared by
+    every caller, so read-only.
+    """
+    def paired(symbol):
+        return np.repeat(np.broadcast_to(symbol, grid.k2.shape), 2, axis=-1)
+
+    w, nu = grid.parseval_weight, visc.nu
+    k = [paired(ik.imag) for ik in grid.ik]
+    power = paired(w * nu * grid.k2_odd)
+    div = paired(w * (nu + visc.lam - 2.0 * nu / grid.dim))
+    for symbol in k + [power, div]:
+        symbol.flags.writeable = False
+    return k, power, div
+
+
 def dissipation_rate(grid: Grid, visc: Viscosity, u_h: np.ndarray):
     """``int S(grad u) : grad u dx`` from the spectrum ``u_h = grid.fwd(u)``.
 
@@ -110,17 +133,29 @@ def dissipation_rate(grid: Grid, visc: Viscosity, u_h: np.ndarray):
 
     with ``w`` the grid's ``parseval_weight`` and ``|k|^2`` from the
     Nyquist-zeroed ``ik`` of :meth:`~torusgas.grid.Grid.gradient_vector`
-    (``grid.k2_odd``).  It equals ``grid.integrate(stress_contract(visc,
-    grad_u))`` to roundoff without forming the gradient tensor or making a
-    transform; ``verify``'s ``ledger.dissipation`` checks that.
+    (``grid.k2_odd``).  Each squared modulus is ``re^2 + im^2``, formed on
+    the spectrum's float view, and each weighted sum is one dot product
+    with a symbol cached per grid and viscosity (:func:`_dissipation_symbols`).
+    It equals ``grid.integrate(stress_contract(visc, grad_u))`` to roundoff
+    without forming the gradient tensor or making a transform; ``verify``'s
+    ``ledger.dissipation`` checks that.  A float for one spectrum, one value
+    per member for a batch, each summed over its contiguous row.
     """
-    comp, ik = grid.comp, grid.ik
-    power = np.sum(np.abs(u_h) ** 2, axis=-grid.dim - 1)
-    div_h = sum(ik[j] * u_h[comp(j)] for j in range(grid.dim))
-    nu = visc.nu
-    density = (nu * grid.k2_odd * power
-               + (nu + visc.lam - 2.0 * nu / grid.dim) * np.abs(div_h) ** 2)
-    return grid.modal_integrate(density)
+    comp, dim = grid.comp, grid.dim
+    k, power_s, div_s = _dissipation_symbols(grid, visc)
+    parts = np.ascontiguousarray(u_h).view(np.float64)  # re, im of each mode side by side
+    power = np.square(parts[comp(0)])
+    div = np.multiply(k[0], parts[comp(0)])  # (k . re, k . im) = (Im, -Re) of ik . u^
+    for j in range(1, dim):
+        power += np.square(parts[comp(j)])
+        div += k[j] * parts[comp(j)]
+    np.square(div, out=div)
+    lead = power.shape[:-dim]
+    # each member's weighted sums, one dot product over its row (not BLAS, whose
+    # order of summation depends on the row's place in the batch)
+    rate = sum(np.einsum("...i,i->...", np.reshape(x, (*lead, -1)), s.ravel())
+               for x, s in ((power, power_s), (div, div_s)))
+    return float(rate) if not lead else rate
 
 
 @dataclass
@@ -203,12 +238,12 @@ def march(grid: Grid, model, stepper, state, dt: float, table: np.ndarray,
     member, or ``(M, n, K)`` for a batch of M members; a deterministic run
     passes an empty ``(n, 0)`` table.  Each explicit step adds its ledger
     increments to ``acc``; ``stats`` is handed to every step.  Returns the
-    state after the interval's last step.
+    state after the interval's last step, without the spectra the steps carry.
     """
     for step in range(table.shape[-2]):
         state = step_em(grid, model, stepper, state, dt, table[..., step, :], stats=stats,
                         ledger=acc)
-    return state
+    return replace(state, spectra=None)
 
 
 def pooled_ledger(members: EnergyLedger, grid: Grid, law: PressureLaw, visc, sums,

@@ -27,7 +27,7 @@ relative-energy gap is then the testable statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -391,7 +391,7 @@ def weak_strong_experiment(cfg: WeakStrongConfig, threads: int = 1) -> RelativeE
                                 fine_table[ids, cfg.refine * k + j])
             except SimulationError as exc:  # name the member by its ensemble index
                 raise exc.renamed(int(ids[exc.member])) from exc
-        return c, f
+        return replace(c, spectra=None), replace(f, spectra=None)
 
     for i_s in range(n_samples):
         if i_s > 0:  # frozen members repeat their last value

@@ -143,9 +143,10 @@ def _interval(step, state, live, steps: np.ndarray, dt: float, prefix: str, thre
 
     ``step(batch, dt, dW, stats=...)`` is one step.  The rows march in one
     :func:`by_member_range` call and are joined in member order.  Returns the
-    joined state and the largest ``dt`` over the CFL bound met.  A failing
-    step is re-raised naming the member by its ensemble index, its detail
-    prefixed by ``prefix``.
+    joined state, without the spectra a compressible step carries, and the
+    largest ``dt`` over the CFL bound met.  A failing step is re-raised
+    naming the member by its ensemble index, its detail prefixed by
+    ``prefix``.
     """
     def march_range(lo, hi):  # rows [lo, hi) of state
         batch, stats = state.rows(slice(lo, hi)), StepStats()
@@ -154,6 +155,8 @@ def _interval(step, state, live, steps: np.ndarray, dt: float, prefix: str, thre
                 batch = step(batch, dt, steps[live[lo:hi], k], stats=stats)
             except SimulationError as exc:  # name the member by its ensemble index
                 raise exc.renamed(int(live[lo + exc.member]), prefix) from exc
+        if isinstance(batch, State):
+            batch = replace(batch, spectra=None)
         return batch, stats.cfl_ratio
 
     parts = by_member_range(live.size, threads, march_range)
@@ -282,14 +285,16 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> RateReport:
             if not keep.all():
                 comps[i_eps], lives[i_eps] = comp.rows(keep), live[keep]
             # each SE group's sampled rows are contiguous, counted (a first np.searchsorted call
-            # adds 0.1 MB of resident memory); a row's sums freeze at its last sample
+            # adds 0.1 MB of resident memory); a row's sums freeze at its last sample, and the
+            # final sample's frozen sums are never read
             bounds = [np.count_nonzero(rows < e) for e in edges]
             blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
             ends = stop[rows] <= i_s + 1
             sums = frozen[i_eps] + [member_sums(law_eff, batch.rho[b], batch.mom[b])
                                     for b in blocks]
-            frozen[i_eps] += [member_sums(law_eff, batch.rho[b][ends[b]], batch.mom[b][ends[b]])
-                              for b in blocks]
+            if i_s < samples and ends.any():
+                frozen[i_eps] += [member_sums(law_eff, batch.rho[b][ends[b]],
+                                              batch.mom[b][ends[b]]) for b in blocks]
             d_groups[i_eps, :, i_s] = [dissipation_defect(grid, s, n, law_eff)[1]
                                        for s, n in zip(sums, group_n)]
             d_series[i_eps, i_s] = dissipation_defect(grid, np.sum(sums, axis=0), members,

@@ -264,6 +264,23 @@ class TestSimulateCommand:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_worker_count_does_not_change_bytes_when_floored(self, tmp_path):
+        # strong noise floors the members at different steps; a floored
+        # member's density spectrum is formed again from its floored field,
+        # and no other member's, whichever range it shares
+        text = MINIMAL_1D.replace("noise.K = 0.1", "noise.K = 2.0") + (
+            "init.amplitude = 0.5\nstepper.rho_floor = 0.48\n")
+        cfg = write_cfg(tmp_path, text)
+        blobs = []
+        for threads in ("1", "2", "8"):
+            out = str(tmp_path / f"w{threads}")
+            assert main(["simulate", "--config", cfg, "--out", out,
+                         "--threads", threads]) == 0
+            blobs.append([(tmp_path / f"w{threads}" / name).read_bytes()
+                          for name in ("ledger.csv", "summary.json")])
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert b'"floored_cells_total": 0,' not in blobs[0][1]
+
     def test_different_seed_changes_martingale(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL_1D)
         columns = []

@@ -236,6 +236,17 @@ class TestBatch:
         assert euler_cfl_dt(grid, state) == min(
             euler_cfl_dt(grid, state.rows(m)) for m in range(3))
 
+    def test_broadcast_velocity_makes_a_contiguous_march(self):
+        # the sweep builds its reference from one velocity broadcast over the
+        # members; the state and every later one are C-ordered all the same
+        grid = Grid((16, 16))
+        v0 = taylor_green(grid)
+        state = make_state(grid, np.broadcast_to(v0, (3, *v0.shape)))
+        assert np.array_equal(state.v, np.stack([make_state(grid, v0).v] * 3))
+        for _ in range(2):
+            assert state.vh.flags.c_contiguous and state.fields.flags.c_contiguous
+            state = step_em_euler(grid, self.NOISE, state, 0.01, np.full((3, 2), 0.01))
+
     def test_transform_count(self, rng, monkeypatch):
         grid = Grid((16, 16))
         state = self.batch(grid, rng)

@@ -45,6 +45,22 @@ def test_batched_accumulator_matches_member_loop(sizes):
     assert np.all(acc.diss_cum > 0) and np.all(acc.mart != 0)
 
 
+def test_march_hands_back_its_state_without_spectra():
+    # the steps carry their spectra from step to step; the interval's state
+    # leaves the march with the stepped fields alone
+    grid = Grid((16,))
+    model = ModelConfig(law=LAW, visc=Viscosity(1e-2), noise=NoiseModel(K=(0.1,), L=(0.05,)))
+    state = State(1.0 + 0.1 * np.sin(grid.coordinates()[0]), np.zeros((1, 16)))
+    table = member_tables(2, 1, model.modes, 1e-3, 3)[0]
+    acc = LedgerAccumulator(grid, LAW, model.visc, model.noise)
+    out = march(grid, model, StepperConfig(), state, 1e-3, table, acc)
+    stepped = state
+    for step in range(3):
+        stepped = step_em(grid, model, StepperConfig(), stepped, 1e-3, table[step])
+    assert out.spectra is None and stepped.spectra is not None
+    assert np.array_equal(out.rho, stepped.rho) and np.array_equal(out.mom, stepped.mom)
+
+
 @pytest.mark.parametrize("sizes", [(32,), (16, 16)], ids=["1-D", "2-D"])
 def test_martingale_matches_mode_sum(sizes):
     # one step's martingale increment against its per-mode form

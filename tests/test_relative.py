@@ -407,6 +407,20 @@ class TestBatchedMarch:
         assert np.all(report.emv[0, j:] == report.emv[0, j - 1])
         assert np.all(report.remainder_terms[j:] == 0.0)
 
+    def test_intervals_hand_back_no_spectra(self, monkeypatch):
+        # the steps carry their spectra within an interval; neither batch
+        # kept between intervals holds them
+        by_range, parts = relative.by_member_range, []
+
+        def record(*args):
+            out = by_range(*args)
+            parts.extend(out)
+            return out
+
+        monkeypatch.setattr(relative, "by_member_range", record)
+        weak_strong_experiment(self.config(2, np.inf))
+        assert parts and all(c.spectra is None and f.spectra is None for c, f in parts)
+
     def test_mixed_freezing(self, monkeypatch):
         threshold = self.mixed_threshold(monkeypatch)
         report = weak_strong_experiment(self.config(6, threshold))

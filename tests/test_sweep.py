@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgas import config, driver, ensemble, sweep
-from torusgas.dynamics import SimulationError, rhs_deterministic, taylor_green
+from torusgas.dynamics import SimulationError, State, rhs_deterministic, taylor_green
 from torusgas.ensemble import dissipation_defect, member_se, member_sums
 from torusgas.grid import Grid
 from torusgas.noise import NoiseModel, coarsen
@@ -254,6 +254,20 @@ class TestBatchedMarch:
                     assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
                     k += 1
         assert k == len(got)
+
+    def test_intervals_hand_back_no_spectra(self, monkeypatch):
+        # the compressible steps carry their spectra within an interval; no
+        # state kept between intervals holds them
+        interval, kept = sweep._interval, []
+
+        def record(*args):
+            kept.append(interval(*args)[0])
+            return kept[-1], 0.0
+
+        monkeypatch.setattr(sweep, "_interval", record)
+        run_sweep(self.config(2, np.inf))
+        compressible = [state for state in kept if isinstance(state, State)]
+        assert compressible and all(state.spectra is None for state in compressible)
 
     def test_reference_marched_once_and_shared(self, monkeypatch):
         # one Euler march at its own step, whose stopping times every eps's
